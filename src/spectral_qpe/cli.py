@@ -6,7 +6,7 @@ solve          run the estimation loop and report the dominant peak
 spectrum       report every peak at or above the detection threshold
 trotter-bench  operator-error / wall-time sweep over slice counts
 resources      qubit-budget estimate for an n-particle run
-oracle-check   exact distribution + collapse-fidelity audit (small systems)
+oracle-check   exact distribution, route and collapse-fidelity audit (small systems)
 
 Configuration is a JSON object; unknown keys are rejected so a typo cannot
 silently fall back to a default.  Command-line flags override config values.
@@ -23,6 +23,8 @@ The ``SPECTRAL_QPE_LOG`` environment variable selects the log level
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import functools
 import json
 import logging
 import math
@@ -48,6 +50,7 @@ EXIT_RUNTIME = 3
 EXIT_AUDIT = 4
 
 DISTRIBUTION_TOL = 1e-10
+ROUTE_TOL = 1e-10
 COLLAPSE_FIDELITY_TOL = 1e-9
 POPULATED_BIN_FLOOR = 1e-9
 
@@ -179,13 +182,17 @@ class _Problem:
         self.recipe = recipe
         self.unitary = unitary
 
-    def dense_hamiltonian(self) -> np.ndarray | None:
-        """Dense Hermitian matrix when the oracle is feasible, else None."""
+    @functools.cached_property
+    def decomposition(self) -> oracle.SpectralDecomposition | None:
+        """Spectral decomposition of the dense Hamiltonian when the oracle is
+        feasible, else None; computed at most once per run."""
         if self.recipe is not None:
-            return self.recipe.dense_hamiltonian()
-        if self.hamiltonian is not None and self.l_system <= oracle.MAX_DENSE_QUBITS:
-            return oracle.assemble_dense(self.hamiltonian)
-        return None
+            dense = self.recipe.dense_hamiltonian()
+        elif self.hamiltonian is not None and self.l_system <= oracle.MAX_DENSE_QUBITS:
+            dense = oracle.assemble_dense(self.hamiltonian)
+        else:
+            return None
+        return oracle.eigendecompose(dense)
 
 
 def _build_problem(cfg: dict) -> _Problem:
@@ -297,10 +304,11 @@ class _Run:
         self.seed = _as_int(cfg.get("seed", 0), "seed", minimum=0)
         if self.seed >= 2**64:
             raise ConfigError(f'key "seed": must fit in 64 bits, got {self.seed}')
-        self.power_method = cfg.get("power_method", "binary_power")
-        if self.power_method not in ("binary_power", "flag_loop"):
+        self.power_method = cfg.get("power_method", "block")
+        if self.power_method not in pe.POWER_METHODS:
+            choices = ", ".join(f'"{m}"' for m in pe.POWER_METHODS)
             raise ConfigError(
-                'key "power_method": must be "binary_power" or "flag_loop", '
+                f'key "power_method": must be one of {choices}, '
                 f"got {self.power_method!r}"
             )
         self.slices = _parse_slices(cfg["slices"]) if "slices" in cfg else "exact"
@@ -346,16 +354,14 @@ class _Run:
                 common["time"] = self.time
                 return pe.PhaseEstimationConfig(unitary=problem.unitary, **common)
             if self.slices == "exact":
-                dense = problem.dense_hamiltonian()
-                if dense is None:
+                if problem.decomposition is None:
                     raise ConfigError(
                         'key "slices": "exact" needs a system of at most '
                         f"{oracle.MAX_DENSE_QUBITS} qubits; set an explicit slice count"
                     )
                 common["time"] = self.time
-                return pe.PhaseEstimationConfig(
-                    unitary=_exact_gate(dense, self.time), **common
-                )
+                unitary = ham.unitary_from_decomposition(problem.decomposition, self.time)
+                return pe.PhaseEstimationConfig(unitary=unitary, **common)
             evolution = ham.EvolutionParams(time=self.time, slices=self.slices)
             if problem.recipe is not None:
                 return pe.PhaseEstimationConfig(
@@ -391,24 +397,17 @@ class _Run:
         return resolved
 
     def warn_if_aliased(self) -> None:
-        dense = self.problem.dense_hamiltonian()
-        if dense is None:
+        decomposition = self.problem.decomposition
+        if decomposition is None:
             return
         window = math.pi / abs(self.time)
-        extreme = float(np.abs(oracle.eigendecompose(dense).eigenvalues).max())
+        extreme = float(np.abs(decomposition.eigenvalues).max())
         if extreme > window:
             log.warning(
                 "spectral radius %.6g exceeds the unaliased window (-%.6g, %.6g]; "
                 "reported energies may be aliased — reduce time below %.6g",
                 extreme, window, window, math.pi / extreme,
             )
-
-
-def _exact_gate(dense: np.ndarray, t: float) -> sv.GateMatrix:
-    decomposition = oracle.eigendecompose(dense)
-    v = decomposition.eigenvectors
-    matrix = (v * np.exp(-1j * decomposition.eigenvalues * t)) @ v.conj().T
-    return sv.GateMatrix(matrix)
 
 
 # ---------------------------------------------------------------------------
@@ -448,15 +447,16 @@ def _histogram_csv(run: _Run, counts: np.ndarray) -> str:
 
 
 def _peak_record(run: _Run, bin_index: int, counts: np.ndarray,
-                 collapsed: sv.StateVector | None, dense: np.ndarray | None) -> dict:
+                 collapsed: sv.StateVector | None) -> dict:
     bins = run.layout.num_bins
     phase = 2.0 * math.pi * bin_index / bins
     energy = pe.phase_to_energy(phase, run.time)
     fidelity = None
-    if dense is not None and collapsed is not None:
+    decomposition = run.problem.decomposition
+    if decomposition is not None and collapsed is not None:
         bin_width = 2.0 * math.pi / (bins * abs(run.time))
         try:
-            fidelity = pe.eigenvector_fidelity(collapsed, dense, energy, bin_width)
+            fidelity = pe.eigenvector_fidelity(collapsed, decomposition, energy, bin_width)
         except ValueError:
             log.warning("peak at bin %d matches no oracle eigenvalue within %.3g",
                         bin_index, bin_width)
@@ -487,7 +487,6 @@ def _cmd_sample(args: argparse.Namespace, *, spectrum: bool) -> int:
         run.guess, run.pe_config, threshold=run.threshold, threads=threads
     )
     counts = result.histogram.counts
-    dense = run.problem.dense_hamiltonian()
 
     dominant_bin = int(np.argmax(counts))
     collapsed_by_bin = {b: vec for (b, _), vec in zip(result.peaks, result.eigenvectors)}
@@ -496,12 +495,11 @@ def _cmd_sample(args: argparse.Namespace, *, spectrum: bool) -> int:
             if sample.bin == dominant_bin:
                 collapsed_by_bin[dominant_bin] = sample.collapsed_state
                 break
-    dominant = _peak_record(run, dominant_bin, counts,
-                            collapsed_by_bin.get(dominant_bin), dense)
+    dominant = _peak_record(run, dominant_bin, counts, collapsed_by_bin.get(dominant_bin))
 
     if spectrum:
         peaks = [
-            _peak_record(run, b, counts, vec, dense)
+            _peak_record(run, b, counts, vec)
             for (b, _), vec in zip(result.peaks, result.eigenvectors)
         ]
         if not peaks:
@@ -558,8 +556,7 @@ def cmd_trotter_bench(args: argparse.Namespace) -> int:
     sweep = [_as_int(r, "slice_sweep", minimum=1) for r in sweep_raw]
     if any(b <= a for a, b in zip(sweep, sweep[1:])):
         raise ConfigError('key "slice_sweep": slice counts must be strictly increasing')
-    dense = problem.dense_hamiltonian()
-    if dense is None:
+    if problem.decomposition is None:
         raise ConfigError(
             'key "system_qubits": system too large for the exact reference '
             f"(needs <= {oracle.MAX_DENSE_QUBITS} qubits)"
@@ -568,7 +565,7 @@ def cmd_trotter_bench(args: argparse.Namespace) -> int:
     if not isinstance(out, str) or not out:
         raise ConfigError('key "out": expected a non-empty path stem')
 
-    exact = _exact_gate(dense, t).matrix
+    exact = ham.unitary_from_decomposition(problem.decomposition, t).matrix
     lines = ["r,operator_error,wall_seconds"]
     for r in sweep:
         started = _time.perf_counter()
@@ -636,15 +633,14 @@ def cmd_oracle_check(args: argparse.Namespace) -> int:
         raise ConfigError(
             'key "problem": oracle-check needs a Hamiltonian-bearing problem'
         )
-    dense = run.problem.dense_hamiltonian()
-    if dense is None:
+    decomposition = run.problem.decomposition
+    if decomposition is None:
         raise ConfigError(
             'key "system_qubits": oracle-check needs a system of at most '
             f"{oracle.MAX_DENSE_QUBITS} qubits"
         )
     corrupt = bool(getattr(args, "corrupt_qft_sign", False))
 
-    decomposition = oracle.eigendecompose(dense)
     components = oracle.spectral_components(run.guess, decomposition, run.time)
     analytic = pe.analytic_bin_distribution(components, run.m_index)
 
@@ -652,10 +648,24 @@ def cmd_oracle_check(args: argparse.Namespace) -> int:
                                    _corrupt_qft_sign=corrupt)
     simulated = sv.register_distribution(pre, run.layout.index_qubits)
     deviation = float(np.abs(simulated - analytic).max())
-    if deviation > DISTRIBUTION_TOL:
+    if not (deviation <= DISTRIBUTION_TOL):
         raise AuditFailure(
             f"distribution check: max per-bin deviation {deviation:.3e} "
             f"exceeds {DISTRIBUTION_TOL:g}"
+        )
+
+    # Route check: the block engine against a gate-level route, amplitude by
+    # amplitude (binary_power stands in when the engine is the configured route).
+    other = "binary_power" if run.power_method == "block" else "block"
+    cross = pe.pre_measurement_state(
+        run.guess, dataclasses.replace(run.pe_config, power_method=other),
+        _corrupt_qft_sign=corrupt,
+    )
+    route_deviation = float(np.abs(cross.amplitudes - pre.amplitudes).max())
+    if not (route_deviation <= ROUTE_TOL):
+        raise AuditFailure(
+            f"route check: {run.power_method} and {other} differ by up to "
+            f"{route_deviation:.3e} per amplitude, above {ROUTE_TOL:g}"
         )
 
     # Collapse audit: conditioning on each populated readout bin must land on
@@ -664,22 +674,25 @@ def cmd_oracle_check(args: argparse.Namespace) -> int:
     coefficients = decomposition.eigenvectors.conj().T @ run.guess.amplitudes
     omegas = np.mod(-decomposition.eigenvalues * run.time, 2.0 * math.pi)
     steps = np.arange(bins)
+    populated = [int(j) for j in np.nonzero(analytic > POPULATED_BIN_FLOOR)[0]]
+    collapsed = pe._collapse_bins(pre, run.layout, populated)
     worst_bin, worst = -1, 1.0
-    for j in np.nonzero(analytic > POPULATED_BIN_FLOOR)[0]:
+    for j in populated:
         detune = omegas - 2.0 * math.pi * j / bins
         kernel = np.exp(1j * np.outer(steps, detune)).sum(axis=0) / bins
         predicted = decomposition.eigenvectors @ (coefficients * kernel)
         predicted /= np.linalg.norm(predicted)
-        collapsed = pe._collapse_at_bin(pre, run.layout, int(j))
-        fidelity = float(abs(np.vdot(predicted, collapsed.amplitudes)) ** 2)
+        fidelity = float(abs(np.vdot(predicted, collapsed[j].amplitudes)) ** 2)
         if fidelity < worst:
-            worst_bin, worst = int(j), fidelity
-        if fidelity < 1.0 - COLLAPSE_FIDELITY_TOL:
+            worst_bin, worst = j, fidelity
+        if not (fidelity >= 1.0 - COLLAPSE_FIDELITY_TOL):
             raise AuditFailure(
-                f"eigenvector-fidelity audit: bin {int(j)} fidelity {fidelity:.12f} "
+                f"eigenvector-fidelity audit: bin {j} fidelity {fidelity:.12f} "
                 f"below 1 - {COLLAPSE_FIDELITY_TOL:g}"
             )
     print(f"distribution check: max per-bin deviation {deviation:.3e}")
+    print(f"route check: {run.power_method} vs {other}, max per-amplitude "
+          f"deviation {route_deviation:.3e}")
     if worst_bin >= 0:
         print(f"eigenvector-fidelity audit: worst fidelity {worst:.12f} "
               f"at bin {worst_bin}")

@@ -111,14 +111,15 @@ def term_exponential(term: LocalTerm, dt: float) -> sv.GateMatrix:
 
 
 def slice_gates(
-    h: HamiltonianSum, dt: float, layout: sv.RegisterLayout
+    h: HamiltonianSum, dt: float, layout: sv.RegisterLayout | None = None
 ) -> list[tuple[list[int], sv.GateMatrix]]:
     """One Trotter slice as (system-register targets, gate) pairs, in term order.
 
     Building blocks for anything that applies slices itself (e.g. controlled
-    evolution); targets are already offset to the layout's system register.
+    evolution); targets are already offset to the layout's system register,
+    or are the terms' own supports when no layout is given.
     """
-    offset = layout.m_index
+    offset = layout.m_index if layout is not None else 0
     return [
         ([q + offset for q in term.support], term_exponential(term, dt))
         for term in h.terms
@@ -166,8 +167,13 @@ def trotter_evolve(
 
 def exact_unitary(h: HamiltonianSum, t: float) -> sv.GateMatrix:
     """Dense e^{-iHt} over the full system space (reference route, l <= 12)."""
-    dense = oracle.assemble_dense(h)
-    decomposition = oracle.eigendecompose(dense)
+    return unitary_from_decomposition(oracle.eigendecompose(oracle.assemble_dense(h)), t)
+
+
+def unitary_from_decomposition(
+    decomposition: oracle.SpectralDecomposition, t: float
+) -> sv.GateMatrix:
+    """e^{-iHt} = V diag(e^{-i lambda t}) V^dag from H's spectral decomposition."""
     phases = np.exp(-1j * decomposition.eigenvalues * t)
     vectors = decomposition.eigenvectors
     return sv.GateMatrix((vectors * phases) @ vectors.conj().T)

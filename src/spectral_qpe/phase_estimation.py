@@ -7,9 +7,15 @@ eigenphase w = 2*pi*j/M of U; for U = e^{-iHt} that phase maps back to an
 energy, and the system register collapses onto the matching eigenvector
 content.
 
-Two conditional-power constructions are provided (a flag-qubit comparator
-loop and the per-index-bit binary route); they must agree to 1e-10 and the
-tests enforce that.  The module also carries the closed-form measurement
+The production route is the block engine (``power_method="block"``).  After
+the index Hadamards and the conditional powers, index value j holds
+U^j|V_a>/sqrt(M), and the readout inverse QFT is a DFT along j (Cleve, Ekert,
+Macchiavello and Mosca, Proc. R. Soc. A 454:339, 1998).  The engine therefore
+computes psi[j] = U psi[j-1] on the 2^l system register alone and takes one
+FFT along j.  Two gate-level constructions over the whole register (a
+flag-qubit comparator loop and the per-index-bit binary route) are kept as
+references; all three must agree to 1e-10 per amplitude and the tests
+enforce that.  The module also carries the closed-form measurement
 distribution, which verifies the whole pipeline without sampling.
 """
 
@@ -29,6 +35,8 @@ from .errors import ContractViolation
 
 #: Work/flag qubits must be |0> to this amplitude tolerance at readout.
 WORK_RESIDUE_TOL = 1e-9
+#: Accepted ``power_method`` values: the block engine, then the gate routes.
+POWER_METHODS = ("block", "binary_power", "flag_loop")
 
 
 @dataclass(frozen=True)
@@ -41,9 +49,16 @@ class PhaseEstimationConfig:
       ``time`` so measured phases can be mapped to energies), or
     * ``hamiltonian`` + ``evolution`` -- Trotterized e^{-iHt}, or
     * ``recipe`` + ``evolution`` -- any object exposing
-      ``num_qubits`` and ``apply_step(state, dt, system_qubits, controls)``
+      ``num_qubits``, ``apply_step(state, dt, system_qubits, controls)``
       (grid problems use this to run their position/momentum switching
-      inside the conditional evolution).
+      inside the conditional evolution) and ``step_matrix(dt)``, the dense
+      matrix of one slice (the block engine's one-step operator).
+
+    ``power_method`` selects the route: ``"block"`` (the engine, default),
+    or one of the gate-level references ``"binary_power"`` and
+    ``"flag_loop"`` (the latter needs a work qubit for its flag).  The
+    engine rounds differently from the gate routes, within 1e-10 per
+    amplitude.
     """
 
     layout: sv.RegisterLayout
@@ -54,12 +69,12 @@ class PhaseEstimationConfig:
     time: float | None = None
     trials: int = 1
     seed: int = 0
-    power_method: str = "binary_power"
+    power_method: str = "block"
 
     def __post_init__(self) -> None:
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
-        if self.power_method not in ("flag_loop", "binary_power"):
+        if self.power_method not in POWER_METHODS:
             raise ValueError(f"unknown power_method {self.power_method!r}")
         if self.power_method == "flag_loop" and self.layout.w_work < 1:
             raise ValueError("flag_loop needs at least one work qubit for the flag")
@@ -299,15 +314,77 @@ def apply_conditional_powers_binary(
     return state
 
 
-def _initial_state(va: sv.StateVector, layout: sv.RegisterLayout) -> sv.StateVector:
-    """|0>_index (x) |va>_system (x) |0>_work as one register."""
+def _check_guess(va: sv.StateVector, layout: sv.RegisterLayout) -> None:
     if va.num_qubits != layout.l_system:
         raise ValueError(
             f"guess state spans {va.num_qubits} qubits but the system register "
             f"has {layout.l_system}"
         )
+
+
+def _initial_state(va: sv.StateVector, layout: sv.RegisterLayout) -> sv.StateVector:
+    """|0>_index (x) |va>_system (x) |0>_work as one register."""
+    _check_guess(va, layout)
     amps = np.zeros(2**layout.total_qubits, dtype=np.complex128)
     amps[np.arange(2**layout.l_system) << layout.m_index] = va.amplitudes
+    return sv._wrap_state(layout.total_qubits, amps)
+
+
+def _system_step(config: PhaseEstimationConfig):
+    """One application of U to a 2^l system vector, by unitary source type.
+
+    A dense unitary is used as is; a recipe's dense slice is raised to the
+    slice count and validated once; a local Hamiltonian applies its Trotter
+    slice gates to the vector, with no dense product.
+    """
+    params = config.evolution
+    if config.hamiltonian is not None:
+        l_system = config.layout.l_system
+        gates = [
+            (targets, gate.matrix)
+            for targets, gate in ham.slice_gates(
+                config.hamiltonian, params.time / params.slices
+            )
+        ]
+
+        def trotter(vector):
+            for _ in range(params.slices):
+                for targets, matrix in gates:
+                    vector = sv._apply_matrix(vector, l_system, matrix, targets)
+            return vector
+
+        return trotter
+    if config.unitary is not None:
+        matrix = config.unitary.matrix
+    else:
+        step = config.recipe.step_matrix(params.time / params.slices)
+        matrix = sv.GateMatrix(np.linalg.matrix_power(step, params.slices)).matrix
+    return lambda vector: matrix @ vector
+
+
+def _block_engine_state(
+    va: sv.StateVector, config: PhaseEstimationConfig, corrupt_qft_sign: bool
+) -> sv.StateVector:
+    """Pre-measurement state from psi[j] = U^j|va> and one FFT along j.
+
+    The inverse-QFT kernel e^{-2*pi*i*jk/M} is numpy's forward FFT, so the
+    readout amplitudes are fft(psi)/M; the corrupted readout uses the
+    forward-QFT kernel, ifft(psi).  The result is laid out like the gate
+    routes' state: index bits low, then system, work register |0>.
+    """
+    layout = config.layout
+    _check_guess(va, layout)
+    step = _system_step(config)
+    psi = np.empty((layout.num_bins, 2**layout.l_system), dtype=np.complex128)
+    psi[0] = va.amplitudes
+    for j in range(1, layout.num_bins):
+        psi[j] = step(psi[j - 1])
+    if corrupt_qft_sign:
+        readout = np.fft.ifft(psi, axis=0)
+    else:
+        readout = np.fft.fft(psi, axis=0) / layout.num_bins
+    amps = np.zeros(2**layout.total_qubits, dtype=np.complex128)
+    amps[: readout.size] = readout.T.ravel()
     return sv._wrap_state(layout.total_qubits, amps)
 
 
@@ -316,10 +393,13 @@ def pre_measurement_state(
 ) -> sv.StateVector:
     """Everything before measurement; deterministic (no randomness involved).
 
-    ``_corrupt_qft_sign`` is a negative-control hook for the oracle-check
-    command: it runs the readout with the wrong transform direction, which
-    the distribution cross-check must catch.
+    Runs the route named by ``config.power_method``.  ``_corrupt_qft_sign``
+    is a negative-control hook for the oracle-check command: it runs the
+    readout with the wrong transform direction, which the distribution
+    cross-check must catch.
     """
+    if config.power_method == "block":
+        return _block_engine_state(va, config, _corrupt_qft_sign)
     layout = config.layout
     state = _initial_state(va, layout)
     state = prepare_index_superposition(state, layout)
@@ -339,28 +419,29 @@ def pre_measurement_distribution(
     return sv.register_distribution(state, config.layout.index_qubits)
 
 
-def _collapse_at_bin(
-    state: sv.StateVector, layout: sv.RegisterLayout, bin_index: int
-) -> sv.StateVector:
-    """System-register state conditioned on reading ``bin_index``.
+def _collapse_bins(
+    state: sv.StateVector, layout: sv.RegisterLayout, bins
+) -> dict[int, sv.StateVector]:
+    """System-register states conditioned on reading each of ``bins``.
 
-    Verifies the work register carries no amplitude (flags must have been
-    uncomputed), then projects, extracts and renormalizes.
+    Verifies once, over the whole state, that the work register carries no
+    amplitude (flags must have been uncomputed), then projects, extracts and
+    renormalizes per bin.
     """
-    amps = state.amplitudes
-    if layout.w_work:
-        index_values = sv.register_values(state.num_qubits, layout.index_qubits)
-        work_values = sv.register_values(state.num_qubits, layout.work_qubits)
-        residue = np.abs(amps[(index_values == bin_index) & (work_values != 0)])
-        if residue.size and float(residue.max()) > WORK_RESIDUE_TOL:
-            raise ContractViolation(
-                f"work register not |0> at readout: residue {float(residue.max()):.3e}"
-            )
-    system = amps[bin_index + (np.arange(2**layout.l_system) << layout.m_index)]
-    norm = float(np.linalg.norm(system))
-    if norm == 0.0:
-        raise ValueError(f"readout bin {bin_index} carries no amplitude")
-    return sv._wrap_state(layout.l_system, system / norm)
+    blocks = state.amplitudes.reshape(
+        2**layout.w_work, 2**layout.l_system, layout.num_bins
+    )
+    residue = float(np.abs(blocks[1:]).max(initial=0.0))
+    if not (residue <= WORK_RESIDUE_TOL):
+        raise ContractViolation(f"work register not |0> at readout: residue {residue:.3e}")
+    collapsed = {}
+    for bin_index in bins:
+        system = blocks[0, :, bin_index]
+        norm = float(np.linalg.norm(system))
+        if norm == 0.0:
+            raise ValueError(f"readout bin {bin_index} carries no amplitude")
+        collapsed[bin_index] = sv._wrap_state(layout.l_system, system / norm)
+    return collapsed
 
 
 def _sample_for_bin(
@@ -390,7 +471,7 @@ def run_phase_estimation(
     if rng is None:
         rng = sv.trial_stream(config.seed, 0)
     outcome, post = sv.measure_register(state, layout.index_qubits, rng)
-    collapsed = _collapse_at_bin(post, layout, outcome.bits)
+    collapsed = _collapse_bins(post, layout, [outcome.bits])[outcome.bits]
     return _sample_for_bin(outcome.bits, collapsed, config)
 
 
@@ -445,7 +526,7 @@ def sample_spectrum(
     empirical = counts / config.trials
     peak_bins = [int(b) for b in np.nonzero(empirical >= threshold)[0]]
     peak_bins.sort(key=lambda b: (-empirical[b], b))
-    collapsed = {b: _collapse_at_bin(pre, layout, b) for b in sorted(set(bins.tolist()))}
+    collapsed = _collapse_bins(pre, layout, sorted(set(bins.tolist())))
     samples = [_sample_for_bin(int(b), collapsed[int(b)], config) for b in bins]
     peaks = [(b, float(empirical[b])) for b in peak_bins]
     eigenvectors = [collapsed[b] for b in peak_bins]
@@ -497,13 +578,17 @@ def eigenvector_fidelity(
 ) -> float:
     """Overlap of a collapsed state with the eigenspace near ``energy``.
 
-    ``h`` may be a :class:`~spectral_qpe.hamiltonian.HamiltonianSum` or a
-    dense Hermitian matrix.  Returns <c|P|c> where P projects onto oracle
-    eigenvectors with |lambda - energy| <= tol; raises if no eigenvalue is
-    that close (the peak was mis-identified).
+    ``h`` may be a :class:`~spectral_qpe.hamiltonian.HamiltonianSum`, a
+    dense Hermitian matrix, or its already computed
+    :class:`~spectral_qpe.oracle.SpectralDecomposition`.  Returns <c|P|c>
+    where P projects onto oracle eigenvectors with |lambda - energy| <= tol;
+    raises if no eigenvalue is that close (the peak was mis-identified).
     """
-    dense = oracle.assemble_dense(h) if isinstance(h, ham.HamiltonianSum) else h
-    decomposition = oracle.eigendecompose(dense)
+    if isinstance(h, oracle.SpectralDecomposition):
+        decomposition = h
+    else:
+        dense = oracle.assemble_dense(h) if isinstance(h, ham.HamiltonianSum) else h
+        decomposition = oracle.eigendecompose(dense)
     mask = np.abs(decomposition.eigenvalues - energy) <= tol
     if not mask.any():
         raise ValueError(

@@ -51,7 +51,7 @@ class GateMatrix:
                 f"gate acts on {arity} qubits; dense application is capped at {MAX_GATE_ARITY}"
             )
         defect = float(np.abs(mat.conj().T @ mat - np.eye(dim)).max())
-        if defect > UNITARY_TOL:
+        if not (defect <= UNITARY_TOL):  # NaN fails closed
             raise ValueError(f"gate is not unitary: max|G^dag G - I| = {defect:.3e}")
         mat.setflags(write=False)
         self.arity = arity
@@ -155,7 +155,7 @@ class StateVector:
                 f"expected {2**num_qubits} amplitudes for {num_qubits} qubits, got shape {amps.shape}"
             )
         norm_sq = float(np.vdot(amps, amps).real)
-        if abs(norm_sq - 1.0) > NORM_TOL:
+        if not (abs(norm_sq - 1.0) <= NORM_TOL):  # NaN fails closed
             raise ValueError(f"amplitudes are not normalized: sum|a|^2 = {norm_sq!r}")
         amps.setflags(write=False)
         self.num_qubits = num_qubits
@@ -172,7 +172,7 @@ class StateVector:
 def _wrap_state(num_qubits: int, amps: np.ndarray) -> StateVector:
     """Wrap freshly computed amplitudes, enforcing the no-drift contract."""
     norm_sq = float(np.vdot(amps, amps).real)
-    if abs(norm_sq - 1.0) > NORM_TOL:
+    if not (abs(norm_sq - 1.0) <= NORM_TOL):  # NaN fails closed
         raise ContractViolation(f"state norm drifted: sum|a|^2 = {norm_sq!r}")
     state = StateVector.__new__(StateVector)
     amps.setflags(write=False)

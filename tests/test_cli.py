@@ -6,7 +6,9 @@ import math
 import numpy as np
 import pytest
 
-from spectral_qpe import cli
+from spectral_qpe import cli, oracle
+from spectral_qpe import phase_estimation as pe
+from spectral_qpe import statevector as sv
 from spectral_qpe.phase_estimation import phase_to_energy
 
 
@@ -189,6 +191,23 @@ class TestConfigRejections:
         self.check(tmp_path, capsys, cfg, "threshold")
         assert list(tmp_path.glob("ghost*")) == []
 
+    def test_unknown_power_method_lists_routes(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        cfg = dict(DIAG_I, m_index=2, time=1.0, power_method="dense")
+        err = self.check(tmp_path, capsys, cfg, 'key "power_method"')
+        assert '"block"' in err
+
+    def test_overflowing_time_fails_closed(self, tmp_path, monkeypatch, capsys):
+        # lambda * t overflows to inf, so e^{-iHt} is NaN: the run must stop
+        # with an error code, never report a peak from a NaN distribution
+        monkeypatch.chdir(tmp_path)
+        cfg = {"problem": "tfim", "sites": 3, "m_index": 4, "time": 1e308,
+               "trials": 10, "out": "overflow"}
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = cli.main(["solve", "--config", write_config(tmp_path, cfg)])
+        assert code in (2, 3)
+        assert list(tmp_path.glob("overflow*")) == []
+
     def test_invalid_log_level_env(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
         monkeypatch.setenv("SPECTRAL_QPE_LOG", "loud")
@@ -306,11 +325,12 @@ class TestOracleCheck:
         out = capsys.readouterr().out
         assert "oracle check passed" in out
         assert "distribution check" in out
+        assert "route check: block vs binary_power" in out
         assert "eigenvector-fidelity audit" in out
 
     def test_corrupted_readout_is_caught(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
-        cfg = dict(self.TILTED, m_index=3, time=0.8)
+        cfg = dict(self.TILTED, m_index=3, time=0.8)  # default route: block
         path = write_config(tmp_path, cfg)
         assert cli.main(["oracle-check", "--config", path]) == 0
         capsys.readouterr()
@@ -320,12 +340,59 @@ class TestOracleCheck:
         assert "oracle check failed" in err
         assert "distribution check" in err
 
+    @pytest.mark.parametrize("method", ["binary_power", "flag_loop"])
+    def test_corrupted_readout_is_caught_on_gate_routes(self, tmp_path, monkeypatch,
+                                                        capsys, method):
+        monkeypatch.chdir(tmp_path)
+        cfg = dict(self.TILTED, m_index=3, time=0.8, power_method=method)
+        path = write_config(tmp_path, cfg)
+        assert cli.main(["oracle-check", "--config", path, "--corrupt-qft-sign"]) == 4
+        assert "distribution check" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("method", ["block", "flag_loop"])
+    def test_engine_and_gate_route_mismatch_is_caught(self, tmp_path, monkeypatch,
+                                                      capsys, method):
+        engine = pe._block_engine_state
+
+        def rotated(va, config, corrupt):
+            # a global phase leaves the distribution and every collapse
+            # fidelity unchanged, so only the route check can see it
+            state = engine(va, config, corrupt)
+            return sv.StateVector(state.num_qubits, state.amplitudes * np.exp(0.01j))
+
+        monkeypatch.setattr(pe, "_block_engine_state", rotated)
+        monkeypatch.chdir(tmp_path)
+        cfg = dict(self.TILTED, m_index=3, time=0.8, power_method=method)
+        assert cli.main(["oracle-check", "--config", write_config(tmp_path, cfg)]) == 4
+        assert "route check" in capsys.readouterr().err
+
     def test_rejects_explicit_unitary(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
         cfg = dict(DIAG_I, m_index=2, time=1.0)
         assert cli.main(["oracle-check", "--config",
                          write_config(tmp_path, cfg)]) == 2
         assert "Hamiltonian-bearing" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["spectrum", "oracle-check"])
+def test_one_eigendecomposition_per_run(tmp_path, monkeypatch, command):
+    calls = []
+    decompose = oracle.eigendecompose
+
+    def counted(matrix):
+        calls.append(1)
+        return decompose(matrix)
+
+    monkeypatch.setattr(oracle, "eigendecompose", counted)
+    monkeypatch.chdir(tmp_path)
+    cfg = {"problem": "tfim", "sites": 3, "coupling": 1.0, "field": 0.7,
+           "m_index": 5, "time": 0.5, "trials": 2000, "seed": 3,
+           "threshold": 0.02, "out": "once"}
+    assert cli.main([command, "--config", write_config(tmp_path, cfg)]) == 0
+    if command == "spectrum":
+        record = json.loads((tmp_path / "once.result.json").read_text())
+        assert len(record["peaks"]) >= 2  # one fidelity per peak, same spectrum
+    assert len(calls) == 1
 
 
 def test_missing_subcommand_is_usage_error():

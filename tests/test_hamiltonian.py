@@ -213,6 +213,7 @@ def test_slice_gates_follow_term_order():
     layout = RegisterLayout(2, 2, 0)
     gates = slice_gates(h, 0.5, layout)
     assert [targets for targets, _ in gates] == [[3], [2]]  # offset by m_index
+    assert [targets for targets, _ in slice_gates(h, 0.5)] == [[1], [0]]
 
 
 def test_layout_mismatch_rejected():

@@ -7,6 +7,7 @@ import pytest
 import scipy.stats
 
 import reference as ref
+from spectral_qpe import phase_estimation as pe
 from spectral_qpe import (
     ContractViolation,
     EvolutionParams,
@@ -19,6 +20,7 @@ from spectral_qpe import (
     apply_conditional_powers_binary,
     apply_conditional_powers_flag_loop,
     build_grid_particle,
+    build_transverse_ising,
     default_peak_threshold,
     eigendecompose,
     eigenvector_fidelity,
@@ -83,6 +85,15 @@ def test_config_flag_loop_needs_work_qubit():
             time=1.0,
             power_method="flag_loop",
         )
+
+
+def test_config_defaults_to_block_engine_and_rejects_unknown_routes():
+    layout = RegisterLayout(2, 1, 0)
+    config = PhaseEstimationConfig(layout=layout, unitary=GateMatrix(np.eye(2)), time=1.0)
+    assert config.power_method == "block"
+    with pytest.raises(ValueError):
+        PhaseEstimationConfig(layout=layout, unitary=GateMatrix(np.eye(2)),
+                              time=1.0, power_method="dense")
 
 
 def test_config_dimension_and_trials_checks():
@@ -177,6 +188,42 @@ def test_flag_loop_and_binary_agree():
         a = pre_measurement_state(va_state, flag_cfg)
         b = pre_measurement_state(va_state, bin_cfg)
         np.testing.assert_allclose(a.amplitudes, b.amplitudes, atol=1e-10)
+
+
+# One unitary source per case: (system qubits, config keywords).
+BLOCK_SOURCES = {
+    "explicit_unitary": lambda rng: (
+        2, dict(unitary=GateMatrix(ref.random_unitary(4, rng)), time=1.0)),
+    "exact_tfim": lambda rng: (
+        3, dict(unitary=exact_unitary(build_transverse_ising(3, 1.0, 0.7), 0.5),
+                time=0.5)),
+    "trotter_tfim": lambda rng: (
+        3, dict(hamiltonian=build_transverse_ising(3, 1.0, 0.7),
+                evolution=EvolutionParams(time=0.5, slices=3))),
+    "grid_recipe": lambda rng: (
+        3, dict(recipe=build_grid_particle(3, "harmonic:0.8,3.5", 1.0),
+                evolution=EvolutionParams(time=0.4, slices=4))),
+}
+
+
+@pytest.mark.parametrize("source", sorted(BLOCK_SOURCES))
+def test_block_engine_matches_gate_route(source):
+    """The engine's one-step operator for each source type reproduces the
+    gate-level binary-power state, for the true and the corrupted readout."""
+    rng = np.random.default_rng(70)
+    l_system, source_kw = BLOCK_SOURCES[source](rng)
+    va = load_amplitudes(l_system, ref.random_state(l_system, rng))
+    layout = RegisterLayout(4, l_system, 0)
+    for corrupt in (False, True):
+        block, gate = (
+            pre_measurement_state(
+                va,
+                PhaseEstimationConfig(layout=layout, power_method=method, **source_kw),
+                _corrupt_qft_sign=corrupt,
+            ).amplitudes
+            for method in ("block", "binary_power")
+        )
+        np.testing.assert_allclose(block, gate, rtol=0, atol=1e-10)
 
 
 # ---------------------------------------------------------------------------
@@ -461,6 +508,9 @@ def test_eigenvector_fidelity_bounds():
     )
     with pytest.raises(ValueError):
         eigenvector_fidelity(exact_vec, h, 1e6, 1e-6)
+    assert eigenvector_fidelity(exact_vec, d, float(d.eigenvalues[1]), 1e-6) == (
+        pytest.approx(1.0, abs=1e-10)
+    )
 
 
 def test_resolution_improves_with_index_register():
@@ -487,3 +537,12 @@ def test_work_register_must_be_clean_for_collapse():
     assert result.histogram.counts.sum() == 8
     for sample in result.samples:
         assert sample.collapsed_state.num_qubits == 1
+
+
+def test_collapse_rejects_work_register_residue_in_any_bin():
+    layout = RegisterLayout(1, 1, 1)  # qubits: [index, system, work]
+    amps = np.zeros(8, dtype=complex)
+    amps[0b000] = math.sqrt(1 - 1e-6)
+    amps[0b101] = 1e-3  # work qubit set, in bin 1 rather than the collapsed bin 0
+    with pytest.raises(ContractViolation):
+        pe._collapse_bins(load_amplitudes(3, amps), layout, [0])

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import reference as ref
 from spectral_qpe import (
+    ContractViolation,
     GateMatrix,
     RegisterLayout,
     StateVector,
@@ -26,7 +27,7 @@ from spectral_qpe import (
     swap_gate,
     trial_stream,
 )
-from spectral_qpe.statevector import MAX_GATE_ARITY, MAX_QUBITS
+from spectral_qpe.statevector import MAX_GATE_ARITY, MAX_QUBITS, _wrap_state
 
 
 def test_qubit_zero_is_least_significant():
@@ -69,6 +70,15 @@ def test_gate_matrix_validation():
     big = np.eye(2 ** (MAX_GATE_ARITY + 1))
     with pytest.raises(ValueError):
         GateMatrix(big)
+
+
+def test_nan_fails_closed_in_contract_checks():
+    with pytest.raises(ValueError):
+        GateMatrix(np.full((2, 2), np.nan))
+    with pytest.raises(ValueError):
+        StateVector(1, [np.nan, 0])
+    with pytest.raises(ContractViolation):
+        _wrap_state(1, np.array([np.nan, 0], dtype=complex))
 
 
 def test_single_qubit_gates_match_dense_embedding():
