@@ -182,6 +182,15 @@ class _Problem:
         self.recipe = recipe
         self.unitary = unitary
 
+    @property
+    def norm_bound(self) -> float | None:
+        """Cheap upper bound on ||H||, or None for an explicit unitary."""
+        if self.recipe is not None:
+            return self.recipe.norm_bound()
+        if self.hamiltonian is not None:
+            return ham.norm_bound(self.hamiltonian)
+        return None
+
     @functools.cached_property
     def decomposition(self) -> oracle.SpectralDecomposition | None:
         """Spectral decomposition of the dense Hamiltonian when the oracle is
@@ -247,6 +256,21 @@ def _build_problem(cfg: dict) -> _Problem:
         raise ConfigError(f'problem "{kind}" is invalid: {exc}') from exc
 
 
+def _parse_time(cfg: dict, problem: _Problem) -> float:
+    """The "time" key: finite, nonzero, and with |time| * ||H|| finite, so the
+    evolution phases cannot overflow (checked before anything is allocated)."""
+    t = _as_real(_require(cfg, "time"), "time")
+    if t == 0.0:
+        raise ConfigError('key "time": must be nonzero')
+    bound = problem.norm_bound
+    if bound is not None and not math.isfinite(abs(t) * bound):
+        raise ConfigError(
+            f'key "time": |time| * ||H|| is not finite ({t!r} times a norm bound '
+            f"of {bound:.6g}); reduce the time"
+        )
+    return t
+
+
 def _require_term_support(spec: dict, label: str) -> list[int]:
     if "support" not in spec:
         raise ConfigError(f'key "{label}": missing required key "support"')
@@ -297,9 +321,7 @@ class _Run:
     def __init__(self, cfg: dict, *, need_exact: bool = False):
         self.problem = _build_problem(cfg)
         self.m_index = _as_int(_require(cfg, "m_index"), "m_index", minimum=1)
-        self.time = _as_real(_require(cfg, "time"), "time")
-        if self.time == 0.0:
-            raise ConfigError('key "time": must be nonzero')
+        self.time = _parse_time(cfg, self.problem)
         self.trials = _as_int(cfg.get("trials", 1), "trials", minimum=1)
         self.seed = _as_int(cfg.get("seed", 0), "seed", minimum=0)
         if self.seed >= 2**64:
@@ -447,13 +469,13 @@ def _histogram_csv(run: _Run, counts: np.ndarray) -> str:
 
 
 def _peak_record(run: _Run, bin_index: int, counts: np.ndarray,
-                 collapsed: sv.StateVector | None) -> dict:
+                 collapsed: sv.StateVector) -> dict:
     bins = run.layout.num_bins
     phase = 2.0 * math.pi * bin_index / bins
     energy = pe.phase_to_energy(phase, run.time)
     fidelity = None
     decomposition = run.problem.decomposition
-    if decomposition is not None and collapsed is not None:
+    if decomposition is not None:
         bin_width = 2.0 * math.pi / (bins * abs(run.time))
         try:
             fidelity = pe.eigenvector_fidelity(collapsed, decomposition, energy, bin_width)
@@ -482,20 +504,13 @@ def _cmd_sample(args: argparse.Namespace, *, spectrum: bool) -> int:
     run = _Run(cfg)
     run.warn_if_aliased()
 
-    threads = getattr(args, "threads", 1)
-    result = pe.sample_spectrum(
-        run.guess, run.pe_config, threshold=run.threshold, threads=threads
-    )
+    result = pe.sample_spectrum(run.guess, run.pe_config, threshold=run.threshold)
     counts = result.histogram.counts
 
     dominant_bin = int(np.argmax(counts))
-    collapsed_by_bin = {b: vec for (b, _), vec in zip(result.peaks, result.eigenvectors)}
-    if dominant_bin not in collapsed_by_bin:
-        for sample in result.samples:
-            if sample.bin == dominant_bin:
-                collapsed_by_bin[dominant_bin] = sample.collapsed_state
-                break
-    dominant = _peak_record(run, dominant_bin, counts, collapsed_by_bin.get(dominant_bin))
+    dominant = _peak_record(
+        run, dominant_bin, counts, result.collapsed_states[dominant_bin]
+    )
 
     if spectrum:
         peaks = [
@@ -547,9 +562,7 @@ def cmd_trotter_bench(args: argparse.Namespace) -> int:
         raise ConfigError(
             'key "problem": trotter-bench needs a Hamiltonian-bearing problem'
         )
-    t = _as_real(_require(cfg, "time"), "time")
-    if t == 0.0:
-        raise ConfigError('key "time": must be nonzero')
+    t = _parse_time(cfg, problem)
     sweep_raw = _require(cfg, "slice_sweep")
     if not isinstance(sweep_raw, list) or not sweep_raw:
         raise ConfigError('key "slice_sweep": expected a non-empty list of integers')
@@ -569,8 +582,11 @@ def cmd_trotter_bench(args: argparse.Namespace) -> int:
     lines = ["r,operator_error,wall_seconds"]
     for r in sweep:
         started = _time.perf_counter()
-        approx = _trotterized_dense(problem, t, r)
-        error = float(np.abs(approx - exact).max())
+        if problem.recipe is not None:
+            step = problem.recipe.step_matrix(t / r)
+        else:
+            step = ham.slice_matrix(problem.hamiltonian, t / r)
+        error = float(np.abs(np.linalg.matrix_power(step, r) - exact).max())
         elapsed = _time.perf_counter() - started
         lines.append(f"{r},{_g(error)},{_g(elapsed)}")
         log.info("r=%d operator error %.3e (%.3fs)", r, error, elapsed)
@@ -578,21 +594,6 @@ def cmd_trotter_bench(args: argparse.Namespace) -> int:
     _write_atomic(csv_path, "\n".join(lines) + "\n")
     print(f"wrote {csv_path}")
     return EXIT_OK
-
-
-def _trotterized_dense(problem: _Problem, t: float, r: int) -> np.ndarray:
-    """Dense matrix of r evolution slices, composed exactly as the simulator does."""
-    dt = t / r
-    if problem.recipe is not None:
-        step = problem.recipe.step_matrix(dt)
-    else:
-        dim = 2**problem.l_system
-        step = np.eye(dim, dtype=np.complex128)
-        for term in problem.hamiltonian.terms:
-            gate = ham.term_exponential(term, dt)
-            embedded = oracle.embed_operator(gate.matrix, term.support, problem.l_system)
-            step = embedded @ step
-    return np.linalg.matrix_power(step, r)
 
 
 def cmd_resources(args: argparse.Namespace) -> int:
@@ -739,7 +740,8 @@ def _add_run_flags(parser: argparse.ArgumentParser, *, sampling: bool) -> None:
         parser.add_argument("--threshold", type=float, metavar="F",
                             help="override the peak detection threshold")
         parser.add_argument("--threads", type=int, default=1, metavar="N",
-                            help="measurement-sampling threads (content-neutral)")
+                            help="accepted for compatibility; sampling is one "
+                             "vectorized pass and ignores it")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -801,7 +803,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         _configure_logging()
-        if getattr(args, "threads", 1) is not None and getattr(args, "threads", 1) < 1:
+        if getattr(args, "threads", 1) < 1:
             raise ConfigError('flag "--threads": must be >= 1')
         return args.handler(args)
     except ConfigError as exc:

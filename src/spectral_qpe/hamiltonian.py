@@ -49,8 +49,9 @@ class LocalTerm:
             raise ValueError(
                 f"term matrix shape {mat.shape} does not match support size {k}"
             )
+        scale = max(1.0, float(np.abs(mat).max()))
         defect = float(np.abs(mat - mat.conj().T).max())
-        if defect > HERMITICITY_TOL * max(1.0, float(np.abs(mat).max())):
+        if not (defect <= HERMITICITY_TOL * scale):  # NaN fails closed
             raise ValueError(f"term is not Hermitian: max|H - H^dag| = {defect:.3e}")
         mat.setflags(write=False)
         self.support = support
@@ -124,6 +125,19 @@ def slice_gates(
         ([q + offset for q in term.support], term_exponential(term, dt))
         for term in h.terms
     ]
+
+
+def slice_matrix(h: HamiltonianSum, dt: float) -> np.ndarray:
+    """Dense matrix of one Trotter slice, composed from :func:`slice_gates`."""
+    step = np.eye(2**h.num_system_qubits, dtype=np.complex128)
+    for targets, gate in slice_gates(h, dt):
+        step = oracle.embed_operator(gate.matrix, targets, h.num_system_qubits) @ step
+    return step
+
+
+def norm_bound(h: HamiltonianSum) -> float:
+    """Cheap upper bound on ||H||: the sum of the terms' spectral norms."""
+    return float(sum(np.linalg.norm(term.matrix, 2) for term in h.terms))
 
 
 def _check_layout(state: sv.StateVector, h: HamiltonianSum, layout: sv.RegisterLayout) -> None:

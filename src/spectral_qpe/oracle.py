@@ -100,7 +100,7 @@ def eigendecompose(matrix) -> SpectralDecomposition:
         )
     scale = max(1.0, float(np.abs(mat).max()))
     defect = float(np.abs(mat - mat.conj().T).max())
-    if defect > HERMITICITY_TOL * scale:
+    if not (defect <= HERMITICITY_TOL * scale):  # NaN fails closed
         raise ValueError(f"matrix is not Hermitian: max|A - A^dag| = {defect:.3e}")
     eigenvalues, eigenvectors = np.linalg.eigh(mat)
     eigenvalues.setflags(write=False)

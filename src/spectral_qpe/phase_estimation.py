@@ -22,7 +22,6 @@ distribution, which verifies the whole pipeline without sampling.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -146,20 +145,38 @@ class Histogram:
 class EigenResult:
     """Aggregate of a multi-trial run.
 
-    ``peaks`` holds (bin, empirical probability) pairs at or above the
-    detection threshold, sorted by descending probability (ties by bin);
-    ``eigenvectors`` holds one collapsed system state per peak, aligned.
+    ``bins`` holds the readout bin of every trial, in trial order, and
+    ``collapsed_states`` the collapsed system state of every bin that was
+    read at least once.  ``peaks`` holds (bin, empirical probability) pairs
+    at or above the detection threshold, sorted by descending probability
+    (ties by bin); ``eigenvectors`` holds one collapsed system state per
+    peak, aligned.
     """
 
-    samples: list[PhaseSample]
+    bins: np.ndarray
+    collapsed_states: dict[int, sv.StateVector]
     histogram: Histogram
     peaks: list[tuple[int, float]]
     eigenvectors: list[sv.StateVector]
+    config: PhaseEstimationConfig
+
+    @property
+    def samples(self) -> list[PhaseSample]:
+        """One :class:`PhaseSample` per trial, in trial order, built on demand."""
+        return [
+            _sample_for_bin(int(b), self.collapsed_states[int(b)], self.config)
+            for b in self.bins
+        ]
 
 
 def default_peak_threshold(trials: int) -> float:
     """Detection threshold tau = max(0.05, 4/sqrt(trials))."""
     return max(0.05, 4.0 / math.sqrt(trials))
+
+
+def _residue(amplitudes: np.ndarray) -> float:
+    """Largest |amplitude|, 0 for none; a NaN amplitude gives NaN."""
+    return float(np.abs(amplitudes).max(initial=0.0))
 
 
 def prepare_index_superposition(
@@ -171,11 +188,9 @@ def prepare_index_superposition(
             f"state has {state.num_qubits} qubits, layout spans {layout.total_qubits}"
         )
     index_values = sv.register_values(state.num_qubits, layout.index_qubits)
-    residue = np.abs(state.amplitudes[index_values != 0])
-    if residue.size and float(residue.max()) > WORK_RESIDUE_TOL:
-        raise ValueError(
-            f"index register is not |0...0>: residue amplitude {float(residue.max()):.3e}"
-        )
+    residue = _residue(state.amplitudes[index_values != 0])
+    if not (residue <= WORK_RESIDUE_TOL):  # NaN fails closed
+        raise ValueError(f"index register is not |0...0>: residue amplitude {residue:.3e}")
     h = sv.hadamard()
     for qubit in layout.index_qubits:
         state = sv.apply_gate(state, h, [qubit])
@@ -296,11 +311,9 @@ def apply_conditional_powers_flag_loop(
         state = driver.apply_controlled(state, [flag], 1)
         state = _flip_flag_where_index_ge(state, index_values, flag, i)
     flag_set = ((np.arange(len(state.amplitudes)) >> flag) & 1).astype(bool)
-    flag_residue = np.abs(state.amplitudes[flag_set])
-    if flag_residue.size and float(flag_residue.max()) > WORK_RESIDUE_TOL:
-        raise ContractViolation(
-            f"flag qubit not restored to |0>: residue {float(flag_residue.max()):.3e}"
-        )
+    residue = _residue(state.amplitudes[flag_set])
+    if not (residue <= WORK_RESIDUE_TOL):  # NaN fails closed
+        raise ContractViolation(f"flag qubit not restored to |0>: residue {residue:.3e}")
     return state
 
 
@@ -431,7 +444,7 @@ def _collapse_bins(
     blocks = state.amplitudes.reshape(
         2**layout.w_work, 2**layout.l_system, layout.num_bins
     )
-    residue = float(np.abs(blocks[1:]).max(initial=0.0))
+    residue = _residue(blocks[1:])
     if not (residue <= WORK_RESIDUE_TOL):
         raise ContractViolation(f"work register not |0> at readout: residue {residue:.3e}")
     collapsed = {}
@@ -475,28 +488,6 @@ def run_phase_estimation(
     return _sample_for_bin(outcome.bits, collapsed, config)
 
 
-def _draw_trial_bins(
-    seed: int, trials: int, cumulative: np.ndarray, threads: int
-) -> np.ndarray:
-    """Per-trial readout bins; trial t uses its own stream, so the result is
-    independent of how trials are chunked across threads."""
-
-    def draw_range(bounds: tuple[int, int]) -> np.ndarray:
-        lo, hi = bounds
-        out = np.empty(hi - lo, dtype=np.int64)
-        for t in range(lo, hi):
-            u = sv.trial_stream(seed, t).random()
-            out[t - lo] = sv._draw_from_cumulative(cumulative, u)
-        return out
-
-    if threads <= 1 or trials < 2:
-        return draw_range((0, trials))
-    edges = np.linspace(0, trials, min(threads, trials) + 1).astype(int)
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        parts = list(pool.map(draw_range, zip(edges[:-1], edges[1:])))
-    return np.concatenate(parts)
-
-
 def sample_spectrum(
     va: sv.StateVector,
     config: PhaseEstimationConfig,
@@ -508,15 +499,19 @@ def sample_spectrum(
 
     The pipeline up to measurement consumes no randomness, so the
     pre-measurement state is computed once; each trial then draws only its
-    measurement outcome from its own seed-derived stream.  The outcome
-    sequence is bit-identical to running the full pipeline per trial, for
-    any thread count.
+    measurement outcome from the first uniform of its own seed-derived
+    stream, mapped as :func:`~spectral_qpe.statevector.measure_register`
+    maps it; all trials are drawn in one vectorized pass.  The outcome
+    sequence is bit-identical to running the full pipeline per trial.
+    ``threads`` is accepted for compatibility and has no effect: sampling
+    runs in the calling thread.
     """
     layout = config.layout
     pre = pre_measurement_state(va, config)
     probs = sv.register_distribution(pre, layout.index_qubits)
-    cumulative = np.cumsum(probs)
-    bins = _draw_trial_bins(config.seed, config.trials, cumulative, threads)
+    uniforms = sv.uniform_draws(config.seed, np.arange(config.trials, dtype=np.uint64))
+    bins = sv._draw_from_cumulative(np.cumsum(probs), uniforms)
+    bins.setflags(write=False)
     counts = np.bincount(bins, minlength=layout.num_bins)
     histogram = Histogram(counts, config.trials)
     if threshold is None:
@@ -526,11 +521,10 @@ def sample_spectrum(
     empirical = counts / config.trials
     peak_bins = [int(b) for b in np.nonzero(empirical >= threshold)[0]]
     peak_bins.sort(key=lambda b: (-empirical[b], b))
-    collapsed = _collapse_bins(pre, layout, sorted(set(bins.tolist())))
-    samples = [_sample_for_bin(int(b), collapsed[int(b)], config) for b in bins]
+    collapsed = _collapse_bins(pre, layout, [int(b) for b in np.nonzero(counts)[0]])
     peaks = [(b, float(empirical[b])) for b in peak_bins]
     eigenvectors = [collapsed[b] for b in peak_bins]
-    return EigenResult(samples, histogram, peaks, eigenvectors)
+    return EigenResult(bins, collapsed, histogram, peaks, eigenvectors, config)
 
 
 def analytic_bin_distribution(components, m_index: int) -> np.ndarray:
@@ -544,8 +538,10 @@ def analytic_bin_distribution(components, m_index: int) -> np.ndarray:
         raise ValueError(f"m_index must be >= 1, got {m_index}")
     weights = np.array([w for w, _ in components], dtype=float)
     phases = np.array([p for _, p in components], dtype=float)
+    if not (np.isfinite(weights).all() and np.isfinite(phases).all()):
+        raise ValueError("component weights and phases must be finite")
     total = float(weights.sum())
-    if abs(total - 1.0) > 1e-9:
+    if not (abs(total - 1.0) <= 1e-9):
         raise ValueError(f"component weights must sum to 1, got {total!r}")
     M = 2**m_index
     delta = phases[:, None] - (2.0 * np.pi / M) * np.arange(M)[None, :]

@@ -134,6 +134,10 @@ class GridRecipe:
         state = sv.apply_diagonal_phase(state, qubits, momentum_phases, controls)
         return qft.qft_inverse(state, qubits, controls)
 
+    def norm_bound(self) -> float:
+        """Cheap upper bound on ||H||: max|V| + max T."""
+        return float(np.abs(self.potential).max() + self.kinetic_energies().max())
+
     def _dft_matrix(self) -> np.ndarray:
         points = 2**self.num_qubits
         grid = np.arange(points)
@@ -169,7 +173,7 @@ def product_state_guess(num_qubits: int, single_qubit_amplitudes) -> sv.StateVec
         if pair.shape != (2,):
             raise ValueError(f"qubit {i} needs exactly 2 amplitudes")
         norm_sq = float(np.vdot(pair, pair).real)
-        if abs(norm_sq - 1.0) > sv.NORM_TOL:
+        if not (abs(norm_sq - 1.0) <= sv.NORM_TOL):  # NaN fails closed
             raise ValueError(
                 f"qubit {i} amplitudes are not normalized: sum|a|^2 = {norm_sq!r}"
             )

@@ -17,6 +17,7 @@ Conventions, used consistently across the package:
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -276,7 +277,7 @@ def apply_diagonal_phase(state: StateVector, qubits, phases, controls=()) -> Sta
             f"need {2 ** len(qubits)} phase factors for a {len(qubits)}-qubit register"
         )
     defect = float(np.abs(np.abs(phases) - 1.0).max())
-    if defect > UNITARY_TOL:
+    if not (defect <= UNITARY_TOL):  # NaN fails closed
         raise ValueError(f"phase factors are not unit modulus: max deviation {defect:.3e}")
     idx = np.arange(2**state.num_qubits)
     value = np.zeros_like(idx)
@@ -321,15 +322,14 @@ def register_distribution(state: StateVector, qubits) -> np.ndarray:
     )
 
 
-def _draw_from_cumulative(cumulative: np.ndarray, u: float) -> int:
-    """Map one uniform draw to an outcome index.
+def _draw_from_cumulative(cumulative: np.ndarray, u):
+    """Map a uniform draw (or an array of them) to outcome indices.
 
     Zero-probability outcomes produce repeated cumulative values and are
     never selected by the right-sided search.
     """
-    total = cumulative[-1]
-    idx = int(np.searchsorted(cumulative, u * total, side="right"))
-    return min(idx, len(cumulative) - 1)
+    idx = np.searchsorted(cumulative, u * cumulative[-1], side="right")
+    return np.minimum(idx, len(cumulative) - 1)
 
 
 def measure_register(
@@ -345,7 +345,7 @@ def measure_register(
     if not qubits:
         raise ValueError("cannot measure an empty qubit list")
     probs = register_distribution(state, qubits)
-    outcome = _draw_from_cumulative(np.cumsum(probs), rng.random())
+    outcome = int(_draw_from_cumulative(np.cumsum(probs), rng.random()))
     values = register_values(state.num_qubits, qubits)
     amps = np.where(values == outcome, state.amplitudes, 0.0)
     p = float(probs[outcome])
@@ -358,10 +358,158 @@ def trial_stream(master_seed: int, trial_index: int) -> np.random.Generator:
 
     Stream ``t`` is ``default_rng(SeedSequence(master_seed, spawn_key=(t,)))``:
     numpy's documented counter scheme for deriving child streams.  Streams are
-    reproducible across platforms and independent of how trials are scheduled
-    across threads.
+    reproducible across platforms and depend only on the seed and the trial
+    index, never on the order or batching in which trials are drawn;
+    :func:`uniform_draws` computes the first draw of many streams at once.
     """
     if trial_index < 0:
         raise ValueError(f"trial index must be >= 0, got {trial_index}")
     seq = np.random.SeedSequence(master_seed, spawn_key=(trial_index,))
     return np.random.default_rng(seq)
+
+
+# SeedSequence hash constants (numpy.random.bit_generator) and the PCG64
+# multiplier (O'Neill, "PCG", HMC-CS-2014-0905), used by uniform_draws.
+_MASK32 = 0xFFFFFFFF
+_POOL_SIZE = 4
+_INIT_A = 0x43B0D7E5
+_MULT_A = 0x931E8875
+_INIT_B = 0x8B51F9DD
+_MULT_B = 0x58F38DED
+_MIX_MULT_L = np.uint32(0xCA01F9DD)
+_MIX_MULT_R = np.uint32(0x4973F715)
+_PCG_MULT = (2549297995355413924 << 64) + 4865540595714422341
+_PCG_MULT_LIMBS = [np.uint64((_PCG_MULT >> (32 * k)) & _MASK32) for k in range(4)]
+#: Trials per vectorized block in :func:`uniform_draws`; bounds temporaries.
+DRAW_CHUNK = 2**16
+
+
+def _hashmix(value: np.ndarray, const: int) -> tuple[np.ndarray, int]:
+    """SeedSequence's hashmix on uint32 arrays; returns (mixed, next constant)."""
+    following = (const * _MULT_A) & _MASK32
+    value = (value ^ np.uint32(const)) * np.uint32(following)
+    return value ^ (value >> np.uint32(16)), following
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    result = _MIX_MULT_L * x - _MIX_MULT_R * y
+    return result ^ (result >> np.uint32(16))
+
+
+def _mix_in(pool: list, word: np.ndarray, const: int) -> int:
+    """Mix one entropy word into every pool word, as SeedSequence does with
+    entropy beyond the pool size; returns the next hash constant."""
+    for dst in range(_POOL_SIZE):
+        hashed, const = _hashmix(word, const)
+        pool[dst] = _mix(pool[dst], hashed)
+    return const
+
+
+def _seed_pool(master_seed: int) -> tuple[list, int]:
+    """SeedSequence pool after mixing the seed words (padded with zeros to
+    the pool size), with the hash constant the spawn-key words continue from."""
+    words = []
+    rest = master_seed
+    while True:
+        words.append(rest & _MASK32)
+        rest >>= 32
+        if not rest:
+            break
+    words += [0] * (_POOL_SIZE - len(words))
+    const = _INIT_A
+    pool = []
+    for word in words[:_POOL_SIZE]:
+        hashed, const = _hashmix(np.array([word], dtype=np.uint32), const)
+        pool.append(hashed)
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                hashed, const = _hashmix(pool[src], const)
+                pool[dst] = _mix(pool[dst], hashed)
+    for word in words[_POOL_SIZE:]:
+        const = _mix_in(pool, np.array([word], dtype=np.uint32), const)
+    return pool, const
+
+
+def _carry(columns: list) -> list:
+    """Column sums (uint64 arrays) normalized to four 32-bit limbs, mod 2^128."""
+    limbs, carry = [], 0
+    for column in columns:
+        total = column + carry
+        limbs.append(total & _MASK32)
+        carry = total >> 32
+    return limbs
+
+
+def _pcg_step(state: list, inc: list) -> list:
+    """One PCG step, state * A + inc mod 2^128, on little-endian 32-bit limbs."""
+    columns = list(inc)
+    for i in range(4):
+        for j in range(4 - i):
+            product = state[i] * _PCG_MULT_LIMBS[j]
+            columns[i + j] = columns[i + j] + (product & _MASK32)
+            if i + j < 3:
+                columns[i + j + 1] = columns[i + j + 1] + (product >> 32)
+    return _carry(columns)
+
+
+def _first_uniform(pool: list) -> np.ndarray:
+    """First ``random()`` of default_rng(seed sequence with this pool).
+
+    ``generate_state(4, uint64)`` gives the PCG64 seed s and stream selector
+    q; ``srandom`` leaves the state at (inc + s) * A + inc with
+    inc = 2q + 1, and one more step precedes the XSL-RR output, whose top
+    53 bits scale to [0, 1).
+    """
+    const = _INIT_B
+    words = []
+    for i in range(2 * _POOL_SIZE):
+        value = pool[i % _POOL_SIZE] ^ np.uint32(const)
+        const = (const * _MULT_B) & _MASK32
+        value = value * np.uint32(const)
+        words.append((value ^ (value >> np.uint32(16))).astype(np.uint64))
+    # uint64 words (w0|w1<<32, w2|w3<<32, ...); s = u0<<64 | u1, q = u2<<64 | u3.
+    seed = [words[2], words[3], words[0], words[1]]
+    select = [words[6], words[7], words[4], words[5]]
+    inc = _carry([2 * select[0] + 1] + [2 * limb for limb in select[1:]])
+    state = _carry([x + y for x, y in zip(inc, seed)])
+    state = _pcg_step(_pcg_step(state, inc), inc)
+    high = (state[3] << np.uint64(32)) | state[2]
+    low = (state[1] << np.uint64(32)) | state[0]
+    folded = high ^ low
+    rotation = state[3] >> np.uint64(26)
+    output = (folded >> rotation) | (folded << ((np.uint64(64) - rotation) & np.uint64(63)))
+    return (output >> np.uint64(11)).astype(np.float64) * 2.0**-53
+
+
+def uniform_draws(master_seed: int, trial_indices) -> np.ndarray:
+    """``trial_stream(master_seed, t).random()`` for every t, bit for bit.
+
+    Vectorizes numpy's SeedSequence with ``spawn_key=(t,)`` followed by
+    PCG64 seeding and one double draw.  The seed words are mixed once; the
+    one or two 32-bit spawn-key words of each index are mixed as arrays, in
+    blocks of ``DRAW_CHUNK`` indices.  Indices must be in [0, 2^64).
+    """
+    master_seed = operator.index(master_seed)
+    if master_seed < 0:
+        raise ValueError(f"master seed must be >= 0, got {master_seed}")
+    indices = np.asarray(trial_indices)
+    if indices.size and indices.dtype.kind not in "iu":
+        raise ValueError(f"trial indices must be integers in [0, 2^64), got {indices.dtype}")
+    if indices.dtype.kind == "i" and indices.size and int(indices.min()) < 0:
+        raise ValueError(f"trial indices must be >= 0, got {int(indices.min())}")
+    flat = indices.astype(np.uint64).ravel()
+    pool, const = _seed_pool(master_seed)
+    out = np.empty(flat.shape, dtype=np.float64)
+    for start in range(0, flat.size, DRAW_CHUNK):
+        block = flat[start : start + DRAW_CHUNK]
+        low = (block & np.uint64(_MASK32)).astype(np.uint32)
+        high = (block >> np.uint64(32)).astype(np.uint32)
+        one_word = list(pool)
+        after = _mix_in(one_word, low, const)
+        two_words = list(one_word)
+        _mix_in(two_words, high, after)
+        wide = high != 0
+        mixed = [np.where(wide, b, a) for a, b in zip(one_word, two_words)]
+        out[start : start + block.size] = _first_uniform(mixed)
+    return out.reshape(indices.shape)

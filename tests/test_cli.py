@@ -63,6 +63,18 @@ class TestSolve:
         record = json.loads((tmp_path / "one.result.json").read_text())
         assert record["dominant"]["counts"] == 1
 
+    def test_dominant_below_threshold_keeps_its_fidelity(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        # Z with t = pi/4 puts both eigenphases on the 16-bin grid; one trial
+        # sits below the default threshold, so the dominant bin is not a peak
+        cfg = {"problem": "explicit_terms", "system_qubits": 1,
+               "terms": [{"support": [0], "matrix": [[1, 0], [0, -1]]}],
+               "m_index": 4, "time": math.pi / 4, "trials": 1, "out": "dom"}
+        assert cli.main(["solve", "--config", write_config(tmp_path, cfg)]) == 0
+        record = json.loads((tmp_path / "dom.result.json").read_text())
+        assert record["dominant"]["bin"] in (2, 14)
+        assert record["dominant"]["eigenvector_fidelity"] == pytest.approx(1.0, abs=1e-9)
+
     def test_flag_overrides_land_in_resolved_config(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         cfg = dict(DIAG_I, m_index=2, time=1.0, trials=3, seed=9, out="ov")
@@ -208,6 +220,27 @@ class TestConfigRejections:
         assert code in (2, 3)
         assert list(tmp_path.glob("overflow*")) == []
 
+    @pytest.mark.parametrize("command", ["solve", "spectrum"])
+    @pytest.mark.parametrize(
+        "problem",
+        [{"problem": "tfim", "sites": 3}, {"problem": "grid", "system_qubits": 2}],
+        ids=["trotter", "grid"],
+    )
+    def test_non_finite_lambda_t_refused_before_running(
+        self, tmp_path, monkeypatch, capsys, problem, command
+    ):
+        monkeypatch.chdir(tmp_path)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the run started before time was validated")
+
+        monkeypatch.setattr(pe, "pre_measurement_state", forbidden)
+        monkeypatch.setattr(oracle, "eigendecompose", forbidden)
+        cfg = dict(problem, m_index=3, time=1e308, slices=2, out="overflow")
+        err = self.check(tmp_path, capsys, cfg, 'key "time"', command=command)
+        assert "not finite" in err
+        assert list(tmp_path.glob("overflow*")) == []
+
     def test_invalid_log_level_env(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
         monkeypatch.setenv("SPECTRAL_QPE_LOG", "loud")
@@ -259,6 +292,14 @@ class TestTrotterBench:
         assert cli.main(["trotter-bench", "--config",
                          write_config(tmp_path, cfg)]) == 2
         assert "Hamiltonian-bearing" in capsys.readouterr().err
+
+    def test_rejects_overflowing_time(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        cfg = dict(self.X_PLUS_Z, time=1e308, slice_sweep=[1, 2], out="xz")
+        assert cli.main(["trotter-bench", "--config",
+                         write_config(tmp_path, cfg)]) == 2
+        assert 'key "time"' in capsys.readouterr().err
+        assert list(tmp_path.glob("xz*")) == []
 
     def test_rejects_non_increasing_sweep(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)

@@ -9,6 +9,8 @@ from spectral_qpe import (
     HamiltonianSum,
     LocalTerm,
     RegisterLayout,
+    assemble_dense,
+    build_transverse_ising,
     exact_unitary,
     load_amplitudes,
     new_basis_state,
@@ -17,7 +19,12 @@ from spectral_qpe import (
     trotter_evolve,
     trotter_step,
 )
-from spectral_qpe.hamiltonian import MAX_TERM_QUBITS, slice_gates
+from spectral_qpe.hamiltonian import (
+    MAX_TERM_QUBITS,
+    norm_bound,
+    slice_gates,
+    slice_matrix,
+)
 
 
 def one_qubit_layout(l_system=1, m_index=1):
@@ -48,6 +55,11 @@ def test_local_term_validation():
         LocalTerm([0], np.eye(4))  # support/matrix size mismatch
     with pytest.raises(ValueError):
         LocalTerm(list(range(MAX_TERM_QUBITS + 1)), np.eye(2 ** (MAX_TERM_QUBITS + 1)))
+
+
+def test_local_term_rejects_nan_matrix():
+    with pytest.raises(ValueError, match="Hermitian"):
+        LocalTerm([0], [[1.0, 0.0], [0.0, np.nan]])
 
 
 def test_hamiltonian_sum_validation():
@@ -214,6 +226,28 @@ def test_slice_gates_follow_term_order():
     gates = slice_gates(h, 0.5, layout)
     assert [targets for targets, _ in gates] == [[3], [2]]  # offset by m_index
     assert [targets for targets, _ in slice_gates(h, 0.5)] == [[1], [0]]
+
+
+def test_slice_matrix_is_one_simulated_slice():
+    rng = np.random.default_rng(12)
+    h = HamiltonianSum(
+        [LocalTerm([1, 0], ref.random_hermitian(4, rng)), LocalTerm([0], ref.X),
+         LocalTerm([1], ref.Z)],
+        2,
+    )
+    want = evolve_dense(h, EvolutionParams(time=0.3, slices=1), one_qubit_layout(2))
+    np.testing.assert_allclose(slice_matrix(h, 0.3), want, atol=1e-12)
+
+
+def test_norm_bound_sums_term_norms_and_bounds_the_spectrum():
+    assert norm_bound(build_transverse_ising(3, 1.0, 0.7)) == pytest.approx(4.1)
+    rng = np.random.default_rng(13)
+    h = HamiltonianSum(
+        [LocalTerm([0, 2], ref.random_hermitian(4, rng)),
+         LocalTerm([1], ref.random_hermitian(2, rng))],
+        3,
+    )
+    assert norm_bound(h) >= np.linalg.norm(assemble_dense(h), 2) - 1e-12
 
 
 def test_layout_mismatch_rejected():

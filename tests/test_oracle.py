@@ -141,6 +141,11 @@ def test_rejects_non_hermitian():
     assert isinstance(d, SpectralDecomposition)
 
 
+def test_rejects_nan_matrix():
+    with pytest.raises(ValueError, match="Hermitian"):
+        eigendecompose(np.array([[1.0, 0.0], [0.0, np.nan]]))
+
+
 def test_rejects_nonsquare():
     with pytest.raises(ValueError):
         eigendecompose(np.zeros((2, 3)))

@@ -8,6 +8,7 @@ import scipy.stats
 
 import reference as ref
 from spectral_qpe import phase_estimation as pe
+from spectral_qpe import statevector as sv
 from spectral_qpe import (
     ContractViolation,
     EvolutionParams,
@@ -16,6 +17,7 @@ from spectral_qpe import (
     LocalTerm,
     PhaseEstimationConfig,
     RegisterLayout,
+    StateVector,
     analytic_bin_distribution,
     apply_conditional_powers_binary,
     apply_conditional_powers_flag_loop,
@@ -546,3 +548,84 @@ def test_collapse_rejects_work_register_residue_in_any_bin():
     amps[0b101] = 1e-3  # work qubit set, in bin 1 rather than the collapsed bin 0
     with pytest.raises(ContractViolation):
         pe._collapse_bins(load_amplitudes(3, amps), layout, [0])
+
+
+# ---------------------------------------------------------------------------
+# non-finite values fail closed
+
+
+def unchecked_state(amps):
+    """A state that skips the constructor's norm check, to carry NaN past it."""
+    state = StateVector.__new__(StateVector)
+    state.num_qubits = len(amps).bit_length() - 1
+    state.amplitudes = np.asarray(amps, dtype=complex)
+    return state
+
+
+def test_prepare_rejects_nan_index_residue():
+    layout = RegisterLayout(1, 1, 0)
+    with pytest.raises(ValueError, match="index register"):
+        prepare_index_superposition(unchecked_state([1.0, np.nan, 0.0, 0.0]), layout)
+
+
+def test_flag_residue_check_rejects_nan(monkeypatch):
+    config = unitary_config(np.eye(2), 1, power_method="flag_loop")
+    layout = config.layout
+    state = prepare_index_superposition(lift([1, 0], layout), layout)
+    flip = pe._flip_flag_where_index_ge
+    calls = []
+
+    def flip_then_poison_last(state, index_values, flag, threshold):
+        out = flip(state, index_values, flag, threshold)
+        calls.append(threshold)
+        if len(calls) < 2 * layout.num_bins:
+            return out
+        amps = out.amplitudes.copy()
+        amps[1 << flag] = np.nan
+        return unchecked_state(amps)
+
+    monkeypatch.setattr(pe, "_flip_flag_where_index_ge", flip_then_poison_last)
+    with pytest.raises(ContractViolation, match="flag qubit"):
+        apply_conditional_powers_flag_loop(state, config)
+
+
+@pytest.mark.parametrize(
+    "components",
+    [[(np.nan, 0.0)], [(1.0, np.nan)], [(0.5, 0.0), (np.nan, 1.0)], [(1.0, np.inf)]],
+)
+def test_analytic_distribution_rejects_non_finite_components(components):
+    with pytest.raises(ValueError, match="finite"):
+        analytic_bin_distribution(components, 3)
+
+
+# ---------------------------------------------------------------------------
+# vectorized draws and the result record
+
+
+def test_samples_are_built_from_bins_on_demand():
+    rng = np.random.default_rng(67)
+    u = ref.random_unitary(2, rng)
+    config = unitary_config(u, 3, trials=200, seed=8)
+    result = sample_spectrum(load_amplitudes(1, ref.random_state(1, rng)), config)
+    assert result.bins.shape == (200,)
+    assert not result.bins.flags.writeable
+    populated = [int(b) for b in np.nonzero(result.histogram.counts)[0]]
+    assert sorted(result.collapsed_states) == populated
+    samples = result.samples
+    assert [s.bin for s in samples] == result.bins.tolist()
+    for s in samples:
+        assert s.collapsed_state is result.collapsed_states[s.bin]
+        assert s.phase == 2.0 * math.pi * s.bin / 8
+        assert s.energy == phase_to_energy(s.phase, 1.0)
+    for (b, _), vec in zip(result.peaks, result.eigenvectors):
+        assert vec is result.collapsed_states[b]
+
+
+def test_sample_spectrum_builds_no_per_trial_streams(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("sample_spectrum built a per-trial generator")
+
+    monkeypatch.setattr(sv, "trial_stream", forbidden)
+    config = unitary_config(np.diag([1, 1j]), 2, trials=500, seed=3)
+    result = sample_spectrum(load_amplitudes(1, np.sqrt([0.25, 0.75])), config)
+    assert result.histogram.counts.sum() == 500

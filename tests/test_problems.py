@@ -153,6 +153,14 @@ class TestGridRecipe:
         assert err(0.02) / err(0.01) == pytest.approx(4.0, rel=0.25)
         assert err(0.01) < 0.01
 
+    def test_norm_bound_bounds_the_spectrum(self):
+        recipe = build_grid_particle(3, "harmonic:1.2,3.5", 0.8)
+        spectral_norm = np.linalg.norm(recipe.dense_hamiltonian(), 2)
+        assert spectral_norm - 1e-12 <= recipe.norm_bound()
+        assert recipe.norm_bound() == pytest.approx(
+            0.5 * 1.2**2 * 3.5**2 + np.pi**2 / (2 * 0.8)
+        )
+
     def test_constructor_rejections(self):
         with pytest.raises(ValueError, match=r"\[2, 10\]"):
             build_grid_particle(1, "zero", 1.0)
@@ -190,6 +198,10 @@ class TestProductGuess:
             product_state_guess(1, [(1, 0, 0)])
         with pytest.raises(ValueError, match="not normalized"):
             product_state_guess(1, [(0.5, 0.5)])
+
+    def test_rejects_nan_pair(self):
+        with pytest.raises(ValueError, match="qubit 0 amplitudes"):
+            product_state_guess(1, [(np.nan, 1.0)])
 
 
 class TestResources:

@@ -6,14 +6,18 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import reference as ref
+from spectral_qpe import statevector
 from spectral_qpe import (
     ContractViolation,
     GateMatrix,
+    PhaseEstimationConfig,
     RegisterLayout,
     StateVector,
     apply_controlled_gate,
     apply_diagonal_phase,
     apply_gate,
+    build_transverse_ising,
+    exact_unitary,
     hadamard,
     inner_product,
     load_amplitudes,
@@ -22,10 +26,13 @@ from spectral_qpe import (
     pauli_x,
     pauli_z,
     phase_shift,
+    pre_measurement_state,
     register_distribution,
     register_values,
+    sample_spectrum,
     swap_gate,
     trial_stream,
+    uniform_draws,
 )
 from spectral_qpe.statevector import MAX_GATE_ARITY, MAX_QUBITS, _wrap_state
 
@@ -261,3 +268,77 @@ def test_norm_preserved_through_long_circuit():
 
 def test_state_vector_type_is_exported():
     assert isinstance(new_basis_state(1, 0), StateVector)
+
+
+def test_diagonal_phase_rejects_nan_factors():
+    with pytest.raises(ValueError, match="unit modulus"):
+        apply_diagonal_phase(new_basis_state(1, 0), [0], [1.0, np.nan])
+
+
+# ---------------------------------------------------------------------------
+# vectorized trial draws
+
+DRAW_SEEDS = [0, 1, 42, 2010, 2**32 - 1, 2**32, 2**64 - 1]
+
+
+def scalar_draws(seed, indices):
+    """First uniform of each trial's own stream, as raw 64-bit patterns."""
+    draws = [trial_stream(seed, int(t)).random() for t in indices]
+    return np.array(draws, dtype=np.float64).view(np.uint64)
+
+
+@pytest.mark.parametrize("seed", DRAW_SEEDS)
+def test_uniform_draws_match_trial_stream_bit_for_bit(seed):
+    indices = list(range(2048)) + [2**32 - 1, 2**32, 2**40]
+    got = uniform_draws(seed, np.array(indices, dtype=np.uint64))
+    np.testing.assert_array_equal(got.view(np.uint64), scalar_draws(seed, indices))
+
+
+@given(
+    seed=st.integers(0, 2**64 - 1),
+    indices=st.lists(
+        st.one_of(st.integers(0, 2**32 - 1), st.integers(0, 2**64 - 1)), max_size=24
+    ),
+)
+def test_uniform_draws_property_matches_trial_stream(seed, indices):
+    got = uniform_draws(seed, np.array(indices, dtype=np.uint64))
+    np.testing.assert_array_equal(got.view(np.uint64), scalar_draws(seed, indices))
+
+
+def test_uniform_draws_across_chunk_boundaries(monkeypatch):
+    monkeypatch.setattr(statevector, "DRAW_CHUNK", 5)
+    indices = [0, 1, 2**32, 3, 4, 5, 2**40 + 9, 7, 8, 9, 10, 11, 12]
+    got = uniform_draws(3, np.array(indices, dtype=np.uint64))
+    np.testing.assert_array_equal(got.view(np.uint64), scalar_draws(3, indices))
+
+
+def test_uniform_draws_shape_and_validation():
+    grid = uniform_draws(9, np.arange(6).reshape(2, 3))
+    assert grid.shape == (2, 3)
+    np.testing.assert_array_equal(grid.ravel(), uniform_draws(9, range(6)))
+    assert uniform_draws(9, []).shape == (0,)
+    with pytest.raises(ValueError, match=">= 0"):
+        uniform_draws(9, [3, -1])
+    with pytest.raises(ValueError, match="seed"):
+        uniform_draws(-1, [0])
+    with pytest.raises(ValueError, match="integers"):
+        uniform_draws(9, [0.5])
+    with pytest.raises(ValueError, match="integers"):
+        uniform_draws(9, [2**64])
+
+
+def test_sample_spectrum_bins_equal_scalar_measurement_loop():
+    t, trials, seed = 0.5, 300, 2010
+    layout = RegisterLayout(3, 2, 0)
+    config = PhaseEstimationConfig(
+        layout=layout,
+        unitary=exact_unitary(build_transverse_ising(2, 1.0, 0.7), t),
+        time=t, trials=trials, seed=seed,
+    )
+    va = load_amplitudes(2, np.full(4, 0.5))
+    pre = pre_measurement_state(va, config)
+    scalar = [
+        measure_register(pre, layout.index_qubits, trial_stream(seed, trial))[0].bits
+        for trial in range(trials)
+    ]
+    np.testing.assert_array_equal(sample_spectrum(va, config).bins, scalar)
