@@ -173,35 +173,27 @@ def _parse_slices(value):
 
 
 class _Problem:
-    """A validated problem: system size plus exactly one evolution source."""
+    """A validated problem: system size plus an evolution source (a local
+    Hamiltonian or a grid recipe) or an explicit unitary."""
 
-    def __init__(self, kind, l_system, hamiltonian=None, recipe=None, unitary=None):
+    def __init__(self, kind, l_system, source=None, unitary=None):
         self.kind = kind
         self.l_system = l_system
-        self.hamiltonian = hamiltonian
-        self.recipe = recipe
+        self.source = source
         self.unitary = unitary
 
     @property
     def norm_bound(self) -> float | None:
         """Cheap upper bound on ||H||, or None for an explicit unitary."""
-        if self.recipe is not None:
-            return self.recipe.norm_bound()
-        if self.hamiltonian is not None:
-            return ham.norm_bound(self.hamiltonian)
-        return None
+        return self.source.norm_bound() if self.source is not None else None
 
     @functools.cached_property
     def decomposition(self) -> oracle.SpectralDecomposition | None:
         """Spectral decomposition of the dense Hamiltonian when the oracle is
         feasible, else None; computed at most once per run."""
-        if self.recipe is not None:
-            dense = self.recipe.dense_hamiltonian()
-        elif self.hamiltonian is not None and self.l_system <= oracle.MAX_DENSE_QUBITS:
-            dense = oracle.assemble_dense(self.hamiltonian)
-        else:
+        if self.source is None or self.l_system > oracle.MAX_DENSE_QUBITS:
             return None
-        return oracle.eigendecompose(dense)
+        return oracle.eigendecompose(self.source.dense_hamiltonian())
 
 
 def _build_problem(cfg: dict) -> _Problem:
@@ -215,7 +207,7 @@ def _build_problem(cfg: dict) -> _Problem:
             coupling = _as_real(cfg.get("coupling", 1.0), "coupling")
             field = _as_real(cfg.get("field", 1.0), "field")
             hs = problems.build_transverse_ising(sites, coupling, field)
-            return _Problem(kind, sites, hamiltonian=hs)
+            return _Problem(kind, sites, source=hs)
         if kind == "grid":
             l_system = _as_int(_require(cfg, "system_qubits"), "system_qubits", minimum=1)
             mass = _as_real(cfg.get("mass", 1.0), "mass")
@@ -227,7 +219,7 @@ def _build_problem(cfg: dict) -> _Problem:
                     'key "potential": expected a builtin name or a list of samples'
                 )
             recipe = problems.build_grid_particle(l_system, potential, mass)
-            return _Problem(kind, l_system, recipe=recipe)
+            return _Problem(kind, l_system, source=recipe)
         if kind == "explicit_terms":
             l_system = _as_int(_require(cfg, "system_qubits"), "system_qubits", minimum=1)
             raw_terms = _require(cfg, "terms")
@@ -247,7 +239,7 @@ def _build_problem(cfg: dict) -> _Problem:
                 matrix = _as_complex_matrix(spec["matrix"], f"{label}.matrix")
                 terms.append(ham.LocalTerm(support, matrix))
             hs = ham.HamiltonianSum(terms, l_system)
-            return _Problem(kind, l_system, hamiltonian=hs)
+            return _Problem(kind, l_system, source=hs)
         # explicit_unitary
         matrix = _as_complex_matrix(_require(cfg, "unitary"), "unitary")
         gate = sv.GateMatrix(matrix)
@@ -334,7 +326,7 @@ class _Run:
                 f"got {self.power_method!r}"
             )
         self.slices = _parse_slices(cfg["slices"]) if "slices" in cfg else "exact"
-        if self.problem.kind == "explicit_unitary" and "slices" in cfg:
+        if self.problem.unitary is not None and "slices" in cfg:
             raise ConfigError('key "slices": not meaningful for an explicit unitary')
         if "threshold" in cfg:
             self.threshold = _as_real(cfg["threshold"], "threshold")
@@ -365,15 +357,14 @@ class _Run:
     def _make_pe_config(self) -> pe.PhaseEstimationConfig:
         common = dict(
             layout=self.layout,
-            time=None,
+            time=self.time,
             trials=self.trials,
             seed=self.seed,
             power_method=self.power_method,
         )
         problem = self.problem
         try:
-            if problem.kind == "explicit_unitary":
-                common["time"] = self.time
+            if problem.unitary is not None:
                 return pe.PhaseEstimationConfig(unitary=problem.unitary, **common)
             if self.slices == "exact":
                 if problem.decomposition is None:
@@ -381,16 +372,10 @@ class _Run:
                         'key "slices": "exact" needs a system of at most '
                         f"{oracle.MAX_DENSE_QUBITS} qubits; set an explicit slice count"
                     )
-                common["time"] = self.time
                 unitary = ham.unitary_from_decomposition(problem.decomposition, self.time)
                 return pe.PhaseEstimationConfig(unitary=unitary, **common)
-            evolution = ham.EvolutionParams(time=self.time, slices=self.slices)
-            if problem.recipe is not None:
-                return pe.PhaseEstimationConfig(
-                    recipe=problem.recipe, evolution=evolution, **common
-                )
             return pe.PhaseEstimationConfig(
-                hamiltonian=problem.hamiltonian, evolution=evolution, **common
+                source=problem.source, slices=self.slices, **common
             )
         except ValueError as exc:
             raise ConfigError(f"run configuration is inconsistent: {exc}") from exc
@@ -558,7 +543,7 @@ def cmd_trotter_bench(args: argparse.Namespace) -> int:
     allowed = _BENCH_KEYS | _PROBLEM_KEYS.get(kind, set())
     _check_keys(cfg, allowed)
     problem = _build_problem(cfg)
-    if problem.kind == "explicit_unitary":
+    if problem.source is None:
         raise ConfigError(
             'key "problem": trotter-bench needs a Hamiltonian-bearing problem'
         )
@@ -582,10 +567,7 @@ def cmd_trotter_bench(args: argparse.Namespace) -> int:
     lines = ["r,operator_error,wall_seconds"]
     for r in sweep:
         started = _time.perf_counter()
-        if problem.recipe is not None:
-            step = problem.recipe.step_matrix(t / r)
-        else:
-            step = ham.slice_matrix(problem.hamiltonian, t / r)
+        step = problem.source.step_matrix(t / r)
         error = float(np.abs(np.linalg.matrix_power(step, r) - exact).max())
         elapsed = _time.perf_counter() - started
         lines.append(f"{r},{_g(error)},{_g(elapsed)}")
@@ -630,7 +612,7 @@ def cmd_oracle_check(args: argparse.Namespace) -> int:
     allowed = _RUN_KEYS | _PROBLEM_KEYS.get(kind, set())
     _check_keys(cfg, allowed)
     run = _Run(cfg, need_exact=True)
-    if run.problem.kind == "explicit_unitary":
+    if run.problem.source is None:
         raise ConfigError(
             'key "problem": oracle-check needs a Hamiltonian-bearing problem'
         )
@@ -671,19 +653,14 @@ def cmd_oracle_check(args: argparse.Namespace) -> int:
 
     # Collapse audit: conditioning on each populated readout bin must land on
     # the spectrally predicted mixture of eigenvectors.
-    bins = run.layout.num_bins
-    coefficients = decomposition.eigenvectors.conj().T @ run.guess.amplitudes
-    omegas = np.mod(-decomposition.eigenvalues * run.time, 2.0 * math.pi)
-    steps = np.arange(bins)
     populated = [int(j) for j in np.nonzero(analytic > POPULATED_BIN_FLOOR)[0]]
     collapsed = pe._collapse_bins(pre, run.layout, populated)
+    predicted = pe.analytic_collapsed_states(
+        run.guess, decomposition, run.time, run.m_index, populated
+    )
     worst_bin, worst = -1, 1.0
     for j in populated:
-        detune = omegas - 2.0 * math.pi * j / bins
-        kernel = np.exp(1j * np.outer(steps, detune)).sum(axis=0) / bins
-        predicted = decomposition.eigenvectors @ (coefficients * kernel)
-        predicted /= np.linalg.norm(predicted)
-        fidelity = float(abs(np.vdot(predicted, collapsed[j].amplitudes)) ** 2)
+        fidelity = float(abs(np.vdot(predicted[j], collapsed[j].amplitudes)) ** 2)
         if fidelity < worst:
             worst_bin, worst = j, fidelity
         if not (fidelity >= 1.0 - COLLAPSE_FIDELITY_TOL):

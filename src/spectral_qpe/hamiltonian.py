@@ -13,7 +13,6 @@ off as 1/r.  Term application order is the list order, fixed at construction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -62,46 +61,90 @@ class LocalTerm:
 
 
 class HamiltonianSum:
-    """Ordered sum of local terms over ``num_system_qubits`` qubits."""
+    """Ordered sum of local terms over ``num_qubits`` qubits.
 
-    __slots__ = ("terms", "num_system_qubits")
+    Besides its terms it is an evolution source, with the interface that
+    :class:`~spectral_qpe.problems.GridRecipe` shares: ``norm_bound()``,
+    ``dense_hamiltonian()``, ``step_matrix(dt)``, ``apply_step(state, dt,
+    system_qubits, controls)`` and ``system_step(dt, slices)``.  One step is
+    the Trotter slice prod_i e^{-i H_i dt} in term order; its gates are built
+    once per ``dt``.
+    """
 
-    def __init__(self, terms, num_system_qubits: int) -> None:
+    __slots__ = ("terms", "num_qubits", "_gate_cache")
+
+    def __init__(self, terms, num_qubits: int) -> None:
         terms = tuple(terms)
-        if num_system_qubits < 1:
-            raise ValueError(f"system needs at least 1 qubit, got {num_system_qubits}")
+        if num_qubits < 1:
+            raise ValueError(f"system needs at least 1 qubit, got {num_qubits}")
         if not terms:
             raise ValueError("Hamiltonian needs at least one term")
         for term in terms:
-            bad = [q for q in term.support if not 0 <= q < num_system_qubits]
+            bad = [q for q in term.support if not 0 <= q < num_qubits]
             if bad:
                 raise ValueError(
                     f"term support qubit {bad[0]} out of range for a "
-                    f"{num_system_qubits}-qubit system"
+                    f"{num_qubits}-qubit system"
                 )
         self.terms = terms
-        self.num_system_qubits = num_system_qubits
+        self.num_qubits = num_qubits
+        self._gate_cache: dict[float, list[tuple[list[int], sv.GateMatrix]]] = {}
 
     def __repr__(self) -> str:
-        return (
-            f"HamiltonianSum(num_system_qubits={self.num_system_qubits}, "
-            f"terms={len(self.terms)})"
+        return f"HamiltonianSum(num_qubits={self.num_qubits}, terms={len(self.terms)})"
+
+    def _gates(self, dt: float) -> list[tuple[list[int], sv.GateMatrix]]:
+        cached = self._gate_cache.get(dt)
+        if cached is None:
+            cached = slice_gates(self, dt)
+            self._gate_cache[dt] = cached
+        return cached
+
+    def norm_bound(self) -> float:
+        """Cheap upper bound on ||H||: the sum of the terms' spectral norms."""
+        return float(sum(np.linalg.norm(term.matrix, 2) for term in self.terms))
+
+    def dense_hamiltonian(self) -> np.ndarray:
+        """H over the full 2^l system space (the oracle's dense assembly)."""
+        return oracle.assemble_dense(self)
+
+    def step_matrix(self, dt: float) -> np.ndarray:
+        """Dense matrix of one Trotter slice, composed from its gates."""
+        step = np.eye(2**self.num_qubits, dtype=np.complex128)
+        for targets, gate in self._gates(dt):
+            step = oracle.embed_operator(gate.matrix, targets, self.num_qubits) @ step
+        return step
+
+    def apply_step(
+        self, state: sv.StateVector, dt: float, system_qubits=None, controls=()
+    ) -> sv.StateVector:
+        """Apply one slice to the given register (optionally controlled)."""
+        qubits = (
+            list(system_qubits)
+            if system_qubits is not None
+            else list(range(self.num_qubits))
         )
+        if len(qubits) != self.num_qubits:
+            raise ValueError(
+                f"Hamiltonian spans {self.num_qubits} qubits, got register of {len(qubits)}"
+            )
+        for targets, gate in self._gates(dt):
+            state = sv.apply_controlled_gate(
+                state, gate, controls, [qubits[q] for q in targets]
+            )
+        return state
 
+    def system_step(self, dt: float, slices: int):
+        """``slices`` slices as a map on 2^l system vectors (no dense product)."""
+        gates = [(targets, gate.matrix) for targets, gate in self._gates(dt)]
 
-@dataclass(frozen=True)
-class EvolutionParams:
-    """Evolution time, Trotter slice count, and target accuracy (hbar = 1)."""
+        def step(vector: np.ndarray) -> np.ndarray:
+            for _ in range(slices):
+                for targets, matrix in gates:
+                    vector = sv._apply_matrix(vector, self.num_qubits, matrix, targets)
+            return vector
 
-    time: float
-    slices: int = 1
-    accuracy: float = 1e-3
-
-    def __post_init__(self) -> None:
-        if self.slices < 1:
-            raise ValueError(f"slice count must be >= 1, got {self.slices}")
-        if not self.accuracy > 0:
-            raise ValueError(f"accuracy must be > 0, got {self.accuracy}")
+        return step
 
 
 def term_exponential(term: LocalTerm, dt: float) -> sv.GateMatrix:
@@ -111,72 +154,9 @@ def term_exponential(term: LocalTerm, dt: float) -> sv.GateMatrix:
     return sv.GateMatrix((vectors * phases) @ vectors.conj().T)
 
 
-def slice_gates(
-    h: HamiltonianSum, dt: float, layout: sv.RegisterLayout | None = None
-) -> list[tuple[list[int], sv.GateMatrix]]:
-    """One Trotter slice as (system-register targets, gate) pairs, in term order.
-
-    Building blocks for anything that applies slices itself (e.g. controlled
-    evolution); targets are already offset to the layout's system register,
-    or are the terms' own supports when no layout is given.
-    """
-    offset = layout.m_index if layout is not None else 0
-    return [
-        ([q + offset for q in term.support], term_exponential(term, dt))
-        for term in h.terms
-    ]
-
-
-def slice_matrix(h: HamiltonianSum, dt: float) -> np.ndarray:
-    """Dense matrix of one Trotter slice, composed from :func:`slice_gates`."""
-    step = np.eye(2**h.num_system_qubits, dtype=np.complex128)
-    for targets, gate in slice_gates(h, dt):
-        step = oracle.embed_operator(gate.matrix, targets, h.num_system_qubits) @ step
-    return step
-
-
-def norm_bound(h: HamiltonianSum) -> float:
-    """Cheap upper bound on ||H||: the sum of the terms' spectral norms."""
-    return float(sum(np.linalg.norm(term.matrix, 2) for term in h.terms))
-
-
-def _check_layout(state: sv.StateVector, h: HamiltonianSum, layout: sv.RegisterLayout) -> None:
-    if h.num_system_qubits != layout.l_system:
-        raise ValueError(
-            f"Hamiltonian spans {h.num_system_qubits} qubits but the layout's "
-            f"system register has {layout.l_system}"
-        )
-    if state.num_qubits != layout.total_qubits:
-        raise ValueError(
-            f"state has {state.num_qubits} qubits but the layout spans "
-            f"{layout.total_qubits}"
-        )
-
-
-def trotter_step(
-    state: sv.StateVector, h: HamiltonianSum, dt: float, layout: sv.RegisterLayout
-) -> sv.StateVector:
-    """Apply one slice prod_i e^{-i H_i dt} to the system register."""
-    _check_layout(state, h, layout)
-    for targets, gate in slice_gates(h, dt, layout):
-        state = sv.apply_gate(state, gate, targets)
-    return state
-
-
-def trotter_evolve(
-    state: sv.StateVector,
-    h: HamiltonianSum,
-    params: EvolutionParams,
-    layout: sv.RegisterLayout,
-) -> sv.StateVector:
-    """Apply r slices with dt = t/r (gates built once and reused)."""
-    _check_layout(state, h, layout)
-    dt = params.time / params.slices
-    gates = slice_gates(h, dt, layout)
-    for _ in range(params.slices):
-        for targets, gate in gates:
-            state = sv.apply_gate(state, gate, targets)
-    return state
+def slice_gates(h: HamiltonianSum, dt: float) -> list[tuple[list[int], sv.GateMatrix]]:
+    """One Trotter slice as (term support, gate) pairs, in term order."""
+    return [(list(term.support), term_exponential(term, dt)) for term in h.terms]
 
 
 def exact_unitary(h: HamiltonianSum, t: float) -> sv.GateMatrix:

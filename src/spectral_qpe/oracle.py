@@ -65,7 +65,7 @@ def embed_operator(matrix, targets, num_qubits: int) -> np.ndarray:
 
 def assemble_dense(h: HamiltonianSum) -> np.ndarray:
     """Sum of all term embeddings over the full 2^l system space."""
-    l = h.num_system_qubits
+    l = h.num_qubits
     if l > MAX_DENSE_QUBITS:
         raise ValueError(
             f"dense assembly is capped at {MAX_DENSE_QUBITS} qubits, got {l}"
@@ -108,14 +108,12 @@ def eigendecompose(matrix) -> SpectralDecomposition:
     return SpectralDecomposition(eigenvalues, eigenvectors)
 
 
-def spectral_components(
+def spectral_amplitudes(
     va: StateVector, decomposition: SpectralDecomposition, t: float
-) -> list[tuple[float, float]]:
-    """Overlap weights and eigenphases of a guess state.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Overlaps ``c_k = <phi_k|V_a>`` and eigenphases ``w_k = (-lambda_k * t) mod 2pi``.
 
-    Returns one ``(|c_k|^2, w_k)`` pair per eigenvector, where
-    ``c_k = <phi_k|V_a>`` and ``w_k = (-lambda_k * t) mod 2pi`` is the phase
-    that ``e^{-iHt}`` hands to the readout register.
+    ``w_k`` is the phase that ``e^{-iHt}`` hands to the readout register.
     """
     if t == 0:
         raise ValueError("evolution time t must be nonzero")
@@ -125,8 +123,16 @@ def spectral_components(
             f"{len(va.amplitudes)} amplitudes"
         )
     overlaps = decomposition.eigenvectors.conj().T @ va.amplitudes
-    weights = np.abs(overlaps) ** 2
     phases = np.mod(-decomposition.eigenvalues * t, 2.0 * np.pi)
+    return overlaps, phases
+
+
+def spectral_components(
+    va: StateVector, decomposition: SpectralDecomposition, t: float
+) -> list[tuple[float, float]]:
+    """One ``(|c_k|^2, w_k)`` pair per eigenvector; see :func:`spectral_amplitudes`."""
+    overlaps, phases = spectral_amplitudes(va, decomposition, t)
+    weights = np.abs(overlaps) ** 2
     return [(float(w), float(p)) for w, p in zip(weights, phases)]
 
 

@@ -16,7 +16,8 @@ FFT along j.  Two gate-level constructions over the whole register (a
 flag-qubit comparator loop and the per-index-bit binary route) are kept as
 references; all three must agree to 1e-10 per amplitude and the tests
 enforce that.  The module also carries the closed-form measurement
-distribution, which verifies the whole pipeline without sampling.
+distribution and collapsed states, which verify the whole pipeline without
+sampling.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import hamiltonian as ham
 from . import oracle
 from . import qft
 from . import statevector as sv
@@ -42,30 +42,36 @@ POWER_METHODS = ("block", "binary_power", "flag_loop")
 class PhaseEstimationConfig:
     """Everything one estimation run needs.
 
-    Exactly one unitary source must be given:
+    ``time`` is the t in U = e^{-iHt}; it maps measured phases back to
+    energies and must be finite and nonzero.  Exactly one unitary source must
+    be given:
 
-    * ``unitary`` -- a dense gate over the system register (needs an explicit
-      ``time`` so measured phases can be mapped to energies), or
-    * ``hamiltonian`` + ``evolution`` -- Trotterized e^{-iHt}, or
-    * ``recipe`` + ``evolution`` -- any object exposing
-      ``num_qubits``, ``apply_step(state, dt, system_qubits, controls)``
-      (grid problems use this to run their position/momentum switching
-      inside the conditional evolution) and ``step_matrix(dt)``, the dense
-      matrix of one slice (the block engine's one-step operator).
+    * ``unitary`` -- a dense gate over the system register, taken to be
+      e^{-iHt} as is, or
+    * ``source`` -- an evolution source, run as ``slices`` steps of
+      ``dt = time / slices``.  A :class:`~spectral_qpe.hamiltonian.HamiltonianSum`
+      (one step is a Trotter slice) and a
+      :class:`~spectral_qpe.problems.GridRecipe` (one step is a
+      position/momentum split step) both qualify.  A source exposes
+      ``num_qubits``, ``apply_step(state, dt, system_qubits, controls)`` (one
+      step, optionally controlled; the gate routes use it),
+      ``system_step(dt, slices)`` (``slices`` steps as a map on 2^l system
+      vectors; the block engine uses it), ``step_matrix(dt)``,
+      ``dense_hamiltonian()`` and ``norm_bound()``.
 
     ``power_method`` selects the route: ``"block"`` (the engine, default),
     or one of the gate-level references ``"binary_power"`` and
     ``"flag_loop"`` (the latter needs a work qubit for its flag).  The
     engine rounds differently from the gate routes, within 1e-10 per
-    amplitude.
+    amplitude.  ``seed`` is the master seed of the per-trial streams, in
+    [0, 2^64).
     """
 
     layout: sv.RegisterLayout
     unitary: sv.GateMatrix | None = None
-    hamiltonian: ham.HamiltonianSum | None = None
-    evolution: ham.EvolutionParams | None = None
-    recipe: object | None = None
+    source: object | None = None
     time: float | None = None
+    slices: int = 1
     trials: int = 1
     seed: int = 0
     power_method: str = "block"
@@ -73,49 +79,29 @@ class PhaseEstimationConfig:
     def __post_init__(self) -> None:
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
+        if not 0 <= self.seed < 2**64:
+            raise ValueError(f"seed must be in [0, 2^64), got {self.seed}")
         if self.power_method not in POWER_METHODS:
             raise ValueError(f"unknown power_method {self.power_method!r}")
         if self.power_method == "flag_loop" and self.layout.w_work < 1:
             raise ValueError("flag_loop needs at least one work qubit for the flag")
-        sources = [self.unitary, self.hamiltonian, self.recipe]
-        if sum(s is not None for s in sources) != 1:
-            raise ValueError(
-                "config needs exactly one of: unitary, hamiltonian, recipe"
-            )
+        if (self.unitary is None) == (self.source is None):
+            raise ValueError("config needs exactly one of: unitary, source")
+        if self.time is None or not (math.isfinite(self.time) and self.time != 0):
+            raise ValueError(f"time must be finite and nonzero, got {self.time!r}")
+        if not isinstance(self.slices, (int, np.integer)) or self.slices < 1:
+            raise ValueError(f"slice count must be an integer >= 1, got {self.slices!r}")
         if self.unitary is not None:
-            if self.evolution is not None:
-                raise ValueError("evolution params only apply to hamiltonian/recipe mode")
-            if self.unitary.arity != self.layout.l_system:
-                raise ValueError(
-                    f"unitary acts on {self.unitary.arity} qubits but the system "
-                    f"register has {self.layout.l_system}"
-                )
-            if self.time is None:
-                raise ValueError("raw-unitary mode needs an explicit time")
-            if self.time == 0:
-                raise ValueError("time must be nonzero")
+            if self.slices != 1:
+                raise ValueError("slices only apply to a source, not to a unitary")
+            system_qubits = self.unitary.arity
         else:
-            if self.evolution is None:
-                raise ValueError("hamiltonian/recipe mode needs evolution params")
-            system_qubits = (
-                self.hamiltonian.num_system_qubits
-                if self.hamiltonian is not None
-                else self.recipe.num_qubits
+            system_qubits = self.source.num_qubits
+        if system_qubits != self.layout.l_system:
+            raise ValueError(
+                f"unitary source spans {system_qubits} qubits but the system "
+                f"register has {self.layout.l_system}"
             )
-            if system_qubits != self.layout.l_system:
-                raise ValueError(
-                    f"unitary source spans {system_qubits} qubits but the system "
-                    f"register has {self.layout.l_system}"
-                )
-            if self.time is not None and self.time != self.evolution.time:
-                raise ValueError("config time conflicts with evolution.time")
-            if self.evolution.time == 0:
-                raise ValueError("evolution time must be nonzero")
-
-    @property
-    def evolution_time(self) -> float:
-        """The t in U = e^{-iHt}; used to map phases back to energies."""
-        return self.time if self.time is not None else self.evolution.time
 
 
 @dataclass(frozen=True)
@@ -233,42 +219,25 @@ class _MatrixPowers:
         return sv.apply_controlled_gate(state, gate, controls, self._system)
 
 
-class _TrotterPowers:
-    """Applies controlled-U^p where U is r Trotter slices of a local Hamiltonian."""
+class _SourcePowers:
+    """Applies controlled-U^p by running ``slices`` source steps per power."""
 
-    def __init__(self, h, params, layout) -> None:
-        self._gates = ham.slice_gates(h, params.time / params.slices, layout)
-        self._slices = params.slices
-
-    def apply_controlled(self, state, controls, power: int):
-        for _ in range(power * self._slices):
-            for targets, gate in self._gates:
-                state = sv.apply_controlled_gate(state, gate, controls, targets)
-        return state
-
-
-class _RecipePowers:
-    """Applies controlled-U^p by running a step recipe under controls."""
-
-    def __init__(self, recipe, params, layout) -> None:
-        self._recipe = recipe
-        self._dt = params.time / params.slices
-        self._slices = params.slices
-        self._system = layout.system_qubits
+    def __init__(self, config: PhaseEstimationConfig) -> None:
+        self._source = config.source
+        self._dt = config.time / config.slices
+        self._slices = config.slices
+        self._system = config.layout.system_qubits
 
     def apply_controlled(self, state, controls, power: int):
         for _ in range(power * self._slices):
-            state = self._recipe.apply_step(state, self._dt, self._system, controls)
+            state = self._source.apply_step(state, self._dt, self._system, controls)
         return state
 
 
 def _unitary_driver(config: PhaseEstimationConfig):
-    layout = config.layout
     if config.unitary is not None:
-        return _MatrixPowers(config.unitary.matrix, layout.system_qubits)
-    if config.hamiltonian is not None:
-        return _TrotterPowers(config.hamiltonian, config.evolution, layout)
-    return _RecipePowers(config.recipe, config.evolution, layout)
+        return _MatrixPowers(config.unitary.matrix, config.layout.system_qubits)
+    return _SourcePowers(config)
 
 
 def _flip_flag_where_index_ge(
@@ -344,35 +313,12 @@ def _initial_state(va: sv.StateVector, layout: sv.RegisterLayout) -> sv.StateVec
 
 
 def _system_step(config: PhaseEstimationConfig):
-    """One application of U to a 2^l system vector, by unitary source type.
-
-    A dense unitary is used as is; a recipe's dense slice is raised to the
-    slice count and validated once; a local Hamiltonian applies its Trotter
-    slice gates to the vector, with no dense product.
-    """
-    params = config.evolution
-    if config.hamiltonian is not None:
-        l_system = config.layout.l_system
-        gates = [
-            (targets, gate.matrix)
-            for targets, gate in ham.slice_gates(
-                config.hamiltonian, params.time / params.slices
-            )
-        ]
-
-        def trotter(vector):
-            for _ in range(params.slices):
-                for targets, matrix in gates:
-                    vector = sv._apply_matrix(vector, l_system, matrix, targets)
-            return vector
-
-        return trotter
+    """One application of U to a 2^l system vector: the dense unitary as is,
+    or ``slices`` steps of the source."""
     if config.unitary is not None:
         matrix = config.unitary.matrix
-    else:
-        step = config.recipe.step_matrix(params.time / params.slices)
-        matrix = sv.GateMatrix(np.linalg.matrix_power(step, params.slices)).matrix
-    return lambda vector: matrix @ vector
+        return lambda vector: matrix @ vector
+    return config.source.system_step(config.time / config.slices, config.slices)
 
 
 def _block_engine_state(
@@ -464,7 +410,7 @@ def _sample_for_bin(
     return PhaseSample(
         bin=bin_index,
         phase=phase,
-        energy=phase_to_energy(phase, config.evolution_time),
+        energy=phase_to_energy(phase, config.time),
         collapsed_state=collapsed,
     )
 
@@ -548,6 +494,31 @@ def analytic_bin_distribution(components, m_index: int) -> np.ndarray:
     return weights @ _leakage_kernel(delta, M)
 
 
+def analytic_collapsed_states(
+    va: sv.StateVector,
+    decomposition: oracle.SpectralDecomposition,
+    t: float,
+    m_index: int,
+    bins,
+) -> dict[int, np.ndarray]:
+    """Closed-form system states left by reading each of ``bins``.
+
+    Reading bin j leaves sum_k c_k D_M(w_k - 2*pi*j/M) |phi_k>, normalized,
+    with c_k and w_k from :func:`~spectral_qpe.oracle.spectral_amplitudes`
+    and the Dirichlet amplitude D_M(d) = (1/M) sum_{p<M} e^{ipd}, whose
+    squared modulus is the leakage kernel of :func:`analytic_bin_distribution`.
+    """
+    overlaps, phases = oracle.spectral_amplitudes(va, decomposition, t)
+    M = 2**m_index
+    steps = np.arange(M)
+    states = {}
+    for j in bins:
+        kernel = np.exp(1j * np.outer(steps, phases - 2.0 * np.pi * j / M)).sum(axis=0) / M
+        predicted = decomposition.eigenvectors @ (overlaps * kernel)
+        states[j] = predicted / np.linalg.norm(predicted)
+    return states
+
+
 def _leakage_kernel(delta: np.ndarray, M: int) -> np.ndarray:
     """F_M(d) = sin^2(M*d/2)/(M^2 sin^2(d/2)), with F_M = 1 at d = 0 mod 2*pi."""
     half_sin = np.sin(delta / 2.0)
@@ -574,8 +545,9 @@ def eigenvector_fidelity(
 ) -> float:
     """Overlap of a collapsed state with the eigenspace near ``energy``.
 
-    ``h`` may be a :class:`~spectral_qpe.hamiltonian.HamiltonianSum`, a
-    dense Hermitian matrix, or its already computed
+    ``h`` may be an evolution source (anything with ``dense_hamiltonian()``,
+    such as a :class:`~spectral_qpe.hamiltonian.HamiltonianSum`), a dense
+    Hermitian matrix, or its already computed
     :class:`~spectral_qpe.oracle.SpectralDecomposition`.  Returns <c|P|c>
     where P projects onto oracle eigenvectors with |lambda - energy| <= tol;
     raises if no eigenvalue is that close (the peak was mis-identified).
@@ -583,7 +555,7 @@ def eigenvector_fidelity(
     if isinstance(h, oracle.SpectralDecomposition):
         decomposition = h
     else:
-        dense = oracle.assemble_dense(h) if isinstance(h, ham.HamiltonianSum) else h
+        dense = h.dense_hamiltonian() if hasattr(h, "dense_hamiltonian") else h
         decomposition = oracle.eigendecompose(dense)
     mask = np.abs(decomposition.eigenvalues - energy) <= tol
     if not mask.any():

@@ -80,7 +80,8 @@ class GridRecipe:
     inverse QFT.  Momentum indices are centered (p~ = p below 2^(l-1), else
     p - 2^l) with kinetic energy T = (2*pi*p~ / 2^l)^2 / (2*mass) in grid
     units, so the ground state sits at zero frequency rather than at a
-    spurious high-frequency corner.
+    spurious high-frequency corner.  It is an evolution source with the
+    same interface as :class:`~spectral_qpe.hamiltonian.HamiltonianSum`.
     """
 
     __slots__ = ("num_qubits", "potential", "mass", "_phase_cache")
@@ -148,6 +149,12 @@ class GridRecipe:
         f = self._dft_matrix()
         position_phases, momentum_phases = self._phases(dt)
         return f.conj().T @ (momentum_phases[:, None] * f) @ np.diag(position_phases)
+
+    def system_step(self, dt: float, slices: int):
+        """``slices`` slices as a map on 2^l system vectors: the dense slice
+        raised to the slice count, validated once as a unitary."""
+        matrix = sv.GateMatrix(np.linalg.matrix_power(self.step_matrix(dt), slices)).matrix
+        return lambda vector: matrix @ vector
 
     def dense_hamiltonian(self) -> np.ndarray:
         """The discretized Hermitian H = diag(V) + F^dag diag(T) F."""

@@ -279,15 +279,12 @@ def apply_diagonal_phase(state: StateVector, qubits, phases, controls=()) -> Sta
     defect = float(np.abs(np.abs(phases) - 1.0).max())
     if not (defect <= UNITARY_TOL):  # NaN fails closed
         raise ValueError(f"phase factors are not unit modulus: max deviation {defect:.3e}")
-    idx = np.arange(2**state.num_qubits)
-    value = np.zeros_like(idx)
-    for bit, qu in enumerate(qubits):
-        value |= ((idx >> qu) & 1) << bit
-    factors = phases[value]
+    factors = phases[register_values(state.num_qubits, qubits)]
     if controls:
         cmask = 0
         for c in controls:
             cmask |= 1 << c
+        idx = np.arange(2**state.num_qubits)
         factors = np.where((idx & cmask) == cmask, factors, 1.0)
     return _wrap_state(state.num_qubits, state.amplitudes * factors)
 

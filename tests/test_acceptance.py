@@ -9,7 +9,6 @@ import numpy as np
 import reference as ref
 from spectral_qpe import (
     DEGENERACY_TOL,
-    EvolutionParams,
     GateMatrix,
     HamiltonianSum,
     LocalTerm,
@@ -342,8 +341,9 @@ def test_grid_particle_ground_state_via_split_steps(acceptance):
     guess = load_amplitudes(6, envelope / np.linalg.norm(envelope))
     config = PhaseEstimationConfig(
         layout=RegisterLayout(m_index, 6, 0),
-        recipe=recipe,
-        evolution=EvolutionParams(time=t, slices=slices),
+        source=recipe,
+        time=t,
+        slices=slices,
         trials=2000,
         seed=2010,
     )

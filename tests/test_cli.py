@@ -175,6 +175,12 @@ class TestConfigRejections:
         cfg = dict(DIAG_I, m_index=2, time=0.0)
         self.check(tmp_path, capsys, cfg, 'key "time"')
 
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_outside_64_bits(self, tmp_path, monkeypatch, capsys, seed):
+        monkeypatch.chdir(tmp_path)
+        cfg = dict(DIAG_I, m_index=2, time=1.0, seed=seed)
+        self.check(tmp_path, capsys, cfg, 'key "seed"')
+
     def test_slices_meaningless_for_explicit_unitary(self, tmp_path, monkeypatch,
                                                      capsys):
         monkeypatch.chdir(tmp_path)

@@ -5,39 +5,39 @@ import pytest
 
 import reference as ref
 from spectral_qpe import (
-    EvolutionParams,
     HamiltonianSum,
     LocalTerm,
     RegisterLayout,
     assemble_dense,
+    build_grid_particle,
     build_transverse_ising,
     exact_unitary,
     load_amplitudes,
     new_basis_state,
     slices_for_accuracy,
     term_exponential,
-    trotter_evolve,
-    trotter_step,
 )
-from spectral_qpe.hamiltonian import (
-    MAX_TERM_QUBITS,
-    norm_bound,
-    slice_gates,
-    slice_matrix,
-)
+from spectral_qpe.hamiltonian import MAX_TERM_QUBITS, slice_gates
 
 
 def one_qubit_layout(l_system=1, m_index=1):
     return RegisterLayout(m_index, l_system, 0)
 
 
-def evolve_dense(h, params, layout):
+def evolve(state, h, time, slices, layout):
+    """``slices`` Trotter slices of dt = time/slices on the layout's system register."""
+    for _ in range(slices):
+        state = h.apply_step(state, time / slices, layout.system_qubits)
+    return state
+
+
+def evolve_dense(h, time, slices, layout):
     """Dense matrix of the Trotterized evolution, via the simulator itself."""
-    dim = 2**h.num_system_qubits
+    dim = 2**h.num_qubits
     cols = []
     for j in range(dim):
         state = new_basis_state(layout.total_qubits, j << layout.m_index)
-        out = trotter_evolve(state, h, params, layout)
+        out = evolve(state, h, time, slices, layout)
         cols.append(out.amplitudes[np.arange(dim) << layout.m_index])
     return np.array(cols).T
 
@@ -69,15 +69,8 @@ def test_hamiltonian_sum_validation():
     with pytest.raises(ValueError):
         HamiltonianSum([], 2)
     h = HamiltonianSum([term], 4)
-    assert h.num_system_qubits == 4
+    assert h.num_qubits == 4
     assert len(h.terms) == 1
-
-
-def test_evolution_params_validation():
-    with pytest.raises(ValueError):
-        EvolutionParams(time=1.0, slices=0)
-    with pytest.raises(ValueError):
-        EvolutionParams(time=1.0, slices=1, accuracy=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -151,7 +144,7 @@ def test_single_term_step_is_exact():
     full = np.zeros(8, dtype=complex)
     full[np.arange(4) << 1] = amps
     state = load_amplitudes(3, full)
-    stepped = trotter_step(state, h, 0.73, layout)
+    stepped = h.apply_step(state, 0.73, layout.system_qubits)
     want = ref.exact_evolution(mat, 0.73) @ amps
     np.testing.assert_allclose(stepped.amplitudes[np.arange(4) << 1], want, atol=1e-11)
 
@@ -159,8 +152,7 @@ def test_single_term_step_is_exact():
 def test_commuting_terms_evolve_exactly():
     h = HamiltonianSum([LocalTerm([0], ref.Z), LocalTerm([1], ref.Z)], 2)
     layout = RegisterLayout(1, 2, 0)
-    params = EvolutionParams(time=2.1, slices=3)
-    got = evolve_dense(h, params, layout)
+    got = evolve_dense(h, 2.1, 3, layout)
     dense = ref.embed_kron(ref.Z, [0], 2) + ref.embed_kron(ref.Z, [1], 2)
     np.testing.assert_allclose(got, ref.exact_evolution(dense, 2.1), atol=1e-12)
 
@@ -175,8 +167,8 @@ def test_one_slice_equals_single_step():
     full = np.zeros(8, dtype=complex)
     full[np.arange(4) << 1] = ref.random_state(2, rng)
     state = load_amplitudes(3, full)
-    via_evolve = trotter_evolve(state, h, EvolutionParams(time=0.4, slices=1), layout)
-    via_step = trotter_step(state, h, 0.4, layout)
+    via_evolve = evolve(state, h, 0.4, 1, layout)
+    via_step = h.apply_step(state, 0.4, layout.system_qubits)
     np.testing.assert_allclose(via_evolve.amplitudes, via_step.amplitudes, atol=1e-13)
 
 
@@ -185,7 +177,7 @@ def test_splitting_error_is_second_order_in_dt():
     h = HamiltonianSum([LocalTerm([0], ref.X), LocalTerm([0], ref.Z)], 1)
     layout = one_qubit_layout()
     exact = ref.exact_evolution(ref.X + ref.Z, 0.1)
-    got = evolve_dense(h, EvolutionParams(time=0.1, slices=1), layout)
+    got = evolve_dense(h, 0.1, 1, layout)
     diff = np.abs(got - exact).max()
     assert 0.0 < diff <= 1.5 * 0.1**2
 
@@ -196,7 +188,7 @@ def test_first_order_error_ratio_and_term_order():
     exact = ref.exact_evolution(ref.X + ref.Z, 1.0)
     errors = {}
     for r in (16, 32, 64, 128):
-        got = evolve_dense(h, EvolutionParams(time=1.0, slices=r), layout)
+        got = evolve_dense(h, 1.0, r, layout)
         errors[r] = np.abs(got - exact).max()
     for r in (16, 32, 64):
         assert 0.4 <= errors[2 * r] / errors[r] <= 0.6
@@ -204,7 +196,7 @@ def test_first_order_error_ratio_and_term_order():
     # the r=16 slice must be the ordered product e^{-iZ dt} e^{-iX dt} ... ;
     # check one slice against the explicitly ordered reference
     dt = 1.0 / 16
-    slice_got = evolve_dense(h, EvolutionParams(time=dt, slices=1), layout)
+    slice_got = evolve_dense(h, dt, 1, layout)
     slice_want = ref.exact_evolution(ref.Z, dt) @ ref.exact_evolution(ref.X, dt)
     np.testing.assert_allclose(slice_got, slice_want, atol=1e-12)
 
@@ -222,38 +214,75 @@ def test_energy_conserved_under_exact_evolution():
 
 def test_slice_gates_follow_term_order():
     h = HamiltonianSum([LocalTerm([1], ref.Z), LocalTerm([0], ref.X)], 2)
-    layout = RegisterLayout(2, 2, 0)
-    gates = slice_gates(h, 0.5, layout)
-    assert [targets for targets, _ in gates] == [[3], [2]]  # offset by m_index
     assert [targets for targets, _ in slice_gates(h, 0.5)] == [[1], [0]]
 
 
-def test_slice_matrix_is_one_simulated_slice():
+def test_step_matrix_is_one_simulated_slice():
     rng = np.random.default_rng(12)
     h = HamiltonianSum(
         [LocalTerm([1, 0], ref.random_hermitian(4, rng)), LocalTerm([0], ref.X),
          LocalTerm([1], ref.Z)],
         2,
     )
-    want = evolve_dense(h, EvolutionParams(time=0.3, slices=1), one_qubit_layout(2))
-    np.testing.assert_allclose(slice_matrix(h, 0.3), want, atol=1e-12)
+    want = evolve_dense(h, 0.3, 1, one_qubit_layout(2))
+    np.testing.assert_allclose(h.step_matrix(0.3), want, atol=1e-12)
 
 
 def test_norm_bound_sums_term_norms_and_bounds_the_spectrum():
-    assert norm_bound(build_transverse_ising(3, 1.0, 0.7)) == pytest.approx(4.1)
+    assert build_transverse_ising(3, 1.0, 0.7).norm_bound() == pytest.approx(4.1)
     rng = np.random.default_rng(13)
     h = HamiltonianSum(
         [LocalTerm([0, 2], ref.random_hermitian(4, rng)),
          LocalTerm([1], ref.random_hermitian(2, rng))],
         3,
     )
-    assert norm_bound(h) >= np.linalg.norm(assemble_dense(h), 2) - 1e-12
+    assert h.norm_bound() >= np.linalg.norm(assemble_dense(h), 2) - 1e-12
 
 
 def test_layout_mismatch_rejected():
     h = HamiltonianSum([LocalTerm([0], ref.Z)], 1)
     with pytest.raises(ValueError):
-        trotter_step(new_basis_state(4, 0), h, 0.1, RegisterLayout(2, 2, 0))
+        h.apply_step(new_basis_state(4, 0), 0.1, RegisterLayout(2, 2, 0).system_qubits)
+
+
+# ---------------------------------------------------------------------------
+# evolution-source interface (shared with GridRecipe)
+
+SOURCES = {
+    "tfim": lambda: build_transverse_ising(3, 1.0, 0.7),
+    "grid": lambda: build_grid_particle(3, "harmonic:0.8,3.5", 1.0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SOURCES))
+def test_source_steps_agree_with_step_matrix(name):
+    source = SOURCES[name]()
+    rng = np.random.default_rng(20)
+    amps = ref.random_state(3, rng)
+    step = source.step_matrix(0.3)
+    stepped = source.apply_step(load_amplitudes(3, amps), 0.3)
+    np.testing.assert_allclose(stepped.amplitudes, step @ amps, atol=1e-12)
+    np.testing.assert_allclose(
+        source.system_step(0.3, 3)(amps),
+        np.linalg.matrix_power(step, 3) @ amps,
+        atol=1e-12,
+    )
+
+
+@pytest.mark.parametrize("name", sorted(SOURCES))
+def test_source_step_acts_only_under_its_control(name):
+    source = SOURCES[name]()
+    rng = np.random.default_rng(21)
+    amps = ref.random_state(3, rng)
+    step = source.step_matrix(0.3)
+    for control in (0, 1):
+        full = np.zeros(16, dtype=complex)
+        full[(np.arange(8) << 1) | control] = amps
+        out = source.apply_step(load_amplitudes(4, full), 0.3, [1, 2, 3], [0])
+        want = step @ amps if control else amps
+        np.testing.assert_allclose(
+            out.amplitudes[(np.arange(8) << 1) | control], want, atol=1e-12
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -277,6 +306,6 @@ def test_slices_for_accuracy_bound_is_sufficient():
     h = HamiltonianSum([LocalTerm([0], ref.X), LocalTerm([0], ref.Z)], 1)
     t, eps = 1.0, 1e-3
     r = slices_for_accuracy(h, t, eps)
-    got = evolve_dense(h, EvolutionParams(time=t, slices=r), one_qubit_layout())
+    got = evolve_dense(h, t, r, one_qubit_layout())
     exact = ref.exact_evolution(ref.X + ref.Z, t)
     assert np.abs(got - exact).max() <= eps

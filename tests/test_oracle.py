@@ -14,6 +14,7 @@ from spectral_qpe import (
     build_transverse_ising,
     eigendecompose,
     load_amplitudes,
+    spectral_amplitudes,
     spectral_components,
 )
 from spectral_qpe.oracle import (
@@ -201,6 +202,17 @@ def test_components_of_balanced_superposition():
     weights = [w for w, _ in spectral_components(va, d, t=1.0)]
     assert weights[0] == pytest.approx(0.5, abs=1e-12)
     assert weights[1] == pytest.approx(0.5, abs=1e-12)
+
+
+def test_components_are_squared_spectral_amplitudes():
+    rng = np.random.default_rng(10)
+    d = eigendecompose(ref.random_hermitian(4, rng))
+    va = load_amplitudes(2, ref.random_state(2, rng))
+    overlaps, phases = spectral_amplitudes(va, d, t=0.8)
+    np.testing.assert_allclose(overlaps, d.eigenvectors.conj().T @ va.amplitudes, atol=1e-15)
+    assert spectral_components(va, d, t=0.8) == [
+        (float(w), float(p)) for w, p in zip(np.abs(overlaps) ** 2, phases)
+    ]
 
 
 def test_components_validation():

@@ -11,7 +11,6 @@ from spectral_qpe import phase_estimation as pe
 from spectral_qpe import statevector as sv
 from spectral_qpe import (
     ContractViolation,
-    EvolutionParams,
     GateMatrix,
     HamiltonianSum,
     LocalTerm,
@@ -19,6 +18,7 @@ from spectral_qpe import (
     RegisterLayout,
     StateVector,
     analytic_bin_distribution,
+    analytic_collapsed_states,
     apply_conditional_powers_binary,
     apply_conditional_powers_flag_loop,
     build_grid_particle,
@@ -63,14 +63,13 @@ def test_config_requires_exactly_one_evolution_source():
     layout = RegisterLayout(2, 1, 0)
     gate = GateMatrix(np.eye(2))
     h = HamiltonianSum([LocalTerm([0], ref.Z)], 1)
-    ev = EvolutionParams(time=1.0, slices=2)
     with pytest.raises(ValueError):
-        PhaseEstimationConfig(layout=layout, unitary=gate, hamiltonian=h,
-                              evolution=ev, time=1.0)
+        PhaseEstimationConfig(layout=layout, unitary=gate, source=h,
+                              slices=2, time=1.0)
     with pytest.raises(ValueError):
         PhaseEstimationConfig(layout=layout)
     with pytest.raises(ValueError):
-        PhaseEstimationConfig(layout=layout, hamiltonian=h)  # no EvolutionParams
+        PhaseEstimationConfig(layout=layout, source=h)  # no time
 
 
 def test_config_raw_unitary_needs_time():
@@ -109,6 +108,42 @@ def test_config_dimension_and_trials_checks():
             time=1.0,
             trials=0,
         )
+
+
+def test_config_slice_count_checks():
+    h = HamiltonianSum([LocalTerm([0], ref.Z)], 1)
+    layout = RegisterLayout(2, 1, 0)
+    for bad_slices in (0, 2.5):
+        with pytest.raises(ValueError, match="slice count"):
+            PhaseEstimationConfig(layout=layout, source=h, time=1.0, slices=bad_slices)
+    with pytest.raises(ValueError, match="slices"):
+        PhaseEstimationConfig(layout=layout, unitary=GateMatrix(np.eye(2)),
+                              time=1.0, slices=2)
+    assert PhaseEstimationConfig(layout=layout, source=h, time=1.0, slices=3).slices == 3
+
+
+@pytest.mark.parametrize("bad_time", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("mode", ["unitary", "source"])
+def test_config_rejects_non_finite_time(mode, bad_time):
+    source_kw = (
+        dict(unitary=GateMatrix(np.diag([1, 1j])))
+        if mode == "unitary"
+        else dict(source=HamiltonianSum([LocalTerm([0], ref.Z)], 1), slices=2)
+    )
+    with pytest.raises(ValueError, match="time"):
+        PhaseEstimationConfig(layout=RegisterLayout(2, 1, 0), time=bad_time, **source_kw)
+
+
+def test_config_seed_must_fit_in_64_bits():
+    layout = RegisterLayout(2, 1, 0)
+    gate = GateMatrix(np.eye(2))
+    for bad_seed in (-1, -3, 2**64):
+        with pytest.raises(ValueError, match="seed"):
+            PhaseEstimationConfig(layout=layout, unitary=gate, time=1.0, seed=bad_seed)
+    for seed in (0, 2**64 - 1):
+        assert PhaseEstimationConfig(
+            layout=layout, unitary=gate, time=1.0, seed=seed
+        ).seed == seed
 
 
 # ---------------------------------------------------------------------------
@@ -200,11 +235,10 @@ BLOCK_SOURCES = {
         3, dict(unitary=exact_unitary(build_transverse_ising(3, 1.0, 0.7), 0.5),
                 time=0.5)),
     "trotter_tfim": lambda rng: (
-        3, dict(hamiltonian=build_transverse_ising(3, 1.0, 0.7),
-                evolution=EvolutionParams(time=0.5, slices=3))),
+        3, dict(source=build_transverse_ising(3, 1.0, 0.7), time=0.5, slices=3)),
     "grid_recipe": lambda rng: (
-        3, dict(recipe=build_grid_particle(3, "harmonic:0.8,3.5", 1.0),
-                evolution=EvolutionParams(time=0.4, slices=4))),
+        3, dict(source=build_grid_particle(3, "harmonic:0.8,3.5", 1.0),
+                time=0.4, slices=4)),
 }
 
 
@@ -309,8 +343,9 @@ def test_distribution_law_grid_recipe_route():
     layout = RegisterLayout(m_index, 3, 0)
     config = PhaseEstimationConfig(
         layout=layout,
-        recipe=recipe,
-        evolution=EvolutionParams(time=t, slices=slices),
+        source=recipe,
+        time=t,
+        slices=slices,
     )
     va = load_amplitudes(3, np.full(8, 1 / math.sqrt(8)))
     got = pre_measurement_distribution(va, config)
@@ -324,6 +359,24 @@ def test_distribution_law_grid_recipe_route():
     final = ref.dft_matrix(M).conj() @ branches / math.sqrt(M)
     want = (np.abs(final) ** 2).sum(axis=1)
     np.testing.assert_allclose(got, want, atol=1e-10)
+
+
+def test_analytic_collapsed_states_match_dirichlet_reference():
+    rng = np.random.default_rng(62)
+    l_system, m_index, t = 2, 4, 0.7
+    decomposition = eigendecompose(ref.random_hermitian(4, rng))
+    va = load_amplitudes(l_system, ref.random_state(l_system, rng))
+    M = 2**m_index
+    got = analytic_collapsed_states(va, decomposition, t, m_index, range(M))
+    coefficients = decomposition.eigenvectors.conj().T @ va.amplitudes
+    omegas = np.mod(-decomposition.eigenvalues * t, 2 * np.pi)
+    for j in range(M):
+        want = sum(
+            c * ref.dirichlet_amplitude(omega, j, M) * decomposition.eigenvectors[:, k]
+            for k, (c, omega) in enumerate(zip(coefficients, omegas))
+        )
+        want /= np.linalg.norm(want)
+        np.testing.assert_allclose(got[j], want, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
