@@ -40,7 +40,7 @@ from . import oracle
 from . import phase_estimation as pe
 from . import problems
 from . import statevector as sv
-from .errors import ContractViolation
+from .errors import ConfigFieldError, ContractViolation
 
 log = logging.getLogger("spectral_qpe.cli")
 
@@ -97,12 +97,6 @@ def _load_config(path: str) -> dict:
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
     return raw
-
-
-def _check_keys(cfg: dict, allowed: set[str]) -> None:
-    for key in cfg:
-        if key not in allowed:
-            raise ConfigError(f'unknown key "{key}"')
 
 
 def _require(cfg: dict, key: str):
@@ -162,10 +156,18 @@ def _as_complex_vector(value, key: str) -> np.ndarray:
 
 
 def _parse_slices(value):
-    """Config/flag slice count: a positive integer or the string "exact"."""
+    """Config slice count: a positive integer or the string "exact"."""
     if value == "exact":
         return "exact"
     return _as_int(value, "slices", minimum=1)
+
+
+def _parse_slices_flag(text: str | None):
+    """The ``--slices`` flag string: None (absent), "exact" or an integer."""
+    try:
+        return text if text in (None, "exact") else int(text)
+    except ValueError:
+        raise ConfigError(f'key "slices": expected an integer or "exact", got {text!r}') from None
 
 
 # ---------------------------------------------------------------------------
@@ -173,12 +175,11 @@ def _parse_slices(value):
 
 
 class _Problem:
-    """A validated problem: system size plus an evolution source (a local
-    Hamiltonian or a grid recipe) or an explicit unitary."""
+    """A validated problem: an evolution source (a local Hamiltonian or a
+    grid recipe) or an explicit unitary."""
 
-    def __init__(self, kind, l_system, source=None, unitary=None):
+    def __init__(self, kind, source=None, unitary=None):
         self.kind = kind
-        self.l_system = l_system
         self.source = source
         self.unitary = unitary
 
@@ -191,7 +192,7 @@ class _Problem:
     def decomposition(self) -> oracle.SpectralDecomposition | None:
         """Spectral decomposition of the dense Hamiltonian when the oracle is
         feasible, else None; computed at most once per run."""
-        if self.source is None or self.l_system > oracle.MAX_DENSE_QUBITS:
+        if self.source is None or self.source.num_qubits > oracle.MAX_DENSE_QUBITS:
             return None
         return oracle.eigendecompose(self.source.dense_hamiltonian())
 
@@ -207,7 +208,7 @@ def _build_problem(cfg: dict) -> _Problem:
             coupling = _as_real(cfg.get("coupling", 1.0), "coupling")
             field = _as_real(cfg.get("field", 1.0), "field")
             hs = problems.build_transverse_ising(sites, coupling, field)
-            return _Problem(kind, sites, source=hs)
+            return _Problem(kind, source=hs)
         if kind == "grid":
             l_system = _as_int(_require(cfg, "system_qubits"), "system_qubits", minimum=1)
             mass = _as_real(cfg.get("mass", 1.0), "mass")
@@ -219,7 +220,7 @@ def _build_problem(cfg: dict) -> _Problem:
                     'key "potential": expected a builtin name or a list of samples'
                 )
             recipe = problems.build_grid_particle(l_system, potential, mass)
-            return _Problem(kind, l_system, source=recipe)
+            return _Problem(kind, source=recipe)
         if kind == "explicit_terms":
             l_system = _as_int(_require(cfg, "system_qubits"), "system_qubits", minimum=1)
             raw_terms = _require(cfg, "terms")
@@ -239,11 +240,10 @@ def _build_problem(cfg: dict) -> _Problem:
                 matrix = _as_complex_matrix(spec["matrix"], f"{label}.matrix")
                 terms.append(ham.LocalTerm(support, matrix))
             hs = ham.HamiltonianSum(terms, l_system)
-            return _Problem(kind, l_system, source=hs)
+            return _Problem(kind, source=hs)
         # explicit_unitary
         matrix = _as_complex_matrix(_require(cfg, "unitary"), "unitary")
-        gate = sv.GateMatrix(matrix)
-        return _Problem(kind, gate.arity, unitary=gate)
+        return _Problem(kind, unitary=sv.GateMatrix(matrix))
     except ValueError as exc:
         raise ConfigError(f'problem "{kind}" is invalid: {exc}') from exc
 
@@ -261,6 +261,13 @@ def _parse_time(cfg: dict, problem: _Problem) -> float:
             f"of {bound:.6g}); reduce the time"
         )
     return t
+
+
+def _parse_out(cfg: dict) -> str:
+    out = cfg.get("out", "qpe_run")
+    if not isinstance(out, str) or not out:
+        raise ConfigError('key "out": expected a non-empty path stem')
+    return out
 
 
 def _require_term_support(spec: dict, label: str) -> list[int]:
@@ -308,77 +315,60 @@ def _build_guess(cfg: dict, l_system: int) -> tuple[sv.StateVector, object]:
 
 
 class _Run:
-    """Everything a sampling command needs, validated and materialized."""
+    """Everything a sampling command needs, validated and materialized.
+
+    ``pe_config`` is the one validator of ``m_index``, ``trials``, ``seed``
+    and ``power_method``.  An exact-evolution run is validated with its
+    source first, so every refusal precedes the eigendecomposition that
+    builds its unitary.
+    """
 
     def __init__(self, cfg: dict, *, need_exact: bool = False):
         self.problem = _build_problem(cfg)
-        self.m_index = _as_int(_require(cfg, "m_index"), "m_index", minimum=1)
-        self.time = _parse_time(cfg, self.problem)
-        self.trials = _as_int(cfg.get("trials", 1), "trials", minimum=1)
-        self.seed = _as_int(cfg.get("seed", 0), "seed", minimum=0)
-        if self.seed >= 2**64:
-            raise ConfigError(f'key "seed": must fit in 64 bits, got {self.seed}')
-        self.power_method = cfg.get("power_method", "block")
-        if self.power_method not in pe.POWER_METHODS:
-            choices = ", ".join(f'"{m}"' for m in pe.POWER_METHODS)
-            raise ConfigError(
-                f'key "power_method": must be one of {choices}, '
-                f"got {self.power_method!r}"
-            )
         self.slices = _parse_slices(cfg["slices"]) if "slices" in cfg else "exact"
         if self.problem.unitary is not None and "slices" in cfg:
             raise ConfigError('key "slices": not meaningful for an explicit unitary')
-        if "threshold" in cfg:
-            self.threshold = _as_real(cfg["threshold"], "threshold")
-            if self.threshold <= 0:
-                raise ConfigError(
-                    f'key "threshold": must be > 0, got {self.threshold}'
-                )
-        else:
-            self.threshold = pe.default_peak_threshold(self.trials)
-        self.out = cfg.get("out", "qpe_run")
-        if not isinstance(self.out, str) or not self.out:
-            raise ConfigError('key "out": expected a non-empty path stem')
-
-        work = 1 if self.power_method == "flag_loop" else 0
-        try:
-            self.layout = sv.RegisterLayout(self.m_index, self.problem.l_system, work)
-        except ValueError as exc:
-            raise ConfigError(
-                f"register layout (m_index/system size/work flag) is invalid: {exc}"
-            ) from exc
-        self.guess, self.guess_json = _build_guess(cfg, self.problem.l_system)
         if need_exact and self.slices != "exact":
             log.info("oracle audit always runs exact evolution; ignoring slices=%r",
                      self.slices)
             self.slices = "exact"
-        self.pe_config = self._make_pe_config()
+        self.pe_config = self._make_pe_config(cfg)
+        if "threshold" in cfg:
+            self.threshold = _as_real(cfg["threshold"], "threshold")
+            if self.threshold <= 0:
+                raise ConfigError(f'key "threshold": must be > 0, got {self.threshold}')
+        else:
+            self.threshold = pe.default_peak_threshold(self.pe_config.trials)
+        self.out = _parse_out(cfg)
+        self.guess, self.guess_json = _build_guess(cfg, self.pe_config.layout.l_system)
+        if self.slices == "exact" and self.problem.source is not None:
+            decomposition = self.problem.decomposition
+            if decomposition is None:
+                raise ConfigError(
+                    'key "slices": "exact" needs a system of at most '
+                    f"{oracle.MAX_DENSE_QUBITS} qubits; set an explicit slice count"
+                )
+            unitary = ham.unitary_from_decomposition(decomposition, self.pe_config.time)
+            self.pe_config = dataclasses.replace(self.pe_config, source=None, unitary=unitary)
 
-    def _make_pe_config(self) -> pe.PhaseEstimationConfig:
-        common = dict(
-            layout=self.layout,
-            time=self.time,
-            trials=self.trials,
-            seed=self.seed,
-            power_method=self.power_method,
-        )
+    def _make_pe_config(self, cfg: dict) -> pe.PhaseEstimationConfig:
         problem = self.problem
+        if problem.unitary is not None:
+            evolution = dict(unitary=problem.unitary)
+        else:
+            slices = 1 if self.slices == "exact" else self.slices
+            evolution = dict(source=problem.source, slices=slices)
         try:
-            if problem.unitary is not None:
-                return pe.PhaseEstimationConfig(unitary=problem.unitary, **common)
-            if self.slices == "exact":
-                if problem.decomposition is None:
-                    raise ConfigError(
-                        'key "slices": "exact" needs a system of at most '
-                        f"{oracle.MAX_DENSE_QUBITS} qubits; set an explicit slice count"
-                    )
-                unitary = ham.unitary_from_decomposition(problem.decomposition, self.time)
-                return pe.PhaseEstimationConfig(unitary=unitary, **common)
             return pe.PhaseEstimationConfig(
-                source=problem.source, slices=self.slices, **common
+                m_index=_as_int(_require(cfg, "m_index"), "m_index"),
+                time=_parse_time(cfg, problem),
+                trials=_as_int(cfg.get("trials", 1), "trials"),
+                seed=_as_int(cfg.get("seed", 0), "seed"),
+                power_method=cfg.get("power_method", "block"),
+                **evolution,
             )
-        except ValueError as exc:
-            raise ConfigError(f"run configuration is inconsistent: {exc}") from exc
+        except ConfigFieldError as exc:
+            raise ConfigError(f'key "{exc.field}": {exc}') from exc
 
     def resolved_config(self, cfg: dict) -> dict:
         """Canonical post-override config for the result record.
@@ -387,14 +377,15 @@ class _Run:
         thread count) are deliberately left out so reruns stay
         byte-identical.
         """
+        config = self.pe_config
         resolved = {
             "problem": self.problem.kind,
-            "m_index": self.m_index,
-            "time": self.time,
+            "m_index": config.m_index,
+            "time": config.time,
             "slices": self.slices,
-            "trials": self.trials,
-            "seed": self.seed,
-            "power_method": self.power_method,
+            "trials": config.trials,
+            "seed": config.seed,
+            "power_method": config.power_method,
             "threshold": self.threshold,
             "guess": self.guess_json,
         }
@@ -407,7 +398,7 @@ class _Run:
         decomposition = self.problem.decomposition
         if decomposition is None:
             return
-        window = math.pi / abs(self.time)
+        window = math.pi / abs(self.pe_config.time)
         extreme = float(np.abs(decomposition.eigenvalues).max())
         if extreme > window:
             log.warning(
@@ -442,26 +433,28 @@ def _g(x: float) -> str:
 
 
 def _histogram_csv(run: _Run, counts: np.ndarray) -> str:
-    bins = run.layout.num_bins
+    config = run.pe_config
+    bins = config.layout.num_bins
     lines = ["bin,phase_radians,energy,probability,counts"]
     for j in range(bins):
         phase = 2.0 * math.pi * j / bins
-        energy = pe.phase_to_energy(phase, run.time)
+        energy = pe.phase_to_energy(phase, config.time)
         lines.append(
-            f"{j},{_g(phase)},{_g(energy)},{_g(counts[j] / run.trials)},{int(counts[j])}"
+            f"{j},{_g(phase)},{_g(energy)},{_g(counts[j] / config.trials)},{int(counts[j])}"
         )
     return "\n".join(lines) + "\n"
 
 
 def _peak_record(run: _Run, bin_index: int, counts: np.ndarray,
                  collapsed: sv.StateVector) -> dict:
-    bins = run.layout.num_bins
+    config = run.pe_config
+    bins = config.layout.num_bins
     phase = 2.0 * math.pi * bin_index / bins
-    energy = pe.phase_to_energy(phase, run.time)
+    energy = pe.phase_to_energy(phase, config.time)
     fidelity = None
     decomposition = run.problem.decomposition
     if decomposition is not None:
-        bin_width = 2.0 * math.pi / (bins * abs(run.time))
+        bin_width = 2.0 * math.pi / (bins * abs(config.time))
         try:
             fidelity = pe.eigenvector_fidelity(collapsed, decomposition, energy, bin_width)
         except ValueError:
@@ -471,7 +464,7 @@ def _peak_record(run: _Run, bin_index: int, counts: np.ndarray,
         "bin": bin_index,
         "phase_radians": phase,
         "energy": energy,
-        "probability": float(counts[bin_index] / run.trials),
+        "probability": float(counts[bin_index] / config.trials),
         "counts": int(counts[bin_index]),
         "eigenvector_fidelity": fidelity,
     }
@@ -482,10 +475,7 @@ def _peak_record(run: _Run, bin_index: int, counts: np.ndarray,
 
 
 def _cmd_sample(args: argparse.Namespace, *, spectrum: bool) -> int:
-    cfg = _merged_config(args)
-    kind = cfg.get("problem")
-    allowed = _RUN_KEYS | _PROBLEM_KEYS.get(kind, set())
-    _check_keys(cfg, allowed)
+    cfg = _merged_config(args, _RUN_KEYS)
     run = _Run(cfg)
     run.warn_if_aliased()
 
@@ -507,11 +497,12 @@ def _cmd_sample(args: argparse.Namespace, *, spectrum: bool) -> int:
     else:
         peaks = [dominant]
 
+    trials = run.pe_config.trials
     record = {
         "command": "spectrum" if spectrum else "solve",
         "config": run.resolved_config(cfg),
-        "trials": run.trials,
-        "seed": run.seed,
+        "trials": trials,
+        "seed": run.pe_config.seed,
         "dominant": dominant,
         "peaks": peaks,
     }
@@ -523,7 +514,7 @@ def _cmd_sample(args: argparse.Namespace, *, spectrum: bool) -> int:
     for entry in peaks:
         print(
             f"bin {entry['bin']}: energy {entry['energy']:.10g}, "
-            f"weight {entry['probability']:.6g} ({entry['counts']}/{run.trials})"
+            f"weight {entry['probability']:.6g} ({entry['counts']}/{trials})"
         )
     print(f"wrote {csv_path} and {json_path}")
     return EXIT_OK
@@ -538,10 +529,7 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
 
 
 def cmd_trotter_bench(args: argparse.Namespace) -> int:
-    cfg = _merged_config(args)
-    kind = cfg.get("problem")
-    allowed = _BENCH_KEYS | _PROBLEM_KEYS.get(kind, set())
-    _check_keys(cfg, allowed)
+    cfg = _merged_config(args, _BENCH_KEYS)
     problem = _build_problem(cfg)
     if problem.source is None:
         raise ConfigError(
@@ -554,14 +542,12 @@ def cmd_trotter_bench(args: argparse.Namespace) -> int:
     sweep = [_as_int(r, "slice_sweep", minimum=1) for r in sweep_raw]
     if any(b <= a for a, b in zip(sweep, sweep[1:])):
         raise ConfigError('key "slice_sweep": slice counts must be strictly increasing')
-    if problem.decomposition is None:
+    out = _parse_out(cfg)
+    if problem.decomposition is None:  # the last refusal; otherwise it runs eigh
         raise ConfigError(
             'key "system_qubits": system too large for the exact reference '
             f"(needs <= {oracle.MAX_DENSE_QUBITS} qubits)"
         )
-    out = cfg.get("out", "qpe_run")
-    if not isinstance(out, str) or not out:
-        raise ConfigError('key "out": expected a non-empty path stem')
 
     exact = ham.unitary_from_decomposition(problem.decomposition, t).matrix
     lines = ["r,operator_error,wall_seconds"]
@@ -607,29 +593,21 @@ def cmd_resources(args: argparse.Namespace) -> int:
 
 
 def cmd_oracle_check(args: argparse.Namespace) -> int:
-    cfg = _merged_config(args)
-    kind = cfg.get("problem")
-    allowed = _RUN_KEYS | _PROBLEM_KEYS.get(kind, set())
-    _check_keys(cfg, allowed)
+    cfg = _merged_config(args, _RUN_KEYS)
     run = _Run(cfg, need_exact=True)
     if run.problem.source is None:
         raise ConfigError(
             'key "problem": oracle-check needs a Hamiltonian-bearing problem'
         )
-    decomposition = run.problem.decomposition
-    if decomposition is None:
-        raise ConfigError(
-            'key "system_qubits": oracle-check needs a system of at most '
-            f"{oracle.MAX_DENSE_QUBITS} qubits"
-        )
+    decomposition = run.problem.decomposition  # the exact-mode run ensured it exists
     corrupt = bool(getattr(args, "corrupt_qft_sign", False))
+    config = run.pe_config
 
-    components = oracle.spectral_components(run.guess, decomposition, run.time)
-    analytic = pe.analytic_bin_distribution(components, run.m_index)
+    components = oracle.spectral_components(run.guess, decomposition, config.time)
+    analytic = pe.analytic_bin_distribution(components, config.m_index)
 
-    pre = pe.pre_measurement_state(run.guess, run.pe_config,
-                                   _corrupt_qft_sign=corrupt)
-    simulated = sv.register_distribution(pre, run.layout.index_qubits)
+    pre = pe.pre_measurement_state(run.guess, config, _corrupt_qft_sign=corrupt)
+    simulated = sv.register_distribution(pre, config.layout.index_qubits)
     deviation = float(np.abs(simulated - analytic).max())
     if not (deviation <= DISTRIBUTION_TOL):
         raise AuditFailure(
@@ -639,24 +617,28 @@ def cmd_oracle_check(args: argparse.Namespace) -> int:
 
     # Route check: the block engine against a gate-level route, amplitude by
     # amplitude (binary_power stands in when the engine is the configured route).
-    other = "binary_power" if run.power_method == "block" else "block"
+    # A flag_loop state carries a flag qubit on top: its flag-free half must
+    # match the narrower engine state and its flag half must be zero.
+    other = "binary_power" if config.power_method == "block" else "block"
     cross = pe.pre_measurement_state(
-        run.guess, dataclasses.replace(run.pe_config, power_method=other),
+        run.guess, dataclasses.replace(config, power_method=other),
         _corrupt_qft_sign=corrupt,
-    )
-    route_deviation = float(np.abs(cross.amplitudes - pre.amplitudes).max())
+    ).amplitudes
+    gaps = np.concatenate([cross - pre.amplitudes[: cross.size],
+                           pre.amplitudes[cross.size:]])
+    route_deviation = float(np.abs(gaps).max())
     if not (route_deviation <= ROUTE_TOL):
         raise AuditFailure(
-            f"route check: {run.power_method} and {other} differ by up to "
+            f"route check: {config.power_method} and {other} differ by up to "
             f"{route_deviation:.3e} per amplitude, above {ROUTE_TOL:g}"
         )
 
     # Collapse audit: conditioning on each populated readout bin must land on
     # the spectrally predicted mixture of eigenvectors.
     populated = [int(j) for j in np.nonzero(analytic > POPULATED_BIN_FLOOR)[0]]
-    collapsed = pe._collapse_bins(pre, run.layout, populated)
+    collapsed = pe._collapse_bins(pre, config.layout, populated)
     predicted = pe.analytic_collapsed_states(
-        run.guess, decomposition, run.time, run.m_index, populated
+        run.guess, decomposition, config.time, config.m_index, populated
     )
     worst_bin, worst = -1, 1.0
     for j in populated:
@@ -669,7 +651,7 @@ def cmd_oracle_check(args: argparse.Namespace) -> int:
                 f"below 1 - {COLLAPSE_FIDELITY_TOL:g}"
             )
     print(f"distribution check: max per-bin deviation {deviation:.3e}")
-    print(f"route check: {run.power_method} vs {other}, max per-amplitude "
+    print(f"route check: {config.power_method} vs {other}, max per-amplitude "
           f"deviation {route_deviation:.3e}")
     if worst_bin >= 0:
         print(f"eigenvector-fidelity audit: worst fidelity {worst:.12f} "
@@ -682,14 +664,15 @@ def cmd_oracle_check(args: argparse.Namespace) -> int:
 # argument plumbing
 
 
-def _merged_config(args: argparse.Namespace) -> dict:
-    """Config file contents with command-line overrides folded in."""
+def _merged_config(args: argparse.Namespace, command_keys: set[str]) -> dict:
+    """Config file contents with command-line overrides folded in; keys other
+    than ``command_keys`` and the problem's own are refused."""
     cfg = _load_config(args.config)
     overrides = {
         "seed": getattr(args, "seed", None),
         "m_index": getattr(args, "index_qubits", None),
         "time": getattr(args, "time", None),
-        "slices": getattr(args, "slices", None),
+        "slices": _parse_slices_flag(getattr(args, "slices", None)),
         "trials": getattr(args, "trials", None),
         "threshold": getattr(args, "threshold", None),
         "out": getattr(args, "out", None),
@@ -697,6 +680,10 @@ def _merged_config(args: argparse.Namespace) -> dict:
     for key, value in overrides.items():
         if value is not None:
             cfg[key] = value
+    allowed = command_keys | _PROBLEM_KEYS.get(cfg.get("problem"), set())
+    for key in cfg:
+        if key not in allowed:
+            raise ConfigError(f'unknown key "{key}"')
     return cfg
 
 
@@ -710,7 +697,7 @@ def _add_run_flags(parser: argparse.ArgumentParser, *, sampling: bool) -> None:
                             help="override m_index")
         parser.add_argument("--seed", type=int, metavar="U64",
                             help="override the sampling seed")
-        parser.add_argument("--slices", type=_parse_slices, metavar="N|exact",
+        parser.add_argument("--slices", metavar="N|exact",
                             help="override the slice count")
         parser.add_argument("--trials", type=int, metavar="N",
                             help="override the trial count")

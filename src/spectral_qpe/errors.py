@@ -9,3 +9,11 @@ class ContractViolation(RuntimeError):
     implementation bugs (or deliberately corrupted test runs), never bad user
     input; bad input raises ValueError instead.
     """
+
+
+class ConfigFieldError(ValueError):
+    """A configuration value is refused; ``field`` names the offending field."""
+
+    def __init__(self, field: str, message: str) -> None:
+        super().__init__(message)
+        self.field = field

@@ -23,14 +23,14 @@ sampling.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import oracle
 from . import qft
 from . import statevector as sv
-from .errors import ContractViolation
+from .errors import ConfigFieldError, ContractViolation
 
 #: Work/flag qubits must be |0> to this amplitude tolerance at readout.
 WORK_RESIDUE_TOL = 1e-9
@@ -42,6 +42,7 @@ POWER_METHODS = ("block", "binary_power", "flag_loop")
 class PhaseEstimationConfig:
     """Everything one estimation run needs.
 
+    ``m_index`` is the number of index qubits (M = 2^m_index readout bins).
     ``time`` is the t in U = e^{-iHt}; it maps measured phases back to
     energies and must be finite and nonzero.  Exactly one unitary source must
     be given:
@@ -61,13 +62,17 @@ class PhaseEstimationConfig:
 
     ``power_method`` selects the route: ``"block"`` (the engine, default),
     or one of the gate-level references ``"binary_power"`` and
-    ``"flag_loop"`` (the latter needs a work qubit for its flag).  The
-    engine rounds differently from the gate routes, within 1e-10 per
-    amplitude.  ``seed`` is the master seed of the per-trial streams, in
-    [0, 2^64).
+    ``"flag_loop"``.  The engine rounds differently from the gate routes,
+    within 1e-10 per amplitude.  ``seed`` is the master seed of the
+    per-trial streams, in [0, 2^64).
+
+    The register layout is derived, not declared: ``layout`` is the
+    read-only ``RegisterLayout(m_index, l, w)`` with l the qubits the unitary
+    acts on and w = 1 (the comparator flag) for ``"flag_loop"``, else 0.
+    Each refused value raises :class:`ConfigFieldError` naming its field.
     """
 
-    layout: sv.RegisterLayout
+    m_index: int
     unitary: sv.GateMatrix | None = None
     source: object | None = None
     time: float | None = None
@@ -75,33 +80,37 @@ class PhaseEstimationConfig:
     trials: int = 1
     seed: int = 0
     power_method: str = "block"
+    layout: sv.RegisterLayout = field(init=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.trials < 1:
-            raise ValueError(f"trials must be >= 1, got {self.trials}")
+            raise ConfigFieldError("trials", f"trials must be >= 1, got {self.trials}")
         if not 0 <= self.seed < 2**64:
-            raise ValueError(f"seed must be in [0, 2^64), got {self.seed}")
+            raise ConfigFieldError("seed", f"seed must be in [0, 2^64), got {self.seed}")
         if self.power_method not in POWER_METHODS:
-            raise ValueError(f"unknown power_method {self.power_method!r}")
-        if self.power_method == "flag_loop" and self.layout.w_work < 1:
-            raise ValueError("flag_loop needs at least one work qubit for the flag")
+            choices = ", ".join(f'"{m}"' for m in POWER_METHODS)
+            raise ConfigFieldError(
+                "power_method",
+                f"power_method must be one of {choices}, got {self.power_method!r}",
+            )
         if (self.unitary is None) == (self.source is None):
             raise ValueError("config needs exactly one of: unitary, source")
         if self.time is None or not (math.isfinite(self.time) and self.time != 0):
-            raise ValueError(f"time must be finite and nonzero, got {self.time!r}")
+            raise ConfigFieldError("time", f"time must be finite and nonzero, got {self.time!r}")
         if not isinstance(self.slices, (int, np.integer)) or self.slices < 1:
-            raise ValueError(f"slice count must be an integer >= 1, got {self.slices!r}")
-        if self.unitary is not None:
-            if self.slices != 1:
-                raise ValueError("slices only apply to a source, not to a unitary")
-            system_qubits = self.unitary.arity
-        else:
-            system_qubits = self.source.num_qubits
-        if system_qubits != self.layout.l_system:
-            raise ValueError(
-                f"unitary source spans {system_qubits} qubits but the system "
-                f"register has {self.layout.l_system}"
+            raise ConfigFieldError(
+                "slices", f"slice count must be an integer >= 1, got {self.slices!r}"
             )
+        if self.unitary is not None and self.slices != 1:
+            raise ConfigFieldError("slices", "slices only apply to a source, not to a unitary")
+        system = self.unitary.arity if self.unitary is not None else self.source.num_qubits
+        try:
+            layout = sv.RegisterLayout(
+                self.m_index, system, 1 if self.power_method == "flag_loop" else 0
+            )
+        except ValueError as exc:
+            raise ConfigFieldError("m_index", str(exc)) from exc
+        object.__setattr__(self, "layout", layout)
 
 
 @dataclass(frozen=True)
@@ -195,10 +204,12 @@ def _stable_square(matrix: np.ndarray) -> np.ndarray:
 
 
 class _MatrixPowers:
-    """Applies controlled-U^p for a dense system unitary, memoizing squarings."""
+    """Applies controlled-U^p for a dense system unitary, memoizing squarings
+    and validating each power once, when it is first built."""
 
-    def __init__(self, matrix: np.ndarray, system_qubits: list[int]) -> None:
-        self._pow2 = [np.asarray(matrix, dtype=np.complex128)]
+    def __init__(self, gate: sv.GateMatrix, system_qubits: list[int]) -> None:
+        self._pow2 = [gate.matrix]
+        self._gates = {1: gate}
         self._system = system_qubits
 
     def _power_matrix(self, power: int) -> np.ndarray:
@@ -215,7 +226,9 @@ class _MatrixPowers:
         return result
 
     def apply_controlled(self, state, controls, power: int):
-        gate = sv.GateMatrix(self._power_matrix(power))
+        gate = self._gates.get(power)
+        if gate is None:
+            gate = self._gates[power] = sv.GateMatrix(self._power_matrix(power))
         return sv.apply_controlled_gate(state, gate, controls, self._system)
 
 
@@ -236,7 +249,7 @@ class _SourcePowers:
 
 def _unitary_driver(config: PhaseEstimationConfig):
     if config.unitary is not None:
-        return _MatrixPowers(config.unitary.matrix, config.layout.system_qubits)
+        return _MatrixPowers(config.unitary, config.layout.system_qubits)
     return _SourcePowers(config)
 
 
@@ -270,8 +283,6 @@ def apply_conditional_powers_flag_loop(
     internal contract violation.
     """
     layout = config.layout
-    if layout.w_work < 1:
-        raise ValueError("flag_loop needs a work qubit to hold the flag")
     driver = _unitary_driver(config)
     flag = layout.work_qubits[0]
     index_values = sv.register_values(state.num_qubits, layout.index_qubits)
@@ -296,22 +307,6 @@ def apply_conditional_powers_binary(
     return state
 
 
-def _check_guess(va: sv.StateVector, layout: sv.RegisterLayout) -> None:
-    if va.num_qubits != layout.l_system:
-        raise ValueError(
-            f"guess state spans {va.num_qubits} qubits but the system register "
-            f"has {layout.l_system}"
-        )
-
-
-def _initial_state(va: sv.StateVector, layout: sv.RegisterLayout) -> sv.StateVector:
-    """|0>_index (x) |va>_system (x) |0>_work as one register."""
-    _check_guess(va, layout)
-    amps = np.zeros(2**layout.total_qubits, dtype=np.complex128)
-    amps[np.arange(2**layout.l_system) << layout.m_index] = va.amplitudes
-    return sv._wrap_state(layout.total_qubits, amps)
-
-
 def _system_step(config: PhaseEstimationConfig):
     """One application of U to a 2^l system vector: the dense unitary as is,
     or ``slices`` steps of the source."""
@@ -329,10 +324,9 @@ def _block_engine_state(
     The inverse-QFT kernel e^{-2*pi*i*jk/M} is numpy's forward FFT, so the
     readout amplitudes are fft(psi)/M; the corrupted readout uses the
     forward-QFT kernel, ifft(psi).  The result is laid out like the gate
-    routes' state: index bits low, then system, work register |0>.
+    routes' state: index bits low, then system.
     """
     layout = config.layout
-    _check_guess(va, layout)
     step = _system_step(config)
     psi = np.empty((layout.num_bins, 2**layout.l_system), dtype=np.complex128)
     psi[0] = va.amplitudes
@@ -342,9 +336,7 @@ def _block_engine_state(
         readout = np.fft.ifft(psi, axis=0)
     else:
         readout = np.fft.fft(psi, axis=0) / layout.num_bins
-    amps = np.zeros(2**layout.total_qubits, dtype=np.complex128)
-    amps[: readout.size] = readout.T.ravel()
-    return sv._wrap_state(layout.total_qubits, amps)
+    return sv._wrap_state(layout.total_qubits, readout.T.ravel())
 
 
 def pre_measurement_state(
@@ -357,11 +349,18 @@ def pre_measurement_state(
     readout with the wrong transform direction, which the distribution
     cross-check must catch.
     """
+    layout = config.layout
+    if va.num_qubits != layout.l_system:
+        raise ValueError(
+            f"guess state spans {va.num_qubits} qubits but the system register "
+            f"has {layout.l_system}"
+        )
     if config.power_method == "block":
         return _block_engine_state(va, config, _corrupt_qft_sign)
-    layout = config.layout
-    state = _initial_state(va, layout)
-    state = prepare_index_superposition(state, layout)
+    # |0>_index (x) |va>_system (x) |0>_work as one register
+    amps = np.zeros(2**layout.total_qubits, dtype=np.complex128)
+    amps[np.arange(2**layout.l_system) << layout.m_index] = va.amplitudes
+    state = prepare_index_superposition(sv._wrap_state(layout.total_qubits, amps), layout)
     if config.power_method == "flag_loop":
         state = apply_conditional_powers_flag_loop(state, config)
     else:

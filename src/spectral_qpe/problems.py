@@ -41,9 +41,10 @@ def build_transverse_ising(sites: int, coupling: float, field: float) -> ham.Ham
 def sample_potential(spec, num_qubits: int) -> np.ndarray:
     """Resolve a potential description to 2^l sampled values.
 
-    ``spec`` is either an array of 2^l finite reals or one of the built-ins:
+    ``spec`` is either an array of 2^l reals or one of the built-ins:
     ``"zero"``, ``"constant:c"``, ``"harmonic:omega,x0"`` (the last samples
     V(x) = 0.5 * omega^2 * (x - x0)^2 on grid points x = 0 .. 2^l - 1).
+    Every sample must be finite, whichever form produced it.
     """
     points = 2**num_qubits
     if isinstance(spec, str):
@@ -53,20 +54,23 @@ def sample_potential(spec, num_qubits: int) -> np.ndarray:
         except ValueError:
             raise ValueError(f"bad numeric arguments in potential spec {spec!r}") from None
         if name == "zero" and not args:
-            return np.zeros(points)
-        if name == "constant" and len(args) == 1:
-            return np.full(points, args[0])
-        if name == "harmonic" and len(args) == 2:
+            values = np.zeros(points)
+        elif name == "constant" and len(args) == 1:
+            values = np.full(points, args[0])
+        elif name == "harmonic" and len(args) == 2:
             omega, x0 = args
             x = np.arange(points, dtype=float)
-            return 0.5 * omega**2 * (x - x0) ** 2
-        raise ValueError(f"unknown potential spec {spec!r}")
-    values = np.array(spec, dtype=float)
-    if values.shape != (points,):
-        raise ValueError(
-            f"potential needs {points} samples for {num_qubits} qubits, "
-            f"got shape {values.shape}"
-        )
+            with np.errstate(over="ignore", invalid="ignore"):
+                values = 0.5 * np.float64(omega) ** 2 * (x - x0) ** 2
+        else:
+            raise ValueError(f"unknown potential spec {spec!r}")
+    else:
+        values = np.array(spec, dtype=float)
+        if values.shape != (points,):
+            raise ValueError(
+                f"potential needs {points} samples for {num_qubits} qubits, "
+                f"got shape {values.shape}"
+            )
     if not np.all(np.isfinite(values)):
         raise ValueError("potential samples must be finite")
     return values
@@ -92,8 +96,6 @@ class GridRecipe:
         if not mass > 0:
             raise ValueError(f"mass must be positive, got {mass}")
         values = sample_potential(potential, num_qubits)
-        if not np.all(np.isfinite(values)):
-            raise ValueError("potential samples must be finite")
         values.setflags(write=False)
         self.num_qubits = num_qubits
         self.potential = values

@@ -13,7 +13,6 @@ from spectral_qpe import (
     HamiltonianSum,
     LocalTerm,
     PhaseEstimationConfig,
-    RegisterLayout,
     analytic_bin_distribution,
     assemble_dense,
     build_grid_particle,
@@ -81,7 +80,7 @@ def test_exact_distribution_matches_closed_form(acceptance):
         h = HamiltonianSum([LocalTerm(list(range(l_system)), dense)], l_system)
         va = load_amplitudes(l_system, ref.random_state(l_system, rng))
         config = PhaseEstimationConfig(
-            layout=RegisterLayout(m_index, l_system, 0),
+            m_index=m_index,
             unitary=exact_unitary(h, t),
             time=t,
         )
@@ -102,7 +101,7 @@ def test_exact_distribution_matches_closed_form(acceptance):
 def test_sampling_frequencies_follow_overlap_weights(acceptance):
     started = time.perf_counter()
     config = PhaseEstimationConfig(
-        layout=RegisterLayout(2, 1, 0),
+        m_index=2,
         unitary=GateMatrix(np.diag([1.0, 1.0j])),
         time=1.0,
         trials=4000,
@@ -137,7 +136,7 @@ def test_collapse_lands_on_oracle_eigenvectors(acceptance):
         weights = rng.dirichlet(np.ones(4))
         va = load_amplitudes(2, basis @ np.sqrt(weights))
         config = PhaseEstimationConfig(
-            layout=RegisterLayout(m_index, 2, 0),
+            m_index=m_index,
             unitary=exact_gate_from_dense(dense, t),
             time=t,
             trials=100,
@@ -197,7 +196,7 @@ def test_peak_error_shrinks_with_register_width(acceptance):
     for m_index in range(4, 9):
         bins = 2**m_index
         config = PhaseEstimationConfig(
-            layout=RegisterLayout(m_index, 1, 0),
+            m_index=m_index,
             unitary=GateMatrix(np.diag([1.0, np.exp(1j * omega)])),
             time=1.0,
         )
@@ -225,7 +224,7 @@ def test_spin_chain_spectrum_end_to_end(acceptance):
 
     va = load_amplitudes(3, np.full(8, 1 / math.sqrt(8)))
     config = PhaseEstimationConfig(
-        layout=RegisterLayout(m_index, 3, 0),
+        m_index=m_index,
         unitary=exact_unitary(h, t),
         time=t,
         trials=trials,
@@ -274,16 +273,16 @@ def test_conditional_power_routes_agree(acceptance):
         u = ref.random_unitary(2**l_system, rng)
         va = load_amplitudes(l_system, ref.random_state(l_system, rng))
 
-        def state(method: str, work: int) -> np.ndarray:
+        def state(method: str) -> np.ndarray:
             config = PhaseEstimationConfig(
-                layout=RegisterLayout(m_index, l_system, work),
+                m_index=m_index,
                 unitary=GateMatrix(u), time=1.0, power_method=method,
             )
             return pre_measurement_state(va, config).amplitudes
 
-        block = state("block", 0)
-        binary = state("binary_power", 0)
-        flagged = state("flag_loop", 1)
+        block = state("block")
+        binary = state("binary_power")
+        flagged = state("flag_loop")
         flag_free, flag_half = flagged[: len(block)], flagged[len(block):]
         worst = max(worst, float(np.abs(block - binary).max()),
                     float(np.abs(block - flag_free).max()))
@@ -340,7 +339,7 @@ def test_grid_particle_ground_state_via_split_steps(acceptance):
     envelope = np.exp(-0.05 * (x - 31.5) ** 2 / 2.0)  # continuum ground profile
     guess = load_amplitudes(6, envelope / np.linalg.norm(envelope))
     config = PhaseEstimationConfig(
-        layout=RegisterLayout(m_index, 6, 0),
+        m_index=m_index,
         source=recipe,
         time=t,
         slices=slices,

@@ -89,6 +89,21 @@ class TestSolve:
         assert "out" not in resolved
         assert "threads" not in resolved
 
+    def test_slices_flag_matches_slices_key(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        base = {"problem": "tfim", "sites": 3, "m_index": 4, "time": 0.5,
+                "trials": 300, "seed": 6}
+        keyed = write_config(tmp_path, dict(base, slices=3, out="key"), "key.json")
+        flagged = write_config(tmp_path, dict(base, out="flag"), "flag.json")
+        assert cli.main(["solve", "--config", keyed]) == 0
+        by_key = capsys.readouterr().out
+        assert cli.main(["solve", "--config", flagged, "--slices", "3"]) == 0
+        assert capsys.readouterr().out == by_key.replace("key.", "flag.")
+        for suffix in ("histogram.csv", "result.json"):
+            assert (tmp_path / f"flag.{suffix}").read_bytes() == (
+                tmp_path / f"key.{suffix}"
+            ).read_bytes()
+
 
 class TestDeterminism:
     CFG = {
@@ -187,6 +202,16 @@ class TestConfigRejections:
         cfg = dict(DIAG_I, m_index=2, time=1.0, slices=4)
         self.check(tmp_path, capsys, cfg, 'key "slices"')
 
+    @pytest.mark.parametrize("flag", ["0", "x"])
+    def test_bad_slices_flag_is_named(self, tmp_path, monkeypatch, capsys, flag):
+        monkeypatch.chdir(tmp_path)
+        cfg = {"problem": "tfim", "sites": 3, "m_index": 3, "time": 0.5, "out": "bad"}
+        code = cli.main(["solve", "--config", write_config(tmp_path, cfg),
+                         "--slices", flag])
+        assert code == 2
+        assert 'key "slices"' in capsys.readouterr().err
+        assert list(tmp_path.glob("bad*")) == []
+
     def test_nonpositive_threshold(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
         cfg = dict(DIAG_I, m_index=2, time=1.0, threshold=-0.5)
@@ -235,17 +260,39 @@ class TestConfigRejections:
     def test_non_finite_lambda_t_refused_before_running(
         self, tmp_path, monkeypatch, capsys, problem, command
     ):
+        cfg = dict(problem, m_index=3, time=1e308, slices=2, out="overflow")
+        err = self.check_refused_before_running(
+            tmp_path, monkeypatch, capsys, cfg, "time", command
+        )
+        assert "not finite" in err
+
+    @pytest.mark.parametrize("command", ["solve", "spectrum", "oracle-check"])
+    @pytest.mark.parametrize(
+        "bad, key",
+        [({"power_method": "dense"}, "power_method"), ({"seed": 2**64}, "seed"),
+         ({"m_index": 25}, "m_index")],
+        ids=["dense", "seed", "m_index"],
+    )
+    def test_exact_run_refused_before_eigendecomposition(
+        self, tmp_path, monkeypatch, capsys, bad, key, command
+    ):
+        cfg = {"problem": "tfim", "sites": 3, "m_index": 3, "time": 0.5,
+               "out": "exact", **bad}
+        self.check_refused_before_running(tmp_path, monkeypatch, capsys, cfg, key,
+                                          command)
+
+    def check_refused_before_running(self, tmp_path, monkeypatch, capsys, cfg, key,
+                                     command):
         monkeypatch.chdir(tmp_path)
 
         def forbidden(*args, **kwargs):
-            raise AssertionError("the run started before time was validated")
+            raise AssertionError(f'the run started before "{key}" was validated')
 
         monkeypatch.setattr(pe, "pre_measurement_state", forbidden)
         monkeypatch.setattr(oracle, "eigendecompose", forbidden)
-        cfg = dict(problem, m_index=3, time=1e308, slices=2, out="overflow")
-        err = self.check(tmp_path, capsys, cfg, 'key "time"', command=command)
-        assert "not finite" in err
-        assert list(tmp_path.glob("overflow*")) == []
+        err = self.check(tmp_path, capsys, cfg, f'key "{key}"', command=command)
+        assert list(tmp_path.glob(f"{cfg['out']}*")) == []
+        return err
 
     def test_invalid_log_level_env(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
@@ -306,6 +353,25 @@ class TestTrotterBench:
                          write_config(tmp_path, cfg)]) == 2
         assert 'key "time"' in capsys.readouterr().err
         assert list(tmp_path.glob("xz*")) == []
+
+    @pytest.mark.parametrize(
+        "bad, key",
+        [({"out": 5}, "out"), ({"slice_sweep": [2, 1]}, "slice_sweep"),
+         ({"time": 0.0}, "time")],
+        ids=["out", "slice_sweep", "time"],
+    )
+    def test_refusals_come_before_the_eigendecomposition(
+        self, tmp_path, monkeypatch, capsys, bad, key
+    ):
+        def forbidden(*args, **kwargs):
+            raise AssertionError(f'eigendecomposition ran before "{key}" was validated')
+
+        monkeypatch.setattr(oracle, "eigendecompose", forbidden)
+        monkeypatch.chdir(tmp_path)
+        cfg = {**self.X_PLUS_Z, "time": 1.0, "slice_sweep": [1, 2], **bad}
+        assert cli.main(["trotter-bench", "--config",
+                         write_config(tmp_path, cfg)]) == 2
+        assert f'key "{key}"' in capsys.readouterr().err
 
     def test_rejects_non_increasing_sweep(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)

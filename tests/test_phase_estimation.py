@@ -1,5 +1,6 @@
 """Estimation pipeline: conditional powers, readout law, sampling, collapse."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -41,10 +42,8 @@ from spectral_qpe import (
 
 def unitary_config(matrix, m_index, *, time=1.0, power_method="binary_power", **kw):
     gate = matrix if isinstance(matrix, GateMatrix) else GateMatrix(matrix)
-    work = 1 if power_method == "flag_loop" else 0
-    layout = RegisterLayout(m_index, gate.arity, work)
     return PhaseEstimationConfig(
-        layout=layout, unitary=gate, time=time, power_method=power_method, **kw
+        m_index=m_index, unitary=gate, time=time, power_method=power_method, **kw
     )
 
 
@@ -60,50 +59,53 @@ def lift(va_amps, layout):
 
 
 def test_config_requires_exactly_one_evolution_source():
-    layout = RegisterLayout(2, 1, 0)
     gate = GateMatrix(np.eye(2))
     h = HamiltonianSum([LocalTerm([0], ref.Z)], 1)
     with pytest.raises(ValueError):
-        PhaseEstimationConfig(layout=layout, unitary=gate, source=h,
+        PhaseEstimationConfig(m_index=2, unitary=gate, source=h,
                               slices=2, time=1.0)
     with pytest.raises(ValueError):
-        PhaseEstimationConfig(layout=layout)
+        PhaseEstimationConfig(m_index=2)
     with pytest.raises(ValueError):
-        PhaseEstimationConfig(layout=layout, source=h)  # no time
+        PhaseEstimationConfig(m_index=2, source=h)  # no time
 
 
 def test_config_raw_unitary_needs_time():
-    layout = RegisterLayout(2, 1, 0)
     with pytest.raises(ValueError):
-        PhaseEstimationConfig(layout=layout, unitary=GateMatrix(np.eye(2)))
+        PhaseEstimationConfig(m_index=2, unitary=GateMatrix(np.eye(2)))
 
 
 def test_config_flag_loop_needs_work_qubit():
-    with pytest.raises(ValueError):
-        PhaseEstimationConfig(
-            layout=RegisterLayout(2, 1, 0),
+    for method, work in (("flag_loop", 1), ("binary_power", 0), ("block", 0)):
+        config = PhaseEstimationConfig(
+            m_index=2,
             unitary=GateMatrix(np.eye(2)),
             time=1.0,
-            power_method="flag_loop",
+            power_method=method,
         )
+        assert config.layout == RegisterLayout(2, 1, work)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        config.layout = RegisterLayout(2, 1, 1)
 
 
 def test_config_defaults_to_block_engine_and_rejects_unknown_routes():
-    layout = RegisterLayout(2, 1, 0)
-    config = PhaseEstimationConfig(layout=layout, unitary=GateMatrix(np.eye(2)), time=1.0)
+    config = PhaseEstimationConfig(m_index=2, unitary=GateMatrix(np.eye(2)), time=1.0)
     assert config.power_method == "block"
     with pytest.raises(ValueError):
-        PhaseEstimationConfig(layout=layout, unitary=GateMatrix(np.eye(2)),
+        PhaseEstimationConfig(m_index=2, unitary=GateMatrix(np.eye(2)),
                               time=1.0, power_method="dense")
 
 
 def test_config_dimension_and_trials_checks():
-    layout = RegisterLayout(2, 2, 0)
-    with pytest.raises(ValueError):
-        PhaseEstimationConfig(layout=layout, unitary=GateMatrix(np.eye(2)), time=1.0)
+    two_qubit = PhaseEstimationConfig(m_index=2, unitary=GateMatrix(np.eye(4)), time=1.0)
+    assert two_qubit.layout == RegisterLayout(2, 2, 0)
+    h = HamiltonianSum([LocalTerm([0], ref.Z)], 3)
+    assert PhaseEstimationConfig(
+        m_index=2, source=h, time=1.0
+    ).layout == RegisterLayout(2, 3, 0)
     with pytest.raises(ValueError):
         PhaseEstimationConfig(
-            layout=RegisterLayout(2, 1, 0),
+            m_index=2,
             unitary=GateMatrix(np.eye(2)),
             time=1.0,
             trials=0,
@@ -112,14 +114,13 @@ def test_config_dimension_and_trials_checks():
 
 def test_config_slice_count_checks():
     h = HamiltonianSum([LocalTerm([0], ref.Z)], 1)
-    layout = RegisterLayout(2, 1, 0)
     for bad_slices in (0, 2.5):
         with pytest.raises(ValueError, match="slice count"):
-            PhaseEstimationConfig(layout=layout, source=h, time=1.0, slices=bad_slices)
+            PhaseEstimationConfig(m_index=2, source=h, time=1.0, slices=bad_slices)
     with pytest.raises(ValueError, match="slices"):
-        PhaseEstimationConfig(layout=layout, unitary=GateMatrix(np.eye(2)),
+        PhaseEstimationConfig(m_index=2, unitary=GateMatrix(np.eye(2)),
                               time=1.0, slices=2)
-    assert PhaseEstimationConfig(layout=layout, source=h, time=1.0, slices=3).slices == 3
+    assert PhaseEstimationConfig(m_index=2, source=h, time=1.0, slices=3).slices == 3
 
 
 @pytest.mark.parametrize("bad_time", [math.nan, math.inf, -math.inf])
@@ -131,18 +132,17 @@ def test_config_rejects_non_finite_time(mode, bad_time):
         else dict(source=HamiltonianSum([LocalTerm([0], ref.Z)], 1), slices=2)
     )
     with pytest.raises(ValueError, match="time"):
-        PhaseEstimationConfig(layout=RegisterLayout(2, 1, 0), time=bad_time, **source_kw)
+        PhaseEstimationConfig(m_index=2, time=bad_time, **source_kw)
 
 
 def test_config_seed_must_fit_in_64_bits():
-    layout = RegisterLayout(2, 1, 0)
     gate = GateMatrix(np.eye(2))
     for bad_seed in (-1, -3, 2**64):
         with pytest.raises(ValueError, match="seed"):
-            PhaseEstimationConfig(layout=layout, unitary=gate, time=1.0, seed=bad_seed)
+            PhaseEstimationConfig(m_index=2, unitary=gate, time=1.0, seed=bad_seed)
     for seed in (0, 2**64 - 1):
         assert PhaseEstimationConfig(
-            layout=layout, unitary=gate, time=1.0, seed=seed
+            m_index=2, unitary=gate, time=1.0, seed=seed
         ).seed == seed
 
 
@@ -214,17 +214,46 @@ def test_flag_loop_and_binary_agree():
         dim_qubits = int(rng.integers(1, 3))
         u = ref.random_unitary(2**dim_qubits, rng)
         va = ref.random_state(dim_qubits, rng)
-        lay_flag = RegisterLayout(m_index, dim_qubits, 1)
         flag_cfg = PhaseEstimationConfig(
-            layout=lay_flag, unitary=GateMatrix(u), time=1.0, power_method="flag_loop"
+            m_index=m_index, unitary=GateMatrix(u), time=1.0, power_method="flag_loop"
         )
         bin_cfg = PhaseEstimationConfig(
-            layout=lay_flag, unitary=GateMatrix(u), time=1.0, power_method="binary_power"
+            m_index=m_index, unitary=GateMatrix(u), time=1.0, power_method="binary_power"
         )
         va_state = load_amplitudes(dim_qubits, va)
-        a = pre_measurement_state(va_state, flag_cfg)
-        b = pre_measurement_state(va_state, bin_cfg)
-        np.testing.assert_allclose(a.amplitudes, b.amplitudes, atol=1e-10)
+        a = pre_measurement_state(va_state, flag_cfg).amplitudes
+        b = pre_measurement_state(va_state, bin_cfg).amplitudes
+        # the flag qubit sits on top: the flag-free half is binary_power's state
+        np.testing.assert_allclose(a[: b.size], b, atol=1e-10)
+        np.testing.assert_allclose(a[b.size:], 0, atol=1e-10)
+
+
+def test_dense_powers_are_validated_once(monkeypatch):
+    """U was validated with the config; each higher power is validated once,
+    when it is first built, however often it is applied."""
+    rng = np.random.default_rng(71)
+    u = ref.random_unitary(2, rng)
+    config = unitary_config(u, 3)
+    state = prepare_index_superposition(
+        lift(ref.random_state(1, rng), config.layout), config.layout
+    )
+    constructed = []
+
+    class CountingGate(GateMatrix):
+        def __init__(self, matrix):
+            constructed.append(np.array(matrix))
+            super().__init__(matrix)
+
+    monkeypatch.setattr(sv, "GateMatrix", CountingGate)
+    driver = pe._unitary_driver(config)
+    for power in (1, 1, 2, 2, 4, 1, 4):
+        want = sv.apply_controlled_gate(
+            state, GateMatrix(np.linalg.matrix_power(u, power)), [0], [3]
+        )
+        got = driver.apply_controlled(state, [0], power)
+        np.testing.assert_allclose(got.amplitudes, want.amplitudes, atol=1e-12)
+    assert len(constructed) == 2  # U^2 and U^4
+    np.testing.assert_allclose(constructed[1], np.linalg.matrix_power(u, 4), atol=1e-12)
 
 
 # One unitary source per case: (system qubits, config keywords).
@@ -249,12 +278,11 @@ def test_block_engine_matches_gate_route(source):
     rng = np.random.default_rng(70)
     l_system, source_kw = BLOCK_SOURCES[source](rng)
     va = load_amplitudes(l_system, ref.random_state(l_system, rng))
-    layout = RegisterLayout(4, l_system, 0)
     for corrupt in (False, True):
         block, gate = (
             pre_measurement_state(
                 va,
-                PhaseEstimationConfig(layout=layout, power_method=method, **source_kw),
+                PhaseEstimationConfig(m_index=4, power_method=method, **source_kw),
                 _corrupt_qft_sign=corrupt,
             ).amplitudes
             for method in ("block", "binary_power")
@@ -326,9 +354,8 @@ def test_distribution_law_random_instances():
             l_system,
         )
         va = load_amplitudes(l_system, ref.random_state(l_system, rng))
-        layout = RegisterLayout(m_index, l_system, 0)
         config = PhaseEstimationConfig(
-            layout=layout, unitary=exact_unitary(h, t), time=t
+            m_index=m_index, unitary=exact_unitary(h, t), time=t
         )
         got = pre_measurement_distribution(va, config)
         comps = spectral_components(va, eigendecompose(ref.embed_kron(
@@ -340,9 +367,8 @@ def test_distribution_law_random_instances():
 def test_distribution_law_grid_recipe_route():
     recipe = build_grid_particle(3, "harmonic:0.8,3.5", 1.0)
     t, m_index, slices = 0.4, 4, 12
-    layout = RegisterLayout(m_index, 3, 0)
     config = PhaseEstimationConfig(
-        layout=layout,
+        m_index=m_index,
         source=recipe,
         time=t,
         slices=slices,
@@ -437,8 +463,7 @@ def test_run_balanced_superposition_collapses_cleanly():
 def test_run_pauli_z_energy_recovery():
     h = HamiltonianSum([LocalTerm([0], ref.Z)], 1)
     t = np.pi / 4
-    layout = RegisterLayout(3, 1, 0)
-    config = PhaseEstimationConfig(layout=layout, unitary=exact_unitary(h, t),
+    config = PhaseEstimationConfig(m_index=3, unitary=exact_unitary(h, t),
                                    time=t, seed=5)
     sample = run_phase_estimation(load_amplitudes(1, [1, 0]), config)
     assert sample.bin == 7

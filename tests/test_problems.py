@@ -81,6 +81,14 @@ class TestSamplePotential:
         with pytest.raises(ValueError, match="bad numeric"):
             sample_potential("constant:abc", 2)
 
+    @pytest.mark.parametrize(
+        "spec", ["constant:inf", "constant:-inf", "constant:nan", "harmonic:nan,1",
+                 "harmonic:1,inf", "harmonic:1e200,0"],
+    )
+    def test_builtins_must_sample_finite_values(self, spec):
+        with pytest.raises(ValueError, match="finite"):
+            sample_potential(spec, 2)
+
 
 def recipe_dense(recipe, dt, num_qubits, system=None, controls=()):
     """Dense matrix of apply_step, rebuilt column by column from the simulator."""

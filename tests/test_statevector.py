@@ -329,16 +329,15 @@ def test_uniform_draws_shape_and_validation():
 
 def test_sample_spectrum_bins_equal_scalar_measurement_loop():
     t, trials, seed = 0.5, 300, 2010
-    layout = RegisterLayout(3, 2, 0)
     config = PhaseEstimationConfig(
-        layout=layout,
+        m_index=3,
         unitary=exact_unitary(build_transverse_ising(2, 1.0, 0.7), t),
         time=t, trials=trials, seed=seed,
     )
     va = load_amplitudes(2, np.full(4, 0.5))
     pre = pre_measurement_state(va, config)
     scalar = [
-        measure_register(pre, layout.index_qubits, trial_stream(seed, trial))[0].bits
+        measure_register(pre, config.layout.index_qubits, trial_stream(seed, trial))[0].bits
         for trial in range(trials)
     ]
     np.testing.assert_array_equal(sample_spectrum(va, config).bins, scalar)
