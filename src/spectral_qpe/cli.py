@@ -197,11 +197,17 @@ class _Problem:
         return oracle.eigendecompose(self.source.dense_hamiltonian())
 
 
-def _build_problem(cfg: dict) -> _Problem:
+def _problem_kind(cfg: dict) -> str:
+    """The "problem" value, refused unless it names a known problem."""
     kind = _require(cfg, "problem")
-    if kind not in _PROBLEM_KEYS:
+    if not isinstance(kind, str) or kind not in _PROBLEM_KEYS:
         choices = ", ".join(sorted(_PROBLEM_KEYS))
         raise ConfigError(f'key "problem": must be one of {choices}, got {kind!r}')
+    return kind
+
+
+def _build_problem(cfg: dict) -> _Problem:
+    kind = _problem_kind(cfg)
     try:
         if kind == "tfim":
             sites = _as_int(_require(cfg, "sites"), "sites", minimum=2)
@@ -328,10 +334,19 @@ class _Run:
         self.slices = _parse_slices(cfg["slices"]) if "slices" in cfg else "exact"
         if self.problem.unitary is not None and "slices" in cfg:
             raise ConfigError('key "slices": not meaningful for an explicit unitary')
-        if need_exact and self.slices != "exact":
-            log.info("oracle audit always runs exact evolution; ignoring slices=%r",
-                     self.slices)
-            self.slices = "exact"
+        if need_exact:
+            # only explicit_terms can exceed the limit: tfim and grid builders cap lower
+            source = self.problem.source
+            if source is not None and source.num_qubits > oracle.MAX_DENSE_QUBITS:
+                raise ConfigError(
+                    'key "system_qubits": the oracle audit diagonalizes the dense '
+                    f"Hamiltonian, limited to {oracle.MAX_DENSE_QUBITS} qubits; "
+                    f"got {source.num_qubits}"
+                )
+            if self.slices != "exact":
+                log.info("oracle audit always runs exact evolution; ignoring slices=%r",
+                         self.slices)
+                self.slices = "exact"
         self.pe_config = self._make_pe_config(cfg)
         if "threshold" in cfg:
             self.threshold = _as_real(cfg["threshold"], "threshold")
@@ -680,7 +695,7 @@ def _merged_config(args: argparse.Namespace, command_keys: set[str]) -> dict:
     for key, value in overrides.items():
         if value is not None:
             cfg[key] = value
-    allowed = command_keys | _PROBLEM_KEYS.get(cfg.get("problem"), set())
+    allowed = command_keys | _PROBLEM_KEYS[_problem_kind(cfg)]
     for key in cfg:
         if key not in allowed:
             raise ConfigError(f'unknown key "{key}"')

@@ -254,21 +254,18 @@ def _unitary_driver(config: PhaseEstimationConfig):
 
 
 def _flip_flag_where_index_ge(
-    state: sv.StateVector, index_values: np.ndarray, flag: int, threshold: int
+    state: sv.StateVector, layout: sv.RegisterLayout, threshold: int
 ) -> sv.StateVector:
     """X on the flag qubit wherever the index register reads >= threshold.
 
-    The loop counter is classical, so the comparator reduces to a masked
-    amplitude swap; no reversible comparator circuit is needed.
+    The loop counter is classical, so the comparator reduces to an amplitude
+    swap.  The flag is the one work qubit, on top, and the index bits are
+    low, so in the (flag, system, index) view of the amplitudes the flip
+    swaps the index slabs [0, :, threshold:] and [1, :, threshold:].
     """
     amps = state.amplitudes.copy()
-    flag_mask = 1 << flag
-    idx = np.arange(len(amps))
-    src = idx[(index_values >= threshold) & ((idx & flag_mask) == 0)]
-    dst = src | flag_mask
-    src_vals = amps[src]
-    amps[src] = amps[dst]
-    amps[dst] = src_vals
+    view = amps.reshape(2, 2**layout.l_system, layout.num_bins)
+    view[:, :, threshold:] = view[::-1, :, threshold:]  # numpy buffers the overlap
     return sv._wrap_state(state.num_qubits, amps)
 
 
@@ -285,13 +282,11 @@ def apply_conditional_powers_flag_loop(
     layout = config.layout
     driver = _unitary_driver(config)
     flag = layout.work_qubits[0]
-    index_values = sv.register_values(state.num_qubits, layout.index_qubits)
     for i in range(1, layout.num_bins + 1):
-        state = _flip_flag_where_index_ge(state, index_values, flag, i)
+        state = _flip_flag_where_index_ge(state, layout, i)
         state = driver.apply_controlled(state, [flag], 1)
-        state = _flip_flag_where_index_ge(state, index_values, flag, i)
-    flag_set = ((np.arange(len(state.amplitudes)) >> flag) & 1).astype(bool)
-    residue = _residue(state.amplitudes[flag_set])
+        state = _flip_flag_where_index_ge(state, layout, i)
+    residue = _residue(state.amplitudes.reshape(2, -1)[1])  # the flag-set half
     if not (residue <= WORK_RESIDUE_TOL):  # NaN fails closed
         raise ContractViolation(f"flag qubit not restored to |0>: residue {residue:.3e}")
     return state
@@ -504,27 +499,53 @@ def analytic_collapsed_states(
 
     Reading bin j leaves sum_k c_k D_M(w_k - 2*pi*j/M) |phi_k>, normalized,
     with c_k and w_k from :func:`~spectral_qpe.oracle.spectral_amplitudes`
-    and the Dirichlet amplitude D_M(d) = (1/M) sum_{p<M} e^{ipd}, whose
+    and the Dirichlet amplitude D_M of :func:`_dirichlet_amplitude`, whose
     squared modulus is the leakage kernel of :func:`analytic_bin_distribution`.
+    All bins are evaluated in one O(bins * K) pass.  A non-finite ``t`` or
+    eigenphase, or a bin whose prediction has no norm, raises ``ValueError``.
     """
+    if not math.isfinite(t):
+        raise ValueError(f"evolution time must be finite, got {t!r}")
     overlaps, phases = oracle.spectral_amplitudes(va, decomposition, t)
+    if not np.isfinite(phases).all():
+        raise ValueError("eigenphases must be finite")
     M = 2**m_index
-    steps = np.arange(M)
-    states = {}
-    for j in bins:
-        kernel = np.exp(1j * np.outer(steps, phases - 2.0 * np.pi * j / M)).sum(axis=0) / M
-        predicted = decomposition.eigenvectors @ (overlaps * kernel)
-        states[j] = predicted / np.linalg.norm(predicted)
-    return states
+    bins = [int(j) for j in bins]
+    delta = phases[None, :] - (2.0 * np.pi / M) * np.array(bins, dtype=float)[:, None]
+    predicted = (overlaps * _dirichlet_amplitude(delta, M)) @ decomposition.eigenvectors.T
+    norms = np.linalg.norm(predicted, axis=1)
+    for j, norm in zip(bins, norms):
+        if not (norm > 0.0):  # NaN fails closed
+            raise ValueError(f"predicted state for bin {j} has norm {norm!r}")
+    return dict(zip(bins, predicted / norms[:, None]))
+
+
+#: |sin(d/2)| below this counts as d = 0 mod 2*pi, where the kernels are 1.
+_ON_GRID = 1e-12
 
 
 def _leakage_kernel(delta: np.ndarray, M: int) -> np.ndarray:
     """F_M(d) = sin^2(M*d/2)/(M^2 sin^2(d/2)), with F_M = 1 at d = 0 mod 2*pi."""
     half_sin = np.sin(delta / 2.0)
-    on_grid = np.abs(half_sin) < 1e-12
+    on_grid = np.abs(half_sin) < _ON_GRID
     safe = np.where(on_grid, 1.0, half_sin)
     kernel = (np.sin(M * delta / 2.0) / (M * safe)) ** 2
     return np.where(on_grid, 1.0, kernel)
+
+
+def _dirichlet_amplitude(delta: np.ndarray, M: int) -> np.ndarray:
+    """D_M(d) = (1/M) sum_{p<M} e^{ipd} = e^{i(M-1)d/2} sin(M*d/2)/(M sin(d/2)).
+
+    The geometric series in closed form (Cleve et al. 1998), with d first
+    wrapped into (-pi, pi].  On the grid only the sine ratio is set to 1; the
+    phase factor is kept, since (M-1)d/2 there still reaches about 1e-9 at
+    M = 1024.
+    """
+    d = np.pi - np.mod(np.pi - delta, 2.0 * np.pi)
+    half_sin = np.sin(d / 2.0)
+    on_grid = np.abs(half_sin) < _ON_GRID
+    ratio = np.sin(M * d / 2.0) / (M * np.where(on_grid, 1.0, half_sin))
+    return np.exp(0.5j * (M - 1) * d) * np.where(on_grid, 1.0, ratio)
 
 
 def phase_to_energy(phase: float, t: float) -> float:

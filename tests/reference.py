@@ -86,6 +86,20 @@ def dirichlet_amplitude(omega, j, bins):
     ) / bins
 
 
+def masked_flag_flip(amps, index_values, flag, threshold):
+    """X on qubit ``flag`` wherever ``index_values`` >= threshold, as a swap of
+    the amplitude pairs picked out by boolean masks over all basis indices."""
+    amps = np.array(amps, dtype=np.complex128)
+    flag_mask = 1 << flag
+    idx = np.arange(len(amps))
+    src = idx[(index_values >= threshold) & ((idx & flag_mask) == 0)]
+    dst = src | flag_mask
+    src_vals = amps[src]
+    amps[src] = amps[dst]
+    amps[dst] = src_vals
+    return amps
+
+
 def tfim_dense(sites, coupling, field):
     """Open-chain transverse-field Ising Hamiltonian by explicit Kronecker sums."""
     dim = 2**sites

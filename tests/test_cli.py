@@ -179,6 +179,15 @@ class TestConfigRejections:
         cfg = dict(DIAG_I, m_index=2, time=1.0, trails=7)
         self.check(tmp_path, capsys, cfg, 'unknown key "trails"')
 
+    @pytest.mark.parametrize("kind", [["tfim"], {"name": "tfim"}, 3, None],
+                             ids=["list", "dict", "number", "null"])
+    def test_non_string_problem_is_named(self, tmp_path, monkeypatch, capsys, kind):
+        monkeypatch.chdir(tmp_path)
+        cfg = {"problem": kind, "sites": 3, "m_index": 3, "time": 0.5, "out": "odd"}
+        err = self.check(tmp_path, capsys, cfg, 'key "problem"')
+        assert "Traceback" not in err
+        assert list(tmp_path.glob("odd*")) == []
+
     def test_register_cap_is_cited(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
         cfg = {"problem": "tfim", "sites": 2, "m_index": 25, "time": 1.0}
@@ -478,6 +487,25 @@ class TestOracleCheck:
         cfg = dict(self.TILTED, m_index=3, time=0.8, power_method=method)
         assert cli.main(["oracle-check", "--config", write_config(tmp_path, cfg)]) == 4
         assert "route check" in capsys.readouterr().err
+
+    def test_system_above_oracle_limit_is_refused(self, tmp_path, monkeypatch,
+                                                  capsys):
+        monkeypatch.chdir(tmp_path)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the audit started on an oversized system")
+
+        monkeypatch.setattr(pe, "pre_measurement_state", forbidden)
+        monkeypatch.setattr(oracle, "eigendecompose", forbidden)
+        cfg = {"problem": "explicit_terms", "system_qubits": 13,
+               "terms": [{"support": [12], "matrix": [[1, 0], [0, -1]]}],
+               "m_index": 2, "time": 0.5, "slices": 2}
+        assert cli.main(["oracle-check", "--config",
+                         write_config(tmp_path, cfg)]) == 2
+        err = capsys.readouterr().err
+        assert 'key "system_qubits"' in err
+        assert "12 qubits" in err
+        assert "slice count" not in err
 
     def test_rejects_explicit_unitary(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)

@@ -17,6 +17,7 @@ from spectral_qpe import (
     LocalTerm,
     PhaseEstimationConfig,
     RegisterLayout,
+    SpectralDecomposition,
     StateVector,
     analytic_bin_distribution,
     analytic_collapsed_states,
@@ -206,6 +207,20 @@ def test_conditional_powers_match_dense_reference(m_index):
         got = out.amplitudes[j + (np.arange(2) << m_index)]
         want = np.linalg.matrix_power(u, j) @ va / math.sqrt(M)
         np.testing.assert_allclose(got, want, atol=1e-10)
+
+
+def test_flag_flip_equals_masked_swap():
+    rng = np.random.default_rng(80)
+    for m_index, l_system in [(1, 1), (2, 1), (3, 2), (4, 2)]:
+        layout = RegisterLayout(m_index, l_system, 1)
+        state = load_amplitudes(layout.total_qubits,
+                                ref.random_state(layout.total_qubits, rng))
+        index_values = sv.register_values(layout.total_qubits, layout.index_qubits)
+        flag = layout.work_qubits[0]
+        for threshold in range(layout.num_bins + 1):
+            got = pe._flip_flag_where_index_ge(state, layout, threshold).amplitudes
+            want = ref.masked_flag_flip(state.amplitudes, index_values, flag, threshold)
+            assert np.array_equal(got, want)
 
 
 def test_flag_loop_and_binary_agree():
@@ -403,6 +418,53 @@ def test_analytic_collapsed_states_match_dirichlet_reference():
         )
         want /= np.linalg.norm(want)
         np.testing.assert_allclose(got[j], want, atol=1e-12)
+
+
+@pytest.mark.parametrize("m_index", [1, 4, 8, 10])
+def test_dirichlet_amplitude_matches_direct_sum(m_index):
+    M = 2**m_index
+    step = 2 * np.pi / M
+    rng = np.random.default_rng(63 + m_index)
+    omegas = [
+        3 * step % (2 * np.pi),  # exactly on a bin
+        step + 1e-13,  # just off a bin
+        (M - 1) * step - 1e-13,
+        2 * np.pi - 1e-13,  # wraps to bin 0
+        0.0,
+        *rng.uniform(0, 2 * np.pi, 3),
+    ]
+    bins = np.arange(M) if M <= 16 else np.unique(
+        np.concatenate([[0, 1, 2, 3, M - 2, M - 1], rng.integers(0, M, 10)])
+    )
+    for omega in omegas:
+        got = pe._dirichlet_amplitude(omega - step * bins, M)
+        want = [ref.dirichlet_amplitude(omega, int(j), M) for j in bins]
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
+def test_analytic_collapsed_states_refuse_non_finite_time():
+    va = load_amplitudes(1, [1.0, 0.0])
+    decomposition = eigendecompose(np.diag([0.0, 1.0]))
+    for t in (np.inf, np.nan):
+        with pytest.raises(ValueError, match="finite"):
+            analytic_collapsed_states(va, decomposition, t, 3, [0])
+
+
+def test_analytic_collapsed_states_refuse_non_finite_eigenphase():
+    va = load_amplitudes(1, [1.0, 0.0])
+    decomposition = SpectralDecomposition(np.array([np.nan, 1.0]), np.eye(2))
+    with pytest.raises(ValueError, match="finite"):
+        analytic_collapsed_states(va, decomposition, 0.5, 3, [0])
+
+
+def test_analytic_collapsed_states_refuse_zero_norm_bin():
+    # a decomposition whose vectors miss the guess entirely: every overlap is 0
+    va = load_amplitudes(1, [1.0, 0.0])
+    decomposition = SpectralDecomposition(
+        np.array([0.0, 1.0]), np.array([[0.0, 0.0], [1.0, 1.0]])
+    )
+    with pytest.raises(ValueError, match="bin 2"):
+        analytic_collapsed_states(va, decomposition, 0.5, 3, [2])
 
 
 # ---------------------------------------------------------------------------
@@ -653,13 +715,13 @@ def test_flag_residue_check_rejects_nan(monkeypatch):
     flip = pe._flip_flag_where_index_ge
     calls = []
 
-    def flip_then_poison_last(state, index_values, flag, threshold):
-        out = flip(state, index_values, flag, threshold)
+    def flip_then_poison_last(state, layout, threshold):
+        out = flip(state, layout, threshold)
         calls.append(threshold)
         if len(calls) < 2 * layout.num_bins:
             return out
         amps = out.amplitudes.copy()
-        amps[1 << flag] = np.nan
+        amps[1 << layout.work_qubits[0]] = np.nan
         return unchecked_state(amps)
 
     monkeypatch.setattr(pe, "_flip_flag_where_index_ge", flip_then_poison_last)
