@@ -261,11 +261,16 @@ def _flip_flag_where_index_ge(
     The loop counter is classical, so the comparator reduces to an amplitude
     swap.  The flag is the one work qubit, on top, and the index bits are
     low, so in the (flag, system, index) view of the amplitudes the flip
-    swaps the index slabs [0, :, threshold:] and [1, :, threshold:].
+    swaps the index slabs [0, :, threshold:] and [1, :, threshold:].  The
+    flipped state is written once into a fresh buffer: the slab below the
+    threshold as is, the slab from it on from the swapped flag halves.
     """
-    amps = state.amplitudes.copy()
-    view = amps.reshape(2, 2**layout.l_system, layout.num_bins)
-    view[:, :, threshold:] = view[::-1, :, threshold:]  # numpy buffers the overlap
+    shape = (2, 2**layout.l_system, layout.num_bins)
+    src = state.amplitudes.reshape(shape)
+    amps = np.empty_like(state.amplitudes)
+    dst = amps.reshape(shape)
+    dst[:, :, :threshold] = src[:, :, :threshold]
+    dst[:, :, threshold:] = src[::-1, :, threshold:]
     return sv._wrap_state(state.num_qubits, amps)
 
 

@@ -218,8 +218,26 @@ def _apply_matrix(
     The flat array is viewed as a rank-q tensor whose axis 0 is the most
     significant qubit; target axes are moved to the front and the matrix is
     applied as one matmul over the collapsed remainder.
+
+    When the targets are the contiguous ascending qubits [t, t + k) and the
+    controls are exactly the qubits above them, the controlled part is the
+    top 2^(t+k) amplitudes, already laid out as the (2^k, 2^t) operand of
+    that matmul, so the product is written straight into it.
     """
     k = len(targets)
+    low = targets[0]
+    if list(targets) == list(range(low, low + k)) and sorted(controls) == list(
+        range(low + k, q)
+    ):
+        out = np.empty_like(amps)
+        split = out.size - 2 ** (low + k)
+        out[:split] = amps[:split]
+        np.matmul(
+            matrix,
+            amps[split:].reshape(2**k, 2**low),
+            out=out[split:].reshape(2**k, 2**low),
+        )
+        return out
     out = amps.copy()
     tensor = out.reshape((2,) * q)
     selector = [slice(None)] * q

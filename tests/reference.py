@@ -60,6 +60,27 @@ def controlled_embed(matrix, targets, controls, num_qubits):
     return np.eye(dim, dtype=np.complex128) + projector @ (gate_full - np.eye(dim))
 
 
+def moveaxis_apply(amps, q, matrix, targets, controls=()):
+    """The general gate kernel for every call: control axes sliced at 1,
+    target axes moved to the front, one matmul over a contiguous copy of the
+    remainder (the simulator keeps this path for layouts its one-slab fast
+    path does not cover)."""
+    k = len(targets)
+    out = amps.copy()
+    tensor = out.reshape((2,) * q)
+    selector = [slice(None)] * q
+    for c in controls:
+        selector[q - 1 - c] = 1
+    sub = tensor[tuple(selector)]
+    remaining = [qb for qb in range(q - 1, -1, -1) if qb not in controls]
+    front = [remaining.index(t) for t in reversed(targets)]
+    moved = np.moveaxis(sub, front, range(k))
+    shape = moved.shape
+    mixed = matrix @ np.ascontiguousarray(moved).reshape(2**k, -1)
+    sub[...] = np.moveaxis(mixed.reshape(shape), range(k), front)
+    return out
+
+
 def dft_matrix(points):
     """Unitary DFT with the e^{+2*pi*i*j*k/M} kernel."""
     grid = np.arange(points)

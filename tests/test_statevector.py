@@ -131,6 +131,64 @@ def test_controlled_gates_match_dense_embedding(seed):
     np.testing.assert_allclose(got.amplitudes, want, atol=1e-10)
 
 
+def check_kernel_case(rng, q, targets, controls):
+    """The kernel equals the general moveaxis path bit for bit, and the dense
+    controlled embedding to 1e-12 (built only while it stays small)."""
+    amps = ref.random_state(q, rng)
+    amps.setflags(write=False)
+    matrix = ref.random_unitary(2 ** len(targets), rng)
+    got = statevector._apply_matrix(amps, q, matrix, targets, controls)
+    want = ref.moveaxis_apply(amps, q, matrix, targets, controls)
+    assert np.array_equal(got, want), (q, targets, controls)
+    if q <= 5:
+        dense = ref.controlled_embed(matrix, targets, controls, q) @ amps
+        np.testing.assert_allclose(got, dense, atol=1e-12)
+        np.testing.assert_allclose(want, dense, atol=1e-12)
+
+
+@pytest.mark.parametrize("q", range(1, 9))
+def test_one_slab_kernel_equals_general_path(q):
+    """Contiguous ascending targets with every higher qubit a control: the
+    flag loop's controlled-U, and uncontrolled gates on the top qubits."""
+    rng = np.random.default_rng(90 + q)
+    for k in range(1, q + 1):
+        for low in range(q - k + 1):
+            check_kernel_case(rng, q, list(range(low, low + k)), list(range(low + k, q)))
+
+
+@pytest.mark.parametrize(
+    "q, targets, controls",
+    [
+        (5, [2, 3], [0]),  # control below the targets
+        (5, [2, 3], [4, 0]),  # every higher qubit a control, and one below
+        (5, [0, 2], [3, 4]),  # a gap in the targets
+        (5, [3, 2], [4]),  # contiguous but descending targets
+        (5, [0], []),  # uncontrolled, below the top
+        (6, [1, 2], [4]),  # only some higher qubits as controls
+        (8, [3, 4, 5], [7]),
+        (8, [0, 1, 2, 3], [6, 7, 5, 4]),  # controls listed out of order: fast path
+    ],
+)
+def test_general_kernel_cases_equal_reference(q, targets, controls):
+    check_kernel_case(np.random.default_rng(q + len(targets)), q, targets, controls)
+
+
+@pytest.mark.parametrize("unitary", ["tfim3", "explicit"])
+def test_flag_loop_state_unchanged_under_reference_kernel(monkeypatch, unitary):
+    rng = np.random.default_rng(95)
+    if unitary == "tfim3":
+        gate = exact_unitary(build_transverse_ising(3, 1.0, 0.7), 0.5)
+    else:
+        gate = GateMatrix(ref.random_unitary(4, rng))
+    config = PhaseEstimationConfig(
+        m_index=4, unitary=gate, time=0.5, power_method="flag_loop"
+    )
+    va = load_amplitudes(gate.arity, ref.random_state(gate.arity, rng))
+    production = pre_measurement_state(va, config).amplitudes
+    monkeypatch.setattr(statevector, "_apply_matrix", ref.moveaxis_apply)
+    assert np.array_equal(pre_measurement_state(va, config).amplitudes, production)
+
+
 def test_control_and_target_must_not_overlap():
     state = new_basis_state(2, 0)
     with pytest.raises(ValueError):
