@@ -89,7 +89,12 @@ class SpectralDecomposition:
 
 
 def eigendecompose(matrix) -> SpectralDecomposition:
-    """Full decomposition of a dense Hermitian matrix, eigenvalues ascending."""
+    """Full decomposition of a dense Hermitian matrix, eigenvalues ascending.
+
+    A matrix whose imaginary part is exactly zero is real symmetric; it is
+    solved by the real solver, several times faster, and its eigenvectors
+    come back as float64.
+    """
     mat = np.asarray(matrix, dtype=np.complex128)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {mat.shape}")
@@ -102,7 +107,10 @@ def eigendecompose(matrix) -> SpectralDecomposition:
     defect = float(np.abs(mat - mat.conj().T).max())
     if not (defect <= HERMITICITY_TOL * scale):  # NaN fails closed
         raise ValueError(f"matrix is not Hermitian: max|A - A^dag| = {defect:.3e}")
-    eigenvalues, eigenvectors = np.linalg.eigh(mat)
+    if mat.imag.any():
+        eigenvalues, eigenvectors = np.linalg.eigh(mat)
+    else:
+        eigenvalues, eigenvectors = np.linalg.eigh(mat.real)
     eigenvalues.setflags(write=False)
     eigenvectors.setflags(write=False)
     return SpectralDecomposition(eigenvalues, eigenvectors)

@@ -11,6 +11,7 @@ from spectral_qpe import (
     LocalTerm,
     SpectralDecomposition,
     assemble_dense,
+    build_grid_particle,
     build_transverse_ising,
     eigendecompose,
     load_amplitudes,
@@ -166,6 +167,55 @@ def test_degenerate_eigenspace_projectors():
     got = d.eigenvectors[:, idx] @ d.eigenvectors[:, idx].conj().T
     want = u[:, 1:3] @ u[:, 1:3].conj().T
     np.testing.assert_allclose(got, want, atol=1e-10)
+
+
+def real_symmetric_case(case):
+    if case == "tfim6":
+        return build_transverse_ising(6, 1.0, 0.7).dense_hamiltonian()
+    if case == "tfim5-no-field":  # diagonal, with large eigenspaces
+        return build_transverse_ising(5, 1.0, 0.0).dense_hamiltonian()
+    q, _ = np.linalg.qr(np.random.default_rng(12).normal(size=(16, 16)))
+    a = (q * np.repeat([-2.0, 0.5, 1.5], [3, 5, 8])) @ q.T
+    return ((a + a.T) / 2).astype(np.complex128)
+
+
+@pytest.mark.parametrize("case", ["tfim6", "tfim5-no-field", "degenerate"])
+def test_real_solver_agrees_with_complex_solver(case):
+    a = real_symmetric_case(case)
+    assert a.dtype == np.complex128 and not a.imag.any()
+    scale = np.abs(a).max()
+    d = eigendecompose(a)
+    assert d.eigenvectors.dtype == np.float64
+    lam, vec = np.linalg.eigh(a)  # the complex solver
+    np.testing.assert_allclose(d.eigenvalues, lam, rtol=0, atol=1e-12 * scale)
+    groups = degenerate_groups(lam, DEGENERACY_TOL * scale)
+    if case != "tfim6":
+        assert max(len(g) for g in groups) > 1
+    for group in groups:
+        got = d.eigenvectors[:, group] @ d.eigenvectors[:, group].T
+        want = vec[:, group] @ vec[:, group].conj().T
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-10)
+
+
+def test_nonzero_imaginary_part_keeps_complex_solver():
+    grid = build_grid_particle(3, "harmonic:0.8,3.5", 1.0).dense_hamiltonian()
+    tiny = np.diag([1.0, 2.0]).astype(np.complex128)
+    tiny[0, 1], tiny[1, 0] = 1e-3j, -1e-3j
+    for a in (grid, tiny):
+        assert a.imag.any()
+        assert eigendecompose(a).eigenvectors.dtype == np.complex128
+
+
+@pytest.mark.parametrize("bad", [complex(np.nan, 0.0), complex(0.0, np.nan)])
+def test_nan_is_refused_before_any_solver(monkeypatch, bad):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("eigh ran on a matrix with a NaN entry")
+
+    monkeypatch.setattr(np.linalg, "eigh", forbidden)
+    a = np.eye(2, dtype=np.complex128)
+    a[1, 1] = bad
+    with pytest.raises(ValueError, match="Hermitian"):
+        eigendecompose(a)
 
 
 def test_degenerate_groups_consecutive_tolerance():
