@@ -21,8 +21,6 @@ from . import statevector as sv
 
 #: Largest support a single term may have (dense term exponentials stay 64x64).
 MAX_TERM_QUBITS = 6
-#: Tolerance on max|H - H^dag| for term matrices.
-HERMITICITY_TOL = 1e-10
 
 
 class LocalTerm:
@@ -50,7 +48,7 @@ class LocalTerm:
             )
         scale = max(1.0, float(np.abs(mat).max()))
         defect = float(np.abs(mat - mat.conj().T).max())
-        if not (defect <= HERMITICITY_TOL * scale):  # NaN fails closed
+        if not (defect <= oracle.HERMITICITY_TOL * scale):  # NaN fails closed
             raise ValueError(f"term is not Hermitian: max|H - H^dag| = {defect:.3e}")
         mat.setflags(write=False)
         self.support = support

@@ -36,6 +36,10 @@ from .errors import ConfigFieldError, ContractViolation
 WORK_RESIDUE_TOL = 1e-9
 #: Accepted ``power_method`` values: the block engine, then the gate routes.
 POWER_METHODS = ("block", "binary_power", "flag_loop")
+#: Most trials one run may draw: ``sample_spectrum`` holds about 40 bytes per
+#: trial (its index, uniform draw and bin arrays, plus their temporaries), so
+#: 2^26 trials take about 2.7 GB.
+MAX_TRIALS = 2**26
 
 
 @dataclass(frozen=True)
@@ -64,7 +68,7 @@ class PhaseEstimationConfig:
     or one of the gate-level references ``"binary_power"`` and
     ``"flag_loop"``.  The engine rounds differently from the gate routes,
     within 1e-10 per amplitude.  ``seed`` is the master seed of the
-    per-trial streams, in [0, 2^64).
+    per-trial streams, in [0, 2^64), and ``trials`` lies in [1, MAX_TRIALS].
 
     The register layout is derived, not declared: ``layout`` is the
     read-only ``RegisterLayout(m_index, l, w)`` with l the qubits the unitary
@@ -83,8 +87,10 @@ class PhaseEstimationConfig:
     layout: sv.RegisterLayout = field(init=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.trials < 1:
-            raise ConfigFieldError("trials", f"trials must be >= 1, got {self.trials}")
+        if not 1 <= self.trials <= MAX_TRIALS:
+            raise ConfigFieldError(
+                "trials", f"trials must be in [1, {MAX_TRIALS}], got {self.trials}"
+            )
         if not 0 <= self.seed < 2**64:
             raise ConfigFieldError("seed", f"seed must be in [0, 2^64), got {self.seed}")
         if self.power_method not in POWER_METHODS:

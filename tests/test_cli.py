@@ -279,8 +279,9 @@ class TestConfigRejections:
     @pytest.mark.parametrize(
         "bad, key",
         [({"power_method": "dense"}, "power_method"), ({"seed": 2**64}, "seed"),
-         ({"m_index": 25}, "m_index")],
-        ids=["dense", "seed", "m_index"],
+         ({"m_index": 25}, "m_index"), ({"trials": 10**30}, "trials"),
+         ({"trials": pe.MAX_TRIALS + 1}, "trials")],
+        ids=["dense", "seed", "m_index", "trials-1e30", "trials-over-cap"],
     )
     def test_exact_run_refused_before_eigendecomposition(
         self, tmp_path, monkeypatch, capsys, bad, key, command

@@ -11,6 +11,7 @@ import reference as ref
 from spectral_qpe import phase_estimation as pe
 from spectral_qpe import statevector as sv
 from spectral_qpe import (
+    ConfigFieldError,
     ContractViolation,
     GateMatrix,
     HamiltonianSum,
@@ -110,6 +111,13 @@ def test_config_dimension_and_trials_checks():
             unitary=GateMatrix(np.eye(2)),
             time=1.0,
             trials=0,
+        )
+    assert PhaseEstimationConfig(
+        m_index=1, unitary=GateMatrix(np.eye(2)), time=1.0, trials=pe.MAX_TRIALS
+    ).trials == pe.MAX_TRIALS
+    with pytest.raises(ConfigFieldError, match="trials"):
+        PhaseEstimationConfig(
+            m_index=1, unitary=GateMatrix(np.eye(2)), time=1.0, trials=pe.MAX_TRIALS + 1
         )
 
 

@@ -132,8 +132,9 @@ def test_controlled_gates_match_dense_embedding(seed):
 
 
 def check_kernel_case(rng, q, targets, controls):
-    """The kernel equals the general moveaxis path bit for bit, and the dense
-    controlled embedding to 1e-12 (built only while it stays small)."""
+    """The kernel equals the general moveaxis path bit for bit, so one check
+    against the dense controlled embedding (to 1e-12, built only while it
+    stays small) covers both."""
     amps = ref.random_state(q, rng)
     amps.setflags(write=False)
     matrix = ref.random_unitary(2 ** len(targets), rng)
@@ -143,7 +144,6 @@ def check_kernel_case(rng, q, targets, controls):
     if q <= 5:
         dense = ref.controlled_embed(matrix, targets, controls, q) @ amps
         np.testing.assert_allclose(got, dense, atol=1e-12)
-        np.testing.assert_allclose(want, dense, atol=1e-12)
 
 
 @pytest.mark.parametrize("q", range(1, 9))
