@@ -222,7 +222,8 @@ def _apply_matrix(
     When the targets are the contiguous ascending qubits [t, t + k) and the
     controls are exactly the qubits above them, the controlled part is the
     top 2^(t+k) amplitudes, already laid out as the (2^k, 2^t) operand of
-    that matmul, so the product is written straight into it.
+    that matmul, and the product is written straight into the same slab of
+    the output, with no axis moves or copies.
     """
     k = len(targets)
     low = targets[0]
