@@ -36,9 +36,9 @@ from .errors import ConfigFieldError, ContractViolation
 WORK_RESIDUE_TOL = 1e-9
 #: Accepted ``power_method`` values: the block engine, then the gate routes.
 POWER_METHODS = ("block", "binary_power", "flag_loop")
-#: Most trials one run may draw: ``sample_spectrum`` holds about 40 bytes per
-#: trial (its index, uniform draw and bin arrays, plus their temporaries), so
-#: 2^26 trials take about 2.7 GB.
+#: Most trials one run may draw: ``sample_spectrum`` holds one bin per trial,
+#: 1 to 4 bytes by ``m_index`` (at most 256 MB at 2^26 trials), plus one draw
+#: block of ``sv.DRAW_CHUNK`` trials.
 MAX_TRIALS = 2**26
 
 
@@ -146,12 +146,13 @@ class Histogram:
 class EigenResult:
     """Aggregate of a multi-trial run.
 
-    ``bins`` holds the readout bin of every trial, in trial order, and
-    ``collapsed_states`` the collapsed system state of every bin that was
-    read at least once.  ``peaks`` holds (bin, empirical probability) pairs
-    at or above the detection threshold, sorted by descending probability
-    (ties by bin); ``eigenvectors`` holds one collapsed system state per
-    peak, aligned.
+    ``bins`` holds the readout bin of every trial, in trial order, read-only
+    and in the narrowest unsigned dtype that holds M - 1 (uint8 up to
+    ``m_index`` 8, then uint16, then uint32).  ``collapsed_states`` holds
+    the collapsed system state of every bin that was read at least once.
+    ``peaks`` holds (bin, empirical probability) pairs at or above the
+    detection threshold, sorted by descending probability (ties by bin);
+    ``eigenvectors`` holds one collapsed system state per peak, aligned.
     """
 
     bins: np.ndarray
@@ -188,8 +189,8 @@ def prepare_index_superposition(
         raise ValueError(
             f"state has {state.num_qubits} qubits, layout spans {layout.total_qubits}"
         )
-    index_values = sv.register_values(state.num_qubits, layout.index_qubits)
-    residue = _residue(state.amplitudes[index_values != 0])
+    # The index bits are the low ones: column v of this view is index value v.
+    residue = _residue(state.amplitudes.reshape(-1, layout.num_bins)[:, 1:])
     if not (residue <= WORK_RESIDUE_TOL):  # NaN fails closed
         raise ValueError(f"index register is not |0...0>: residue amplitude {residue:.3e}")
     h = sv.hadamard()
@@ -325,24 +326,28 @@ def _system_step(config: PhaseEstimationConfig):
 def _block_engine_state(
     va: sv.StateVector, config: PhaseEstimationConfig, corrupt_qft_sign: bool
 ) -> sv.StateVector:
-    """Pre-measurement state from psi[j] = U^j|va> and one FFT along j.
+    """Pre-measurement state from U^j|va> and one FFT along j.
 
-    The inverse-QFT kernel e^{-2*pi*i*jk/M} is numpy's forward FFT, so the
+    Column j of ``psi`` holds U^j|va>, so the transform runs along the
+    contiguous axis and its (system, index) result is already laid out like
+    the gate routes' state, index bits low: no transposed copy is made, and
+    ``psi`` and the transform's output are the only state-sized arrays.  The
+    inverse-QFT kernel e^{-2*pi*i*jk/M} is numpy's forward FFT, so the
     readout amplitudes are fft(psi)/M; the corrupted readout uses the
-    forward-QFT kernel, ifft(psi).  The result is laid out like the gate
-    routes' state: index bits low, then system.
+    forward-QFT kernel, ifft(psi).
     """
     layout = config.layout
     step = _system_step(config)
-    psi = np.empty((layout.num_bins, 2**layout.l_system), dtype=np.complex128)
-    psi[0] = va.amplitudes
+    psi = np.empty((2**layout.l_system, layout.num_bins), dtype=np.complex128)
+    vector = psi[:, 0] = va.amplitudes
     for j in range(1, layout.num_bins):
-        psi[j] = step(psi[j - 1])
+        vector = psi[:, j] = step(vector)
     if corrupt_qft_sign:
-        readout = np.fft.ifft(psi, axis=0)
+        readout = np.fft.ifft(psi)
     else:
-        readout = np.fft.fft(psi, axis=0) / layout.num_bins
-    return sv._wrap_state(layout.total_qubits, readout.T.ravel())
+        readout = np.fft.fft(psi)
+        readout /= layout.num_bins
+    return sv._wrap_state(layout.total_qubits, readout.reshape(-1))
 
 
 def pre_measurement_state(
@@ -452,23 +457,28 @@ def sample_spectrum(
     pre-measurement state is computed once; each trial then draws only its
     measurement outcome from the first uniform of its own seed-derived
     stream, mapped as :func:`~spectral_qpe.statevector.measure_register`
-    maps it; all trials are drawn in one vectorized pass.  The outcome
-    sequence is bit-identical to running the full pipeline per trial.
-    ``threads`` is accepted for compatibility and has no effect: sampling
-    runs in the calling thread.
+    maps it.  The outcome sequence is bit-identical to running the full
+    pipeline per trial.  Trials are drawn vectorized, in blocks of
+    ``sv.DRAW_CHUNK``, so besides the pre-measurement state a run holds only
+    ``bins`` and one block's temporaries.  ``threads`` is accepted for
+    compatibility and has no effect: sampling runs in the calling thread.
+    A threshold that is not a positive real is refused before any work.
     """
-    layout = config.layout
-    pre = pre_measurement_state(va, config)
-    probs = sv.register_distribution(pre, layout.index_qubits)
-    uniforms = sv.uniform_draws(config.seed, np.arange(config.trials, dtype=np.uint64))
-    bins = sv._draw_from_cumulative(np.cumsum(probs), uniforms)
-    bins.setflags(write=False)
-    counts = np.bincount(bins, minlength=layout.num_bins)
-    histogram = Histogram(counts, config.trials)
     if threshold is None:
         threshold = default_peak_threshold(config.trials)
     elif not (threshold > 0.0 and math.isfinite(threshold)):
         raise ValueError(f"peak threshold must be a positive real, got {threshold!r}")
+    layout = config.layout
+    pre = pre_measurement_state(va, config)
+    cumulative = np.cumsum(sv.register_distribution(pre, layout.index_qubits))
+    bins = np.empty(config.trials, dtype=np.min_scalar_type(layout.num_bins - 1))
+    counts = np.zeros(layout.num_bins, dtype=np.intp)
+    for start, uniforms in sv._trial_uniform_blocks(config.seed, config.trials):
+        block = sv._draw_from_cumulative(cumulative, uniforms)
+        bins[start : start + block.size] = block
+        counts += np.bincount(block, minlength=layout.num_bins)
+    bins.setflags(write=False)
+    histogram = Histogram(counts, config.trials)
     empirical = counts / config.trials
     peak_bins = [int(b) for b in np.nonzero(empirical >= threshold)[0]]
     peak_bins.sort(key=lambda b: (-empirical[b], b))

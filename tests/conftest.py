@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 from hypothesis import HealthCheck, settings
 
@@ -11,6 +13,27 @@ settings.register_profile(
 settings.load_profile("suite")
 
 _ACCEPTANCE_LINES: list[str] = []
+
+
+@pytest.fixture
+def traced_peak():
+    """Run ``fn()`` and return (result, peak bytes numpy and Python allocated
+    above what was live when it started), as tracemalloc sees them."""
+
+    def _measure(fn):
+        was_tracing = tracemalloc.is_tracing()
+        if not was_tracing:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            live = tracemalloc.get_traced_memory()[0]
+            result = fn()
+            return result, tracemalloc.get_traced_memory()[1] - live
+        finally:
+            if not was_tracing:
+                tracemalloc.stop()
+
+    return _measure
 
 
 @pytest.fixture

@@ -81,6 +81,20 @@ def moveaxis_apply(amps, q, matrix, targets, controls=()):
     return out
 
 
+def row_engine_state(va_amps, step, num_bins, corrupt=False):
+    """The block engine with U^j|va> in row j of psi: the FFT along axis 0,
+    then a transposed copy into the register layout (index bits low)."""
+    psi = np.empty((num_bins, len(va_amps)), dtype=np.complex128)
+    psi[0] = va_amps
+    for j in range(1, num_bins):
+        psi[j] = step(psi[j - 1])
+    if corrupt:
+        readout = np.fft.ifft(psi, axis=0)
+    else:
+        readout = np.fft.fft(psi, axis=0) / num_bins
+    return readout.T.ravel()
+
+
 def dft_matrix(points):
     """Unitary DFT with the e^{+2*pi*i*j*k/M} kernel."""
     grid = np.arange(points)

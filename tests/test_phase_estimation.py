@@ -313,6 +313,31 @@ def test_block_engine_matches_gate_route(source):
         np.testing.assert_allclose(block, gate, rtol=0, atol=1e-10)
 
 
+@pytest.mark.parametrize("source", sorted(BLOCK_SOURCES))
+def test_block_engine_equals_row_layout_reference(source):
+    """Columns of U^j|va> and a transform along the contiguous axis give the
+    same bits as rows, a transform along axis 0 and a transposed copy."""
+    rng = np.random.default_rng(71)
+    l_system, source_kw = BLOCK_SOURCES[source](rng)
+    va = load_amplitudes(l_system, ref.random_state(l_system, rng))
+    config = PhaseEstimationConfig(m_index=5, **source_kw)
+    for corrupt in (False, True):
+        got = pe._block_engine_state(va, config, corrupt).amplitudes
+        want = ref.row_engine_state(va.amplitudes, pe._system_step(config), 32, corrupt)
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("corrupt", [False, True])
+def test_block_engine_holds_two_states(traced_peak, corrupt):
+    rng = np.random.default_rng(72)
+    config = unitary_config(ref.random_unitary(8, rng), 12, power_method="block")
+    va = load_amplitudes(3, ref.random_state(3, rng))
+    state_bytes = 16 * 2**config.layout.total_qubits
+    state, peak = traced_peak(lambda: pe._block_engine_state(va, config, corrupt))
+    assert state.amplitudes.nbytes == state_bytes
+    assert peak <= 2.05 * state_bytes
+
+
 # ---------------------------------------------------------------------------
 # readout distribution law
 
@@ -623,6 +648,19 @@ def test_threshold_validation():
         sample_spectrum(va, config, threshold=-0.2)
 
 
+@pytest.mark.parametrize("threshold", [-1.0, math.nan, 0.0, math.inf])
+def test_bad_threshold_refused_before_any_work(monkeypatch, threshold):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("sample_spectrum did work before checking the threshold")
+
+    monkeypatch.setattr(pe, "pre_measurement_state", forbidden)
+    monkeypatch.setattr(sv, "uniform_draws", forbidden)
+    monkeypatch.setattr(sv, "_trial_uniform_blocks", forbidden)
+    config = unitary_config(np.diag([1, 1j]), 2, trials=4, seed=0)
+    with pytest.raises(ValueError, match="threshold"):
+        sample_spectrum(load_amplitudes(1, [0, 1]), config, threshold=threshold)
+
+
 # ---------------------------------------------------------------------------
 # collapse quality
 
@@ -777,3 +815,39 @@ def test_sample_spectrum_builds_no_per_trial_streams(monkeypatch):
     config = unitary_config(np.diag([1, 1j]), 2, trials=500, seed=3)
     result = sample_spectrum(load_amplitudes(1, np.sqrt([0.25, 0.75])), config)
     assert result.histogram.counts.sum() == 500
+
+
+@pytest.mark.parametrize("trials", [19, 20, 21])
+def test_blocked_draws_equal_one_pass(monkeypatch, trials):
+    """Bins and counts drawn in blocks of 5 equal one pass over all trials."""
+    monkeypatch.setattr(sv, "DRAW_CHUNK", 5)
+    rng = np.random.default_rng(73)
+    config = unitary_config(
+        ref.random_unitary(4, rng), 3, power_method="block", trials=trials, seed=2**40 + 3
+    )
+    va = load_amplitudes(2, ref.random_state(2, rng))
+    result = sample_spectrum(va, config)
+    cumulative = np.cumsum(pre_measurement_distribution(va, config))
+    want = sv._draw_from_cumulative(cumulative, sv.uniform_draws(config.seed, np.arange(trials)))
+    assert np.array_equal(result.bins, want)
+    assert np.array_equal(result.histogram.counts, np.bincount(want, minlength=8))
+
+
+@pytest.mark.parametrize("m_index, dtype", [(8, np.uint8), (9, np.uint16), (17, np.uint32)])
+def test_bins_use_the_narrowest_unsigned_dtype(m_index, dtype):
+    config = unitary_config(np.diag([1, -1j]), m_index, power_method="block", trials=50, seed=4)
+    result = sample_spectrum(load_amplitudes(1, np.sqrt([0.5, 0.5])), config)
+    assert result.bins.dtype == dtype
+    assert not result.bins.flags.writeable
+    assert sorted(set(result.bins.tolist())) == [0, 3 * 2 ** (m_index - 2)]
+
+
+def test_sample_spectrum_holds_about_one_byte_per_trial(traced_peak):
+    trials = 2**20
+    config = unitary_config(
+        np.diag([1, np.exp(0.7j)]), 8, power_method="block", trials=trials, seed=5
+    )
+    va = load_amplitudes(1, np.sqrt([0.3, 0.7]))
+    result, peak = traced_peak(lambda: sample_spectrum(va, config))
+    assert result.histogram.counts.sum() == trials
+    assert peak <= trials + 2 * 2**20

@@ -27,6 +27,7 @@ from spectral_qpe import (
     pauli_z,
     phase_shift,
     pre_measurement_state,
+    prepare_index_superposition,
     register_distribution,
     register_values,
     sample_spectrum,
@@ -230,6 +231,41 @@ def test_register_values_and_distribution():
     # 6 (110) both read as register value 2.
     np.testing.assert_allclose(dist, [0.5, 0, 0.5, 0], atol=1e-15)
     assert dist.sum() == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("above", [0, 3])
+@pytest.mark.parametrize("k", range(1, 9))
+def test_low_register_distribution_equals_bincount(k, above):
+    """The reshape-sum over a low register adds in the bincount's order."""
+    rng = np.random.default_rng(100 + k)
+    q = k + above
+    state = load_amplitudes(q, ref.random_state(q, rng))
+    want = np.bincount(
+        register_values(q, range(k)), weights=np.abs(state.amplitudes) ** 2, minlength=2**k
+    )
+    assert np.array_equal(register_distribution(state, range(k)), want)
+
+
+def test_low_register_reads_build_no_index_array(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("built a 2^q index array for a low register")
+
+    rng = np.random.default_rng(108)
+    layout = RegisterLayout(3, 2)
+    cleared = np.zeros(2**5, dtype=complex)
+    cleared[np.arange(4) << 3] = ref.random_state(2, rng)
+    monkeypatch.setattr(statevector, "register_values", forbidden)
+    state = prepare_index_superposition(load_amplitudes(5, cleared), layout)
+    assert register_distribution(state, layout.index_qubits).shape == (8,)
+
+
+def test_low_register_distribution_memory(traced_peak):
+    q, k = 18, 8
+    state = load_amplitudes(q, ref.random_state(q, np.random.default_rng(109)))
+    dist, peak = traced_peak(lambda: register_distribution(state, range(k)))
+    assert dist.shape == (2**k,)
+    # one float64 per amplitude, the output, and 64 KiB for interpreter bookkeeping
+    assert peak <= 8 * 2**q + 8 * 2**k + 2**16
 
 
 class TestMeasurement:
