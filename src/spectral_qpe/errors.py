@@ -17,3 +17,7 @@ class ConfigFieldError(ValueError):
     def __init__(self, field: str, message: str) -> None:
         super().__init__(message)
         self.field = field
+
+
+class AuditFailure(Exception):
+    """An oracle-audit invariant did not hold; the message names it."""

@@ -117,15 +117,7 @@ class HamiltonianSum:
         self, state: sv.StateVector, dt: float, system_qubits=None, controls=()
     ) -> sv.StateVector:
         """Apply one slice to the given register (optionally controlled)."""
-        qubits = (
-            list(system_qubits)
-            if system_qubits is not None
-            else list(range(self.num_qubits))
-        )
-        if len(qubits) != self.num_qubits:
-            raise ValueError(
-                f"Hamiltonian spans {self.num_qubits} qubits, got register of {len(qubits)}"
-            )
+        qubits = sv._system_register(system_qubits, self.num_qubits, "Hamiltonian")
         for targets, gate in self._gates(dt):
             state = sv.apply_controlled_gate(
                 state, gate, controls, [qubits[q] for q in targets]
@@ -147,9 +139,8 @@ class HamiltonianSum:
 
 def term_exponential(term: LocalTerm, dt: float) -> sv.GateMatrix:
     """e^{-i * H_term * dt} via Hermitian eigendecomposition of the term."""
-    eigenvalues, vectors = np.linalg.eigh(term.matrix)
-    phases = np.exp(-1j * eigenvalues * dt)
-    return sv.GateMatrix((vectors * phases) @ vectors.conj().T)
+    decomposition = oracle.SpectralDecomposition(*np.linalg.eigh(term.matrix))
+    return unitary_from_decomposition(decomposition, dt)
 
 
 def slice_gates(h: HamiltonianSum, dt: float) -> list[tuple[list[int], sv.GateMatrix]]:

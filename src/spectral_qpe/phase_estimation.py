@@ -17,20 +17,26 @@ flag-qubit comparator loop and the per-index-bit binary route) are kept as
 references; all three must agree to 1e-10 per amplitude and the tests
 enforce that.  The module also carries the closed-form measurement
 distribution and collapsed states, which verify the whole pipeline without
-sampling.
+sampling; :func:`audit` runs those checks on a :class:`Run`, which is
+assembled and validated from a config dict.
 """
 
 from __future__ import annotations
 
+import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from . import hamiltonian as ham
 from . import oracle
+from . import problems
 from . import qft
 from . import statevector as sv
-from .errors import ConfigFieldError, ContractViolation
+from .errors import AuditFailure, ConfigFieldError, ContractViolation
+
+log = logging.getLogger(__name__)
 
 #: Work/flag qubits must be |0> to this amplitude tolerance at readout.
 WORK_RESIDUE_TOL = 1e-9
@@ -40,6 +46,11 @@ POWER_METHODS = ("block", "binary_power", "flag_loop")
 #: 1 to 4 bytes by ``m_index`` (at most 256 MB at 2^26 trials), plus one draw
 #: block of ``sv.DRAW_CHUNK`` trials.
 MAX_TRIALS = 2**26
+#: Audit tolerances: per bin, per amplitude between routes, per collapse fidelity.
+DISTRIBUTION_TOL = 1e-10
+ROUTE_TOL = 1e-10
+COLLAPSE_FIDELITY_TOL = 1e-9
+POPULATED_BIN_FLOOR = 1e-9
 
 
 @dataclass(frozen=True)
@@ -48,8 +59,8 @@ class PhaseEstimationConfig:
 
     ``m_index`` is the number of index qubits (M = 2^m_index readout bins).
     ``time`` is the t in U = e^{-iHt}; it maps measured phases back to
-    energies and must be finite and nonzero.  Exactly one unitary source must
-    be given:
+    energies and is checked by :func:`check_time`.  Exactly one unitary
+    source must be given:
 
     * ``unitary`` -- a dense gate over the system register, taken to be
       e^{-iHt} as is, or
@@ -101,14 +112,14 @@ class PhaseEstimationConfig:
             )
         if (self.unitary is None) == (self.source is None):
             raise ValueError("config needs exactly one of: unitary, source")
-        if self.time is None or not (math.isfinite(self.time) and self.time != 0):
-            raise ConfigFieldError("time", f"time must be finite and nonzero, got {self.time!r}")
+        check_time(self.time, self.source)
         if not isinstance(self.slices, (int, np.integer)) or self.slices < 1:
             raise ConfigFieldError(
                 "slices", f"slice count must be an integer >= 1, got {self.slices!r}"
             )
         if self.unitary is not None and self.slices != 1:
             raise ConfigFieldError("slices", "slices only apply to a source, not to a unitary")
+        step_time(self.time, self.slices, "slices")
         system = self.unitary.arity if self.unitary is not None else self.source.num_qubits
         try:
             layout = sv.RegisterLayout(
@@ -117,6 +128,28 @@ class PhaseEstimationConfig:
         except ValueError as exc:
             raise ConfigFieldError("m_index", str(exc)) from exc
         object.__setattr__(self, "layout", layout)
+
+
+def check_time(time, source=None) -> None:
+    """Refuse a time that is not finite and nonzero, or whose product with
+    ``source.norm_bound()`` (a bound on ||H||) is not, so no phase overflows."""
+    if time is None or not (math.isfinite(time) and time != 0):
+        raise ConfigFieldError("time", f"time must be finite and nonzero, got {time!r}")
+    bound = source.norm_bound() if source is not None else 0.0
+    if not math.isfinite(abs(time) * bound):
+        raise ConfigFieldError("time", f"|time| * ||H|| is not finite ({time!r} times a norm "
+                                       f"bound of {bound:.6g}); reduce the time")
+
+
+def step_time(time: float, slices: int, key: str) -> float:
+    """``time / slices``, refused naming ``key`` unless a nonzero float."""
+    try:
+        step = time / slices
+    except OverflowError:  # a slice count past the float range
+        step = 0.0
+    if step == 0.0:
+        raise ConfigFieldError(key, f"the step time {time!r} / {key} underflows to zero")
+    return step
 
 
 @dataclass(frozen=True)
@@ -432,16 +465,27 @@ def run_phase_estimation(
 ) -> PhaseSample:
     """One full estimation trial.
 
-    Without an explicit generator this uses trial stream 0 of the config
-    seed, so it reproduces the first trial of :func:`sample_spectrum`.
+    One uniform from ``rng`` (default: trial stream 0 of the config seed)
+    is read out as :func:`sample_spectrum` reads it, so this reproduces its
+    first trial, collapsed state included.
     """
     layout = config.layout
     state = pre_measurement_state(va, config)
     if rng is None:
         rng = sv.trial_stream(config.seed, 0)
-    outcome, post = sv.measure_register(state, layout.index_qubits, rng)
-    collapsed = _collapse_bins(post, layout, [outcome.bits])[outcome.bits]
-    return _sample_for_bin(outcome.bits, collapsed, config)
+    cumulative = np.cumsum(sv.register_distribution(state, layout.index_qubits))
+    outcome = int(sv._draw_from_cumulative(cumulative, rng.random()))
+    collapsed = _collapse_bins(state, layout, [outcome])[outcome]
+    return _sample_for_bin(outcome, collapsed, config)
+
+
+def _peak_threshold(threshold, trials: int) -> float:
+    """``threshold``, refused unless a positive real; None means the default."""
+    if threshold is None:
+        return default_peak_threshold(trials)
+    if not (threshold > 0.0 and math.isfinite(threshold)):
+        raise ConfigFieldError("threshold", f"peak threshold must be a positive real, got {threshold!r}")
+    return threshold
 
 
 def sample_spectrum(
@@ -449,7 +493,6 @@ def sample_spectrum(
     config: PhaseEstimationConfig,
     *,
     threshold: float | None = None,
-    threads: int = 1,
 ) -> EigenResult:
     """Run ``config.trials`` independent estimations and aggregate.
 
@@ -460,14 +503,10 @@ def sample_spectrum(
     maps it.  The outcome sequence is bit-identical to running the full
     pipeline per trial.  Trials are drawn vectorized, in blocks of
     ``sv.DRAW_CHUNK``, so besides the pre-measurement state a run holds only
-    ``bins`` and one block's temporaries.  ``threads`` is accepted for
-    compatibility and has no effect: sampling runs in the calling thread.
-    A threshold that is not a positive real is refused before any work.
+    ``bins`` and one block's temporaries.  A threshold that is not a
+    positive real is refused before any work.
     """
-    if threshold is None:
-        threshold = default_peak_threshold(config.trials)
-    elif not (threshold > 0.0 and math.isfinite(threshold)):
-        raise ValueError(f"peak threshold must be a positive real, got {threshold!r}")
+    threshold = _peak_threshold(threshold, config.trials)
     layout = config.layout
     pre = pre_measurement_state(va, config)
     cumulative = np.cumsum(sv.register_distribution(pre, layout.index_qubits))
@@ -605,3 +644,150 @@ def eigenvector_fidelity(
         )
     overlaps = decomposition.eigenvectors[:, mask].conj().T @ collapsed.amplitudes
     return float(np.sum(np.abs(overlaps) ** 2))
+
+
+# ---------------------------------------------------------------------------
+# run assembly and the oracle audit
+
+
+def _exact_config(
+    config: PhaseEstimationConfig, decomposition: oracle.SpectralDecomposition
+) -> PhaseEstimationConfig:
+    """``config`` running U = e^{-iHt} from ``decomposition`` instead of its source."""
+    unitary = ham.unitary_from_decomposition(decomposition, config.time)
+    return replace(config, source=None, slices=1, unitary=unitary)
+
+
+class Run:
+    """A run built from a config dict with the keys of ``problems.RUN_KEYS``
+    ("out" is left to the caller): ``problem``, the validated ``config``,
+    ``threshold`` and ``guess``.  With ``slices`` "exact" (the default) a
+    Hamiltonian runs as U = e^{-iHt} from its decomposition, computed last,
+    so every refusal (a :class:`ConfigFieldError` naming its key) precedes it.
+    """
+
+    def __init__(self, cfg: dict) -> None:
+        problems.check_keys(cfg, problems.RUN_KEYS)
+        self.problem = problems.build_problem(cfg)
+        kind_keys = problems.PROBLEM_KEYS[self.problem.kind]
+        self._problem_entries = {key: cfg[key] for key in kind_keys if key in cfg}
+        self.slices = problems.parse_slices(cfg, self.problem)
+        self.config = PhaseEstimationConfig(
+            m_index=problems.as_int(problems.require(cfg, "m_index"), "m_index"),
+            unitary=self.problem.unitary,
+            source=self.problem.source,
+            time=problems.as_real(problems.require(cfg, "time"), "time"),
+            slices=1 if self.slices == "exact" else self.slices,
+            trials=problems.as_int(cfg.get("trials", 1), "trials"),
+            seed=problems.as_int(cfg.get("seed", 0), "seed"),
+            power_method=cfg.get("power_method", "block"),
+        )
+        threshold = problems.as_real(cfg["threshold"], "threshold") if "threshold" in cfg else None
+        self.threshold = _peak_threshold(threshold, self.config.trials)
+        self.guess, self.guess_json = problems.build_guess(cfg, self.config.layout.l_system)
+        if self.slices == "exact" and self.problem.source is not None:
+            self.config = _exact_config(self.config, self.problem.require_decomposition())
+
+    def resolved_config(self) -> dict:
+        """Every run key after defaults but "out", which cannot change
+        results, and the problem's own entries."""
+        config = self.config
+        return {
+            "problem": self.problem.kind,
+            "m_index": config.m_index,
+            "time": config.time,
+            "slices": self.slices,
+            "trials": config.trials,
+            "seed": config.seed,
+            "power_method": config.power_method,
+            "threshold": self.threshold,
+            "guess": self.guess_json,
+            **self._problem_entries,
+        }
+
+    def warn_if_aliased(self) -> None:
+        """Warn when an eigenvalue lies outside the window (-pi/t, pi/t]."""
+        decomposition = self.problem.decomposition
+        if decomposition is None:
+            return
+        window = math.pi / abs(self.config.time)
+        extreme = float(np.abs(decomposition.eigenvalues).max())
+        if extreme > window:
+            log.warning(
+                "spectral radius %.6g exceeds the unaliased window (-%.6g, %.6g]; "
+                "reported energies may be aliased — reduce time below %.6g",
+                extreme, window, window, math.pi / extreme,
+            )
+
+
+@dataclass(frozen=True)
+class AuditReport:
+    """The deviations :func:`audit` found; ``worst_bin`` is -1 when no bin is populated."""
+
+    distribution_deviation: float
+    other_route: str
+    route_deviation: float
+    worst_fidelity: float
+    worst_bin: int
+
+
+def audit(run: Run, *, _corrupt_qft_sign: bool = False) -> AuditReport:
+    """Check ``run``, in exact evolution whatever its slices, against
+    :func:`analytic_bin_distribution` per bin, a second route per amplitude
+    and :func:`analytic_collapsed_states` per populated bin; raises
+    :class:`AuditFailure` past a tolerance.  ``_corrupt_qft_sign`` reverses
+    the readout transform, a negative control the first check must catch.
+    """
+    decomposition = run.problem.require_decomposition()
+    config = run.config
+    if config.source is not None:
+        log.info("oracle audit always runs exact evolution; ignoring slices=%r", run.slices)
+        config = _exact_config(config, decomposition)
+
+    components = oracle.spectral_components(run.guess, decomposition, config.time)
+    analytic = analytic_bin_distribution(components, config.m_index)
+    pre = pre_measurement_state(run.guess, config, _corrupt_qft_sign=_corrupt_qft_sign)
+    simulated = sv.register_distribution(pre, config.layout.index_qubits)
+    deviation = float(np.abs(simulated - analytic).max())
+    if not (deviation <= DISTRIBUTION_TOL):
+        raise AuditFailure(
+            f"distribution check: max per-bin deviation {deviation:.3e} "
+            f"exceeds {DISTRIBUTION_TOL:g}"
+        )
+
+    # Route check: the block engine against a gate-level route, amplitude by
+    # amplitude (binary_power stands in when the engine is the configured route).
+    # A flag_loop state carries a flag qubit on top: its flag-free half must
+    # match the narrower engine state and its flag half must be zero.
+    other = "binary_power" if config.power_method == "block" else "block"
+    cross = pre_measurement_state(
+        run.guess, replace(config, power_method=other),
+        _corrupt_qft_sign=_corrupt_qft_sign,
+    ).amplitudes
+    gaps = np.concatenate([cross - pre.amplitudes[: cross.size],
+                           pre.amplitudes[cross.size:]])
+    route_deviation = float(np.abs(gaps).max())
+    if not (route_deviation <= ROUTE_TOL):
+        raise AuditFailure(
+            f"route check: {config.power_method} and {other} differ by up to "
+            f"{route_deviation:.3e} per amplitude, above {ROUTE_TOL:g}"
+        )
+
+    # Collapse audit: conditioning on each populated readout bin must land on
+    # the spectrally predicted mixture of eigenvectors.
+    populated = [int(j) for j in np.nonzero(analytic > POPULATED_BIN_FLOOR)[0]]
+    collapsed = _collapse_bins(pre, config.layout, populated)
+    predicted = analytic_collapsed_states(
+        run.guess, decomposition, config.time, config.m_index, populated
+    )
+    worst_bin, worst = -1, 1.0
+    for j in populated:
+        fidelity = float(abs(np.vdot(predicted[j], collapsed[j].amplitudes)) ** 2)
+        if fidelity < worst:
+            worst_bin, worst = j, fidelity
+        if not (fidelity >= 1.0 - COLLAPSE_FIDELITY_TOL):
+            raise AuditFailure(
+                f"eigenvector-fidelity audit: bin {j} fidelity {fidelity:.12f} "
+                f"below 1 - {COLLAPSE_FIDELITY_TOL:g}"
+            )
+    return AuditReport(deviation, other, route_deviation, worst, worst_bin)

@@ -1,23 +1,27 @@
-"""Demo problem builders and the qubit-budget calculator.
+"""Demo problem builders, config parsing and the qubit-budget calculator.
 
 Two desk-scale problem families exercise the estimation pipeline: an open
 transverse-field Ising chain (local spin terms) and a single particle on a
 periodic grid (diagonal potential in position space, diagonal kinetic energy
-in momentum space, switched by QFTs).  The resource estimator reproduces the
-qubit bookkeeping for partitioning a machine into per-particle, readout, and
-scratch registers.
+in momentum space, switched by QFTs).  Config dicts are parsed into problems
+and guesses here, each refusal a ``ConfigFieldError`` naming its key.  The
+resource estimator reproduces the qubit bookkeeping for partitioning a
+machine into per-particle, readout, and scratch registers.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
-from functools import reduce
 
 import numpy as np
 
 from . import hamiltonian as ham
+from . import oracle
 from . import qft
 from . import statevector as sv
+from .errors import ConfigFieldError
 
 _PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]])
 _PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]])
@@ -122,15 +126,7 @@ class GridRecipe:
 
     def apply_step(self, state: sv.StateVector, dt: float, system_qubits=None, controls=()) -> sv.StateVector:
         """Apply one slice to the given register (optionally controlled)."""
-        qubits = (
-            list(system_qubits)
-            if system_qubits is not None
-            else list(range(self.num_qubits))
-        )
-        if len(qubits) != self.num_qubits:
-            raise ValueError(
-                f"recipe spans {self.num_qubits} qubits, got register of {len(qubits)}"
-            )
+        qubits = sv._system_register(system_qubits, self.num_qubits, "recipe")
         position_phases, momentum_phases = self._phases(dt)
         state = sv.apply_diagonal_phase(state, qubits, position_phases, controls)
         state = qft.qft_forward(state, qubits, controls)
@@ -186,8 +182,224 @@ def product_state_guess(num_qubits: int, single_qubit_amplitudes) -> sv.StateVec
             raise ValueError(
                 f"qubit {i} amplitudes are not normalized: sum|a|^2 = {norm_sq!r}"
             )
-    amplitudes = reduce(np.kron, reversed(pairs))
+    amplitudes = functools.reduce(np.kron, reversed(pairs))
     return sv.StateVector(num_qubits, amplitudes)
+
+
+# ---------------------------------------------------------------------------
+# config schema and parsers
+
+#: Keys each problem kind takes besides the command's own.
+PROBLEM_KEYS = {
+    "tfim": {"sites", "coupling", "field"},
+    "grid": {"system_qubits", "mass", "potential"},
+    "explicit_terms": {"system_qubits", "terms"},
+    "explicit_unitary": {"unitary"},
+}
+#: Keys of a sampling or audited run (``phase_estimation.Run``).
+RUN_KEYS = {
+    "problem", "m_index", "time", "slices", "trials", "seed",
+    "power_method", "threshold", "guess", "out",
+}
+#: Keys of a slice-count sweep against the exact evolution.
+BENCH_KEYS = {"problem", "time", "slice_sweep", "out"}
+
+
+def _problem_kind(cfg: dict) -> str:
+    kind = require(cfg, "problem")
+    if not isinstance(kind, str) or kind not in PROBLEM_KEYS:
+        choices = ", ".join(sorted(PROBLEM_KEYS))
+        raise ConfigFieldError("problem", f"must be one of {choices}, got {kind!r}")
+    return kind
+
+
+def check_keys(cfg: dict, command_keys: set[str]) -> None:
+    """Refuse a key neither the command nor the problem takes, so a typo
+    cannot silently fall back to a default."""
+    allowed = command_keys | PROBLEM_KEYS[_problem_kind(cfg)]
+    for key in cfg:
+        if key not in allowed:
+            raise ConfigFieldError(
+                key, f'unknown key "{key}"; this config takes {", ".join(sorted(allowed))}'
+            )
+
+
+def require(cfg: dict, key: str):
+    """``cfg[key]``, refused when absent."""
+    if key not in cfg:
+        raise ConfigFieldError(key, "missing required key")
+    return cfg[key]
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def as_int(value, key: str, minimum: int | None = None) -> int:
+    """A JSON integer (not a bool), at least ``minimum`` when given."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigFieldError(key, f"expected an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise ConfigFieldError(key, f"must be >= {minimum}, got {value}")
+    return value
+
+
+def as_real(value, key: str) -> float:
+    """A finite JSON number; an integer past the float range is refused too."""
+    if not _is_number(value):
+        raise ConfigFieldError(key, f"expected a number, got {value!r}")
+    try:
+        number = float(value)
+    except OverflowError:
+        raise ConfigFieldError(key, "must be finite, got an integer past the float range") from None
+    if not math.isfinite(number):
+        raise ConfigFieldError(key, f"must be finite, got {value!r}")
+    return number
+
+
+def _as_complex(value, key: str) -> complex:
+    parts = value if isinstance(value, list) and len(value) == 2 else [value, 0]
+    if not all(_is_number(part) for part in parts):
+        raise ConfigFieldError(key, "entries must be numbers or [re, im] pairs")
+    return complex(as_real(parts[0], key), as_real(parts[1], key))
+
+
+def _as_complex_vector(value, key: str) -> np.ndarray:
+    if not isinstance(value, list) or not value:
+        raise ConfigFieldError(key, "expected a non-empty list")
+    return np.asarray([_as_complex(v, key) for v in value], dtype=np.complex128)
+
+
+def _as_complex_matrix(value, key: str) -> np.ndarray:
+    if not isinstance(value, list) or not value:
+        raise ConfigFieldError(key, "expected a non-empty matrix (list of rows)")
+    rows = [_as_complex_vector(row, key) for row in value]
+    if len({row.size for row in rows}) != 1:
+        raise ConfigFieldError(key, "rows have inconsistent lengths")
+    return np.array(rows)
+
+
+# ---------------------------------------------------------------------------
+# problem and guess builders
+
+
+class Problem:
+    """A validated problem: an evolution source (a local Hamiltonian or a
+    grid recipe) or an explicit unitary."""
+
+    def __init__(self, kind: str, source=None, unitary=None) -> None:
+        self.kind = kind
+        self.source = source
+        self.unitary = unitary
+
+    @functools.cached_property
+    def decomposition(self) -> oracle.SpectralDecomposition | None:
+        """Spectral decomposition of the dense Hamiltonian, computed at most
+        once; None without one or above ``oracle.MAX_DENSE_QUBITS`` qubits."""
+        if self.source is None or self.source.num_qubits > oracle.MAX_DENSE_QUBITS:
+            return None
+        return oracle.eigendecompose(self.source.dense_hamiltonian())
+
+    def require_decomposition(self) -> oracle.SpectralDecomposition:
+        """``decomposition`` for exact evolution and the oracle references,
+        refused where there is none."""
+        if self.decomposition is not None:
+            return self.decomposition
+        if self.source is None:
+            raise ConfigFieldError(
+                "problem",
+                f"exact references need a Hamiltonian-bearing problem, got {self.kind!r}",
+            )
+        raise ConfigFieldError(
+            "system_qubits",
+            "exact evolution and the oracle references diagonalize the dense "
+            f"Hamiltonian, limited to {oracle.MAX_DENSE_QUBITS} qubits; "
+            f"got {self.source.num_qubits}",
+        )
+
+
+def build_problem(cfg: dict) -> Problem:
+    """The problem named by ``cfg["problem"]``, built from its keys."""
+    kind = _problem_kind(cfg)
+    try:
+        if kind == "tfim":
+            sites = as_int(require(cfg, "sites"), "sites", minimum=2)
+            coupling = as_real(cfg.get("coupling", 1.0), "coupling")
+            field = as_real(cfg.get("field", 1.0), "field")
+            return Problem(kind, source=build_transverse_ising(sites, coupling, field))
+        if kind == "grid":
+            l_system = as_int(require(cfg, "system_qubits"), "system_qubits", minimum=1)
+            mass = as_real(cfg.get("mass", 1.0), "mass")
+            potential = cfg.get("potential", "zero")
+            if isinstance(potential, list):
+                potential = [as_real(v, "potential") for v in potential]
+            elif not isinstance(potential, str):
+                raise ConfigFieldError(
+                    "potential", "expected a builtin name or a list of samples"
+                )
+            return Problem(kind, source=build_grid_particle(l_system, potential, mass))
+        if kind == "explicit_terms":
+            l_system = as_int(require(cfg, "system_qubits"), "system_qubits", minimum=1)
+            raw_terms = require(cfg, "terms")
+            if not isinstance(raw_terms, list) or not raw_terms:
+                raise ConfigFieldError("terms", "expected a non-empty list")
+            terms = [_build_term(spec, f"terms[{i}]") for i, spec in enumerate(raw_terms)]
+            return Problem(kind, source=ham.HamiltonianSum(terms, l_system))
+        matrix = _as_complex_matrix(require(cfg, "unitary"), "unitary")
+        return Problem(kind, unitary=sv.GateMatrix(matrix))
+    except ConfigFieldError:
+        raise
+    except ValueError as exc:
+        raise ConfigFieldError("problem", f'"{kind}" is invalid: {exc}') from exc
+
+
+def _build_term(spec, label: str) -> ham.LocalTerm:
+    if not isinstance(spec, dict) or set(spec) != {"support", "matrix"}:
+        raise ConfigFieldError(label, 'expected an object with the keys "support" and "matrix"')
+    support = spec["support"]
+    if not isinstance(support, list) or not support:
+        raise ConfigFieldError(f"{label}.support", "expected a non-empty list of qubits")
+    qubits = [as_int(q, f"{label}.support", minimum=0) for q in support]
+    return ham.LocalTerm(qubits, _as_complex_matrix(spec["matrix"], f"{label}.matrix"))
+
+
+def parse_slices(cfg: dict, problem: Problem):
+    """The "slices" key: "exact" (default) or an integer; not for a unitary."""
+    if "slices" not in cfg:
+        return "exact"
+    if problem.unitary is not None:
+        raise ConfigFieldError("slices", "not meaningful for an explicit unitary")
+    return "exact" if cfg["slices"] == "exact" else as_int(cfg["slices"], "slices")
+
+
+def build_guess(cfg: dict, l_system: int) -> tuple[sv.StateVector, object]:
+    """V_a from the "guess" key (default (+)^l), and the key as given."""
+    raw = cfg.get("guess", "plus")
+    try:
+        if raw == "plus":
+            dim = 2**l_system
+            return sv.load_amplitudes(l_system, np.full(dim, 1 / math.sqrt(dim))), raw
+        if raw == "zero":
+            return sv.new_basis_state(l_system, 0), raw
+        if isinstance(raw, dict):
+            keys = set(raw)
+            if keys == {"amplitudes"}:
+                amps = _as_complex_vector(raw["amplitudes"], "guess.amplitudes")
+                return sv.load_amplitudes(l_system, amps), raw
+            if keys == {"product"}:
+                factors = raw["product"]
+                if not isinstance(factors, list):
+                    raise ConfigFieldError("guess.product", "expected a list of pairs")
+                pairs = [_as_complex_vector(f, "guess.product") for f in factors]
+                return product_state_guess(l_system, pairs), raw
+            raise ConfigFieldError(
+                "guess", 'object form must have exactly one of "amplitudes" or "product"'
+            )
+        raise ConfigFieldError("guess", f'expected "plus", "zero", or an object, got {raw!r}')
+    except ConfigFieldError:
+        raise
+    except ValueError as exc:
+        raise ConfigFieldError("guess", str(exc)) from exc
 
 
 @dataclass(frozen=True)
@@ -231,10 +443,11 @@ def resource_estimate(
     }
     for name, value in counts.items():
         if value < 0:
-            raise ValueError(f"{name} must be >= 0, got {value}")
+            raise ConfigFieldError(name, f"{name} must be >= 0, got {value}")
     if interacting_pair_in_position_space:
         if particles < 2:
-            raise ValueError(
+            raise ConfigFieldError(
+                "particles",
                 "a position-space pair needs at least 2 particles, "
                 f"got {particles}"
             )
@@ -247,11 +460,7 @@ def resource_estimate(
     else:
         total = particles * qubits_per_particle + index_qubits + scratch_qubits
     return ResourceEstimate(
-        particles=particles,
-        qubits_per_particle=qubits_per_particle,
-        index_qubits=index_qubits,
-        scratch_qubits=scratch_qubits,
-        position_space_qubits_per_particle=position_space_qubits_per_particle,
+        **counts,
         interacting_pair_in_position_space=interacting_pair_in_position_space,
         total=total,
     )

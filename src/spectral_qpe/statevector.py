@@ -206,6 +206,15 @@ def _check_qubits(qubits, q: int, what: str) -> None:
             raise ValueError(f"{what} qubit {qu} out of range for {q}-qubit state")
 
 
+def _system_register(qubits, size: int, what: str) -> list[int]:
+    """An evolution source's register: ``qubits`` (default [0, size)), which
+    must hold exactly ``size`` qubits."""
+    qubits = list(range(size)) if qubits is None else list(qubits)
+    if len(qubits) != size:
+        raise ValueError(f"{what} spans {size} qubits, got register of {len(qubits)}")
+    return qubits
+
+
 def _apply_matrix(
     amps: np.ndarray,
     q: int,

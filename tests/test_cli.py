@@ -2,9 +2,14 @@
 
 import json
 import math
+import os
+import pathlib
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spectral_qpe import cli, oracle
 from spectral_qpe import phase_estimation as pe
@@ -304,6 +309,51 @@ class TestConfigRejections:
         assert list(tmp_path.glob(f"{cfg['out']}*")) == []
         return err
 
+    BIG = 10**400  # a JSON integer past the float range
+
+    @pytest.mark.parametrize("command", ["solve", "trotter-bench"])
+    @pytest.mark.parametrize(
+        "problem, key",
+        [({"problem": "tfim", "sites": 3, "time": BIG}, "time"),
+         ({"problem": "tfim", "sites": 3, "coupling": BIG}, "coupling"),
+         ({"problem": "tfim", "sites": 3, "field": -BIG}, "field"),
+         ({"problem": "grid", "system_qubits": 2, "mass": BIG}, "mass"),
+         ({"problem": "grid", "system_qubits": 2, "potential": [0, BIG, 0, 0]}, "potential"),
+         ({"problem": "explicit_terms", "system_qubits": 1,
+           "terms": [{"support": [0], "matrix": [[BIG, 0], [0, 1]]}]}, "terms[0].matrix"),
+         ({"problem": "explicit_unitary", "unitary": [[1, 0], [0, [0, BIG]]]}, "unitary")],
+        ids=["time", "coupling", "field", "mass", "potential", "terms", "unitary"],
+    )
+    def test_integer_past_float_range_is_refused_before_running(
+        self, tmp_path, monkeypatch, capsys, problem, key, command
+    ):
+        extra = {"m_index": 3} if command == "solve" else {"slice_sweep": [1, 2]}
+        cfg = {"time": 0.5, "out": "big", **problem, **extra}
+        err = self.check_refused_before_running(tmp_path, monkeypatch, capsys, cfg, key,
+                                                command)
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("extra, key", [({"threshold": BIG}, "threshold"),
+                                            ({"guess": {"amplitudes": [BIG, 0]}},
+                                             "guess.amplitudes")],
+                             ids=["threshold", "guess"])
+    def test_run_key_past_float_range_is_refused_before_running(
+        self, tmp_path, monkeypatch, capsys, extra, key
+    ):
+        cfg = {**DIAG_I, "m_index": 2, "time": 1.0, "out": "big", **extra}
+        self.check_refused_before_running(tmp_path, monkeypatch, capsys, cfg, key, "solve")
+
+    @pytest.mark.parametrize("command", ["solve", "spectrum", "trotter-bench", "oracle-check"])
+    def test_out_in_missing_directory_is_refused_before_running(
+        self, tmp_path, monkeypatch, capsys, command
+    ):
+        extra = {"slice_sweep": [1, 2]} if command == "trotter-bench" else {"m_index": 3}
+        cfg = {"problem": "tfim", "sites": 3, "time": 0.5, "out": "absent/run", **extra}
+        err = self.check_refused_before_running(tmp_path, monkeypatch, capsys, cfg, "out",
+                                                command)
+        assert "does not exist" in err
+        assert not (tmp_path / "absent").exists()
+
     def test_invalid_log_level_env(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
         monkeypatch.setenv("SPECTRAL_QPE_LOG", "loud")
@@ -541,3 +591,98 @@ def test_missing_subcommand_is_usage_error():
     with pytest.raises(SystemExit) as excinfo:
         cli.main([])
     assert excinfo.value.code == 2
+
+
+# ---------------------------------------------------------------------------
+# config fuzzing
+
+# Odd values for any key: wrong types, nested lists, out-of-range numbers,
+# +-inf and NaN (written as 1e999, -1e999 and NaN) and integers past the
+# float range.  The huge integers inside the float range (_HUGE) are not
+# drawn for "slices": a slice count that large is valid, and a local
+# Hamiltonian runs every slice as gates, so the run would not finish.
+_ODD = st.sampled_from([
+    None, True, "x", "exact", [], [1, [2, [3]]], {"a": [1]}, -1, 0, 1, 2, 0.5, -0.3,
+    1e-300, math.inf, -math.inf, math.nan, 10**400, -(10**400),
+])
+_HUGE = st.sampled_from([2**64, 10**30])
+_TERMS = [{"support": [0], "matrix": [[0.3, 0.8], [0.8, -0.5]]},
+          {"support": [0, 1], "matrix": [[1, 0, 0, 0], [0, -1, 0, 0],
+                                         [0, 0, -1, 0], [0, 0, 0, 1]]}]
+_PROBLEMS = {
+    "tfim": {"problem": "tfim", "sites": 3},
+    "grid": {"problem": "grid", "system_qubits": 3, "potential": "harmonic:0.8,3.5"},
+    "explicit_terms": {"problem": "explicit_terms", "system_qubits": 2, "terms": _TERMS},
+    "explicit_unitary": {"problem": "explicit_unitary", "unitary": [[1, 0], [0, [0, 1]]]},
+}
+# Replacement values per key: in range, at the edges or odd.
+_VALUES = {
+    "problem": st.sampled_from(sorted(_PROBLEMS)),
+    "sites": st.integers(1, 3) | _HUGE,
+    "system_qubits": st.integers(1, 3) | _HUGE,
+    "coupling": st.floats(-2, 2),
+    "field": st.floats(-2, 2),
+    "mass": st.floats(-1, 2),
+    "potential": st.sampled_from(["zero", "constant:0.3", [0, 0.1, 0.2, 0.3], [0, 10**400],
+                                  "harmonic:1e999,0", "cubic:1"]),
+    "terms": st.sampled_from([_TERMS[:1], [{"support": [0]}], [{"support": [0, 0], "matrix": [[1]]}],
+                              [{"support": [0], "matrix": [[1, 10**400], [0, 1]]}],
+                              [{"support": [5], "matrix": [[1, 0], [0, 1]]}]]),
+    "unitary": st.sampled_from([[[0, 1], [1, 0]], [[1, 1], [0, 1]], [[1, 0], [0, [0, 10**400]]],
+                                [[1, 0, 0], [0, 1, 0]]]),
+    "m_index": st.integers(0, 4) | _HUGE,
+    "time": st.floats(-1, 1) | st.just(1e308),
+    "slices": st.sampled_from([1, 2, "exact"]),
+    "trials": st.integers(0, 40) | _HUGE,
+    "seed": st.integers(0, 2**64 - 1) | _HUGE,
+    "power_method": st.sampled_from(["block", "binary_power", "flag_loop", "dense"]),
+    "threshold": st.floats(0, 1),
+    "guess": st.sampled_from(["plus", "zero", "minus", {"amplitudes": [1, 0, 0, 0]},
+                              {"product": [[1, 0], [0, 1]]}, {"amplitudes": [10**400, 0]},
+                              {"amplitudes": [1, 1]}, {"product": [1, 0]}]),
+    "slice_sweep": st.lists(st.integers(1, 4) | _ODD | _HUGE, max_size=3),
+    "out": st.sampled_from(["run", "absent/run", "", "nested/"]),
+    "stray": _ODD,
+}
+
+
+@st.composite
+def _fuzzed_config(draw):
+    """A valid config for a command, then up to four keys dropped, replaced
+    or added, each with a value from the key's own range or an odd one."""
+    command = draw(st.sampled_from(["solve", "spectrum", "oracle-check", "trotter-bench"]))
+    cfg = dict(_PROBLEMS[draw(st.sampled_from(sorted(_PROBLEMS)))], time=0.5, out="run")
+    if command == "trotter-bench":
+        cfg["slice_sweep"] = [1, 2]
+    else:
+        cfg.update(m_index=draw(st.integers(1, 4)), trials=draw(st.integers(1, 40)))
+    for key in draw(st.lists(st.sampled_from(sorted(_VALUES)), max_size=4, unique=True)):
+        action = draw(st.sampled_from(["drop", "replace", "odd"]))
+        if action == "drop":
+            cfg.pop(key, None)
+        elif action == "replace":
+            cfg[key] = draw(_VALUES[key])
+        else:
+            cfg[key] = draw(_ODD if key == "slices" else _ODD | _HUGE)
+    return command, cfg
+
+
+@given(_fuzzed_config())
+@settings(max_examples=150)
+def test_fuzzed_configs_exit_cleanly(case):
+    command, cfg = case
+    text = json.dumps(cfg).replace("Infinity", "1e999")
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as workdir:
+        os.chdir(workdir)
+        try:
+            with open("config.json", "w", encoding="utf-8") as fh:
+                fh.write(text)
+            with np.errstate(all="ignore"):
+                code = cli.main([command, "--config", "config.json"])
+            left = sorted(p.name for p in pathlib.Path(workdir).rglob("*"))
+        finally:
+            os.chdir(cwd)
+    assert code in (0, 2, 3, 4)
+    if code != 0:
+        assert left == ["config.json"]

@@ -8,6 +8,7 @@ import pytest
 import scipy.stats
 
 import reference as ref
+from spectral_qpe import oracle
 from spectral_qpe import phase_estimation as pe
 from spectral_qpe import statevector as sv
 from spectral_qpe import (
@@ -58,6 +59,22 @@ def lift(va_amps, layout):
 
 # ---------------------------------------------------------------------------
 # config validation
+
+
+def test_config_refuses_time_whose_phases_overflow():
+    source = build_transverse_ising(3, 1, 1)
+    with pytest.raises(ConfigFieldError, match="not finite") as excinfo:
+        PhaseEstimationConfig(m_index=3, source=source, time=1e308)
+    assert excinfo.value.field == "time"
+
+
+@pytest.mark.parametrize("time, slices", [(0.5, 10**400), (1e-30, 10**300)],
+                         ids=["past-float-range", "step-underflows"])
+def test_config_refuses_slice_counts_with_no_step_time(time, slices):
+    source = build_transverse_ising(2, 1, 1)
+    with pytest.raises(ConfigFieldError) as excinfo:
+        PhaseEstimationConfig(m_index=2, source=source, time=time, slices=slices)
+    assert excinfo.value.field == "slices"
 
 
 def test_config_requires_exactly_one_evolution_source():
@@ -576,6 +593,28 @@ def test_run_reproduces_first_spectrum_trial():
     assert single.bin == batch.samples[0].bin
 
 
+@pytest.mark.parametrize("seed", range(20))
+def test_single_trial_is_the_first_batch_trial(seed):
+    # the single trial reads out and collapses exactly as the batch does
+    h = build_transverse_ising(3, 1.0, 0.6)
+    config = PhaseEstimationConfig(m_index=5, unitary=exact_unitary(h, 0.5), time=0.5,
+                                   trials=3, seed=seed, power_method="block")
+    va = load_amplitudes(3, ref.random_state(3, np.random.default_rng(seed)))
+    single = run_phase_estimation(va, config)
+    first = sample_spectrum(va, config).samples[0]
+    assert single.bin == first.bin
+    assert np.array_equal(single.collapsed_state.amplitudes, first.collapsed_state.amplitudes)
+
+
+def test_single_trial_holds_two_states(traced_peak):
+    rng = np.random.default_rng(73)
+    config = unitary_config(ref.random_unitary(8, rng), 12, power_method="block", seed=4)
+    va = load_amplitudes(3, ref.random_state(3, rng))
+    state_bytes = 16 * 2**config.layout.total_qubits
+    _, peak = traced_peak(lambda: run_phase_estimation(va, config))
+    assert peak <= 2.05 * state_bytes
+
+
 # ---------------------------------------------------------------------------
 # sampling statistics
 
@@ -606,17 +645,6 @@ def test_sample_spectrum_off_grid_chi_squared():
     expected = analytic_bin_distribution([(1.0, omega)], 3) * 10000
     _, p_value = scipy.stats.chisquare(result.histogram.counts, expected)
     assert p_value > 0.001
-
-
-def test_sample_spectrum_threads_do_not_change_outcomes():
-    rng = np.random.default_rng(63)
-    u = ref.random_unitary(2, rng)
-    config = unitary_config(u, 3, trials=257, seed=21)
-    va = load_amplitudes(1, ref.random_state(1, rng))
-    serial = sample_spectrum(va, config, threads=1)
-    threaded = sample_spectrum(va, config, threads=4)
-    assert [s.bin for s in serial.samples] == [s.bin for s in threaded.samples]
-    np.testing.assert_array_equal(serial.histogram.counts, threaded.histogram.counts)
 
 
 def test_peaks_sorted_and_thresholded():
@@ -851,3 +879,83 @@ def test_sample_spectrum_holds_about_one_byte_per_trial(traced_peak):
     result, peak = traced_peak(lambda: sample_spectrum(va, config))
     assert result.histogram.counts.sum() == trials
     assert peak <= trials + 2 * 2**20
+
+
+# ---------------------------------------------------------------------------
+# runs assembled from config dicts, audited in process
+
+
+@pytest.mark.parametrize("problem", [
+    {"problem": "tfim", "sites": 3, "field": 0.7},
+    {"problem": "grid", "system_qubits": 3, "potential": "harmonic:0.8,3.5", "time": 0.4},
+    {"problem": "explicit_terms", "system_qubits": 2,
+     "terms": [{"support": [0], "matrix": [[0, [0, -1]], [[0, 1], 0]]},
+               {"support": [0, 1], "matrix": [[1, 0, 0, 0], [0, -1, 0, 0],
+                                              [0, 0, -1, 0], [0, 0, 0, 1]]}]},
+], ids=["tfim", "grid", "explicit_terms"])
+@pytest.mark.parametrize("route", ["block", "flag_loop"])
+def test_run_from_config_passes_audit(problem, route):
+    run = pe.Run({"m_index": 4, "time": 0.5, "power_method": route, **problem})
+    report = pe.audit(run)
+    assert report.distribution_deviation <= 1e-10
+    assert report.route_deviation <= 1e-10
+    assert report.worst_fidelity >= 1 - 1e-9
+    assert report.worst_bin >= 0
+    assert report.other_route == ("binary_power" if route == "block" else "block")
+
+
+def test_audit_runs_exact_evolution_for_a_sliced_run():
+    sliced = pe.Run({"problem": "tfim", "sites": 3, "m_index": 4, "time": 0.5, "slices": 2})
+    assert sliced.config.source is not None
+    exact = pe.Run({"problem": "tfim", "sites": 3, "m_index": 4, "time": 0.5})
+    assert pe.audit(sliced) == pe.audit(exact)
+
+
+def test_audit_catches_a_reversed_readout():
+    run = pe.Run({"problem": "explicit_terms", "system_qubits": 1, "m_index": 3, "time": 0.8,
+                  "terms": [{"support": [0], "matrix": [[0.7, 0.9], [0.9, -0.1]]}]})
+    with pytest.raises(pe.AuditFailure, match="distribution check"):
+        pe.audit(run, _corrupt_qft_sign=True)
+
+
+def test_run_records_its_resolved_config():
+    run = pe.Run({"problem": "tfim", "sites": 2, "field": 0.5, "m_index": 3, "time": 0.5,
+                  "trials": 16, "out": "ignored"})
+    assert run.resolved_config() == {
+        "problem": "tfim", "sites": 2, "field": 0.5, "m_index": 3, "time": 0.5,
+        "slices": "exact", "trials": 16, "seed": 0, "power_method": "block",
+        "threshold": 1.0, "guess": "plus",
+    }
+    assert run.config.source is None  # exact mode: U = e^{-iHt} from the decomposition
+
+
+@pytest.mark.parametrize("cfg, key", [
+    ({"sites": 3, "m_index": 3, "time": 0.5, "trails": 1}, "trails"),
+    ({"sites": 3, "m_index": 3}, "time"),
+    ({"sites": 3, "m_index": 3, "time": 0.5, "threshold": 0}, "threshold"),
+    ({"sites": 3, "m_index": 3, "time": 0.5, "coupling": 10**400}, "coupling"),
+    ({"sites": 3, "m_index": 3, "time": 1e308}, "time"),
+])
+def test_run_refuses_before_any_work(monkeypatch, cfg, key):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the run did work before refusing its config")
+
+    monkeypatch.setattr(oracle, "eigendecompose", forbidden)
+    with pytest.raises(ConfigFieldError) as excinfo:
+        pe.Run({"problem": "tfim", **cfg})
+    assert excinfo.value.field == key
+
+
+def test_audit_refuses_problems_without_a_dense_reference(monkeypatch):
+    unitary = pe.Run({"problem": "explicit_unitary", "unitary": [[1, 0], [0, 1]],
+                      "m_index": 2, "time": 1.0})
+    with pytest.raises(ConfigFieldError, match="Hamiltonian-bearing") as excinfo:
+        pe.audit(unitary)
+    assert excinfo.value.field == "problem"
+    monkeypatch.setattr(oracle, "eigendecompose", None)  # must not be reached
+    big = pe.Run({"problem": "explicit_terms", "system_qubits": 13, "m_index": 1,
+                  "time": 0.5, "slices": 1,
+                  "terms": [{"support": [12], "matrix": [[1, 0], [0, -1]]}]})
+    with pytest.raises(ConfigFieldError, match="12 qubits") as excinfo:
+        pe.audit(big)
+    assert excinfo.value.field == "system_qubits"
