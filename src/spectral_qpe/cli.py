@@ -10,8 +10,9 @@ oracle-check   exact distribution, route and collapse-fidelity audit (small syst
 
 Configuration is a JSON object; unknown keys are rejected so a typo cannot
 silently fall back to a default.  Command-line flags override config values.
-File outputs are written to a temporary file and renamed into place, so a
-nonzero exit never leaves a partial artifact behind.
+A run's outputs are all written to temporary files first, then renamed into
+place, and a failed rename removes the outputs already renamed, so a nonzero
+exit never leaves a partial artifact behind.
 
 Exit codes: 0 success; 2 config error (the message names the offending key);
 3 runtime contract violation (e.g. norm drift); 4 failed oracle audit.
@@ -87,33 +88,49 @@ def _parse_slices_flag(text: str | None):
         ) from None
 
 
-def _parse_out(cfg: dict) -> str:
-    """The output path stem, refused before any work unless its directory exists."""
+def _parse_out(cfg: dict, *suffixes: str) -> list[str]:
+    """The output paths, the ``out`` stem plus each suffix, refused before any
+    work unless the stem's directory exists and no output path is a directory."""
     out = cfg.get("out", "qpe_run")
     if not isinstance(out, str) or not out or "\0" in out:
         raise ConfigFieldError("out", "expected a non-empty path stem")
     directory = os.path.dirname(out) or os.curdir
     if not os.path.isdir(directory):
         raise ConfigFieldError("out", f"directory {directory!r} does not exist")
-    return out
+    paths = [out + suffix for suffix in suffixes]
+    for path in paths:
+        if os.path.isdir(path):
+            raise ConfigFieldError("out", f"output path {path!r} is a directory")
+    return paths
 
 
 # ---------------------------------------------------------------------------
 # output files
 
 
-def _write_atomic(path: str, text: str) -> None:
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".spectral_qpe_")
+def _write_atomic(files: dict[str, str]) -> None:
+    """Write each ``path: text`` pair, all or none: every text goes to a
+    temporary file beside its path first, then each is renamed into place.
+    On a failure the temporary files and any path already renamed into are
+    removed."""
+    temps = []
+    renamed = []
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
+        for path in files:
+            directory = os.path.dirname(os.path.abspath(path))
+            fd, tmp = tempfile.mkstemp(dir=directory, prefix=".spectral_qpe_")
+            temps.append(tmp)
+            with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
+                fh.write(files[path])
+        for tmp, path in zip(temps, files):
+            os.replace(tmp, path)
+            renamed.append(path)
     except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
+        for leftover in temps + renamed:
+            try:
+                os.unlink(leftover)
+            except OSError:  # a temporary file that was already renamed
+                pass
         raise
 
 
@@ -166,7 +183,7 @@ def _peak_record(run: pe.Run, bin_index: int, counts: np.ndarray, collapsed) -> 
 def cmd_sample(args: argparse.Namespace, *, spectrum: bool) -> int:
     """``solve`` (the dominant peak) or ``spectrum`` (every peak)."""
     cfg = _merged_config(args)
-    out = _parse_out(cfg)
+    csv_path, json_path = _parse_out(cfg, ".histogram.csv", ".result.json")
     run = pe.Run(cfg)
     run.warn_if_aliased()
 
@@ -197,10 +214,10 @@ def cmd_sample(args: argparse.Namespace, *, spectrum: bool) -> int:
         "dominant": dominant,
         "peaks": peaks,
     }
-    csv_path = f"{out}.histogram.csv"
-    json_path = f"{out}.result.json"
-    _write_atomic(csv_path, _histogram_csv(run, counts))
-    _write_atomic(json_path, json.dumps(record, sort_keys=True, indent=2) + "\n")
+    _write_atomic({
+        csv_path: _histogram_csv(run, counts),
+        json_path: json.dumps(record, sort_keys=True, indent=2) + "\n",
+    })
 
     for entry in peaks:
         print(
@@ -224,7 +241,7 @@ def cmd_trotter_bench(args: argparse.Namespace) -> int:
     if any(b <= a for a, b in zip(sweep, sweep[1:])):
         raise ConfigFieldError("slice_sweep", "slice counts must be strictly increasing")
     steps = [pe.step_time(t, r, "slice_sweep") for r in sweep]
-    out = _parse_out(cfg)
+    (csv_path,) = _parse_out(cfg, ".trotter.csv")
     decomposition = problem.require_decomposition()  # the last refusal; it runs eigh
 
     exact = ham.unitary_from_decomposition(decomposition, t).matrix
@@ -236,8 +253,7 @@ def cmd_trotter_bench(args: argparse.Namespace) -> int:
         elapsed = _time.perf_counter() - started
         lines.append(f"{r},{_g(error)},{_g(elapsed)}")
         log.info("r=%d operator error %.3e (%.3fs)", r, error, elapsed)
-    csv_path = f"{out}.trotter.csv"
-    _write_atomic(csv_path, "\n".join(lines) + "\n")
+    _write_atomic({csv_path: "\n".join(lines) + "\n"})
     print(f"wrote {csv_path}")
     return EXIT_OK
 

@@ -112,7 +112,7 @@ class PhaseEstimationConfig:
             )
         if (self.unitary is None) == (self.source is None):
             raise ValueError("config needs exactly one of: unitary, source")
-        check_time(self.time, self.source)
+        phase_rate = check_time(self.time, self.source)
         if not isinstance(self.slices, (int, np.integer)) or self.slices < 1:
             raise ConfigFieldError(
                 "slices", f"slice count must be an integer >= 1, got {self.slices!r}"
@@ -128,17 +128,31 @@ class PhaseEstimationConfig:
         except ValueError as exc:
             raise ConfigFieldError("m_index", str(exc)) from exc
         object.__setattr__(self, "layout", layout)
+        # Index value j accumulates a phase of up to j * phase_rate.  From this
+        # rate on, float64's spacing at M * phase_rate reaches a readout bin,
+        # 2*pi/M, so the readout would carry rounding, not the spectrum.
+        limit = 2.0 * math.pi * 2.0**52 / layout.num_bins**2
+        if not (phase_rate < limit):
+            raise ConfigFieldError(
+                "time",
+                f"|time| * ||H|| = {phase_rate:.6g} is not below {limit:.6g}, so float64 "
+                f"cannot place the phases within one of {layout.num_bins} readout "
+                f"bins; reduce the time",
+            )
 
 
-def check_time(time, source=None) -> None:
+def check_time(time, source=None) -> float:
     """Refuse a time that is not finite and nonzero, or whose product with
-    ``source.norm_bound()`` (a bound on ||H||) is not, so no phase overflows."""
+    ``source.norm_bound()`` (a bound on ||H||) is not, so no phase overflows;
+    return that product, |time| * ||H|| (0 without a source)."""
     if time is None or not (math.isfinite(time) and time != 0):
         raise ConfigFieldError("time", f"time must be finite and nonzero, got {time!r}")
     bound = source.norm_bound() if source is not None else 0.0
-    if not math.isfinite(abs(time) * bound):
+    phase_rate = abs(time) * bound
+    if not math.isfinite(phase_rate):
         raise ConfigFieldError("time", f"|time| * ||H|| is not finite ({time!r} times a norm "
                                        f"bound of {bound:.6g}); reduce the time")
+    return phase_rate
 
 
 def step_time(time: float, slices: int, key: str) -> float:
@@ -271,6 +285,25 @@ class _MatrixPowers:
             gate = self._gates[power] = sv.GateMatrix(self._power_matrix(power))
         return sv.apply_controlled_gate(state, gate, controls, self._system)
 
+    def apply_flagged(self, state, layout: sv.RegisterLayout, threshold: int):
+        """Controlled-U on the flag, for the flag loop's step ``threshold``.
+
+        Only index values >= ``threshold`` had their flag raised, and U maps
+        zero to zero, so in the (flag, system, index) view U multiplies just
+        the window [1, :, threshold:], written straight into the output.  The
+        flag-clear half and the flag-set columns below the window are carried
+        over as they are, never zeroed: a stray amplitude there survives to
+        the loop's flag-residue check.
+        """
+        shape = (2, 2**layout.l_system, layout.num_bins)
+        src = state.amplitudes.reshape(shape)
+        amps = np.empty_like(state.amplitudes)
+        dst = amps.reshape(shape)
+        dst[0] = src[0]
+        dst[1, :, :threshold] = src[1, :, :threshold]
+        np.matmul(self._gates[1].matrix, src[1, :, threshold:], out=dst[1, :, threshold:])
+        return sv._wrap_state(state.num_qubits, amps)
+
 
 class _SourcePowers:
     """Applies controlled-U^p by running ``slices`` source steps per power."""
@@ -285,6 +318,10 @@ class _SourcePowers:
         for _ in range(power * self._slices):
             state = self._source.apply_step(state, self._dt, self._system, controls)
         return state
+
+    def apply_flagged(self, state, layout: sv.RegisterLayout, threshold: int):
+        """Controlled-U on the flag qubit: every step under the flag."""
+        return self.apply_controlled(state, layout.work_qubits, 1)
 
 
 def _unitary_driver(config: PhaseEstimationConfig):
@@ -321,15 +358,18 @@ def apply_conditional_powers_flag_loop(
 
     For i = 1..M: raise the flag on components whose index value j satisfies
     i <= j, apply controlled-U on the flag, lower the flag again.  Component
-    j thus receives exactly U^j.  The flag must end |0>; anything else is an
-    internal contract violation.
+    j thus receives exactly U^j.  With a dense unitary, step i multiplies
+    only the flag-set index columns [i, M), the only ones the comparator can
+    have raised, which halves the loop's matrix work; a source runs its
+    steps under the flag over the whole register.  Every flip and every
+    controlled-U is norm-checked.  The flag must end |0>; anything else is
+    an internal contract violation.
     """
     layout = config.layout
     driver = _unitary_driver(config)
-    flag = layout.work_qubits[0]
     for i in range(1, layout.num_bins + 1):
         state = _flip_flag_where_index_ge(state, layout, i)
-        state = driver.apply_controlled(state, [flag], 1)
+        state = driver.apply_flagged(state, layout, i)
         state = _flip_flag_where_index_ge(state, layout, i)
     residue = _residue(state.amplitudes.reshape(2, -1)[1])  # the flag-set half
     if not (residue <= WORK_RESIDUE_TOL):  # NaN fails closed

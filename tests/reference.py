@@ -135,6 +135,16 @@ def masked_flag_flip(amps, index_values, flag, threshold):
     return amps
 
 
+def full_slab_flag_step(amps, matrix, l_system, num_bins):
+    """Controlled-U on a flag qubit sitting above the system and index
+    registers: U times every (system, index) column of the flag-set half, the
+    flag-clear half as is, whatever index values carry the flag."""
+    view = np.asarray(amps, dtype=np.complex128).reshape(2, 2**l_system, num_bins)
+    out = view.copy()
+    out[1] = matrix @ view[1]
+    return out.ravel()
+
+
 def tfim_dense(sites, coupling, field):
     """Open-chain transverse-field Ising Hamiltonian by explicit Kronecker sums."""
     dim = 2**sites

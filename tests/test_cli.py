@@ -354,12 +354,64 @@ class TestConfigRejections:
         assert "does not exist" in err
         assert not (tmp_path / "absent").exists()
 
+    @pytest.mark.parametrize("command, suffix", [("solve", ".result.json"),
+                                                 ("spectrum", ".histogram.csv"),
+                                                 ("trotter-bench", ".trotter.csv")])
+    def test_output_path_that_is_a_directory_is_refused_before_running(
+        self, tmp_path, monkeypatch, capsys, command, suffix
+    ):
+        """A directory in the way of one output refuses the run before any
+        work, so no other output is written beside it."""
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / f"run{suffix}").mkdir()
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError('the run started before "out" was validated')
+
+        monkeypatch.setattr(pe, "pre_measurement_state", forbidden)
+        monkeypatch.setattr(oracle, "eigendecompose", forbidden)
+        extra = {"slice_sweep": [1, 2]} if command == "trotter-bench" else {"m_index": 3}
+        cfg = {"problem": "tfim", "sites": 3, "time": 0.5, "out": "run", **extra}
+        err = self.check(tmp_path, capsys, cfg, 'key "out"', command=command)
+        assert "is a directory" in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", f"run{suffix}"]
+        assert list((tmp_path / f"run{suffix}").iterdir()) == []
+
+    @pytest.mark.parametrize("command", ["solve", "oracle-check"])
+    def test_phases_past_float64_resolution_are_refused_before_running(
+        self, tmp_path, monkeypatch, capsys, command
+    ):
+        cfg = {"problem": "tfim", "sites": 3, "coupling": 10**30, "m_index": 2,
+               "time": 0.5, "out": "coarse"}
+        err = self.check_refused_before_running(tmp_path, monkeypatch, capsys, cfg, "time",
+                                                command)
+        assert "readout bins" in err
+        assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
     def test_invalid_log_level_env(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
         monkeypatch.setenv("SPECTRAL_QPE_LOG", "loud")
         cfg = dict(DIAG_I, m_index=2, time=1.0)
         assert cli.main(["solve", "--config", write_config(tmp_path, cfg)]) == 2
         assert "SPECTRAL_QPE_LOG" in capsys.readouterr().err
+
+
+def test_failed_rename_leaves_no_output(tmp_path, monkeypatch, capsys):
+    """When the second output cannot be renamed into place, the first one,
+    already renamed, is removed with the temporary files."""
+    monkeypatch.chdir(tmp_path)
+    replace = os.replace
+
+    def refuse_result_json(src, dst):
+        if str(dst).endswith(".result.json"):
+            raise IsADirectoryError(dst)
+        replace(src, dst)
+
+    monkeypatch.setattr(cli.os, "replace", refuse_result_json)
+    cfg = dict(DIAG_I, m_index=2, time=1.0, trials=8, out="half")
+    with pytest.raises(IsADirectoryError):
+        cli.main(["solve", "--config", write_config(tmp_path, cfg)])
+    assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
 
 
 class TestTrotterBench:

@@ -68,6 +68,18 @@ def test_config_refuses_time_whose_phases_overflow():
     assert excinfo.value.field == "time"
 
 
+@pytest.mark.parametrize("m_index", [1, 3, 12])
+def test_config_refuses_phases_float64_cannot_resolve(m_index):
+    """|time| * ||H|| must stay below 2*pi * 2^52 / M^2; ||Z|| = 1 here."""
+    source = HamiltonianSum([LocalTerm([0], ref.Z)], 1)
+    limit = 2 * math.pi * 2.0**52 / 4**m_index
+    PhaseEstimationConfig(m_index=m_index, source=source, time=np.nextafter(limit, 0))
+    for time in (limit, -limit, 1e30):
+        with pytest.raises(ConfigFieldError, match="readout bins") as excinfo:
+            PhaseEstimationConfig(m_index=m_index, source=source, time=time)
+        assert excinfo.value.field == "time"
+
+
 @pytest.mark.parametrize("time, slices", [(0.5, 10**400), (1e-30, 10**300)],
                          ids=["past-float-range", "step-underflows"])
 def test_config_refuses_slice_counts_with_no_step_time(time, slices):
@@ -246,6 +258,91 @@ def test_flag_flip_equals_masked_swap():
             got = pe._flip_flag_where_index_ge(state, layout, threshold).amplitudes
             want = ref.masked_flag_flip(state.amplitudes, index_values, flag, threshold)
             assert np.array_equal(got, want)
+
+
+def flag_loop_cases():
+    """(unitary, m_index) with M below, equal to and above 2^l: TFIM-3 and a
+    random 2-qubit unitary."""
+    tfim3 = exact_unitary(build_transverse_ising(3, 1.0, 0.7), 0.5)
+    random2 = GateMatrix(ref.random_unitary(4, np.random.default_rng(81)))
+    return [pytest.param(tfim3, m, id=f"tfim3-m{m}") for m in (2, 3, 4)] + [
+        pytest.param(random2, m, id=f"random2-m{m}") for m in (1, 2, 3)
+    ]
+
+
+@pytest.mark.parametrize("gate, m_index", flag_loop_cases())
+def test_windowed_flag_step_matches_full_slab(gate, m_index):
+    """Each controlled-U of the loop equals U on the whole flag-set slab to
+    1e-14 per amplitude, and so does the whole loop."""
+    config = unitary_config(gate, m_index, power_method="flag_loop")
+    layout = config.layout
+    rng = np.random.default_rng(82 + m_index)
+    prepared = prepare_index_superposition(
+        lift(ref.random_state(layout.l_system, rng), layout), layout
+    )
+    index_values = sv.register_values(layout.total_qubits, layout.index_qubits)
+    flag = layout.work_qubits[0]
+    driver = pe._unitary_driver(config)
+    state, reference = prepared, prepared.amplitudes
+    for i in range(1, layout.num_bins + 1):
+        raised = pe._flip_flag_where_index_ge(state, layout, i)
+        got = driver.apply_flagged(raised, layout, i).amplitudes
+        want = ref.full_slab_flag_step(raised.amplitudes, gate.matrix,
+                                       layout.l_system, layout.num_bins)
+        assert np.abs(got - want).max() <= 1e-14, i
+        state = pe._flip_flag_where_index_ge(load_amplitudes(state.num_qubits, got),
+                                             layout, i)
+        reference = ref.masked_flag_flip(reference, index_values, flag, i)
+        reference = ref.full_slab_flag_step(reference, gate.matrix,
+                                            layout.l_system, layout.num_bins)
+        reference = ref.masked_flag_flip(reference, index_values, flag, i)
+    out = apply_conditional_powers_flag_loop(prepared, config).amplitudes
+    assert np.array_equal(out, state.amplitudes)
+    assert np.abs(out - reference).max() <= 1e-14
+
+
+@pytest.mark.parametrize("gate, m_index", flag_loop_cases())
+def test_flag_step_carries_columns_below_the_window(gate, m_index):
+    """On a state with the flag set at every index value, the step leaves the
+    flag-clear half and the flag-set columns below the threshold bit for bit
+    and multiplies the rest by U."""
+    config = unitary_config(gate, m_index, power_method="flag_loop")
+    layout = config.layout
+    driver = pe._unitary_driver(config)
+    rng = np.random.default_rng(83 + m_index)
+    state = load_amplitudes(layout.total_qubits, ref.random_state(layout.total_qubits, rng))
+    shape = (2, 2**layout.l_system, layout.num_bins)
+    before = state.amplitudes.reshape(shape)
+    for i in range(layout.num_bins + 1):
+        after = driver.apply_flagged(state, layout, i).amplitudes.reshape(shape)
+        assert np.array_equal(after[0], before[0])
+        assert np.array_equal(after[1, :, :i], before[1, :, :i])
+        window = gate.matrix @ before[1, :, i:]
+        assert np.abs(after[1, :, i:] - window).max(initial=0.0) <= 1e-14
+
+
+def test_stray_flag_amplitude_below_the_window_is_caught(monkeypatch):
+    """A flag amplitude at an index value no window covers is carried to the
+    end of the loop, where the flag-residue check refuses it."""
+    config = unitary_config(ref.random_unitary(2, np.random.default_rng(84)), 2,
+                            power_method="flag_loop")
+    layout = config.layout
+    state = prepare_index_superposition(lift([1, 0], layout), layout)
+    flip = pe._flip_flag_where_index_ge
+    calls = []
+
+    def flip_then_stray(state, layout, threshold):
+        out = flip(state, layout, threshold)
+        calls.append(threshold)
+        if len(calls) > 1:
+            return out
+        amps = out.amplitudes.copy()
+        amps[1 << layout.work_qubits[0]] += 1e-4  # flag set, index 0, system 0
+        return load_amplitudes(state.num_qubits, amps / np.linalg.norm(amps))
+
+    monkeypatch.setattr(pe, "_flip_flag_where_index_ge", flip_then_stray)
+    with pytest.raises(ContractViolation, match="flag qubit"):
+        apply_conditional_powers_flag_loop(state, config)
 
 
 def test_flag_loop_and_binary_agree():
