@@ -15,7 +15,8 @@ place, and a failed rename removes the outputs already renamed, so a nonzero
 exit never leaves a partial artifact behind.
 
 Exit codes: 0 success; 2 config error (the message names the offending key);
-3 runtime contract violation (e.g. norm drift); 4 failed oracle audit.
+3 runtime contract violation (e.g. norm drift); 4 failed oracle audit;
+5 an output file could not be written (the message names its path).
 
 The ``SPECTRAL_QPE_LOG`` environment variable selects the log level
 (``error``, ``warn``, ``info``, ``debug``; default ``warn``).
@@ -47,6 +48,7 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_RUNTIME = 3
 EXIT_AUDIT = 4
+EXIT_OUTPUT = 5
 
 _LOG_LEVELS = {
     "error": logging.ERROR,
@@ -59,6 +61,10 @@ _LOG_LEVELS = {
 class ConfigError(Exception):
     """Bad input only the command line sees: the config file, its JSON,
     ``SPECTRAL_QPE_LOG`` or ``--threads`` (config keys raise ConfigFieldError)."""
+
+
+class OutputError(Exception):
+    """An output file could not be written; the message names its path."""
 
 
 # ---------------------------------------------------------------------------
@@ -112,9 +118,11 @@ def _write_atomic(files: dict[str, str]) -> None:
     """Write each ``path: text`` pair, all or none: every text goes to a
     temporary file beside its path first, then each is renamed into place.
     On a failure the temporary files and any path already renamed into are
-    removed."""
+    removed; an ``OSError`` is raised again as :class:`OutputError` naming
+    the path it failed on."""
     temps = []
     renamed = []
+    path = None
     try:
         for path in files:
             directory = os.path.dirname(os.path.abspath(path))
@@ -125,12 +133,14 @@ def _write_atomic(files: dict[str, str]) -> None:
         for tmp, path in zip(temps, files):
             os.replace(tmp, path)
             renamed.append(path)
-    except BaseException:
+    except BaseException as exc:
         for leftover in temps + renamed:
             try:
                 os.unlink(leftover)
             except OSError:  # a temporary file that was already renamed
                 pass
+        if isinstance(exc, OSError):
+            raise OutputError(f"cannot write {path!r}: {exc}") from exc
         raise
 
 
@@ -406,4 +416,7 @@ def main(argv: list[str] | None = None) -> int:
     except AuditFailure as exc:
         print(f"oracle check failed: {exc}", file=sys.stderr)
         return EXIT_AUDIT
+    except OutputError as exc:
+        print(f"output error: {exc}", file=sys.stderr)
+        return EXIT_OUTPUT
 

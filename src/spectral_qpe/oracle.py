@@ -2,9 +2,10 @@
 
 Everything here is classical ground truth: dense assembly of a local
 Hamiltonian, full Hermitian eigendecomposition, and the spectral overlap /
-phase data that the closed-form measurement distribution consumes.  The
-simulator proper never needs this module to run; tests and the
-``oracle-check`` CLI command use it to cross-check the quantum pipeline.
+phase data that the closed-form measurement distribution consumes.  Exact
+evolution runs in the eigenbasis computed here; tests and the
+``oracle-check`` CLI command use the same data to cross-check the quantum
+pipeline.
 """
 
 from __future__ import annotations
@@ -13,6 +14,9 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
+
+from .errors import ContractViolation
+from .statevector import UNITARY_TOL
 
 if TYPE_CHECKING:
     from .hamiltonian import HamiltonianSum
@@ -87,13 +91,28 @@ class SpectralDecomposition:
     def dim(self) -> int:
         return len(self.eigenvalues)
 
+    @property
+    def num_qubits(self) -> int:
+        """l for a 2^l-dimensional space; anything else is refused."""
+        qubits = self.dim.bit_length() - 1
+        if self.dim < 2 or 2**qubits != self.dim:
+            raise ValueError(f"dimension {self.dim} is not a power of two >= 2")
+        return qubits
+
+    def norm_bound(self) -> float:
+        """||H|| itself: the largest |eigenvalue|."""
+        return float(np.abs(self.eigenvalues).max())
+
 
 def eigendecompose(matrix) -> SpectralDecomposition:
     """Full decomposition of a dense Hermitian matrix, eigenvalues ascending.
 
     A matrix whose imaginary part is exactly zero is real symmetric; it is
     solved by the real solver, several times faster, and its eigenvectors
-    come back as float64.
+    come back as float64.  The eigenvectors are checked orthonormal once,
+    max|V^dag V - I| <= ``UNITARY_TOL`` (NaN fails closed), the gate
+    tolerance: every e^{-iHt} built from them, in closed form or densely, is
+    then unitary to it.  A failed check raises ``ContractViolation``.
     """
     mat = np.asarray(matrix, dtype=np.complex128)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
@@ -111,6 +130,12 @@ def eigendecompose(matrix) -> SpectralDecomposition:
         eigenvalues, eigenvectors = np.linalg.eigh(mat)
     else:
         eigenvalues, eigenvectors = np.linalg.eigh(mat.real)
+    gram = eigenvectors.conj().T @ eigenvectors
+    defect = float(np.abs(gram - np.eye(len(gram))).max())
+    if not (defect <= UNITARY_TOL):  # NaN fails closed
+        raise ContractViolation(
+            f"eigenvectors are not orthonormal: max|V^dag V - I| = {defect:.3e}"
+        )
     eigenvalues.setflags(write=False)
     eigenvectors.setflags(write=False)
     return SpectralDecomposition(eigenvalues, eigenvectors)

@@ -11,14 +11,17 @@ The production route is the block engine (``power_method="block"``).  After
 the index Hadamards and the conditional powers, index value j holds
 U^j|V_a>/sqrt(M), and the readout inverse QFT is a DFT along j (Cleve, Ekert,
 Macchiavello and Mosca, Proc. R. Soc. A 454:339, 1998).  The engine therefore
-computes psi[j] = U psi[j-1] on the 2^l system register alone and takes one
-FFT along j.  Two gate-level constructions over the whole register (a
-flag-qubit comparator loop and the per-index-bit binary route) are kept as
-references; all three must agree to 1e-10 per amplitude and the tests
-enforce that.  The module also carries the closed-form measurement
-distribution and collapsed states, which verify the whole pipeline without
-sampling; :func:`audit` runs those checks on a :class:`Run`, which is
-assembled and validated from a config dict.
+builds the columns U^j|V_a> on the 2^l system register alone and takes one
+FFT along j.  For exact evolution, U = e^{-iHt} = V e^{-iEt} V^dag, column j
+is V (e^{-iEtj} * V^dag|V_a>): one matrix product per block of columns, with
+no dense U and no accumulated rounding.  For an explicit unitary or a sliced
+source it is the repeated step U^j|V_a> = U (U^(j-1)|V_a>).  Two gate-level
+constructions over the whole register (a flag-qubit comparator loop and the
+per-index-bit binary route) are kept as references; all three must agree to
+1e-10 per amplitude and the tests enforce that.  The module also carries the
+closed-form measurement distribution and collapsed states, which verify the
+whole pipeline without sampling; :func:`audit` runs those checks on a
+:class:`Run`, which is assembled and validated from a config dict.
 """
 
 from __future__ import annotations
@@ -63,7 +66,12 @@ class PhaseEstimationConfig:
     source must be given:
 
     * ``unitary`` -- a dense gate over the system register, taken to be
-      e^{-iHt} as is, or
+      e^{-iHt} as is;
+    * ``decomposition`` -- the :class:`~spectral_qpe.oracle.SpectralDecomposition`
+      of H, for exact evolution U = e^{-iHt}.  The block engine works in its
+      eigenbasis and never forms U; the gate routes build the dense U from
+      it once, with
+      :func:`~spectral_qpe.hamiltonian.unitary_from_decomposition`; or
     * ``source`` -- an evolution source, run as ``slices`` steps of
       ``dt = time / slices``.  A :class:`~spectral_qpe.hamiltonian.HamiltonianSum`
       (one step is a Trotter slice) and a
@@ -90,6 +98,7 @@ class PhaseEstimationConfig:
     m_index: int
     unitary: sv.GateMatrix | None = None
     source: object | None = None
+    decomposition: oracle.SpectralDecomposition | None = None
     time: float | None = None
     slices: int = 1
     trials: int = 1
@@ -110,17 +119,23 @@ class PhaseEstimationConfig:
                 "power_method",
                 f"power_method must be one of {choices}, got {self.power_method!r}",
             )
-        if (self.unitary is None) == (self.source is None):
-            raise ValueError("config needs exactly one of: unitary, source")
-        phase_rate = check_time(self.time, self.source)
+        given = [s for s in (self.unitary, self.source, self.decomposition) if s is not None]
+        if len(given) != 1:
+            raise ValueError("config needs exactly one of: unitary, source, decomposition")
+        phase_rate = check_time(self.time, None if self.unitary is not None else given[0])
         if not isinstance(self.slices, (int, np.integer)) or self.slices < 1:
             raise ConfigFieldError(
                 "slices", f"slice count must be an integer >= 1, got {self.slices!r}"
             )
-        if self.unitary is not None and self.slices != 1:
+        if self.source is None and self.slices != 1:
             raise ConfigFieldError("slices", "slices only apply to a source, not to a unitary")
         step_time(self.time, self.slices, "slices")
-        system = self.unitary.arity if self.unitary is not None else self.source.num_qubits
+        if self.unitary is not None:
+            system = self.unitary.arity
+        elif self.source is not None:
+            system = self.source.num_qubits
+        else:
+            system = self.decomposition.num_qubits
         try:
             layout = sv.RegisterLayout(
                 self.m_index, system, 1 if self.power_method == "flag_loop" else 0
@@ -143,8 +158,9 @@ class PhaseEstimationConfig:
 
 def check_time(time, source=None) -> float:
     """Refuse a time that is not finite and nonzero, or whose product with
-    ``source.norm_bound()`` (a bound on ||H||) is not, so no phase overflows;
-    return that product, |time| * ||H|| (0 without a source)."""
+    ``source.norm_bound()`` (a bound on ||H||; a source or a spectral
+    decomposition) is not, so no phase overflows; return that product,
+    |time| * ||H|| (0 without a source)."""
     if time is None or not (math.isfinite(time) and time != 0):
         raise ConfigFieldError("time", f"time must be finite and nonzero, got {time!r}")
     bound = source.norm_bound() if source is not None else 0.0
@@ -246,43 +262,19 @@ def prepare_index_superposition(
     return state
 
 
-def _stable_square(matrix: np.ndarray) -> np.ndarray:
-    """Square a unitary, snapping back onto the unitary manifold when float
-    drift from many repeated squarings approaches the gate tolerance."""
-    squared = matrix @ matrix
-    defect = np.abs(squared.conj().T @ squared - np.eye(len(squared))).max()
-    if defect > sv.UNITARY_TOL / 4:
-        u, _, vh = np.linalg.svd(squared)
-        squared = u @ vh
-    return squared
-
-
 class _MatrixPowers:
     """Applies controlled-U^p for a dense system unitary, memoizing squarings
     and validating each power once, when it is first built."""
 
     def __init__(self, gate: sv.GateMatrix, system_qubits: list[int]) -> None:
-        self._pow2 = [gate.matrix]
+        self._squares = [gate.matrix]
         self._gates = {1: gate}
         self._system = system_qubits
-
-    def _power_matrix(self, power: int) -> np.ndarray:
-        result = None
-        s = 0
-        while power:
-            while s >= len(self._pow2):
-                self._pow2.append(_stable_square(self._pow2[-1]))
-            if power & 1:
-                block = self._pow2[s]
-                result = block if result is None else block @ result
-            power >>= 1
-            s += 1
-        return result
 
     def apply_controlled(self, state, controls, power: int):
         gate = self._gates.get(power)
         if gate is None:
-            gate = self._gates[power] = sv.GateMatrix(self._power_matrix(power))
+            gate = self._gates[power] = sv.GateMatrix(sv._unitary_power(self._squares, power))
         return sv.apply_controlled_gate(state, gate, controls, self._system)
 
     def apply_flagged(self, state, layout: sv.RegisterLayout, threshold: int):
@@ -325,9 +317,14 @@ class _SourcePowers:
 
 
 def _unitary_driver(config: PhaseEstimationConfig):
-    if config.unitary is not None:
-        return _MatrixPowers(config.unitary, config.layout.system_qubits)
-    return _SourcePowers(config)
+    """The gate routes' controlled-U^p: a source's steps, or the dense U,
+    built from a decomposition here, once per route."""
+    if config.source is not None:
+        return _SourcePowers(config)
+    gate = config.unitary
+    if gate is None:
+        gate = ham.unitary_from_decomposition(config.decomposition, config.time)
+    return _MatrixPowers(gate, config.layout.system_qubits)
 
 
 def _flip_flag_where_index_ge(
@@ -396,25 +393,71 @@ def _system_step(config: PhaseEstimationConfig):
     return config.source.system_step(config.time / config.slices, config.slices)
 
 
+#: Phase-table entries the spectral engine builds at once (256 KiB of complex128).
+_PHASE_BLOCK = 2**14
+
+
+def _spectral_columns(
+    psi: np.ndarray, va: sv.StateVector, decomposition: oracle.SpectralDecomposition,
+    time: float,
+) -> None:
+    """Fill column j of ``psi`` with e^{-iHtj}|va> = V (e^{-iEtj} * c), c = V^dag|va>.
+
+    The phase table e^{-iEtj} * c is built for one block of columns at a
+    time, at most ``_PHASE_BLOCK`` entries, and V multiplies it straight
+    into ``psi``.  A real V (every real symmetric H) multiplies the table's
+    real and imaginary parts as one real product.
+    """
+    vectors = decomposition.eigenvectors
+    coefficients = (vectors.conj().T @ va.amplitudes)[:, None]
+    rates = -time * decomposition.eigenvalues
+    dim, num_bins = psi.shape
+    width = max(1, min(num_bins, _PHASE_BLOCK // dim))
+    angles = np.empty((dim, width))
+    table = np.empty((dim, width), dtype=np.complex128)
+    real = not np.iscomplexobj(vectors)
+    for start in range(0, num_bins, width):
+        stop = min(start + width, num_bins)
+        block = table[:, : stop - start]
+        phase = np.multiply.outer(rates, np.arange(start, stop), out=angles[:, : stop - start])
+        np.cos(phase, out=block.real)
+        np.sin(phase, out=block.imag)
+        block *= coefficients
+        if real:
+            np.matmul(vectors, block.view(np.float64), out=psi[:, start:stop].view(np.float64))
+        else:
+            np.matmul(vectors, block, out=psi[:, start:stop])
+
+
+def _power_columns(va: sv.StateVector, config: PhaseEstimationConfig) -> np.ndarray:
+    """The (2^l, M) array whose column j is U^j|va>: from the eigenbasis
+    for exact evolution, else by repeating the step."""
+    psi = np.empty((2**config.layout.l_system, config.layout.num_bins), dtype=np.complex128)
+    if config.decomposition is not None:
+        _spectral_columns(psi, va, config.decomposition, config.time)
+        return psi
+    step = _system_step(config)
+    vector = psi[:, 0] = va.amplitudes
+    for j in range(1, config.layout.num_bins):
+        vector = psi[:, j] = step(vector)
+    return psi
+
+
 def _block_engine_state(
     va: sv.StateVector, config: PhaseEstimationConfig, corrupt_qft_sign: bool
 ) -> sv.StateVector:
     """Pre-measurement state from U^j|va> and one FFT along j.
 
-    Column j of ``psi`` holds U^j|va>, so the transform runs along the
-    contiguous axis and its (system, index) result is already laid out like
-    the gate routes' state, index bits low: no transposed copy is made, and
-    ``psi`` and the transform's output are the only state-sized arrays.  The
-    inverse-QFT kernel e^{-2*pi*i*jk/M} is numpy's forward FFT, so the
-    readout amplitudes are fft(psi)/M; the corrupted readout uses the
-    forward-QFT kernel, ifft(psi).
+    Column j of ``psi`` holds U^j|va> (:func:`_power_columns`), so the
+    transform runs along the contiguous axis and its (system, index) result
+    is already laid out like the gate routes' state, index bits low: no
+    transposed copy is made, and ``psi`` and the transform's output are the
+    only state-sized arrays.  The inverse-QFT kernel e^{-2*pi*i*jk/M} is
+    numpy's forward FFT, so the readout amplitudes are fft(psi)/M; the
+    corrupted readout uses the forward-QFT kernel, ifft(psi).
     """
     layout = config.layout
-    step = _system_step(config)
-    psi = np.empty((2**layout.l_system, layout.num_bins), dtype=np.complex128)
-    vector = psi[:, 0] = va.amplitudes
-    for j in range(1, layout.num_bins):
-        vector = psi[:, j] = step(vector)
+    psi = _power_columns(va, config)
     if corrupt_qft_sign:
         readout = np.fft.ifft(psi)
     else:
@@ -694,16 +737,17 @@ def _exact_config(
     config: PhaseEstimationConfig, decomposition: oracle.SpectralDecomposition
 ) -> PhaseEstimationConfig:
     """``config`` running U = e^{-iHt} from ``decomposition`` instead of its source."""
-    unitary = ham.unitary_from_decomposition(decomposition, config.time)
-    return replace(config, source=None, slices=1, unitary=unitary)
+    return replace(config, source=None, slices=1, decomposition=decomposition)
 
 
 class Run:
     """A run built from a config dict with the keys of ``problems.RUN_KEYS``
     ("out" is left to the caller): ``problem``, the validated ``config``,
     ``threshold`` and ``guess``.  With ``slices`` "exact" (the default) a
-    Hamiltonian runs as U = e^{-iHt} from its decomposition, computed last,
-    so every refusal (a :class:`ConfigFieldError` naming its key) precedes it.
+    Hamiltonian runs as U = e^{-iHt} from its decomposition, which the
+    config carries in place of the source.  The decomposition is computed
+    last, so every refusal (a :class:`ConfigFieldError` naming its key)
+    precedes it; no dense U is built unless a gate route needs one.
     """
 
     def __init__(self, cfg: dict) -> None:

@@ -150,8 +150,9 @@ class GridRecipe:
 
     def system_step(self, dt: float, slices: int):
         """``slices`` slices as a map on 2^l system vectors: the dense slice
-        raised to the slice count, validated once as a unitary."""
-        matrix = sv.GateMatrix(np.linalg.matrix_power(self.step_matrix(dt), slices)).matrix
+        raised to the slice count by drift-controlled binary powering,
+        validated once as a unitary."""
+        matrix = sv.GateMatrix(sv._unitary_power([self.step_matrix(dt)], slices)).matrix
         return lambda vector: matrix @ vector
 
     def dense_hamiltonian(self) -> np.ndarray:

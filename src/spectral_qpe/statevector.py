@@ -62,6 +62,46 @@ class GateMatrix:
         return f"GateMatrix(arity={self.arity})"
 
 
+def _near_unitary(matrix: np.ndarray) -> np.ndarray:
+    """``matrix``, snapped back onto the unitary manifold (the polar factor
+    of its SVD) when float drift approaches the gate tolerance."""
+    defect = np.abs(matrix.conj().T @ matrix - np.eye(len(matrix))).max()
+    if defect > UNITARY_TOL / 4:
+        u, _, vh = np.linalg.svd(matrix)
+        matrix = u @ vh
+    return matrix
+
+
+def _stable_square(matrix: np.ndarray) -> np.ndarray:
+    """Square a unitary, kept off the drift that many repeated squarings
+    build up (see :func:`_near_unitary`)."""
+    return _near_unitary(matrix @ matrix)
+
+
+def _unitary_power(squares: list, power: int) -> np.ndarray:
+    """U^power (power >= 1) for the unitary U = ``squares[0]``.
+
+    ``squares`` holds U, U^2, U^4, ...; it is extended in place by
+    :func:`_stable_square`, so a caller that keeps the list reuses every
+    squaring.  The factors picked by power's bits are multiplied, and a
+    product of several is snapped like a square.  A power of two is its
+    squaring as is: U^2 is exactly ``U @ U`` unless that drifted.
+    """
+    factors = []
+    s = 0
+    while power:
+        while s >= len(squares):
+            squares.append(_stable_square(squares[-1]))
+        if power & 1:
+            factors.append(squares[s])
+        power >>= 1
+        s += 1
+    result = factors[0]
+    for factor in factors[1:]:
+        result = factor @ result
+    return result if len(factors) == 1 else _near_unitary(result)
+
+
 def hadamard() -> GateMatrix:
     """Single-qubit Hadamard."""
     return GateMatrix(np.array([[1, 1], [1, -1]]) / np.sqrt(2))

@@ -95,6 +95,16 @@ def row_engine_state(va_amps, step, num_bins, corrupt=False):
     return readout.T.ravel()
 
 
+def repeated_powers(matrix, va_amps, num_bins):
+    """Columns U^j|va> for j < num_bins, each the dense U times the one
+    before."""
+    columns = np.empty((len(va_amps), num_bins), dtype=np.complex128)
+    columns[:, 0] = va_amps
+    for j in range(1, num_bins):
+        columns[:, j] = matrix @ columns[:, j - 1]
+    return columns
+
+
 def dft_matrix(points):
     """Unitary DFT with the e^{+2*pi*i*j*k/M} kernel."""
     grid = np.arange(points)

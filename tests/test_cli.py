@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spectral_qpe import cli, oracle
+from spectral_qpe import hamiltonian as ham
 from spectral_qpe import phase_estimation as pe
 from spectral_qpe import statevector as sv
 from spectral_qpe.phase_estimation import phase_to_energy
@@ -398,7 +399,8 @@ class TestConfigRejections:
 
 def test_failed_rename_leaves_no_output(tmp_path, monkeypatch, capsys):
     """When the second output cannot be renamed into place, the first one,
-    already renamed, is removed with the temporary files."""
+    already renamed, is removed with the temporary files, and the run exits
+    5 naming the path."""
     monkeypatch.chdir(tmp_path)
     replace = os.replace
 
@@ -409,8 +411,25 @@ def test_failed_rename_leaves_no_output(tmp_path, monkeypatch, capsys):
 
     monkeypatch.setattr(cli.os, "replace", refuse_result_json)
     cfg = dict(DIAG_I, m_index=2, time=1.0, trials=8, out="half")
-    with pytest.raises(IsADirectoryError):
-        cli.main(["solve", "--config", write_config(tmp_path, cfg)])
+    assert cli.main(["solve", "--config", write_config(tmp_path, cfg)]) == 5
+    assert "output error: cannot write 'half.result.json'" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
+
+def test_failed_temporary_file_exits_5(tmp_path, monkeypatch, capsys):
+    """A temporary file that cannot be created (a full or read-only disk)
+    exits 5 naming the output path, with nothing left behind."""
+    monkeypatch.chdir(tmp_path)
+
+    def no_space(*args, **kwargs):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(cli.tempfile, "mkstemp", no_space)
+    cfg = dict(DIAG_I, m_index=2, time=1.0, trials=8, out="full")
+    assert cli.main(["solve", "--config", write_config(tmp_path, cfg)]) == 5
+    err = capsys.readouterr().err
+    assert "cannot write 'full.histogram.csv'" in err
+    assert "No space left on device" in err
     assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
 
 
@@ -637,6 +656,72 @@ def test_one_eigendecomposition_per_run(tmp_path, monkeypatch, command):
         record = json.loads((tmp_path / "once.result.json").read_text())
         assert len(record["peaks"]) >= 2  # one fidelity per peak, same spectrum
     assert len(calls) == 1
+
+
+_TFIM4 = {"problem": "tfim", "sites": 4, "coupling": 1.0, "field": 0.7, "time": 0.5}
+
+
+def count_dense_unitaries(monkeypatch):
+    """Record every full-width (2^4) dense e^{-iHt} that
+    ``ham.unitary_from_decomposition`` builds and every 4-qubit
+    ``GateMatrix`` validated, as two lists of dimensions."""
+    built, validated = [], []
+    build = ham.unitary_from_decomposition
+
+    def counted(decomposition, t):
+        if decomposition.dim == 16:  # not a Trotter term's exponential
+            built.append(decomposition.dim)
+        return build(decomposition, t)
+
+    class CountingGate(sv.GateMatrix):
+        def __init__(self, matrix):
+            super().__init__(matrix)
+            if self.arity == 4:
+                validated.append(self.arity)
+
+    monkeypatch.setattr(ham, "unitary_from_decomposition", counted)
+    monkeypatch.setattr(sv, "GateMatrix", CountingGate)
+    return built, validated
+
+
+@pytest.mark.parametrize("command", ["solve", "spectrum"])
+def test_exact_block_runs_build_no_dense_unitary(tmp_path, monkeypatch, command):
+    """The engine works in the eigenbasis: an exact block run never forms
+    or validates the dense 2^l x 2^l e^{-iHt}."""
+    built, validated = count_dense_unitaries(monkeypatch)
+    monkeypatch.chdir(tmp_path)
+    cfg = dict(_TFIM4, m_index=6, trials=500, out="eig")
+    assert cli.main([command, "--config", write_config(tmp_path, cfg)]) == 0
+    assert built == [] and validated == []
+
+
+@pytest.mark.parametrize("command, extra", [
+    ("solve", {"power_method": "binary_power", "m_index": 4, "trials": 50}),
+    ("solve", {"power_method": "flag_loop", "m_index": 4, "trials": 50}),
+    ("oracle-check", {"m_index": 4}),
+    ("oracle-check", {"m_index": 4, "power_method": "flag_loop"}),
+    ("trotter-bench", {"slice_sweep": [1, 2, 4]}),
+], ids=["binary_power", "flag_loop", "oracle-check", "oracle-check-flag_loop", "trotter-bench"])
+def test_dense_unitary_is_built_once_where_needed(tmp_path, monkeypatch, command, extra):
+    """The gate routes, the audit's route check and the Trotter sweep build
+    the dense e^{-iHt} from the decomposition exactly once per run."""
+    built, _ = count_dense_unitaries(monkeypatch)
+    monkeypatch.chdir(tmp_path)
+    cfg = dict(_TFIM4, out="dense", **extra)
+    assert cli.main([command, "--config", write_config(tmp_path, cfg)]) == 0
+    assert built == [16]
+
+
+def test_grid_runs_at_a_large_slice_count(tmp_path, monkeypatch):
+    """The dense slice is raised to the slice count with drift control, so a
+    large count stays within the gate tolerance (100000 slices exited 1 with
+    "gate is not unitary" when powered without it)."""
+    monkeypatch.chdir(tmp_path)
+    cfg = {"problem": "grid", "system_qubits": 3, "potential": "harmonic:0.8,3.5",
+           "m_index": 3, "time": 0.4, "slices": 100000, "trials": 200, "out": "grid"}
+    assert cli.main(["solve", "--config", write_config(tmp_path, cfg)]) == 0
+    record = json.loads((tmp_path / "grid.result.json").read_text())
+    assert record["dominant"]["eigenvector_fidelity"] > 0.99
 
 
 def test_missing_subcommand_is_usage_error():

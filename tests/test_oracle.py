@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import reference as ref
 from spectral_qpe import (
+    ContractViolation,
     HamiltonianSum,
     LocalTerm,
     SpectralDecomposition,
@@ -215,6 +216,37 @@ def test_nan_is_refused_before_any_solver(monkeypatch, bad):
     a = np.eye(2, dtype=np.complex128)
     a[1, 1] = bad
     with pytest.raises(ValueError, match="Hermitian"):
+        eigendecompose(a)
+
+
+def perturb_eigenvectors(monkeypatch, entry):
+    """Make ``np.linalg.eigh`` return eigenvectors with entry [1, 0] set to
+    ``entry`` added to it."""
+    solve = np.linalg.eigh
+
+    def perturbed(matrix):
+        values, vectors = solve(matrix)
+        vectors = vectors.copy()
+        vectors[1, 0] += entry
+        return values, vectors
+
+    monkeypatch.setattr(np.linalg, "eigh", perturbed)
+
+
+@pytest.mark.parametrize("entry", [1e-8, np.nan], ids=["1e-8", "nan"])
+@pytest.mark.parametrize("kind", ["real", "complex"])
+def test_non_orthonormal_eigenvectors_are_refused(monkeypatch, entry, kind):
+    """Eigenvectors off orthonormal by 1e-8, or holding a NaN, fail the
+    V^dag V = I check that stands in for validating each e^{-iHt}."""
+    if kind == "real":
+        a = ref.tfim_dense(3, 1.0, 0.7)
+    else:
+        a = build_grid_particle(3, "harmonic:0.8,3.5", 1.0).dense_hamiltonian()
+    d = eigendecompose(a)
+    defect = np.abs(d.eigenvectors.conj().T @ d.eigenvectors - np.eye(8)).max()
+    assert defect <= 1e-13
+    perturb_eigenvectors(monkeypatch, entry)
+    with pytest.raises(ContractViolation, match="orthonormal"):
         eigendecompose(a)
 
 

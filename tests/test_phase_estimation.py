@@ -452,6 +452,98 @@ def test_block_engine_holds_two_states(traced_peak, corrupt):
     assert peak <= 2.05 * state_bytes
 
 
+def spectral_case(name):
+    """(dense H, t) for the eigenbasis engine: a real TFIM, complex Hermitian
+    terms (complex eigenvectors) and a degenerate spectrum."""
+    if name == "real_tfim":
+        return ref.tfim_dense(3, 1.0, 0.7), 0.5
+    if name == "complex_terms":
+        rng = np.random.default_rng(90)
+        terms = [LocalTerm([0, 1], ref.random_hermitian(4, rng)),
+                 LocalTerm([2], np.array([[0.2, -1j], [1j, -0.4]]))]
+        return HamiltonianSum(terms, 3).dense_hamiltonian(), 0.7
+    # Eigenvalues -1 (x3), 0.5 (x3), 2 (x2) in a random complex eigenbasis.
+    w = ref.random_unitary(8, np.random.default_rng(91))
+    return (w * np.array([-1, -1, -1, 0.5, 0.5, 0.5, 2, 2])) @ w.conj().T, 0.6
+
+
+SPECTRAL_CASES = ["real_tfim", "complex_terms", "degenerate"]
+
+
+@pytest.mark.parametrize("name", SPECTRAL_CASES)
+def test_eigenbasis_columns_match_repeated_multiplication(name):
+    """Column j of the exact-evolution engine equals U^j|va>, U = e^{-iHt}
+    from scipy's expm applied j times, to 1e-12 per amplitude."""
+    dense, t = spectral_case(name)
+    decomposition = eigendecompose(dense)
+    real = name == "real_tfim"
+    assert (decomposition.eigenvectors.dtype == np.float64) == real
+    if name == "degenerate":
+        groups = oracle.degenerate_groups(decomposition.eigenvalues, 1e-8)
+        assert sorted(len(g) for g in groups) == [2, 3, 3]
+    va = load_amplitudes(3, ref.random_state(3, np.random.default_rng(92)))
+    config = PhaseEstimationConfig(m_index=6, decomposition=decomposition, time=t)
+    got = pe._power_columns(va, config)
+    want = ref.repeated_powers(ref.exact_evolution(dense, t), va.amplitudes, 64)
+    assert np.abs(got - want).max() <= 1e-12
+
+
+@pytest.mark.parametrize("name", SPECTRAL_CASES)
+def test_eigenbasis_engine_matches_gate_route(name):
+    """The engine in the eigenbasis and the binary route on the dense U built
+    from the same decomposition agree per amplitude, for both readouts."""
+    dense, t = spectral_case(name)
+    va = load_amplitudes(3, ref.random_state(3, np.random.default_rng(93)))
+    for corrupt in (False, True):
+        block, gate = (
+            pre_measurement_state(
+                va,
+                PhaseEstimationConfig(m_index=5, decomposition=eigendecompose(dense),
+                                      time=t, power_method=method),
+                _corrupt_qft_sign=corrupt,
+            ).amplitudes
+            for method in ("block", "binary_power")
+        )
+        np.testing.assert_allclose(block, gate, rtol=0, atol=1e-10)
+
+
+def test_eigenbasis_columns_span_several_phase_blocks(monkeypatch):
+    """Blocks of columns, the last one short, give the columns of one block."""
+    dense, t = spectral_case("complex_terms")
+    config = PhaseEstimationConfig(m_index=5, decomposition=eigendecompose(dense), time=t)
+    va = load_amplitudes(3, ref.random_state(3, np.random.default_rng(94)))
+    whole = pe._power_columns(va, config)
+    monkeypatch.setattr(pe, "_PHASE_BLOCK", 8 * 3)  # 3 columns a block
+    np.testing.assert_allclose(pe._power_columns(va, config), whole, rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("corrupt", [False, True])
+def test_eigenbasis_engine_holds_two_states(traced_peak, corrupt):
+    """The phase table is built a block of columns at a time, so the engine
+    holds no more than the columns and the transform's output."""
+    config = PhaseEstimationConfig(
+        m_index=14, decomposition=eigendecompose(ref.tfim_dense(4, 1.0, 0.7)), time=0.5
+    )
+    va = load_amplitudes(4, ref.random_state(4, np.random.default_rng(95)))
+    state_bytes = 16 * 2**config.layout.total_qubits
+    state, peak = traced_peak(lambda: pe._block_engine_state(va, config, corrupt))
+    assert state.amplitudes.nbytes == state_bytes
+    assert peak <= 2.05 * state_bytes
+
+
+def test_config_takes_one_unitary_source():
+    """A decomposition is a third, exclusive way to give U; its layout has
+    log2(dim) system qubits, and it takes no slices."""
+    decomposition = eigendecompose(ref.tfim_dense(3, 1.0, 0.7))
+    config = PhaseEstimationConfig(m_index=2, decomposition=decomposition, time=0.5)
+    assert config.layout == RegisterLayout(2, 3, 0)
+    with pytest.raises(ValueError, match="exactly one"):
+        PhaseEstimationConfig(m_index=2, decomposition=decomposition,
+                              unitary=GateMatrix(np.eye(8)), time=0.5)
+    with pytest.raises(ConfigFieldError, match="slices"):
+        PhaseEstimationConfig(m_index=2, decomposition=decomposition, time=0.5, slices=2)
+
+
 # ---------------------------------------------------------------------------
 # readout distribution law
 

@@ -89,6 +89,29 @@ def test_nan_fails_closed_in_contract_checks():
         _wrap_state(1, np.array([np.nan, 0], dtype=complex))
 
 
+def test_unitary_powers_stay_unitary_at_huge_exponents():
+    """Binary powering with drift control: a square is the plain product,
+    small powers match numpy, and powers past 10^6 (which drift past the
+    gate tolerance without control) still validate as gates and stay on
+    the eigenphase formula.  2^30 is one square 30 times over; 2^60 - 1
+    multiplies 60 squares, each within the snap threshold, whose product
+    alone drifts past the tolerance."""
+    u = ref.random_unitary(8, np.random.default_rng(60))
+    squares = [u]
+    assert np.array_equal(statevector._unitary_power(squares, 2), u @ u)
+    assert len(squares) == 2  # kept for the next call
+    for power in (1, 3, 12):
+        np.testing.assert_allclose(statevector._unitary_power([u], power),
+                                   np.linalg.matrix_power(u, power), rtol=0, atol=1e-13)
+    phases, vectors = np.linalg.eig(u)
+    for power in (100000, 1000003, 2**30, 2**60 - 1):
+        got = statevector._unitary_power([u], power)
+        GateMatrix(got)
+        if power < 2**30:
+            want = (vectors * phases**power) @ np.linalg.inv(vectors)
+            assert np.abs(got - want).max() <= 1e-8
+
+
 def test_single_qubit_gates_match_dense_embedding():
     rng = np.random.default_rng(11)
     state_amps = ref.random_state(4, rng)
