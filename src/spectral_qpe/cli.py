@@ -40,6 +40,7 @@ import numpy as np
 from . import hamiltonian as ham
 from . import phase_estimation as pe
 from . import problems
+from . import statevector as sv
 from .errors import AuditFailure, ConfigFieldError, ContractViolation
 
 log = logging.getLogger("spectral_qpe.cli")
@@ -259,7 +260,7 @@ def cmd_trotter_bench(args: argparse.Namespace) -> int:
     for r, dt in zip(sweep, steps):
         started = _time.perf_counter()
         step = problem.source.step_matrix(dt)
-        error = float(np.abs(np.linalg.matrix_power(step, r) - exact).max())
+        error = float(np.abs(sv._unitary_power([step], r) - exact).max())
         elapsed = _time.perf_counter() - started
         lines.append(f"{r},{_g(error)},{_g(elapsed)}")
         log.info("r=%d operator error %.3e (%.3fs)", r, error, elapsed)

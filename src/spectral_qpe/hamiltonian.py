@@ -99,8 +99,17 @@ class HamiltonianSum:
         return cached
 
     def norm_bound(self) -> float:
-        """Cheap upper bound on ||H||: the sum of the terms' spectral norms."""
-        return float(sum(np.linalg.norm(term.matrix, 2) for term in self.terms))
+        """Cheap upper bound on ||H||: the sum of the terms' spectral norms.
+
+        A Hermitian term's spectral norm is its largest |eigenvalue|, taken
+        from ``eigvalsh`` (on the real part when the term is real), not from
+        an SVD.
+        """
+        total = 0.0
+        for term in self.terms:
+            matrix = term.matrix if term.matrix.imag.any() else term.matrix.real
+            total += float(np.abs(np.linalg.eigvalsh(matrix)).max())
+        return total
 
     def dense_hamiltonian(self) -> np.ndarray:
         """H over the full 2^l system space (the oracle's dense assembly)."""

@@ -10,6 +10,8 @@ pipeline.
 
 from __future__ import annotations
 
+import logging
+import time
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -22,6 +24,8 @@ if TYPE_CHECKING:
     from .hamiltonian import HamiltonianSum
     from .statevector import StateVector
 
+log = logging.getLogger(__name__)
+
 #: Largest system the dense route will materialize (4096 x 4096 matrices).
 MAX_DENSE_QUBITS = 12
 #: Absolute Hermiticity tolerance on max|A - A^dag| (scaled by max(1, |A|_max)).
@@ -30,53 +34,73 @@ HERMITICITY_TOL = 1e-10
 DEGENERACY_TOL = 1e-8
 
 
-def embed_operator(matrix, targets, num_qubits: int) -> np.ndarray:
-    """Dense 2^n x 2^n embedding of a k-qubit operator on ``targets``.
+def _embedding_index(targets, num_qubits: int) -> np.ndarray:
+    """Where a k-qubit operator on ``targets`` lands in an n-qubit space.
 
-    ``targets[0]`` is the least significant bit of the operator's own index,
-    matching the gate-application convention of the simulator core.  Built by
-    index arithmetic (scatter of the operator entries over all basis pairs),
-    deliberately not sharing code with the tensor-contraction kernel it is
-    used to verify.
+    Row g of the (2^k, 2^(n-k)) result lists the basis states whose target
+    bits hold the local value g, in one common order of the other bits, so
+    the operator's entry (a, b) lands on the pairs (index[a, c], index[b, c])
+    for every c.  ``targets[0]`` is the least significant bit of the
+    operator's own index, matching the gate-application convention of the
+    simulator core.  Index arithmetic, deliberately not sharing code with the
+    tensor-contraction kernel it is used to verify.
     """
-    mat = np.asarray(matrix, dtype=np.complex128)
     targets = list(targets)
     k = len(targets)
-    if mat.shape != (2**k, 2**k):
-        raise ValueError(f"operator shape {mat.shape} does not match {k} target qubits")
     if len(set(targets)) != k:
         raise ValueError(f"duplicate target qubits: {targets}")
     for t in targets:
         if not 0 <= t < num_qubits:
             raise ValueError(f"target qubit {t} out of range for {num_qubits} qubits")
-    dim = 2**num_qubits
     target_mask = 0
     for t in targets:
         target_mask |= 1 << t
-    idx = np.arange(dim)
+    idx = np.arange(2**num_qubits)
     base = idx[(idx & target_mask) == 0]
     # scatter[g] places the k-bit local value g onto the target bit positions
-    scatter = [
-        sum(((g >> s) & 1) << targets[s] for s in range(k)) for g in range(2**k)
-    ]
-    full = np.zeros((dim, dim), dtype=np.complex128)
-    for g_row in range(2**k):
-        rows = base + scatter[g_row]
-        for g_col in range(2**k):
-            full[rows, base + scatter[g_col]] = mat[g_row, g_col]
+    scatter = np.array(
+        [sum(((g >> s) & 1) << targets[s] for s in range(k)) for g in range(2**k)]
+    )
+    return scatter[:, None] + base
+
+
+def embed_operator(matrix, targets, num_qubits: int) -> np.ndarray:
+    """Dense 2^n x 2^n complex embedding of a k-qubit operator on ``targets``
+    (see :func:`_embedding_index` for the bit order)."""
+    mat = np.asarray(matrix, dtype=np.complex128)
+    targets = list(targets)
+    k = len(targets)
+    if mat.shape != (2**k, 2**k):
+        raise ValueError(f"operator shape {mat.shape} does not match {k} target qubits")
+    index = _embedding_index(targets, num_qubits)
+    full = np.zeros((2**num_qubits, 2**num_qubits), dtype=np.complex128)
+    full[index[:, None, :], index[None, :, :]] = mat[:, :, None]
     return full
 
 
 def assemble_dense(h: HamiltonianSum) -> np.ndarray:
-    """Sum of all term embeddings over the full 2^l system space."""
+    """Sum of all term embeddings over the full 2^l system space.
+
+    Each term's entries are added straight into one accumulator, in term
+    order, with no full-size matrix per term.  The accumulator is float64
+    when every term's imaginary part is exactly zero (every TFIM), else
+    complex128; either way its entries are the bits that summing the complex
+    embeddings gives.
+    """
+    started = time.perf_counter()
     l = h.num_qubits
     if l > MAX_DENSE_QUBITS:
         raise ValueError(
             f"dense assembly is capped at {MAX_DENSE_QUBITS} qubits, got {l}"
         )
-    full = np.zeros((2**l, 2**l), dtype=np.complex128)
+    real = not any(term.matrix.imag.any() for term in h.terms)
+    full = np.zeros((2**l, 2**l), dtype=np.float64 if real else np.complex128)
     for term in h.terms:
-        full += embed_operator(term.matrix, term.support, l)
+        values = term.matrix.real if real else term.matrix
+        index = _embedding_index(term.support, l)
+        full[index[:, None, :], index[None, :, :]] += values[:, :, None]
+    log.debug("assembled dense H: dimension %d, %s, %.3fs", 2**l,
+              "real" if real else "complex", time.perf_counter() - started)
     return full
 
 
@@ -107,14 +131,20 @@ class SpectralDecomposition:
 def eigendecompose(matrix) -> SpectralDecomposition:
     """Full decomposition of a dense Hermitian matrix, eigenvalues ascending.
 
-    A matrix whose imaginary part is exactly zero is real symmetric; it is
-    solved by the real solver, several times faster, and its eigenvectors
-    come back as float64.  The eigenvectors are checked orthonormal once,
-    max|V^dag V - I| <= ``UNITARY_TOL`` (NaN fails closed), the gate
-    tolerance: every e^{-iHt} built from them, in closed form or densely, is
-    then unitary to it.  A failed check raises ``ContractViolation``.
+    The shape and the ``2**MAX_DENSE_QUBITS`` cap are checked before anything
+    reads the entries.  A real matrix stays float64, with no complex copy,
+    and a complex one whose imaginary part is exactly zero is real
+    symmetric too: both go to the real solver, several times faster, and
+    their eigenvectors come back as float64.  The checks are Hermiticity,
+    max|A - A^dag| <= ``HERMITICITY_TOL`` * max(1, max|A|), and
+    orthonormality of the eigenvectors, max|V^dag V - I| <= ``UNITARY_TOL``,
+    the gate tolerance: every e^{-iHt} built from them, in closed form or
+    densely, is then unitary to it.  NaN fails both; a failed Hermiticity
+    check raises ``ValueError``, a failed orthonormality check
+    ``ContractViolation``.
     """
-    mat = np.asarray(matrix, dtype=np.complex128)
+    started = time.perf_counter()
+    mat = np.asarray(matrix)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {mat.shape}")
     if mat.shape[0] > 2**MAX_DENSE_QUBITS:
@@ -122,22 +152,27 @@ def eigendecompose(matrix) -> SpectralDecomposition:
             f"matrix of dimension {mat.shape[0]} exceeds the dense cap "
             f"of {2**MAX_DENSE_QUBITS}"
         )
+    real = not np.iscomplexobj(mat)
+    mat = mat.astype(np.float64 if real else np.complex128, copy=False)
     scale = max(1.0, float(np.abs(mat).max()))
     defect = float(np.abs(mat - mat.conj().T).max())
     if not (defect <= HERMITICITY_TOL * scale):  # NaN fails closed
         raise ValueError(f"matrix is not Hermitian: max|A - A^dag| = {defect:.3e}")
-    if mat.imag.any():
-        eigenvalues, eigenvectors = np.linalg.eigh(mat)
-    else:
-        eigenvalues, eigenvectors = np.linalg.eigh(mat.real)
+    if not (real or mat.imag.any()):
+        real, mat = True, mat.real
+    eigenvalues, eigenvectors = np.linalg.eigh(mat)
     gram = eigenvectors.conj().T @ eigenvectors
-    defect = float(np.abs(gram - np.eye(len(gram))).max())
+    gram[np.diag_indices_from(gram)] -= 1.0  # V^dag V - I, in place
+    # a real gram takes its own magnitudes, with no second full-size array
+    defect = float(np.abs(gram, out=gram if real else None).max())
     if not (defect <= UNITARY_TOL):  # NaN fails closed
         raise ContractViolation(
             f"eigenvectors are not orthonormal: max|V^dag V - I| = {defect:.3e}"
         )
     eigenvalues.setflags(write=False)
     eigenvectors.setflags(write=False)
+    log.debug("eigendecomposed H: dimension %d, %s solver, %.3fs", len(eigenvalues),
+              "real" if real else "complex", time.perf_counter() - started)
     return SpectralDecomposition(eigenvalues, eigenvectors)
 
 

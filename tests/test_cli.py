@@ -455,6 +455,19 @@ class TestTrotterBench:
         assert 0.4 <= errors[2] / errors[1] <= 0.6
         assert all(float(r[2]) >= 0 for r in rows)
 
+    def test_error_falls_as_one_over_r_at_ten_million_slices(self, tmp_path, monkeypatch):
+        """The slice is powered with drift control, so the first-order 1/r
+        law holds out to 10^7 slices on the grid particle (plain matrix
+        powering printed 1.79e-8 there, 27% above the law)."""
+        monkeypatch.chdir(tmp_path)
+        cfg = {"problem": "grid", "system_qubits": 3, "potential": "harmonic:0.8,3.5",
+               "time": 0.4, "slice_sweep": [10**6, 10**7], "out": "grid"}
+        assert cli.main(["trotter-bench", "--config",
+                         write_config(tmp_path, cfg)]) == 0
+        _, rows = read_rows(tmp_path / "grid.trotter.csv")
+        errors = [float(r[1]) for r in rows]
+        assert errors[1] == pytest.approx(errors[0] / 10, rel=0.02)
+
     def test_commuting_terms_are_exact_at_one_slice(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         cfg = {

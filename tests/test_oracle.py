@@ -1,5 +1,7 @@
 """Dense reference engine: embedding, eigensolver contracts, components."""
 
+import logging
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -81,6 +83,57 @@ def test_assemble_single_full_support_term_is_the_matrix():
     mat = ref.random_hermitian(8, rng)
     h = HamiltonianSum([LocalTerm([0, 1, 2], mat)], 3)
     np.testing.assert_allclose(assemble_dense(h), mat, atol=0)
+
+
+PAULI_Y_TERMS = [LocalTerm([0], np.array([[0, -1j], [1j, 0]])),
+                 LocalTerm([0, 1], np.kron(ref.Z, ref.Z))]
+
+
+@pytest.mark.parametrize("case", ["tfim4", "pauli-y"])
+def test_assemble_dense_stays_real_for_real_terms(case):
+    """A TFIM assembles as float64, a term with an imaginary part as
+    complex128; both equal the sum of the Kronecker embeddings."""
+    if case == "tfim4":
+        h, dtype = build_transverse_ising(4, 1.0, 0.7), np.float64
+    else:
+        h, dtype = HamiltonianSum(PAULI_Y_TERMS, 2), np.complex128
+    got = assemble_dense(h)
+    assert got.dtype == dtype
+    want = sum(ref.embed_kron(t.matrix, t.support, h.num_qubits) for t in h.terms)
+    np.testing.assert_array_equal(got, want)
+
+
+def test_assemble_dense_holds_one_matrix(traced_peak):
+    """Terms are added into one float64 accumulator: TFIM-9 peaks below 1.5
+    times its 512 x 512 matrix (summing complex128 embeddings into a complex128
+    accumulator held 4 times)."""
+    h = build_transverse_ising(9, 1.0, 0.7)
+    dense, peak = traced_peak(lambda: assemble_dense(h))
+    assert dense.dtype == np.float64
+    assert peak < 1.5 * dense.nbytes
+
+
+def test_real_matrix_is_decomposed_without_a_complex_copy(traced_peak):
+    """A float64 TFIM-9 matrix is checked and solved in real arithmetic:
+    beyond the eigenvectors it returns, it never holds as much as one
+    complex128 copy of the matrix."""
+    a = build_transverse_ising(9, 1.0, 0.7).dense_hamiltonian()
+    d, peak = traced_peak(lambda: eigendecompose(a))
+    assert d.eigenvectors.dtype == np.float64
+    assert peak < a.astype(np.complex128).nbytes + d.eigenvectors.nbytes
+
+
+@pytest.mark.parametrize("case, kind", [("tfim4", "real"), ("pauli-y", "complex")])
+def test_assembly_and_decomposition_log_one_debug_line_each(caplog, case, kind):
+    h = build_transverse_ising(4, 1.0, 0.7) if case == "tfim4" else HamiltonianSum(PAULI_Y_TERMS, 2)
+    with caplog.at_level(logging.DEBUG, logger="spectral_qpe.oracle"):
+        eigendecompose(assemble_dense(h))
+    messages = [record.getMessage() for record in caplog.records]
+    assert len(messages) == 2
+    dim = 2**h.num_qubits
+    assert messages[0].startswith(f"assembled dense H: dimension {dim}, {kind}, ")
+    assert messages[1].startswith(f"eigendecomposed H: dimension {dim}, {kind} solver, ")
+    assert all(record.levelno == logging.DEBUG for record in caplog.records)
 
 
 def test_tfim_assembles_traceless():
@@ -172,9 +225,9 @@ def test_degenerate_eigenspace_projectors():
 
 def real_symmetric_case(case):
     if case == "tfim6":
-        return build_transverse_ising(6, 1.0, 0.7).dense_hamiltonian()
+        return build_transverse_ising(6, 1.0, 0.7).dense_hamiltonian().astype(np.complex128)
     if case == "tfim5-no-field":  # diagonal, with large eigenspaces
-        return build_transverse_ising(5, 1.0, 0.0).dense_hamiltonian()
+        return build_transverse_ising(5, 1.0, 0.0).dense_hamiltonian().astype(np.complex128)
     q, _ = np.linalg.qr(np.random.default_rng(12).normal(size=(16, 16)))
     a = (q * np.repeat([-2.0, 0.5, 1.5], [3, 5, 8])) @ q.T
     return ((a + a.T) / 2).astype(np.complex128)

@@ -1135,6 +1135,21 @@ def test_run_refuses_before_any_work(monkeypatch, cfg, key):
     assert excinfo.value.field == key
 
 
+def test_exact_tfim_run_computes_no_svd(monkeypatch):
+    """The time check's norm bound takes each term's largest |eigenvalue|
+    and the run's one decomposition is an eigh: an exact TFIM run, set up
+    and sampled, never computes an SVD."""
+    def forbidden(*args, **kwargs):
+        raise AssertionError("an exact TFIM run computed an SVD")
+
+    monkeypatch.setattr(np.linalg, "svd", forbidden)
+    # np.linalg.norm(a, 2) looks svd up in the globals of its implementation
+    monkeypatch.setitem(np.linalg.norm.__wrapped__.__globals__, "svd", forbidden)
+    run = pe.Run({"problem": "tfim", "sites": 5, "m_index": 5, "time": 0.5, "trials": 200})
+    assert run.config.decomposition is not None
+    assert len(sample_spectrum(run.guess, run.config).bins) == 200
+
+
 def test_audit_refuses_problems_without_a_dense_reference(monkeypatch):
     unitary = pe.Run({"problem": "explicit_unitary", "unitary": [[1, 0], [0, 1]],
                       "m_index": 2, "time": 1.0})
