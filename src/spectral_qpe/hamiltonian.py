@@ -116,11 +116,20 @@ class HamiltonianSum:
         return oracle.assemble_dense(self)
 
     def step_matrix(self, dt: float) -> np.ndarray:
-        """Dense matrix of one Trotter slice, composed from its gates."""
-        step = np.eye(2**self.num_qubits, dtype=np.complex128)
+        """Dense matrix of one Trotter slice: each gate acts on the rows of
+        the running product, a 2l-qubit vector with the row bits on top, at
+        2^k * 4^l per term instead of 8^l.  Gates are permuted onto ascending
+        targets, so each entry adds its terms in ascending basis order, as a
+        dense product with the gate's embedding does."""
+        l = self.num_qubits
+        step = np.eye(2**l, dtype=np.complex128).reshape(-1)
         for targets, gate in self._gates(dt):
-            step = oracle.embed_operator(gate.matrix, targets, self.num_qubits) @ step
-        return step
+            ordered = sorted(targets)
+            matrix = oracle.embed_operator(
+                gate.matrix, [ordered.index(t) for t in targets], len(targets)
+            )
+            step = sv._apply_matrix(step, 2 * l, matrix, [t + l for t in ordered])
+        return step.reshape(2**l, 2**l)
 
     def apply_step(
         self, state: sv.StateVector, dt: float, system_qubits=None, controls=()

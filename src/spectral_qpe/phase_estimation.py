@@ -225,14 +225,6 @@ class EigenResult:
     eigenvectors: list[sv.StateVector]
     config: PhaseEstimationConfig
 
-    @property
-    def samples(self) -> list[PhaseSample]:
-        """One :class:`PhaseSample` per trial, in trial order, built on demand."""
-        return [
-            _sample_for_bin(int(b), self.collapsed_states[int(b)], self.config)
-            for b in self.bins
-        ]
-
 
 def default_peak_threshold(trials: int) -> float:
     """Detection threshold tau = max(0.05, 4/sqrt(trials))."""
@@ -513,9 +505,7 @@ def _collapse_bins(
     amplitude (flags must have been uncomputed), then projects, extracts and
     renormalizes per bin.
     """
-    blocks = state.amplitudes.reshape(
-        2**layout.w_work, 2**layout.l_system, layout.num_bins
-    )
+    blocks = state.amplitudes.reshape(2**layout.w_work, 2**layout.l_system, layout.num_bins)
     residue = _residue(blocks[1:])
     if not (residue <= WORK_RESIDUE_TOL):
         raise ContractViolation(f"work register not |0> at readout: residue {residue:.3e}")
@@ -529,37 +519,14 @@ def _collapse_bins(
     return collapsed
 
 
-def _sample_for_bin(
-    bin_index: int, collapsed: sv.StateVector, config: PhaseEstimationConfig
-) -> PhaseSample:
+def run_phase_estimation(va: sv.StateVector, config: PhaseEstimationConfig) -> PhaseSample:
+    """One full estimation trial: trial 0 of :func:`sample_spectrum` run on
+    ``config`` with one trial, collapsed state included."""
+    result = sample_spectrum(va, replace(config, trials=1))
+    bin_index = int(result.bins[0])
     phase = 2.0 * math.pi * bin_index / config.layout.num_bins
-    return PhaseSample(
-        bin=bin_index,
-        phase=phase,
-        energy=phase_to_energy(phase, config.time),
-        collapsed_state=collapsed,
-    )
-
-
-def run_phase_estimation(
-    va: sv.StateVector,
-    config: PhaseEstimationConfig,
-    rng: np.random.Generator | None = None,
-) -> PhaseSample:
-    """One full estimation trial.
-
-    One uniform from ``rng`` (default: trial stream 0 of the config seed)
-    is read out as :func:`sample_spectrum` reads it, so this reproduces its
-    first trial, collapsed state included.
-    """
-    layout = config.layout
-    state = pre_measurement_state(va, config)
-    if rng is None:
-        rng = sv.trial_stream(config.seed, 0)
-    cumulative = np.cumsum(sv.register_distribution(state, layout.index_qubits))
-    outcome = int(sv._draw_from_cumulative(cumulative, rng.random()))
-    collapsed = _collapse_bins(state, layout, [outcome])[outcome]
-    return _sample_for_bin(outcome, collapsed, config)
+    energy = phase_to_energy(phase, config.time)
+    return PhaseSample(bin_index, phase, energy, result.collapsed_states[bin_index])
 
 
 def _peak_threshold(threshold, trials: int) -> float:
@@ -572,22 +539,21 @@ def _peak_threshold(threshold, trials: int) -> float:
 
 
 def sample_spectrum(
-    va: sv.StateVector,
-    config: PhaseEstimationConfig,
-    *,
-    threshold: float | None = None,
+    va: sv.StateVector, config: PhaseEstimationConfig, *, threshold: float | None = None
 ) -> EigenResult:
     """Run ``config.trials`` independent estimations and aggregate.
 
     The pipeline up to measurement consumes no randomness, so the
     pre-measurement state is computed once; each trial then draws only its
-    measurement outcome from the first uniform of its own seed-derived
-    stream, mapped as :func:`~spectral_qpe.statevector.measure_register`
-    maps it.  The outcome sequence is bit-identical to running the full
-    pipeline per trial.  Trials are drawn vectorized, in blocks of
-    ``sv.DRAW_CHUNK``, so besides the pre-measurement state a run holds only
-    ``bins`` and one block's temporaries.  A threshold that is not a
-    positive real is refused before any work.
+    measurement outcome: trial t takes the first bin whose cumulative
+    probability exceeds u times the total, u the first uniform of its stream
+    ``sv.trial_stream(seed, t)``, and each bin read collapses the system
+    register onto its renormalized column.  This is the package's one
+    readout (:func:`run_phase_estimation` is its first trial), bit-identical
+    to running the full pipeline per trial.  Trials are drawn vectorized, in
+    blocks of ``sv.DRAW_CHUNK``, so besides the pre-measurement state a run
+    holds only ``bins`` and one block's temporaries.  A threshold that is
+    not a positive real is refused before any work.
     """
     threshold = _peak_threshold(threshold, config.trials)
     layout = config.layout
@@ -858,15 +824,17 @@ def audit(run: Run, *, _corrupt_qft_sign: bool = False) -> AuditReport:
         )
 
     # Collapse audit: conditioning on each populated readout bin must land on
-    # the spectrally predicted mixture of eigenvectors.
+    # the spectrally predicted mixture of eigenvectors: column j of the
+    # flag-free (system, index) view, normalized (the flag half is zero).
     populated = [int(j) for j in np.nonzero(analytic > POPULATED_BIN_FLOOR)[0]]
-    collapsed = _collapse_bins(pre, config.layout, populated)
+    columns = pre.amplitudes[: cross.size].reshape(-1, config.layout.num_bins)
     predicted = analytic_collapsed_states(
         run.guess, decomposition, config.time, config.m_index, populated
     )
     worst_bin, worst = -1, 1.0
     for j in populated:
-        fidelity = float(abs(np.vdot(predicted[j], collapsed[j].amplitudes)) ** 2)
+        system = columns[:, j] / np.linalg.norm(columns[:, j])
+        fidelity = float(abs(np.vdot(predicted[j], system)) ** 2)
         if fidelity < worst:
             worst_bin, worst = j, fidelity
         if not (fidelity >= 1.0 - COLLAPSE_FIDELITY_TOL):

@@ -156,11 +156,17 @@ class GridRecipe:
         return lambda vector: matrix @ vector
 
     def dense_hamiltonian(self) -> np.ndarray:
-        """The discretized Hermitian H = diag(V) + F^dag diag(T) F."""
+        """The discretized Hermitian H = diag(V) + F^dag diag(T) F, with at
+        most three full matrices alive: F (conjugated in place), diag(T) F
+        and H, then H and H^dag while H is symmetrized in place."""
         f = self._dft_matrix()
-        h = np.diag(self.potential.astype(np.complex128))
-        h += f.conj().T @ (self.kinetic_energies()[:, None] * f)
-        return (h + h.conj().T) / 2.0
+        scaled = self.kinetic_energies()[:, None] * f
+        h = np.conjugate(f, out=f).T @ scaled
+        del f, scaled
+        h[np.diag_indices_from(h)] += self.potential
+        h += h.conj().T
+        h /= 2.0
+        return h
 
 
 def build_grid_particle(num_qubits: int, potential, mass: float) -> GridRecipe:

@@ -174,14 +174,6 @@ class RegisterLayout:
         return list(range(self.m_index + self.l_system, self.total_qubits))
 
 
-@dataclass(frozen=True)
-class MeasurementOutcome:
-    """Result of reading a sub-register: its integer value and Born probability."""
-
-    bits: int
-    probability: float
-
-
 class StateVector:
     """Amplitudes of a pure ``num_qubits``-qubit state (unit norm enforced)."""
 
@@ -290,20 +282,21 @@ def _apply_matrix(
             out=out[split:].reshape(2**k, 2**low),
         )
         return out
-    out = amps.copy()
-    tensor = out.reshape((2,) * q)
     selector = [slice(None)] * q
     for c in controls:
         selector[q - 1 - c] = 1
-    sub = tensor[tuple(selector)]
+    selector = tuple(selector)
     # Axis bookkeeping for the control-sliced view: remaining axes correspond
     # to the non-control qubits in descending order.
     remaining = [qb for qb in range(q - 1, -1, -1) if qb not in controls]
     front = [remaining.index(t) for t in reversed(targets)]
-    moved = np.moveaxis(sub, front, range(k))
+    moved = np.moveaxis(amps.reshape((2,) * q)[selector], front, range(k))
     shape = moved.shape
     mixed = matrix @ np.ascontiguousarray(moved).reshape(2**k, -1)
-    sub[...] = np.moveaxis(mixed.reshape(shape), range(k), front)
+    # The output is allocated once the operand copy is gone; without controls
+    # every amplitude is overwritten, so nothing is copied into it first.
+    out = amps.copy() if controls else np.empty_like(amps)
+    out.reshape((2,) * q)[selector] = np.moveaxis(mixed.reshape(shape), range(k), front)
     return out
 
 
@@ -394,34 +387,10 @@ def register_distribution(state: StateVector, qubits) -> np.ndarray:
 
 
 def _draw_from_cumulative(cumulative: np.ndarray, u):
-    """Map a uniform draw (or an array of them) to outcome indices.
-
-    Zero-probability outcomes produce repeated cumulative values and are
-    never selected by the right-sided search.
-    """
+    """Map uniform draws in [0, 1) to outcome indices; the right-sided
+    search never selects a zero-probability outcome (a repeated value)."""
     idx = np.searchsorted(cumulative, u * cumulative[-1], side="right")
     return np.minimum(idx, len(cumulative) - 1)
-
-
-def measure_register(
-    state: StateVector, qubits, rng: np.random.Generator
-) -> tuple[MeasurementOutcome, StateVector]:
-    """Projectively measure a sub-register.
-
-    Draws exactly one uniform variate from ``rng``, so a fixed seed and call
-    sequence reproduce the outcome sequence bit for bit.  The returned state
-    is the renormalized projection consistent with the outcome.
-    """
-    qubits = list(qubits)
-    if not qubits:
-        raise ValueError("cannot measure an empty qubit list")
-    probs = register_distribution(state, qubits)
-    outcome = int(_draw_from_cumulative(np.cumsum(probs), rng.random()))
-    values = register_values(state.num_qubits, qubits)
-    amps = np.where(values == outcome, state.amplitudes, 0.0)
-    p = float(probs[outcome])
-    amps /= np.sqrt(p)
-    return MeasurementOutcome(outcome, p), _wrap_state(state.num_qubits, amps)
 
 
 def trial_stream(master_seed: int, trial_index: int) -> np.random.Generator:

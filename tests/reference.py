@@ -5,8 +5,12 @@ direct geometric series, scipy matrix exponentials) so it shares no code
 paths with the simulator kernels it is checking against.
 """
 
+from dataclasses import dataclass
+
 import numpy as np
 import scipy.linalg
+
+from spectral_qpe.statevector import StateVector
 
 I2 = np.eye(2, dtype=np.complex128)
 X = np.array([[0, 1], [1, 0]], dtype=np.complex128)
@@ -185,3 +189,48 @@ def random_unitary(dim, rng):
     a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     q, r = np.linalg.qr(a)
     return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+@dataclass(frozen=True)
+class MeasurementOutcome:
+    """Result of reading a sub-register: its integer value and Born probability."""
+
+    bits: int
+    probability: float
+
+
+def measure_register(state, qubits, rng):
+    """Projectively measure a sub-register, one basis state at a time.
+
+    The scalar reference for the package's vectorized draws: exactly one
+    uniform u from ``rng`` picks the first outcome whose running Born sum
+    exceeds u times the total, and the returned state is the renormalized
+    projection onto that outcome.
+    """
+    qubits = list(qubits)
+    if not qubits:
+        raise ValueError("cannot measure an empty qubit list")
+    amps = state.amplitudes
+    values = np.array([
+        sum(((index >> qubit) & 1) << bit for bit, qubit in enumerate(qubits))
+        for index in range(len(amps))
+    ])
+    probs = np.bincount(values, weights=np.abs(amps) ** 2, minlength=2 ** len(qubits))
+    cumulative = np.cumsum(probs)
+    target = rng.random() * cumulative[-1]
+    outcome = next(
+        (k for k, c in enumerate(cumulative) if c > target), len(cumulative) - 1
+    )
+    projected = np.where(values == outcome, amps, 0.0) / np.sqrt(probs[outcome])
+    return MeasurementOutcome(outcome, float(probs[outcome])), StateVector(
+        state.num_qubits, projected
+    )
+
+
+def embedded_step_product(gates, num_qubits):
+    """One Trotter slice as the product of each (targets, gate) pair's full
+    embedding, multiplied onto the running product in gate order."""
+    step = np.eye(2**num_qubits, dtype=np.complex128)
+    for targets, gate in gates:
+        step = embed_kron(gate.matrix, list(targets), num_qubits) @ step
+    return step

@@ -142,9 +142,11 @@ def test_collapse_lands_on_oracle_eigenvectors(acceptance):
             trials=100,
             seed=2004 + instance,
         )
-        for sample in sample_spectrum(va, config).samples:
+        result = sample_spectrum(va, config)
+        for b in result.bins:
+            energy = phase_to_energy(2.0 * math.pi * int(b) / bins, t)
             fidelity = eigenvector_fidelity(
-                sample.collapsed_state, dense, sample.energy, 1e-6
+                result.collapsed_states[int(b)], dense, energy, 1e-6
             )
             worst = min(worst, fidelity)
             checked += 1

@@ -228,6 +228,30 @@ def test_step_matrix_is_one_simulated_slice():
     np.testing.assert_allclose(h.step_matrix(0.3), want, atol=1e-12)
 
 
+def complex_explicit_terms():
+    """Complex Hermitian terms on 4 qubits with unsorted, overlapping supports."""
+    rng = np.random.default_rng(14)
+    supports = [[1], [2, 0], [3, 1, 0], [0, 3], [2, 3], [1, 2, 0, 3]]
+    terms = [LocalTerm(s, ref.random_hermitian(2 ** len(s), rng)) for s in supports]
+    return HamiltonianSum(terms, 4)
+
+
+@pytest.mark.parametrize(
+    "h", [build_transverse_ising(5, 1.0, 0.7), complex_explicit_terms()], ids=["tfim5", "complex"]
+)
+def test_step_matrix_equals_embedded_product_bit_for_bit(h):
+    want = ref.embedded_step_product(slice_gates(h, 0.3), h.num_qubits)
+    assert h.step_matrix(0.3).tobytes() == want.tobytes()
+
+
+def test_step_matrix_holds_three_matrices(traced_peak):
+    h = build_transverse_ising(8, 1.0, 0.7)
+    step, peak = traced_peak(lambda: h.step_matrix(0.3))
+    # the running product, one gate's operand copy and its product; 64 KiB
+    # for the gates and interpreter bookkeeping
+    assert peak <= 3 * step.nbytes + 2**16
+
+
 def test_norm_bound_sums_term_norms_and_bounds_the_spectrum():
     assert build_transverse_ising(3, 1.0, 0.7).norm_bound() == pytest.approx(4.1)
     rng = np.random.default_rng(13)

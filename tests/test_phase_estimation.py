@@ -779,7 +779,7 @@ def test_run_reproduces_first_spectrum_trial():
     config = unitary_config(u, 3, trials=5, seed=77)
     single = run_phase_estimation(va, config)
     batch = sample_spectrum(va, config)
-    assert single.bin == batch.samples[0].bin
+    assert single.bin == batch.bins[0]
 
 
 @pytest.mark.parametrize("seed", range(20))
@@ -790,9 +790,11 @@ def test_single_trial_is_the_first_batch_trial(seed):
                                    trials=3, seed=seed, power_method="block")
     va = load_amplitudes(3, ref.random_state(3, np.random.default_rng(seed)))
     single = run_phase_estimation(va, config)
-    first = sample_spectrum(va, config).samples[0]
-    assert single.bin == first.bin
-    assert np.array_equal(single.collapsed_state.amplitudes, first.collapsed_state.amplitudes)
+    batch = sample_spectrum(va, config)
+    first = int(batch.bins[0])
+    assert single.bin == first
+    assert np.array_equal(single.collapsed_state.amplitudes,
+                          batch.collapsed_states[first].amplitudes)
 
 
 def test_single_trial_holds_two_states(traced_peak):
@@ -892,9 +894,9 @@ def test_collapse_fidelity_on_grid_distinct_spectrum():
     va = load_amplitudes(2, basis @ np.sqrt([0.4, 0.3, 0.2, 0.1]))
     result = sample_spectrum(va, config, threshold=0.05)
     by_bin = {0: 0, 2: 1, 5: 2, 7: 3}
-    for sample in result.samples:
-        k = by_bin[sample.bin]
-        overlap = abs(np.vdot(basis[:, k], sample.collapsed_state.amplitudes)) ** 2
+    for b in result.bins:
+        k = by_bin[int(b)]
+        overlap = abs(np.vdot(basis[:, k], result.collapsed_states[int(b)].amplitudes)) ** 2
         assert overlap >= 1 - 1e-9
 
 
@@ -940,8 +942,8 @@ def test_work_register_must_be_clean_for_collapse():
     va = load_amplitudes(1, ref.random_state(1, rng))
     result = sample_spectrum(va, config)  # passes the internal residue check
     assert result.histogram.counts.sum() == 8
-    for sample in result.samples:
-        assert sample.collapsed_state.num_qubits == 1
+    for b in result.bins:
+        assert result.collapsed_states[int(b)].num_qubits == 1
 
 
 def test_collapse_rejects_work_register_residue_in_any_bin():
@@ -1005,21 +1007,21 @@ def test_analytic_distribution_rejects_non_finite_components(components):
 # vectorized draws and the result record
 
 
-def test_samples_are_built_from_bins_on_demand():
+def test_bins_and_collapsed_states_record_every_trial():
     rng = np.random.default_rng(67)
     u = ref.random_unitary(2, rng)
     config = unitary_config(u, 3, trials=200, seed=8)
-    result = sample_spectrum(load_amplitudes(1, ref.random_state(1, rng)), config)
+    va = load_amplitudes(1, ref.random_state(1, rng))
+    result = sample_spectrum(va, config)
     assert result.bins.shape == (200,)
     assert not result.bins.flags.writeable
     populated = [int(b) for b in np.nonzero(result.histogram.counts)[0]]
     assert sorted(result.collapsed_states) == populated
-    samples = result.samples
-    assert [s.bin for s in samples] == result.bins.tolist()
-    for s in samples:
-        assert s.collapsed_state is result.collapsed_states[s.bin]
-        assert s.phase == 2.0 * math.pi * s.bin / 8
-        assert s.energy == phase_to_energy(s.phase, 1.0)
+    assert all(int(b) in result.collapsed_states for b in result.bins)
+    single = run_phase_estimation(va, config)
+    assert single.bin == result.bins[0]
+    assert single.phase == 2.0 * math.pi * single.bin / 8
+    assert single.energy == phase_to_energy(single.phase, 1.0)
     for (b, _), vec in zip(result.peaks, result.eigenvectors):
         assert vec is result.collapsed_states[b]
 

