@@ -199,7 +199,7 @@ def cmd_sample(args: argparse.Namespace, *, spectrum: bool) -> int:
     run.warn_if_aliased()
 
     result = pe.sample_spectrum(run.guess, run.config, threshold=run.threshold)
-    counts = result.histogram.counts
+    counts = result.counts
 
     dominant_bin = int(np.argmax(counts))
     dominant = _peak_record(
@@ -207,10 +207,7 @@ def cmd_sample(args: argparse.Namespace, *, spectrum: bool) -> int:
     )
 
     if spectrum:
-        peaks = [
-            _peak_record(run, b, counts, vec)
-            for (b, _), vec in zip(result.peaks, result.eigenvectors)
-        ]
+        peaks = [_peak_record(run, b, counts, result.collapsed_states[b]) for b, _ in result.peaks]
         if not peaks:
             log.warning("no peaks at or above threshold %.6g", run.threshold)
     else:

@@ -194,36 +194,23 @@ class PhaseSample:
 
 
 @dataclass(frozen=True)
-class Histogram:
-    """Readout-bin counts over a batch of trials."""
-
-    counts: np.ndarray
-    trials: int
-
-    @property
-    def empirical_probs(self) -> np.ndarray:
-        return self.counts / self.trials
-
-
-@dataclass(frozen=True)
 class EigenResult:
     """Aggregate of a multi-trial run.
 
     ``bins`` holds the readout bin of every trial, in trial order, read-only
     and in the narrowest unsigned dtype that holds M - 1 (uint8 up to
-    ``m_index`` 8, then uint16, then uint32).  ``collapsed_states`` holds
-    the collapsed system state of every bin that was read at least once.
-    ``peaks`` holds (bin, empirical probability) pairs at or above the
-    detection threshold, sorted by descending probability (ties by bin);
-    ``eigenvectors`` holds one collapsed system state per peak, aligned.
+    ``m_index`` 8, then uint16, then uint32).  ``counts`` holds the number
+    of trials that read each of the M bins.  ``collapsed_states`` holds the
+    collapsed system state of every bin that was read at least once, so a
+    peak's eigenvector estimate is ``collapsed_states[bin]``.  ``peaks``
+    holds (bin, empirical probability) pairs at or above the detection
+    threshold, sorted by descending probability (ties by bin).
     """
 
     bins: np.ndarray
+    counts: np.ndarray
     collapsed_states: dict[int, sv.StateVector]
-    histogram: Histogram
     peaks: list[tuple[int, float]]
-    eigenvectors: list[sv.StateVector]
-    config: PhaseEstimationConfig
 
 
 def default_peak_threshold(trials: int) -> float:
@@ -566,14 +553,11 @@ def sample_spectrum(
         bins[start : start + block.size] = block
         counts += np.bincount(block, minlength=layout.num_bins)
     bins.setflags(write=False)
-    histogram = Histogram(counts, config.trials)
     empirical = counts / config.trials
     peak_bins = [int(b) for b in np.nonzero(empirical >= threshold)[0]]
     peak_bins.sort(key=lambda b: (-empirical[b], b))
     collapsed = _collapse_bins(pre, layout, [int(b) for b in np.nonzero(counts)[0]])
-    peaks = [(b, float(empirical[b])) for b in peak_bins]
-    eigenvectors = [collapsed[b] for b in peak_bins]
-    return EigenResult(bins, collapsed, histogram, peaks, eigenvectors, config)
+    return EigenResult(bins, counts, collapsed, [(b, float(empirical[b])) for b in peak_bins])
 
 
 def analytic_bin_distribution(components, m_index: int) -> np.ndarray:
@@ -823,18 +807,17 @@ def audit(run: Run, *, _corrupt_qft_sign: bool = False) -> AuditReport:
             f"{route_deviation:.3e} per amplitude, above {ROUTE_TOL:g}"
         )
 
-    # Collapse audit: conditioning on each populated readout bin must land on
-    # the spectrally predicted mixture of eigenvectors: column j of the
-    # flag-free (system, index) view, normalized (the flag half is zero).
+    # Collapse audit: conditioning on each populated readout bin, as
+    # sample_spectrum collapses, must land on the spectrally predicted
+    # mixture of eigenvectors.
     populated = [int(j) for j in np.nonzero(analytic > POPULATED_BIN_FLOOR)[0]]
-    columns = pre.amplitudes[: cross.size].reshape(-1, config.layout.num_bins)
+    collapsed = _collapse_bins(pre, config.layout, populated)
     predicted = analytic_collapsed_states(
         run.guess, decomposition, config.time, config.m_index, populated
     )
     worst_bin, worst = -1, 1.0
     for j in populated:
-        system = columns[:, j] / np.linalg.norm(columns[:, j])
-        fidelity = float(abs(np.vdot(predicted[j], system)) ** 2)
+        fidelity = float(abs(np.vdot(predicted[j], collapsed[j].amplitudes)) ** 2)
         if fidelity < worst:
             worst_bin, worst = j, fidelity
         if not (fidelity >= 1.0 - COLLAPSE_FIDELITY_TOL):

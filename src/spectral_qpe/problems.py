@@ -25,6 +25,9 @@ from .errors import ConfigFieldError
 
 _PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]])
 _PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]])
+#: Inclusive size bounds of the demo problems: TFIM chain sites, grid qubits.
+_TFIM_SITES = (2, 12)
+_GRID_QUBITS = (2, 10)
 
 
 def build_transverse_ising(sites: int, coupling: float, field: float) -> ham.HamiltonianSum:
@@ -34,8 +37,9 @@ def build_transverse_ising(sites: int, coupling: float, field: float) -> ham.Ham
     ferromagnets.  Term order (fixed, hence the Trotter order) is all bond
     terms left to right, then all field terms left to right.
     """
-    if not 2 <= sites <= 12:
-        raise ValueError(f"site count must be in [2, 12], got {sites}")
+    low, high = _TFIM_SITES
+    if not low <= sites <= high:
+        raise ValueError(f"site count must be in [{low}, {high}], got {sites}")
     zz = np.kron(_PAULI_Z, _PAULI_Z)
     terms = [ham.LocalTerm([i, i + 1], -coupling * zz) for i in range(sites - 1)]
     terms += [ham.LocalTerm([i], -field * _PAULI_X) for i in range(sites)]
@@ -95,8 +99,9 @@ class GridRecipe:
     __slots__ = ("num_qubits", "potential", "mass", "_phase_cache")
 
     def __init__(self, num_qubits: int, potential, mass: float) -> None:
-        if not 2 <= num_qubits <= 10:
-            raise ValueError(f"grid qubit count must be in [2, 10], got {num_qubits}")
+        low, high = _GRID_QUBITS
+        if not low <= num_qubits <= high:
+            raise ValueError(f"grid qubit count must be in [{low}, {high}], got {num_qubits}")
         if not mass > 0:
             raise ValueError(f"mass must be positive, got {mass}")
         values = sample_potential(potential, num_qubits)
@@ -143,10 +148,15 @@ class GridRecipe:
         return np.exp(2j * np.pi * np.outer(grid, grid) / points) / np.sqrt(points)
 
     def step_matrix(self, dt: float) -> np.ndarray:
-        """Dense matrix of one slice: F^dag e^{-iT dt} F e^{-iV dt}."""
+        """Dense matrix of one slice: F^dag e^{-iT dt} F e^{-iV dt}, as one
+        product of F^dag with a copy of F scaled by the position phases along
+        its columns and the momentum phases along its rows, so at most three
+        full matrices are alive."""
         f = self._dft_matrix()
         position_phases, momentum_phases = self._phases(dt)
-        return f.conj().T @ (momentum_phases[:, None] * f) @ np.diag(position_phases)
+        scaled = f * position_phases
+        scaled *= momentum_phases[:, None]
+        return np.conjugate(f, out=f).T @ scaled
 
     def system_step(self, dt: float, slices: int):
         """``slices`` slices as a map on 2^l system vectors: the dense slice
@@ -242,12 +252,14 @@ def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-def as_int(value, key: str, minimum: int | None = None) -> int:
-    """A JSON integer (not a bool), at least ``minimum`` when given."""
+def as_int(value, key: str, minimum: int | None = None, maximum: int | None = None) -> int:
+    """A JSON integer (not a bool), within ``minimum`` and ``maximum`` when given."""
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigFieldError(key, f"expected an integer, got {value!r}")
     if minimum is not None and value < minimum:
         raise ConfigFieldError(key, f"must be >= {minimum}, got {value}")
+    if maximum is not None and value > maximum:
+        raise ConfigFieldError(key, f"must be <= {maximum}, got {value}")
     return value
 
 
@@ -330,12 +342,12 @@ def build_problem(cfg: dict) -> Problem:
     kind = _problem_kind(cfg)
     try:
         if kind == "tfim":
-            sites = as_int(require(cfg, "sites"), "sites", minimum=2)
+            sites = as_int(require(cfg, "sites"), "sites", *_TFIM_SITES)
             coupling = as_real(cfg.get("coupling", 1.0), "coupling")
             field = as_real(cfg.get("field", 1.0), "field")
             return Problem(kind, source=build_transverse_ising(sites, coupling, field))
         if kind == "grid":
-            l_system = as_int(require(cfg, "system_qubits"), "system_qubits", minimum=1)
+            l_system = as_int(require(cfg, "system_qubits"), "system_qubits", *_GRID_QUBITS)
             mass = as_real(cfg.get("mass", 1.0), "mass")
             potential = cfg.get("potential", "zero")
             if isinstance(potential, list):

@@ -108,7 +108,7 @@ def test_sampling_frequencies_follow_overlap_weights(acceptance):
         seed=2003,
     )
     va = load_amplitudes(1, np.sqrt([0.25, 0.75]))
-    freqs = sample_spectrum(va, config).histogram.empirical_probs
+    freqs = sample_spectrum(va, config).counts / config.trials
     bound = 3.0 * math.sqrt(0.25 * 0.75 / 4000)
     deviation = max(abs(freqs[0] - 0.25), abs(freqs[1] - 0.75))
     elapsed = time.perf_counter() - started
@@ -236,7 +236,7 @@ def test_spin_chain_spectrum_end_to_end(acceptance):
     peak_bins = [b for b, _ in result.peaks]
 
     bin_width_energy = 2.0 * math.pi / (bins * t)
-    dominant_bin = int(np.argmax(result.histogram.counts))
+    dominant_bin = int(np.argmax(result.counts))
     dominant_energy = phase_to_energy(2.0 * math.pi * dominant_bin / bins, t)
     ground_energy = float(decomposition.eigenvalues[0])
     ground_ok = abs(dominant_energy - ground_energy) <= bin_width_energy

@@ -194,6 +194,16 @@ class TestConfigRejections:
         assert "Traceback" not in err
         assert list(tmp_path.glob("odd*")) == []
 
+    @pytest.mark.parametrize("cfg, key", [
+        ({"problem": "tfim", "sites": 13}, "sites"),
+        ({"problem": "grid", "system_qubits": 11}, "system_qubits"),
+        ({"problem": "grid", "system_qubits": 1}, "system_qubits"),
+    ], ids=["tfim-13-sites", "grid-11-qubits", "grid-1-qubit"])
+    def test_out_of_range_size_is_named(self, tmp_path, monkeypatch, capsys, cfg, key):
+        monkeypatch.chdir(tmp_path)
+        err = self.check(tmp_path, capsys, dict(cfg, m_index=3, time=0.5), f'key "{key}"')
+        assert 'key "problem"' not in err
+
     def test_register_cap_is_cited(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
         cfg = {"problem": "tfim", "sites": 2, "m_index": 25, "time": 1.0}

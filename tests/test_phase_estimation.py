@@ -813,8 +813,8 @@ def test_single_trial_holds_two_states(traced_peak):
 def test_sample_spectrum_deterministic_single_peak():
     config = unitary_config(np.diag([1, 1j]), 3, trials=64, seed=1)
     result = sample_spectrum(load_amplitudes(1, [0, 1]), config)
-    assert result.histogram.counts[2] == 64  # omega = pi/2 -> bin 2 of 8
-    assert result.histogram.counts.sum() == 64
+    assert result.counts[2] == 64  # omega = pi/2 -> bin 2 of 8
+    assert result.counts.sum() == 64
     assert result.peaks == [(2, 1.0)]
 
 
@@ -822,7 +822,7 @@ def test_sample_spectrum_born_weights_within_3_sigma():
     config = unitary_config(np.diag([1, 1j]), 2, trials=4000, seed=11)
     va = load_amplitudes(1, np.sqrt([0.25, 0.75]))
     result = sample_spectrum(va, config)
-    freqs = result.histogram.empirical_probs
+    freqs = result.counts / config.trials
     for weight, b in ((0.25, 0), (0.75, 1)):
         sigma = math.sqrt(weight * (1 - weight) / 4000)
         assert abs(freqs[b] - weight) <= 3 * sigma
@@ -834,7 +834,7 @@ def test_sample_spectrum_off_grid_chi_squared():
                             trials=10000, seed=9)
     result = sample_spectrum(load_amplitudes(1, [0, 1]), config)
     expected = analytic_bin_distribution([(1.0, omega)], 3) * 10000
-    _, p_value = scipy.stats.chisquare(result.histogram.counts, expected)
+    _, p_value = scipy.stats.chisquare(result.counts, expected)
     assert p_value > 0.001
 
 
@@ -846,11 +846,11 @@ def test_peaks_sorted_and_thresholded():
     probs = [p for _, p in result.peaks]
     assert probs == sorted(probs, reverse=True)
     assert all(p >= 0.1 for p in probs)
-    assert len(result.eigenvectors) == len(result.peaks)
+    assert all(b in result.collapsed_states for b, _ in result.peaks)
 
     nothing = sample_spectrum(va, config, threshold=1.1)
     assert nothing.peaks == []
-    assert nothing.eigenvectors == []
+    assert sorted(nothing.collapsed_states) == [0, 1]  # collapsed whether or not a peak
 
 
 def test_default_threshold_rule():
@@ -941,7 +941,7 @@ def test_work_register_must_be_clean_for_collapse():
     config = unitary_config(u, 2, power_method="flag_loop", trials=8, seed=4)
     va = load_amplitudes(1, ref.random_state(1, rng))
     result = sample_spectrum(va, config)  # passes the internal residue check
-    assert result.histogram.counts.sum() == 8
+    assert result.counts.sum() == 8
     for b in result.bins:
         assert result.collapsed_states[int(b)].num_qubits == 1
 
@@ -1015,15 +1015,16 @@ def test_bins_and_collapsed_states_record_every_trial():
     result = sample_spectrum(va, config)
     assert result.bins.shape == (200,)
     assert not result.bins.flags.writeable
-    populated = [int(b) for b in np.nonzero(result.histogram.counts)[0]]
+    populated = [int(b) for b in np.nonzero(result.counts)[0]]
     assert sorted(result.collapsed_states) == populated
     assert all(int(b) in result.collapsed_states for b in result.bins)
     single = run_phase_estimation(va, config)
     assert single.bin == result.bins[0]
     assert single.phase == 2.0 * math.pi * single.bin / 8
     assert single.energy == phase_to_energy(single.phase, 1.0)
-    for (b, _), vec in zip(result.peaks, result.eigenvectors):
-        assert vec is result.collapsed_states[b]
+    assert all(b in result.collapsed_states for b, _ in result.peaks)
+    fields = [f.name for f in dataclasses.fields(result)]
+    assert fields == ["bins", "counts", "collapsed_states", "peaks"]
 
 
 def test_sample_spectrum_builds_no_per_trial_streams(monkeypatch):
@@ -1033,7 +1034,7 @@ def test_sample_spectrum_builds_no_per_trial_streams(monkeypatch):
     monkeypatch.setattr(sv, "trial_stream", forbidden)
     config = unitary_config(np.diag([1, 1j]), 2, trials=500, seed=3)
     result = sample_spectrum(load_amplitudes(1, np.sqrt([0.25, 0.75])), config)
-    assert result.histogram.counts.sum() == 500
+    assert result.counts.sum() == 500
 
 
 @pytest.mark.parametrize("trials", [19, 20, 21])
@@ -1049,7 +1050,7 @@ def test_blocked_draws_equal_one_pass(monkeypatch, trials):
     cumulative = np.cumsum(pre_measurement_distribution(va, config))
     want = sv._draw_from_cumulative(cumulative, sv.uniform_draws(config.seed, np.arange(trials)))
     assert np.array_equal(result.bins, want)
-    assert np.array_equal(result.histogram.counts, np.bincount(want, minlength=8))
+    assert np.array_equal(result.counts, np.bincount(want, minlength=8))
 
 
 @pytest.mark.parametrize("m_index, dtype", [(8, np.uint8), (9, np.uint16), (17, np.uint32)])
@@ -1068,7 +1069,7 @@ def test_sample_spectrum_holds_about_one_byte_per_trial(traced_peak):
     )
     va = load_amplitudes(1, np.sqrt([0.3, 0.7]))
     result, peak = traced_peak(lambda: sample_spectrum(va, config))
-    assert result.histogram.counts.sum() == trials
+    assert result.counts.sum() == trials
     assert peak <= trials + 2 * 2**20
 
 
@@ -1107,6 +1108,23 @@ def test_audit_catches_a_reversed_readout():
                   "terms": [{"support": [0], "matrix": [[0.7, 0.9], [0.9, -0.1]]}]})
     with pytest.raises(pe.AuditFailure, match="distribution check"):
         pe.audit(run, _corrupt_qft_sign=True)
+
+
+def test_audit_collapses_through_the_sampling_collapse(monkeypatch):
+    """The collapse check reads the states sample_spectrum would leave: a
+    _collapse_bins that swaps two bins' states fails the audit."""
+    run = pe.Run({"problem": "tfim", "sites": 3, "m_index": 4, "time": 0.5})
+    collapse = pe._collapse_bins
+
+    def swapped(state, layout, bins):
+        states = collapse(state, layout, bins)
+        first, second = bins[:2]
+        states[first], states[second] = states[second], states[first]
+        return states
+
+    monkeypatch.setattr(pe, "_collapse_bins", swapped)
+    with pytest.raises(pe.AuditFailure, match="eigenvector-fidelity audit"):
+        pe.audit(run)
 
 
 def test_run_records_its_resolved_config():

@@ -155,6 +155,18 @@ class TestGridRecipe:
         # H itself, F and diag(T) F at the product; 64 KiB of bookkeeping
         assert peak <= 3 * h.nbytes + 2**16
 
+    @pytest.mark.parametrize("qubits", [8, 10])
+    def test_step_matrix_is_one_product_within_three_matrices(self, traced_peak, qubits):
+        recipe = build_grid_particle(qubits, "harmonic:0.3,100.0", 1.0)
+        dt = 0.05
+        step, peak = traced_peak(lambda: recipe.step_matrix(dt))
+        # the step, F^dag and the scaled F at the product, plus the phase vectors
+        assert peak <= 3.05 * step.nbytes
+        f = ref.dft_matrix(2**qubits)
+        kinetic = np.diag(np.exp(-1j * recipe.kinetic_energies() * dt))
+        want = f.conj().T @ kinetic @ f @ np.diag(np.exp(-1j * recipe.potential * dt))
+        np.testing.assert_allclose(step, want, rtol=0, atol=1e-14)
+
     def test_step_is_first_order_split_of_dense_hamiltonian(self):
         recipe = build_grid_particle(3, "harmonic:1.1,3.0", 1.0)
         h = recipe.dense_hamiltonian()
