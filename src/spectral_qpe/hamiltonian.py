@@ -62,11 +62,12 @@ class HamiltonianSum:
     """Ordered sum of local terms over ``num_qubits`` qubits.
 
     Besides its terms it is an evolution source, with the interface that
-    :class:`~spectral_qpe.problems.GridRecipe` shares: ``norm_bound()``,
-    ``dense_hamiltonian()``, ``step_matrix(dt)``, ``apply_step(state, dt,
-    system_qubits, controls)`` and ``system_step(dt, slices)``.  One step is
-    the Trotter slice prod_i e^{-i H_i dt} in term order; its gates are built
-    once per ``dt``.
+    :class:`~spectral_qpe.problems.GridRecipe` shares: ``num_qubits``,
+    ``norm_bound()``, ``dense_hamiltonian()``, ``step_matrix(dt)``,
+    ``apply_step(state, dt, system_qubits, controls)`` (one step, optionally
+    controlled) and ``system_step(dt, slices)`` (``slices`` steps as a map on
+    2^l system vectors).  One step is the Trotter slice prod_i e^{-i H_i dt}
+    in term order; its gates are built once per ``dt``.
     """
 
     __slots__ = ("terms", "num_qubits", "_gate_cache")
@@ -115,21 +116,34 @@ class HamiltonianSum:
         """H over the full 2^l system space (the oracle's dense assembly)."""
         return oracle.assemble_dense(self)
 
-    def step_matrix(self, dt: float) -> np.ndarray:
-        """Dense matrix of one Trotter slice: each gate acts on the rows of
-        the running product, a 2l-qubit vector with the row bits on top, at
-        2^k * 4^l per term instead of 8^l.  Gates are permuted onto ascending
-        targets, so each entry adds its terms in ascending basis order, as a
-        dense product with the gate's embedding does."""
-        l = self.num_qubits
-        step = np.eye(2**l, dtype=np.complex128).reshape(-1)
+    def _slices(self, dt: float, count: int, offset: int = 0):
+        """``count`` slices on flat vectors whose qubits [offset, offset + l)
+        hold the system, or with no vector on the 2^l identity (offset l),
+        made in the loop so no copy outlives the first gate.  Gates are
+        permuted onto ascending targets once per call: each entry then adds
+        its terms in ascending basis order, as a dense embedded product does."""
+        gates = []
         for targets, gate in self._gates(dt):
             ordered = sorted(targets)
-            matrix = oracle.embed_operator(
-                gate.matrix, [ordered.index(t) for t in targets], len(targets)
-            )
-            step = sv._apply_matrix(step, 2 * l, matrix, [t + l for t in ordered])
-        return step.reshape(2**l, 2**l)
+            positions = [ordered.index(t) for t in targets]
+            matrix = oracle.embed_operator(gate.matrix, positions, len(targets))
+            gates.append(([t + offset for t in ordered], matrix))
+
+        def apply(vector=None):
+            if vector is None:
+                vector = np.eye(2**self.num_qubits, dtype=np.complex128).reshape(-1)
+            for _ in range(count):
+                for targets, matrix in gates:
+                    vector = sv._apply_matrix(vector, self.num_qubits + offset, matrix, targets)
+            return vector
+
+        return apply
+
+    def step_matrix(self, dt: float) -> np.ndarray:
+        """One Trotter slice as a dense matrix: the slice on the identity's
+        rows, a 2l-qubit vector, row bits on top (2^k 4^l a term, not 8^l)."""
+        l = self.num_qubits
+        return self._slices(dt, 1, offset=l)().reshape(2**l, 2**l)
 
     def apply_step(
         self, state: sv.StateVector, dt: float, system_qubits=None, controls=()
@@ -144,15 +158,7 @@ class HamiltonianSum:
 
     def system_step(self, dt: float, slices: int):
         """``slices`` slices as a map on 2^l system vectors (no dense product)."""
-        gates = [(targets, gate.matrix) for targets, gate in self._gates(dt)]
-
-        def step(vector: np.ndarray) -> np.ndarray:
-            for _ in range(slices):
-                for targets, matrix in gates:
-                    vector = sv._apply_matrix(vector, self.num_qubits, matrix, targets)
-            return vector
-
-        return step
+        return self._slices(dt, slices)
 
 
 def term_exponential(term: LocalTerm, dt: float) -> sv.GateMatrix:

@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import ContractViolation
-from .statevector import UNITARY_TOL
+from .statevector import MAX_GATE_ARITY, UNITARY_TOL
 
 if TYPE_CHECKING:
     from .hamiltonian import HamiltonianSum
@@ -26,8 +26,9 @@ if TYPE_CHECKING:
 
 log = logging.getLogger(__name__)
 
-#: Largest system the dense route will materialize (4096 x 4096 matrices).
-MAX_DENSE_QUBITS = 12
+#: Largest system the dense route will materialize (4096 x 4096 matrices):
+#: the gate cap, since exact gate routes validate e^{-iHt} as one gate.
+MAX_DENSE_QUBITS = MAX_GATE_ARITY
 #: Absolute Hermiticity tolerance on max|A - A^dag| (scaled by max(1, |A|_max)).
 HERMITICITY_TOL = 1e-10
 #: Eigenvalues closer than this (times |A|_max) are treated as one eigenspace.

@@ -73,15 +73,10 @@ class PhaseEstimationConfig:
       it once, with
       :func:`~spectral_qpe.hamiltonian.unitary_from_decomposition`; or
     * ``source`` -- an evolution source, run as ``slices`` steps of
-      ``dt = time / slices``.  A :class:`~spectral_qpe.hamiltonian.HamiltonianSum`
-      (one step is a Trotter slice) and a
-      :class:`~spectral_qpe.problems.GridRecipe` (one step is a
-      position/momentum split step) both qualify.  A source exposes
-      ``num_qubits``, ``apply_step(state, dt, system_qubits, controls)`` (one
-      step, optionally controlled; the gate routes use it),
-      ``system_step(dt, slices)`` (``slices`` steps as a map on 2^l system
-      vectors; the block engine uses it), ``step_matrix(dt)``,
-      ``dense_hamiltonian()`` and ``norm_bound()``.
+      ``dt = time / slices``: a :class:`~spectral_qpe.hamiltonian.HamiltonianSum`
+      (one step is a Trotter slice; its docstring lists the interface) or a
+      :class:`~spectral_qpe.problems.GridRecipe` (a position/momentum split
+      step).
 
     ``power_method`` selects the route: ``"block"`` (the engine, default),
     or one of the gate-level references ``"binary_power"`` and
@@ -250,6 +245,10 @@ class _MatrixPowers:
         self._gates = {1: gate}
         self._system = system_qubits
 
+    def system_step(self):
+        """U as a map on 2^l system vectors, the block engine's step."""
+        return lambda vector: self._squares[0] @ vector
+
     def apply_controlled(self, state, controls, power: int):
         gate = self._gates.get(power)
         if gate is None:
@@ -285,6 +284,10 @@ class _SourcePowers:
         self._slices = config.slices
         self._system = config.layout.system_qubits
 
+    def system_step(self):
+        """U, ``slices`` source steps, as a map on 2^l system vectors."""
+        return self._source.system_step(self._dt, self._slices)
+
     def apply_controlled(self, state, controls, power: int):
         for _ in range(power * self._slices):
             state = self._source.apply_step(state, self._dt, self._system, controls)
@@ -296,8 +299,9 @@ class _SourcePowers:
 
 
 def _unitary_driver(config: PhaseEstimationConfig):
-    """The gate routes' controlled-U^p: a source's steps, or the dense U,
-    built from a decomposition here, once per route."""
+    """The run's one provider of U: a source's steps (``apply_step`` under
+    controls for the gate routes, ``system_step`` for the block engine), or
+    the dense U, built from a decomposition here, once per route."""
     if config.source is not None:
         return _SourcePowers(config)
     gate = config.unitary
@@ -363,15 +367,6 @@ def apply_conditional_powers_binary(
     return state
 
 
-def _system_step(config: PhaseEstimationConfig):
-    """One application of U to a 2^l system vector: the dense unitary as is,
-    or ``slices`` steps of the source."""
-    if config.unitary is not None:
-        matrix = config.unitary.matrix
-        return lambda vector: matrix @ vector
-    return config.source.system_step(config.time / config.slices, config.slices)
-
-
 #: Phase-table entries the spectral engine builds at once (256 KiB of complex128).
 _PHASE_BLOCK = 2**14
 
@@ -410,12 +405,12 @@ def _spectral_columns(
 
 def _power_columns(va: sv.StateVector, config: PhaseEstimationConfig) -> np.ndarray:
     """The (2^l, M) array whose column j is U^j|va>: from the eigenbasis
-    for exact evolution, else by repeating the step."""
+    for exact evolution, else by repeating the step of :func:`_unitary_driver`."""
     psi = np.empty((2**config.layout.l_system, config.layout.num_bins), dtype=np.complex128)
     if config.decomposition is not None:
         _spectral_columns(psi, va, config.decomposition, config.time)
         return psi
-    step = _system_step(config)
+    step = _unitary_driver(config).system_step()
     vector = psi[:, 0] = va.amplitudes
     for j in range(1, config.layout.num_bins):
         vector = psi[:, j] = step(vector)
@@ -564,8 +559,8 @@ def analytic_bin_distribution(components, m_index: int) -> np.ndarray:
     """Closed-form readout distribution for known spectral components.
 
     ``components`` is a list of (weight |c_k|^2, phase w_k) pairs; the result
-    is P(j) = sum_k w_k * F_M(w_k - 2*pi*j/M) with the leakage kernel
-    F_M(d) = sin^2(M*d/2) / (M^2 * sin^2(d/2)) and F_M(0) = 1.
+    is P(j) = sum_k w_k * F_M(w_k - 2*pi*j/M) with the leakage kernel F_M =
+    |D_M|^2, the squared sine ratio of :func:`_dirichlet_amplitude`.
     """
     if m_index < 1:
         raise ValueError(f"m_index must be >= 1, got {m_index}")
@@ -578,7 +573,7 @@ def analytic_bin_distribution(components, m_index: int) -> np.ndarray:
         raise ValueError(f"component weights must sum to 1, got {total!r}")
     M = 2**m_index
     delta = phases[:, None] - (2.0 * np.pi / M) * np.arange(M)[None, :]
-    return weights @ _leakage_kernel(delta, M)
+    return weights @ _dirichlet_amplitude(delta, M, phase=False) ** 2
 
 
 def analytic_collapsed_states(
@@ -613,32 +608,23 @@ def analytic_collapsed_states(
     return dict(zip(bins, predicted / norms[:, None]))
 
 
-#: |sin(d/2)| below this counts as d = 0 mod 2*pi, where the kernels are 1.
+#: |sin(d/2)| below this counts as d = 0 mod 2*pi, where the sine ratio is 1.
 _ON_GRID = 1e-12
 
 
-def _leakage_kernel(delta: np.ndarray, M: int) -> np.ndarray:
-    """F_M(d) = sin^2(M*d/2)/(M^2 sin^2(d/2)), with F_M = 1 at d = 0 mod 2*pi."""
-    half_sin = np.sin(delta / 2.0)
-    on_grid = np.abs(half_sin) < _ON_GRID
-    safe = np.where(on_grid, 1.0, half_sin)
-    kernel = (np.sin(M * delta / 2.0) / (M * safe)) ** 2
-    return np.where(on_grid, 1.0, kernel)
-
-
-def _dirichlet_amplitude(delta: np.ndarray, M: int) -> np.ndarray:
+def _dirichlet_amplitude(delta: np.ndarray, M: int, phase: bool = True) -> np.ndarray:
     """D_M(d) = (1/M) sum_{p<M} e^{ipd} = e^{i(M-1)d/2} sin(M*d/2)/(M sin(d/2)).
 
     The geometric series in closed form (Cleve et al. 1998), with d first
     wrapped into (-pi, pi].  On the grid only the sine ratio is set to 1; the
     phase factor is kept, since (M-1)d/2 there still reaches about 1e-9 at
-    M = 1024.
+    M = 1024.  Without ``phase`` only the real sine ratio is returned.
     """
     d = np.pi - np.mod(np.pi - delta, 2.0 * np.pi)
     half_sin = np.sin(d / 2.0)
     on_grid = np.abs(half_sin) < _ON_GRID
-    ratio = np.sin(M * d / 2.0) / (M * np.where(on_grid, 1.0, half_sin))
-    return np.exp(0.5j * (M - 1) * d) * np.where(on_grid, 1.0, ratio)
+    ratio = np.where(on_grid, 1.0, np.sin(M * d / 2.0) / (M * np.where(on_grid, 1.0, half_sin)))
+    return np.exp(0.5j * (M - 1) * d) * ratio if phase else ratio
 
 
 def phase_to_energy(phase: float, t: float) -> float:

@@ -338,48 +338,59 @@ class Problem:
 
 
 def build_problem(cfg: dict) -> Problem:
-    """The problem named by ``cfg["problem"]``, built from its keys."""
+    """The problem named by ``cfg["problem"]``, built from its keys; each
+    refusal names the key at fault."""
     kind = _problem_kind(cfg)
+    if kind == "tfim":
+        sites = as_int(require(cfg, "sites"), "sites", *_TFIM_SITES)
+        coupling = as_real(cfg.get("coupling", 1.0), "coupling")
+        field = as_real(cfg.get("field", 1.0), "field")
+        return Problem(kind, source=build_transverse_ising(sites, coupling, field))
+    if kind == "grid":
+        l_system = as_int(require(cfg, "system_qubits"), "system_qubits", *_GRID_QUBITS)
+        mass = as_real(cfg.get("mass", 1.0), "mass")
+        if not mass > 0:
+            raise ConfigFieldError("mass", f"must be positive, got {mass}")
+        potential = cfg.get("potential", "zero")
+        if isinstance(potential, list):
+            potential = [as_real(v, "potential") for v in potential]
+        elif not isinstance(potential, str):
+            raise ConfigFieldError(
+                "potential", "expected a builtin name or a list of samples"
+            )
+        samples = _named("potential", sample_potential, potential, l_system)
+        return Problem(kind, source=build_grid_particle(l_system, samples, mass))
+    if kind == "explicit_terms":
+        l_system = as_int(require(cfg, "system_qubits"), "system_qubits", 1, sv.MAX_QUBITS - 1)
+        raw_terms = require(cfg, "terms")
+        if not isinstance(raw_terms, list) or not raw_terms:
+            raise ConfigFieldError("terms", "expected a non-empty list")
+        terms = [_build_term(spec, f"terms[{i}]", l_system) for i, spec in enumerate(raw_terms)]
+        return Problem(kind, source=ham.HamiltonianSum(terms, l_system))
+    matrix = _as_complex_matrix(require(cfg, "unitary"), "unitary")
+    return Problem(kind, unitary=_named("unitary", sv.GateMatrix, matrix))
+
+
+def _named(key: str, build, *args):
+    """``build(*args)``, a ``ValueError`` from it refused naming ``key``."""
     try:
-        if kind == "tfim":
-            sites = as_int(require(cfg, "sites"), "sites", *_TFIM_SITES)
-            coupling = as_real(cfg.get("coupling", 1.0), "coupling")
-            field = as_real(cfg.get("field", 1.0), "field")
-            return Problem(kind, source=build_transverse_ising(sites, coupling, field))
-        if kind == "grid":
-            l_system = as_int(require(cfg, "system_qubits"), "system_qubits", *_GRID_QUBITS)
-            mass = as_real(cfg.get("mass", 1.0), "mass")
-            potential = cfg.get("potential", "zero")
-            if isinstance(potential, list):
-                potential = [as_real(v, "potential") for v in potential]
-            elif not isinstance(potential, str):
-                raise ConfigFieldError(
-                    "potential", "expected a builtin name or a list of samples"
-                )
-            return Problem(kind, source=build_grid_particle(l_system, potential, mass))
-        if kind == "explicit_terms":
-            l_system = as_int(require(cfg, "system_qubits"), "system_qubits", minimum=1)
-            raw_terms = require(cfg, "terms")
-            if not isinstance(raw_terms, list) or not raw_terms:
-                raise ConfigFieldError("terms", "expected a non-empty list")
-            terms = [_build_term(spec, f"terms[{i}]") for i, spec in enumerate(raw_terms)]
-            return Problem(kind, source=ham.HamiltonianSum(terms, l_system))
-        matrix = _as_complex_matrix(require(cfg, "unitary"), "unitary")
-        return Problem(kind, unitary=sv.GateMatrix(matrix))
-    except ConfigFieldError:
-        raise
+        return build(*args)
     except ValueError as exc:
-        raise ConfigFieldError("problem", f'"{kind}" is invalid: {exc}') from exc
+        raise ConfigFieldError(key, str(exc)) from exc
 
 
-def _build_term(spec, label: str) -> ham.LocalTerm:
+def _build_term(spec, label: str, num_qubits: int) -> ham.LocalTerm:
     if not isinstance(spec, dict) or set(spec) != {"support", "matrix"}:
         raise ConfigFieldError(label, 'expected an object with the keys "support" and "matrix"')
     support = spec["support"]
     if not isinstance(support, list) or not support:
         raise ConfigFieldError(f"{label}.support", "expected a non-empty list of qubits")
-    qubits = [as_int(q, f"{label}.support", minimum=0) for q in support]
-    return ham.LocalTerm(qubits, _as_complex_matrix(spec["matrix"], f"{label}.matrix"))
+    qubits = [as_int(q, f"{label}.support", 0, num_qubits - 1) for q in support]
+    if not len(set(qubits)) == len(qubits) <= ham.MAX_TERM_QUBITS:
+        raise ConfigFieldError(f"{label}.support", f"expected 1 to {ham.MAX_TERM_QUBITS} "
+                               f"distinct qubits, got {qubits}")
+    matrix = _as_complex_matrix(spec["matrix"], f"{label}.matrix")
+    return _named(f"{label}.matrix", ham.LocalTerm, qubits, matrix)
 
 
 def parse_slices(cfg: dict, problem: Problem):

@@ -30,6 +30,15 @@ DIAG_I = {  # diag(1, i): eigenphases 0 and pi/2
 }
 
 
+_Z = [[1, 0], [0, -1]]
+
+
+def _terms(system_qubits, support, matrix):
+    """An explicit_terms problem with one term."""
+    return {"problem": "explicit_terms", "system_qubits": system_qubits,
+            "terms": [{"support": support, "matrix": matrix}]}
+
+
 def read_rows(path):
     header, *rows = path.read_text().strip().split("\n")
     return header, [r.split(",") for r in rows]
@@ -198,9 +207,27 @@ class TestConfigRejections:
         ({"problem": "tfim", "sites": 13}, "sites"),
         ({"problem": "grid", "system_qubits": 11}, "system_qubits"),
         ({"problem": "grid", "system_qubits": 1}, "system_qubits"),
-    ], ids=["tfim-13-sites", "grid-11-qubits", "grid-1-qubit"])
+        (_terms(2, [2], _Z), "terms[0].support"),
+        (_terms(2, [0, 0], np.eye(4).tolist()), "terms[0].support"),
+        (_terms(2, [0, 1], _Z), "terms[0].matrix"),
+        (_terms(2, [0], [[0, 1], [0, 0]]), "terms[0].matrix"),
+        (_terms(30, [0], _Z), "system_qubits"),
+        ({"problem": "explicit_unitary", "unitary": [[1, 1], [0, 1]]}, "unitary"),
+        ({"problem": "explicit_unitary", "unitary": np.eye(3).tolist()}, "unitary"),
+        ({"problem": "grid", "system_qubits": 3, "potential": "bogus"}, "potential"),
+        ({"problem": "grid", "system_qubits": 3, "potential": [0, 1, 2]}, "potential"),
+        ({"problem": "grid", "system_qubits": 3, "mass": 0}, "mass"),
+    ], ids=["tfim-13-sites", "grid-11-qubits", "grid-1-qubit", "support-out-of-range",
+            "support-repeated", "matrix-shape", "matrix-not-hermitian", "terms-30-qubits",
+            "unitary-not-unitary", "unitary-3x3", "potential-unknown", "potential-length",
+            "mass-zero"])
     def test_out_of_range_size_is_named(self, tmp_path, monkeypatch, capsys, cfg, key):
         monkeypatch.chdir(tmp_path)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError(f'an eigendecomposition ran before "{key}" was refused')
+
+        monkeypatch.setattr(oracle, "eigendecompose", forbidden)
         err = self.check(tmp_path, capsys, dict(cfg, m_index=3, time=0.5), f'key "{key}"')
         assert 'key "problem"' not in err
 

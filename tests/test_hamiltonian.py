@@ -272,9 +272,18 @@ def test_layout_mismatch_rejected():
 # ---------------------------------------------------------------------------
 # evolution-source interface (shared with GridRecipe)
 
+def unsorted_explicit_terms():
+    """Complex Hermitian terms on 3 qubits whose supports need a permutation."""
+    rng = np.random.default_rng(22)
+    supports = [[1, 0], [2, 0, 1], [2]]
+    terms = [LocalTerm(s, ref.random_hermitian(2 ** len(s), rng)) for s in supports]
+    return HamiltonianSum(terms, 3)
+
+
 SOURCES = {
     "tfim": lambda: build_transverse_ising(3, 1.0, 0.7),
     "grid": lambda: build_grid_particle(3, "harmonic:0.8,3.5", 1.0),
+    "unsorted_terms": unsorted_explicit_terms,
 }
 
 

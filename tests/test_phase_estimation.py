@@ -437,7 +437,8 @@ def test_block_engine_equals_row_layout_reference(source):
     config = PhaseEstimationConfig(m_index=5, **source_kw)
     for corrupt in (False, True):
         got = pe._block_engine_state(va, config, corrupt).amplitudes
-        want = ref.row_engine_state(va.amplitudes, pe._system_step(config), 32, corrupt)
+        step = pe._unitary_driver(config).system_step()
+        want = ref.row_engine_state(va.amplitudes, step, 32, corrupt)
         assert np.array_equal(got, want)
 
 
