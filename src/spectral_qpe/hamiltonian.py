@@ -12,8 +12,6 @@ off as 1/r.  Term application order is the list order, fixed at construction.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from . import oracle
@@ -184,27 +182,3 @@ def unitary_from_decomposition(
     phases = np.exp(-1j * decomposition.eigenvalues * t)
     vectors = decomposition.eigenvectors
     return sv.GateMatrix((vectors * phases) @ vectors.conj().T)
-
-
-def _commutator_max_norm(a: LocalTerm, b: LocalTerm) -> float:
-    """max|[A, B]| with both terms embedded on the union of their supports."""
-    union = sorted(set(a.support) | set(b.support))
-    positions = {q: i for i, q in enumerate(union)}
-    full_a = oracle.embed_operator(a.matrix, [positions[q] for q in a.support], len(union))
-    full_b = oracle.embed_operator(b.matrix, [positions[q] for q in b.support], len(union))
-    return float(np.abs(full_a @ full_b - full_b @ full_a).max())
-
-
-def slices_for_accuracy(h: HamiltonianSum, t: float, accuracy: float) -> int:
-    """Slice count from the commutator bound; an upper-bound heuristic.
-
-    Uses r >= (sum_{i>j} max|[H_i, H_j]|) * t^2 / (2 * accuracy), the leading
-    first-order splitting error.  Commuting Hamiltonians need only one slice.
-    """
-    if not accuracy > 0:
-        raise ValueError(f"accuracy must be > 0, got {accuracy}")
-    total = 0.0
-    for i in range(len(h.terms)):
-        for j in range(i):
-            total += _commutator_max_norm(h.terms[i], h.terms[j])
-    return max(1, math.ceil(total * t * t / (2.0 * accuracy)))

@@ -107,14 +107,6 @@ def hadamard() -> GateMatrix:
     return GateMatrix(np.array([[1, 1], [1, -1]]) / np.sqrt(2))
 
 
-def pauli_x() -> GateMatrix:
-    return GateMatrix(np.array([[0, 1], [1, 0]]))
-
-
-def pauli_z() -> GateMatrix:
-    return GateMatrix(np.array([[1, 0], [0, -1]]))
-
-
 def phase_shift(theta: float) -> GateMatrix:
     """diag(1, e^{i*theta})."""
     return GateMatrix(np.array([[1, 0], [0, np.exp(1j * theta)]]))
@@ -247,6 +239,35 @@ def _system_register(qubits, size: int, what: str) -> list[int]:
     return qubits
 
 
+def _grouped_axes(q: int, qubits, controls=()):
+    """How a flat q-qubit array is viewed by a gate: each of ``qubits`` and
+    ``controls`` on its own length-2 axis and each run of the other qubits
+    merged into one axis, most significant first.
+
+    Returns the view's shape, a selector taking every control at 1 (kept as
+    a length-1 axis, so no axis shifts) and the axis of each of ``qubits``.
+    """
+    named = set(qubits) | set(controls)
+    shape = []
+    axis = {}
+    run = 0
+    for qb in range(q - 1, -1, -1):
+        if qb in named:
+            if run:
+                shape.append(2**run)
+                run = 0
+            axis[qb] = len(shape)
+            shape.append(2)
+        else:
+            run += 1
+    if run:
+        shape.append(2**run)
+    selector = [slice(None)] * len(shape)
+    for c in controls:
+        selector[axis[c]] = slice(1, 2)
+    return tuple(shape), tuple(selector), [axis[qb] for qb in qubits]
+
+
 def _apply_matrix(
     amps: np.ndarray,
     q: int,
@@ -258,45 +279,21 @@ def _apply_matrix(
     return new amplitudes.
 
     ``targets[0]`` is the least significant bit of the matrix's own index.
-    The flat array is viewed as a rank-q tensor whose axis 0 is the most
-    significant qubit; target axes are moved to the front and the matrix is
-    applied as one matmul over the collapsed remainder.
-
-    When the targets are the contiguous ascending qubits [t, t + k) and the
-    controls are exactly the qubits above them, the controlled part is the
-    top 2^(t+k) amplitudes, already laid out as the (2^k, 2^t) operand of
-    that matmul, and the product is written straight into the same slab of
-    the output, with no axis moves or copies.
+    In the view of :func:`_grouped_axes`, with the controls at 1, the target
+    axes are moved to the front and the matrix is applied as one matmul over
+    the collapsed remainder.  The operand is copied only when it is not
+    already contiguous (contiguous ascending targets with every higher qubit
+    a control need no copy).
     """
     k = len(targets)
-    low = targets[0]
-    if list(targets) == list(range(low, low + k)) and sorted(controls) == list(
-        range(low + k, q)
-    ):
-        out = np.empty_like(amps)
-        split = out.size - 2 ** (low + k)
-        out[:split] = amps[:split]
-        np.matmul(
-            matrix,
-            amps[split:].reshape(2**k, 2**low),
-            out=out[split:].reshape(2**k, 2**low),
-        )
-        return out
-    selector = [slice(None)] * q
-    for c in controls:
-        selector[q - 1 - c] = 1
-    selector = tuple(selector)
-    # Axis bookkeeping for the control-sliced view: remaining axes correspond
-    # to the non-control qubits in descending order.
-    remaining = [qb for qb in range(q - 1, -1, -1) if qb not in controls]
-    front = [remaining.index(t) for t in reversed(targets)]
-    moved = np.moveaxis(amps.reshape((2,) * q)[selector], front, range(k))
-    shape = moved.shape
+    shape, selector, axes = _grouped_axes(q, targets, controls)
+    front = axes[::-1]
+    moved = np.moveaxis(amps.reshape(shape)[selector], front, range(k))
     mixed = matrix @ np.ascontiguousarray(moved).reshape(2**k, -1)
     # The output is allocated once the operand copy is gone; without controls
     # every amplitude is overwritten, so nothing is copied into it first.
     out = amps.copy() if controls else np.empty_like(amps)
-    out.reshape((2,) * q)[selector] = np.moveaxis(mixed.reshape(shape), range(k), front)
+    out.reshape(shape)[selector] = np.moveaxis(mixed.reshape(moved.shape), range(k), front)
     return out
 
 
@@ -342,23 +339,17 @@ def apply_diagonal_phase(state: StateVector, qubits, phases, controls=()) -> Sta
     defect = float(np.abs(np.abs(phases) - 1.0).max())
     if not (defect <= UNITARY_TOL):  # NaN fails closed
         raise ValueError(f"phase factors are not unit modulus: max deviation {defect:.3e}")
-    factors = phases[register_values(state.num_qubits, qubits)]
-    if controls:
-        cmask = 0
-        for c in controls:
-            cmask |= 1 << c
-        idx = np.arange(2**state.num_qubits)
-        factors = np.where((idx & cmask) == cmask, factors, 1.0)
-    return _wrap_state(state.num_qubits, state.amplitudes * factors)
-
-
-def inner_product(a: StateVector, b: StateVector) -> complex:
-    """<a|b> with the first argument conjugated."""
-    if a.num_qubits != b.num_qubits:
-        raise ValueError(
-            f"dimension mismatch: {a.num_qubits} vs {b.num_qubits} qubits"
-        )
-    return complex(np.vdot(a.amplitudes, b.amplitudes))
+    shape, selector, axes = _grouped_axes(state.num_qubits, qubits, controls)
+    # Phase tensor axis j is register bit n-1-j, moved onto its qubit's view
+    # axis; length-1 axes broadcast it over the rest.
+    n = len(qubits)
+    tensor = phases.reshape((2,) * n + (1,) * (len(shape) - n))
+    factors = np.moveaxis(tensor, range(n), axes[::-1])
+    out = state.amplitudes.copy() if controls else np.empty_like(state.amplitudes)
+    np.multiply(
+        state.amplitudes.reshape(shape)[selector], factors, out=out.reshape(shape)[selector]
+    )
+    return _wrap_state(state.num_qubits, out)
 
 
 def register_values(q: int, qubits) -> np.ndarray:

@@ -65,10 +65,10 @@ def controlled_embed(matrix, targets, controls, num_qubits):
 
 
 def moveaxis_apply(amps, q, matrix, targets, controls=()):
-    """The general gate kernel for every call: control axes sliced at 1,
-    target axes moved to the front, one matmul over a contiguous copy of the
-    remainder (the simulator keeps this path for layouts its one-slab fast
-    path does not cover)."""
+    """The gate kernel on the full rank-q tensor for every call: control
+    axes sliced at 1, target axes moved to the front, one matmul over a
+    contiguous copy of the remainder (the simulator merges the untouched
+    qubits into fewer axes and skips the copy when it is not needed)."""
     k = len(targets)
     out = amps.copy()
     tensor = out.reshape((2,) * q)

@@ -14,7 +14,6 @@ from spectral_qpe import (
     exact_unitary,
     load_amplitudes,
     new_basis_state,
-    slices_for_accuracy,
     term_exponential,
 )
 from spectral_qpe.hamiltonian import MAX_TERM_QUBITS, slice_gates
@@ -317,28 +316,3 @@ def test_source_step_acts_only_under_its_control(name):
             out.amplitudes[(np.arange(8) << 1) | control], want, atol=1e-12
         )
 
-
-# ---------------------------------------------------------------------------
-# slice-count heuristic
-
-
-def test_slices_for_accuracy_commuting_is_one():
-    h = HamiltonianSum([LocalTerm([0], ref.Z), LocalTerm([1], ref.Z)], 2)
-    assert slices_for_accuracy(h, t=3.0, accuracy=1e-4) == 1
-
-
-def test_slices_for_accuracy_formula():
-    # For X and Z on one qubit: ||[X, Z]||_max = 2, so r = ceil(2 t^2 / (2 eps))
-    h = HamiltonianSum([LocalTerm([0], ref.X), LocalTerm([0], ref.Z)], 1)
-    t, eps = 2.0, 1e-2
-    assert slices_for_accuracy(h, t, eps) == int(np.ceil(2 * t**2 / (2 * eps)))
-
-
-def test_slices_for_accuracy_bound_is_sufficient():
-    """Running with the suggested r really does land within the target."""
-    h = HamiltonianSum([LocalTerm([0], ref.X), LocalTerm([0], ref.Z)], 1)
-    t, eps = 1.0, 1e-3
-    r = slices_for_accuracy(h, t, eps)
-    got = evolve_dense(h, t, r, one_qubit_layout())
-    exact = ref.exact_evolution(ref.X + ref.Z, t)
-    assert np.abs(got - exact).max() <= eps
