@@ -255,24 +255,28 @@ class _MatrixPowers:
             gate = self._gates[power] = sv.GateMatrix(sv._unitary_power(self._squares, power))
         return sv.apply_controlled_gate(state, gate, controls, self._system)
 
-    def apply_flagged(self, state, layout: sv.RegisterLayout, threshold: int):
-        """Controlled-U on the flag, for the flag loop's step ``threshold``.
+    def flag_loop(self, state, layout: sv.RegisterLayout):
+        """The flag loop's steps, in place on one copy of ``state``.
 
-        Only index values >= ``threshold`` had their flag raised, and U maps
-        zero to zero, so in the (flag, system, index) view U multiplies just
-        the window [1, :, threshold:], written straight into the output.  The
-        flag-clear half and the flag-set columns below the window are carried
-        over as they are, never zeroed: a stray amplitude there survives to
-        the loop's flag-residue check.
+        Step i raises the flag on index columns [i, M), applies U under the
+        flag and lowers it again.  U maps zero to zero, so in the (flag,
+        system, index) view the three compose exactly to U on the window
+        [0, :, i:] of the flag-clear half, the same product the flipped form
+        computes.  Each product goes into a reused scratch, is copied back,
+        and the whole state is norm-checked.  Step M has an empty window and
+        is skipped.  The flag-set half is never written: a stray amplitude
+        there survives to the loop's flag-residue check.
         """
-        shape = (2, 2**layout.l_system, layout.num_bins)
-        src = state.amplitudes.reshape(shape)
-        amps = np.empty_like(state.amplitudes)
-        dst = amps.reshape(shape)
-        dst[0] = src[0]
-        dst[1, :, :threshold] = src[1, :, :threshold]
-        np.matmul(self._gates[1].matrix, src[1, :, threshold:], out=dst[1, :, threshold:])
-        return sv._wrap_state(state.num_qubits, amps)
+        num_bins = layout.num_bins
+        amps = state.amplitudes.copy()
+        clear = amps.reshape(2, -1, num_bins)[0]
+        scratch = np.empty_like(clear)
+        for i in range(1, num_bins):
+            window = scratch[:, : num_bins - i]
+            np.matmul(self._squares[0], clear[:, i:], out=window)
+            clear[:, i:] = window
+            sv._check_norm(amps)
+        return sv._wrap_state(state.num_qubits, amps, check=False)
 
 
 class _SourcePowers:
@@ -293,9 +297,14 @@ class _SourcePowers:
             state = self._source.apply_step(state, self._dt, self._system, controls)
         return state
 
-    def apply_flagged(self, state, layout: sv.RegisterLayout, threshold: int):
-        """Controlled-U on the flag qubit: every step under the flag."""
-        return self.apply_controlled(state, layout.work_qubits, 1)
+    def flag_loop(self, state, layout: sv.RegisterLayout):
+        """The flag loop's steps: for i = 1..M, flip the flag where the index
+        reads >= i, run every step under the flag, flip back."""
+        for i in range(1, layout.num_bins + 1):
+            state = _flip_flag_where_index_ge(state, layout, i)
+            state = self.apply_controlled(state, layout.work_qubits, 1)
+            state = _flip_flag_where_index_ge(state, layout, i)
+        return state
 
 
 def _unitary_driver(config: PhaseEstimationConfig):
@@ -320,7 +329,8 @@ def _flip_flag_where_index_ge(
     low, so in the (flag, system, index) view of the amplitudes the flip
     swaps the index slabs [0, :, threshold:] and [1, :, threshold:].  The
     flipped state is written once into a fresh buffer: the slab below the
-    threshold as is, the slab from it on from the swapped flag halves.
+    threshold as is, the slab from it on from the swapped flag halves.  A
+    permutation of a checked state keeps its norm, so it is not re-checked.
     """
     shape = (2, 2**layout.l_system, layout.num_bins)
     src = state.amplitudes.reshape(shape)
@@ -328,7 +338,7 @@ def _flip_flag_where_index_ge(
     dst = amps.reshape(shape)
     dst[:, :, :threshold] = src[:, :, :threshold]
     dst[:, :, threshold:] = src[::-1, :, threshold:]
-    return sv._wrap_state(state.num_qubits, amps)
+    return sv._wrap_state(state.num_qubits, amps, check=False)
 
 
 def apply_conditional_powers_flag_loop(
@@ -338,19 +348,15 @@ def apply_conditional_powers_flag_loop(
 
     For i = 1..M: raise the flag on components whose index value j satisfies
     i <= j, apply controlled-U on the flag, lower the flag again.  Component
-    j thus receives exactly U^j.  With a dense unitary, step i multiplies
-    only the flag-set index columns [i, M), the only ones the comparator can
-    have raised, which halves the loop's matrix work; a source runs its
-    steps under the flag over the whole register.  Every flip and every
-    controlled-U is norm-checked.  The flag must end |0>; anything else is
-    an internal contract violation.
+    j thus receives exactly U^j.  The driver runs the steps.  With a dense
+    unitary the three compose to U on the flag-clear index columns [i, M),
+    multiplied in place on one copy of the state with a norm check per step
+    (``_MatrixPowers.flag_loop``); a source flips the flag, runs its steps
+    under the flag over the whole register, each norm-checked, and flips
+    back.  The flag must end |0>; anything else is an internal contract
+    violation.
     """
-    layout = config.layout
-    driver = _unitary_driver(config)
-    for i in range(1, layout.num_bins + 1):
-        state = _flip_flag_where_index_ge(state, layout, i)
-        state = driver.apply_flagged(state, layout, i)
-        state = _flip_flag_where_index_ge(state, layout, i)
+    state = _unitary_driver(config).flag_loop(state, config.layout)
     residue = _residue(state.amplitudes.reshape(2, -1)[1])  # the flag-set half
     if not (residue <= WORK_RESIDUE_TOL):  # NaN fails closed
         raise ContractViolation(f"flag qubit not restored to |0>: residue {residue:.3e}")

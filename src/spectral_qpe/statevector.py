@@ -196,11 +196,19 @@ class StateVector:
         return f"StateVector(num_qubits={self.num_qubits})"
 
 
-def _wrap_state(num_qubits: int, amps: np.ndarray) -> StateVector:
-    """Wrap freshly computed amplitudes, enforcing the no-drift contract."""
+def _check_norm(amps: np.ndarray) -> None:
+    """The no-drift contract: raise unless sum|a|^2 is within ``NORM_TOL`` of 1."""
     norm_sq = float(np.vdot(amps, amps).real)
     if not (abs(norm_sq - 1.0) <= NORM_TOL):  # NaN fails closed
         raise ContractViolation(f"state norm drifted: sum|a|^2 = {norm_sq!r}")
+
+
+def _wrap_state(num_qubits: int, amps: np.ndarray, *, check: bool = True) -> StateVector:
+    """Wrap freshly computed amplitudes, enforcing the no-drift contract
+    unless ``check`` is off: amplitudes already checked as they were written,
+    or a permutation of a checked state."""
+    if check:
+        _check_norm(amps)
     state = StateVector.__new__(StateVector)
     amps.setflags(write=False)
     state.num_qubits = num_qubits

@@ -272,8 +272,9 @@ def flag_loop_cases():
 
 @pytest.mark.parametrize("gate, m_index", flag_loop_cases())
 def test_windowed_flag_step_matches_full_slab(gate, m_index):
-    """Each controlled-U of the loop equals U on the whole flag-set slab to
-    1e-14 per amplitude, and so does the whole loop."""
+    """Each step of the flipped reference loop, U on the raised window only,
+    equals U on the whole flag-set slab between masked flips to 1e-14 per
+    amplitude, and so do the whole reference loop and the dense loop."""
     config = unitary_config(gate, m_index, power_method="flag_loop")
     layout = config.layout
     rng = np.random.default_rng(82 + m_index)
@@ -282,52 +283,79 @@ def test_windowed_flag_step_matches_full_slab(gate, m_index):
     )
     index_values = sv.register_values(layout.total_qubits, layout.index_qubits)
     flag = layout.work_qubits[0]
-    driver = pe._unitary_driver(config)
-    state, reference = prepared, prepared.amplitudes
+    args = (gate.matrix, layout.l_system, layout.num_bins)
+    state = reference = prepared.amplitudes
     for i in range(1, layout.num_bins + 1):
-        raised = pe._flip_flag_where_index_ge(state, layout, i)
-        got = driver.apply_flagged(raised, layout, i).amplitudes
-        want = ref.full_slab_flag_step(raised.amplitudes, gate.matrix,
-                                       layout.l_system, layout.num_bins)
-        assert np.abs(got - want).max() <= 1e-14, i
-        state = pe._flip_flag_where_index_ge(load_amplitudes(state.num_qubits, got),
-                                             layout, i)
+        raised = ref.masked_flag_flip(state, index_values, flag, i)
+        want = ref.masked_flag_flip(ref.full_slab_flag_step(raised, *args),
+                                    index_values, flag, i)
+        state = ref.flipped_flag_step(state, *args, i)
+        assert np.abs(state - want).max() <= 1e-14, i
         reference = ref.masked_flag_flip(reference, index_values, flag, i)
-        reference = ref.full_slab_flag_step(reference, gate.matrix,
-                                            layout.l_system, layout.num_bins)
+        reference = ref.full_slab_flag_step(reference, *args)
         reference = ref.masked_flag_flip(reference, index_values, flag, i)
     out = apply_conditional_powers_flag_loop(prepared, config).amplitudes
-    assert np.array_equal(out, state.amplitudes)
+    assert np.array_equal(out, state)
     assert np.abs(out - reference).max() <= 1e-14
+
+
+@pytest.mark.parametrize("gate, m_index", [
+    pytest.param(exact_unitary(build_transverse_ising(4, 1.0, 0.7), 0.5), 8, id="tfim4-m8"),
+    pytest.param(GateMatrix(ref.random_unitary(8, np.random.default_rng(85))), 5,
+                 id="random3-m5"),
+])
+def test_dense_flag_loop_is_bit_identical_to_flipped_steps(gate, m_index):
+    """The in-place window step writes exactly what flip, U on the raised
+    window and flip write, with M far above 2^l and on a complex 3-qubit U
+    (the cases of :func:`flag_loop_cases` are checked above)."""
+    config = unitary_config(gate, m_index, power_method="flag_loop")
+    layout = config.layout
+    rng = np.random.default_rng(86 + m_index)
+    prepared = prepare_index_superposition(
+        lift(ref.random_state(layout.l_system, rng), layout), layout
+    )
+    out = apply_conditional_powers_flag_loop(prepared, config).amplitudes
+    want = ref.flipped_flag_loop(prepared.amplitudes, gate.matrix,
+                                 layout.l_system, layout.num_bins)
+    assert np.array_equal(out, want)
 
 
 @pytest.mark.parametrize("gate, m_index", flag_loop_cases())
 def test_flag_step_carries_columns_below_the_window(gate, m_index):
-    """On a state with the flag set at every index value, the step leaves the
-    flag-clear half and the flag-set columns below the threshold bit for bit
-    and multiplies the rest by U."""
+    """On a state with the flag set at every index value, each flipped step
+    leaves the flag-set half and the flag-clear columns below the threshold
+    bit for bit and multiplies the rest by U; the dense loop carries the
+    same amplitudes and writes what the flipped steps write."""
     config = unitary_config(gate, m_index, power_method="flag_loop")
     layout = config.layout
-    driver = pe._unitary_driver(config)
     rng = np.random.default_rng(83 + m_index)
-    state = load_amplitudes(layout.total_qubits, ref.random_state(layout.total_qubits, rng))
+    amps = ref.random_state(layout.total_qubits, rng)
     shape = (2, 2**layout.l_system, layout.num_bins)
-    before = state.amplitudes.reshape(shape)
+    args = (gate.matrix, layout.l_system, layout.num_bins)
+    before = amps.reshape(shape)
     for i in range(layout.num_bins + 1):
-        after = driver.apply_flagged(state, layout, i).amplitudes.reshape(shape)
-        assert np.array_equal(after[0], before[0])
-        assert np.array_equal(after[1, :, :i], before[1, :, :i])
-        window = gate.matrix @ before[1, :, i:]
-        assert np.abs(after[1, :, i:] - window).max(initial=0.0) <= 1e-14
+        after = ref.flipped_flag_step(amps, *args, i).reshape(shape)
+        assert np.array_equal(after[1], before[1])
+        assert np.array_equal(after[0, :, :i], before[0, :, :i])
+        window = gate.matrix @ before[0, :, i:]
+        assert np.abs(after[0, :, i:] - window).max(initial=0.0) <= 1e-14
+    state = load_amplitudes(layout.total_qubits, amps)
+    out = pe._unitary_driver(config).flag_loop(state, layout).amplitudes
+    assert np.array_equal(out, ref.flipped_flag_loop(amps, *args))
+    assert np.array_equal(out.reshape(shape)[1], before[1])
+    assert np.array_equal(out.reshape(shape)[0, :, 0], before[0, :, 0])
 
 
 def test_stray_flag_amplitude_below_the_window_is_caught(monkeypatch):
-    """A flag amplitude at an index value no window covers is carried to the
-    end of the loop, where the flag-residue check refuses it."""
-    config = unitary_config(ref.random_unitary(2, np.random.default_rng(84)), 2,
-                            power_method="flag_loop")
+    """On a sliced source, a flag amplitude at an index value no window
+    covers is carried to the end of the loop, where the flag-residue check
+    refuses it."""
+    config = PhaseEstimationConfig(
+        m_index=2, source=build_transverse_ising(2, 1.0, 0.7), time=0.5, slices=2,
+        power_method="flag_loop",
+    )
     layout = config.layout
-    state = prepare_index_superposition(lift([1, 0], layout), layout)
+    state = prepare_index_superposition(lift([1, 0, 0, 0], layout), layout)
     flip = pe._flip_flag_where_index_ge
     calls = []
 
@@ -343,6 +371,59 @@ def test_stray_flag_amplitude_below_the_window_is_caught(monkeypatch):
     monkeypatch.setattr(pe, "_flip_flag_where_index_ge", flip_then_stray)
     with pytest.raises(ContractViolation, match="flag qubit"):
         apply_conditional_powers_flag_loop(state, config)
+    assert len(calls) == 2 * layout.num_bins
+
+
+def test_stray_flag_amplitude_in_the_dense_input_is_caught():
+    """The dense loop never writes the flag-set half, so a stray amplitude
+    there reaches the flag-residue check."""
+    config = unitary_config(ref.random_unitary(2, np.random.default_rng(84)), 2,
+                            power_method="flag_loop")
+    layout = config.layout
+    state = prepare_index_superposition(lift([1, 0], layout), layout)
+    amps = state.amplitudes.copy()
+    amps[1 << layout.work_qubits[0]] += 1e-4  # flag set, index 0, system 0
+    state = load_amplitudes(state.num_qubits, amps / np.linalg.norm(amps))
+    with pytest.raises(ContractViolation, match="flag qubit"):
+        apply_conditional_powers_flag_loop(state, config)
+
+
+def drifted_gate(matrix, drift):
+    """A validated gate whose matrix is then replaced by ``drift(matrix)``."""
+    gate = GateMatrix(matrix)
+    gate.matrix = drift(gate.matrix)
+    return gate
+
+
+@pytest.mark.parametrize("drift", [
+    pytest.param(lambda u: (1 + 1e-7) * u, id="norm-drift"),
+    pytest.param(lambda u: np.where(np.eye(len(u), dtype=bool), np.nan, u), id="nan"),
+])
+def test_dense_flag_loop_refuses_a_drifting_unitary_at_that_step(monkeypatch, drift):
+    """Each step norm-checks the whole state, so a U that drifts past
+    NORM_TOL, or holds a NaN, is refused at the first step whose state is
+    off (step 7 of 15 for the drift, step 1 for the NaN), not at the end."""
+    gate = drifted_gate(ref.random_unitary(2, np.random.default_rng(87)), drift)
+    config = unitary_config(gate, 4, power_method="flag_loop")
+    layout = config.layout
+    state = prepare_index_superposition(lift([0.6, 0.8], layout), layout)
+    amps, first_off = state.amplitudes, None
+    for i in range(1, layout.num_bins):
+        amps = ref.flipped_flag_step(amps, gate.matrix, 1, layout.num_bins, i)
+        if first_off is None and not (abs(np.vdot(amps, amps).real - 1.0) <= sv.NORM_TOL):
+            first_off = i
+    norms = []
+    check = sv._check_norm
+
+    def recording_check(amps):
+        norms.append(float(np.vdot(amps, amps).real))
+        check(amps)
+
+    monkeypatch.setattr(sv, "_check_norm", recording_check)
+    with pytest.raises(ContractViolation, match="norm drifted"):
+        apply_conditional_powers_flag_loop(state, config)
+    assert len(norms) == first_off < layout.num_bins - 1  # steps 1..M-1 write
+    assert all(abs(n - 1.0) <= sv.NORM_TOL for n in norms[:-1])
 
 
 def test_flag_loop_and_binary_agree():
@@ -451,6 +532,19 @@ def test_block_engine_holds_two_states(traced_peak, corrupt):
     state, peak = traced_peak(lambda: pe._block_engine_state(va, config, corrupt))
     assert state.amplitudes.nbytes == state_bytes
     assert peak <= 2.05 * state_bytes
+
+
+def test_dense_flag_loop_holds_one_and_a_half_states(traced_peak):
+    """Beyond its input the dense loop holds its one writable copy and a
+    half-state scratch, however many steps it runs (M = 1024 here)."""
+    gate = exact_unitary(build_transverse_ising(4, 1.0, 0.7), 0.5)
+    config = unitary_config(gate, 10, time=0.5, power_method="flag_loop")
+    layout = config.layout
+    va = ref.random_state(4, np.random.default_rng(88))
+    state = prepare_index_superposition(lift(va, layout), layout)
+    out, peak = traced_peak(lambda: apply_conditional_powers_flag_loop(state, config))
+    assert out.amplitudes.nbytes == state.amplitudes.nbytes
+    assert peak <= 1.55 * state.amplitudes.nbytes
 
 
 def spectral_case(name):
@@ -975,7 +1069,10 @@ def test_prepare_rejects_nan_index_residue():
 
 
 def test_flag_residue_check_rejects_nan(monkeypatch):
-    config = unitary_config(np.eye(2), 1, power_method="flag_loop")
+    config = PhaseEstimationConfig(
+        m_index=1, source=HamiltonianSum([LocalTerm([0], ref.Z)], 1), time=1.0,
+        slices=2, power_method="flag_loop",
+    )
     layout = config.layout
     state = prepare_index_superposition(lift([1, 0], layout), layout)
     flip = pe._flip_flag_where_index_ge
@@ -993,6 +1090,22 @@ def test_flag_residue_check_rejects_nan(monkeypatch):
     monkeypatch.setattr(pe, "_flip_flag_where_index_ge", flip_then_poison_last)
     with pytest.raises(ContractViolation, match="flag qubit"):
         apply_conditional_powers_flag_loop(state, config)
+    assert len(calls) == 2 * layout.num_bins
+
+
+def test_dense_flag_loop_rejects_nan_in_the_flag_half(monkeypatch):
+    """A NaN in the dense input's flag-set half fails the first step's norm
+    check; with that check switched off, the flag-residue check still
+    refuses it."""
+    config = unitary_config(np.eye(2), 1, power_method="flag_loop")
+    layout = config.layout
+    amps = prepare_index_superposition(lift([1, 0], layout), layout).amplitudes.copy()
+    amps[1 << layout.work_qubits[0]] = np.nan
+    with pytest.raises(ContractViolation, match="norm drifted"):
+        apply_conditional_powers_flag_loop(unchecked_state(amps), config)
+    monkeypatch.setattr(sv, "_check_norm", lambda amps: None)
+    with pytest.raises(ContractViolation, match="flag qubit"):
+        apply_conditional_powers_flag_loop(unchecked_state(amps), config)
 
 
 @pytest.mark.parametrize(
