@@ -17,6 +17,10 @@ exit never leaves a partial artifact behind.
 Exit codes: 0 success; 2 config error (the message names the offending key);
 3 runtime contract violation (e.g. norm drift); 4 failed oracle audit;
 5 an output file could not be written (the message names its path).
+:func:`main` returns the code and stays a plain function that can be called
+in-process; the process entry, ``spectral_qpe.__main__.console_entry``,
+ends a run that returned a code without interpreter teardown, and exits 1
+when standard output has no reader or an exception escapes ``main``.
 
 The ``SPECTRAL_QPE_LOG`` environment variable selects the log level
 (``error``, ``warn``, ``info``, ``debug``; default ``warn``).
