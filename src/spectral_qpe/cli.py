@@ -382,6 +382,18 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+class _StderrHandler(logging.StreamHandler):
+    """A stream handler on whatever ``sys.stderr`` is when a record is
+    emitted, so each in-process ``main`` call logs to its own stderr."""
+
+    def __init__(self) -> None:
+        logging.Handler.__init__(self)
+
+    @property
+    def stream(self):
+        return sys.stderr
+
+
 def _configure_logging() -> None:
     name = os.environ.get("SPECTRAL_QPE_LOG", "warn")
     level = _LOG_LEVELS.get(name)
@@ -392,7 +404,7 @@ def _configure_logging() -> None:
         )
     package_log = logging.getLogger("spectral_qpe")
     if not package_log.handlers:
-        handler = logging.StreamHandler(sys.stderr)
+        handler = _StderrHandler()
         handler.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
         package_log.addHandler(handler)
     package_log.setLevel(level)

@@ -16,12 +16,14 @@ FFT along j.  For exact evolution, U = e^{-iHt} = V e^{-iEt} V^dag, column j
 is V (e^{-iEtj} * V^dag|V_a>): one matrix product per block of columns, with
 no dense U and no accumulated rounding.  For an explicit unitary or a sliced
 source it is the repeated step U^j|V_a> = U (U^(j-1)|V_a>).  Two gate-level
-constructions over the whole register (a flag-qubit comparator loop and the
-per-index-bit binary route) are kept as references; all three must agree to
-1e-10 per amplitude and the tests enforce that.  The module also carries the
-closed-form measurement distribution and collapsed states, which verify the
-whole pipeline without sampling; :func:`audit` runs those checks on a
-:class:`Run`, which is assembled and validated from a config dict.
+constructions over the whole register are kept as references: the
+per-index-bit binary route, and a flag-qubit comparator loop, whose
+flag-controlled steps run as U on a window of the flag-clear half, in place.
+All three must agree to 1e-10 per amplitude and the tests enforce that.
+The module also carries the closed-form measurement distribution and
+collapsed states, which verify the whole pipeline without sampling;
+:func:`audit` runs those checks on a :class:`Run`, which is assembled and
+validated from a config dict.
 """
 
 from __future__ import annotations
@@ -237,12 +239,12 @@ def prepare_index_superposition(
 
 
 class _MatrixPowers:
-    """Applies controlled-U^p for a dense system unitary, memoizing squarings
-    and validating each power once, when it is first built."""
+    """Applies controlled-U^p for a dense system unitary, building each
+    power from memoized squarings and validating it when it is built."""
 
     def __init__(self, gate: sv.GateMatrix, system_qubits: list[int]) -> None:
+        self._gate = gate
         self._squares = [gate.matrix]
-        self._gates = {1: gate}
         self._system = system_qubits
 
     def system_step(self):
@@ -250,33 +252,20 @@ class _MatrixPowers:
         return lambda vector: self._squares[0] @ vector
 
     def apply_controlled(self, state, controls, power: int):
-        gate = self._gates.get(power)
-        if gate is None:
-            gate = self._gates[power] = sv.GateMatrix(sv._unitary_power(self._squares, power))
+        gate = self._gate
+        if power != 1:
+            gate = sv.GateMatrix(sv._unitary_power(self._squares, power))
         return sv.apply_controlled_gate(state, gate, controls, self._system)
 
-    def flag_loop(self, state, layout: sv.RegisterLayout):
-        """The flag loop's steps, in place on one copy of ``state``.
-
-        Step i raises the flag on index columns [i, M), applies U under the
-        flag and lowers it again.  U maps zero to zero, so in the (flag,
-        system, index) view the three compose exactly to U on the window
-        [0, :, i:] of the flag-clear half, the same product the flipped form
-        computes.  Each product goes into a reused scratch, is copied back,
-        and the whole state is norm-checked.  Step M has an empty window and
-        is skipped.  The flag-set half is never written: a stray amplitude
-        there survives to the loop's flag-residue check.
-        """
-        num_bins = layout.num_bins
-        amps = state.amplitudes.copy()
-        clear = amps.reshape(2, -1, num_bins)[0]
+    def flag_window(self, clear: np.ndarray):
+        """The flag loop's window product: ``product(i)`` is U times index
+        columns [i, M) of the flag-clear half ``clear`` (system, index),
+        written into a reused half-state scratch."""
         scratch = np.empty_like(clear)
-        for i in range(1, num_bins):
-            window = scratch[:, : num_bins - i]
-            np.matmul(self._squares[0], clear[:, i:], out=window)
-            clear[:, i:] = window
-            sv._check_norm(amps)
-        return sv._wrap_state(state.num_qubits, amps, check=False)
+        num_bins = clear.shape[1]
+        return lambda i: np.matmul(
+            self._squares[0], clear[:, i:], out=scratch[:, : num_bins - i]
+        )
 
 
 class _SourcePowers:
@@ -297,48 +286,31 @@ class _SourcePowers:
             state = self._source.apply_step(state, self._dt, self._system, controls)
         return state
 
-    def flag_loop(self, state, layout: sv.RegisterLayout):
-        """The flag loop's steps: for i = 1..M, flip the flag where the index
-        reads >= i, run every step under the flag, flip back."""
-        for i in range(1, layout.num_bins + 1):
-            state = _flip_flag_where_index_ge(state, layout, i)
-            state = self.apply_controlled(state, layout.work_qubits, 1)
-            state = _flip_flag_where_index_ge(state, layout, i)
-        return state
+    def flag_window(self, clear: np.ndarray):
+        """The flag loop's window product: ``product(i)`` runs the steps of
+        U, uncontrolled, on the flag-clear half ``clear`` (system, index),
+        wrapped as an (l+m)-qubit register with the system on the qubits it
+        holds in the layout, and returns the result's index columns [i, M)."""
+        num_qubits = clear.size.bit_length() - 1
+
+        def product(i: int) -> np.ndarray:
+            half = sv._wrap_state(num_qubits, clear.reshape(-1), check=False)
+            stepped = self.apply_controlled(half, (), 1).amplitudes
+            return stepped.reshape(clear.shape)[:, i:]
+
+        return product
 
 
 def _unitary_driver(config: PhaseEstimationConfig):
-    """The run's one provider of U: a source's steps (``apply_step`` under
-    controls for the gate routes, ``system_step`` for the block engine), or
-    the dense U, built from a decomposition here, once per route."""
+    """The run's one provider of U: a source's steps (``apply_step`` for the
+    gate routes, ``system_step`` for the block engine), or the dense U,
+    built from a decomposition here, once per route."""
     if config.source is not None:
         return _SourcePowers(config)
     gate = config.unitary
     if gate is None:
         gate = ham.unitary_from_decomposition(config.decomposition, config.time)
     return _MatrixPowers(gate, config.layout.system_qubits)
-
-
-def _flip_flag_where_index_ge(
-    state: sv.StateVector, layout: sv.RegisterLayout, threshold: int
-) -> sv.StateVector:
-    """X on the flag qubit wherever the index register reads >= threshold.
-
-    The loop counter is classical, so the comparator reduces to an amplitude
-    swap.  The flag is the one work qubit, on top, and the index bits are
-    low, so in the (flag, system, index) view of the amplitudes the flip
-    swaps the index slabs [0, :, threshold:] and [1, :, threshold:].  The
-    flipped state is written once into a fresh buffer: the slab below the
-    threshold as is, the slab from it on from the swapped flag halves.  A
-    permutation of a checked state keeps its norm, so it is not re-checked.
-    """
-    shape = (2, 2**layout.l_system, layout.num_bins)
-    src = state.amplitudes.reshape(shape)
-    amps = np.empty_like(state.amplitudes)
-    dst = amps.reshape(shape)
-    dst[:, :, :threshold] = src[:, :, :threshold]
-    dst[:, :, threshold:] = src[::-1, :, threshold:]
-    return sv._wrap_state(state.num_qubits, amps, check=False)
 
 
 def apply_conditional_powers_flag_loop(
@@ -348,19 +320,27 @@ def apply_conditional_powers_flag_loop(
 
     For i = 1..M: raise the flag on components whose index value j satisfies
     i <= j, apply controlled-U on the flag, lower the flag again.  Component
-    j thus receives exactly U^j.  The driver runs the steps.  With a dense
-    unitary the three compose to U on the flag-clear index columns [i, M),
-    multiplied in place on one copy of the state with a norm check per step
-    (``_MatrixPowers.flag_loop``); a source flips the flag, runs its steps
-    under the flag over the whole register, each norm-checked, and flips
-    back.  The flag must end |0>; anything else is an internal contract
-    violation.
+    j thus receives exactly U^j.  The loop counter is classical and U maps
+    zero to zero, so in the (flag, system, index) view of the amplitudes the
+    three compose exactly to U on the window [0, :, i:] of the flag-clear
+    half.  The loop copies the input once, writes the driver's window
+    product (``flag_window``) back in place for i = 1..M-1 and norm-checks
+    the whole state after each step; step M has an empty window and is
+    skipped.  The flag-set half is never written, and the flag must end
+    |0>: a stray amplitude there is an internal contract violation.
     """
-    state = _unitary_driver(config).flag_loop(state, config.layout)
-    residue = _residue(state.amplitudes.reshape(2, -1)[1])  # the flag-set half
+    num_bins = config.layout.num_bins
+    amps = state.amplitudes.copy()
+    clear = amps.reshape(2, -1, num_bins)[0]
+    window_product = _unitary_driver(config).flag_window(clear)
+    for i in range(1, num_bins):
+        clear[:, i:] = window_product(i)
+        sv._check_norm(amps)
+    del window_product  # frees a dense driver's scratch before the residue check
+    residue = _residue(amps.reshape(2, -1)[1])  # the flag-set half
     if not (residue <= WORK_RESIDUE_TOL):  # NaN fails closed
         raise ContractViolation(f"flag qubit not restored to |0>: residue {residue:.3e}")
-    return state
+    return sv._wrap_state(state.num_qubits, amps, check=False)
 
 
 def apply_conditional_powers_binary(

@@ -181,6 +181,22 @@ def flipped_flag_loop(amps, matrix, l_system, num_bins):
     return amps
 
 
+def flipped_source_flag_loop(amps, source, dt, slices, layout):
+    """The sliced flag loop as the circuit reads, over the whole register:
+    for thresholds 1..M, a masked flag flip, ``slices`` source steps under
+    the flag and the flip again (slow)."""
+    q = layout.total_qubits
+    index_values = np.arange(2**q) % layout.num_bins
+    flag = layout.work_qubits[0]
+    state = StateVector(q, amps)
+    for threshold in range(1, layout.num_bins + 1):
+        state = StateVector(q, masked_flag_flip(state.amplitudes, index_values, flag, threshold))
+        for _ in range(slices):
+            state = source.apply_step(state, dt, layout.system_qubits, [flag])
+        state = StateVector(q, masked_flag_flip(state.amplitudes, index_values, flag, threshold))
+    return state.amplitudes
+
+
 def tfim_dense(sites, coupling, field):
     """Open-chain transverse-field Ising Hamiltonian by explicit Kronecker sums."""
     dim = 2**sites

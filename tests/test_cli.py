@@ -1,6 +1,9 @@
 """Command-line front end: config handling, outputs, exit codes."""
 
+import contextlib
+import io
 import json
+import logging
 import math
 import os
 import pathlib
@@ -468,6 +471,25 @@ def test_failed_temporary_file_exits_5(tmp_path, monkeypatch, capsys):
     assert "cannot write 'full.histogram.csv'" in err
     assert "No space left on device" in err
     assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
+
+def test_each_main_call_logs_to_its_own_stderr(tmp_path, monkeypatch):
+    """The package's log handler writes to the stderr of the call that logs,
+    not to the stderr it was created under."""
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(logging.getLogger("spectral_qpe"), "handlers", [])
+    monkeypatch.setenv("SPECTRAL_QPE_LOG", "warn")
+    # time 1.5 puts TFIM-3's spectral radius outside the unaliased window
+    cfg = {"problem": "tfim", "sites": 3, "m_index": 5, "time": 1.5, "trials": 300,
+           "out": "run"}
+    argv = ["spectrum", "--config", write_config(tmp_path, cfg)]
+    streams = [io.StringIO(), io.StringIO()]
+    for stream in streams:
+        with contextlib.redirect_stderr(stream), contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(argv) == 0
+    first, second = (stream.getvalue() for stream in streams)
+    assert first.startswith("WARNING ")
+    assert second == first
 
 
 class TestTrotterBench:

@@ -69,11 +69,10 @@ def run_entry(argv, cwd):
 
 @pytest.fixture
 def in_process(monkeypatch, capsys):
-    """``cli.main(argv)`` in this process, as (code, stdout, stderr), with a
-    fresh package log handler on the captured stderr."""
+    """``cli.main(argv)`` in this process, as (code, stdout, stderr); the
+    package's log handler writes to whatever stderr is, here the captured one."""
     package_log = logging.getLogger("spectral_qpe")
     level = package_log.level
-    monkeypatch.setattr(package_log, "handlers", [])
     monkeypatch.setenv("SPECTRAL_QPE_LOG", "info")
     monkeypatch.setenv("COLUMNS", "80")
 

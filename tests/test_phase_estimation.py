@@ -246,20 +246,6 @@ def test_conditional_powers_match_dense_reference(m_index):
         np.testing.assert_allclose(got, want, atol=1e-10)
 
 
-def test_flag_flip_equals_masked_swap():
-    rng = np.random.default_rng(80)
-    for m_index, l_system in [(1, 1), (2, 1), (3, 2), (4, 2)]:
-        layout = RegisterLayout(m_index, l_system, 1)
-        state = load_amplitudes(layout.total_qubits,
-                                ref.random_state(layout.total_qubits, rng))
-        index_values = sv.register_values(layout.total_qubits, layout.index_qubits)
-        flag = layout.work_qubits[0]
-        for threshold in range(layout.num_bins + 1):
-            got = pe._flip_flag_where_index_ge(state, layout, threshold).amplitudes
-            want = ref.masked_flag_flip(state.amplitudes, index_values, flag, threshold)
-            assert np.array_equal(got, want)
-
-
 def flag_loop_cases():
     """(unitary, m_index) with M below, equal to and above 2^l: TFIM-3 and a
     random 2-qubit unitary."""
@@ -320,12 +306,51 @@ def test_dense_flag_loop_is_bit_identical_to_flipped_steps(gate, m_index):
     assert np.array_equal(out, want)
 
 
+def unsorted_terms():
+    """Three Hermitian terms on 3 qubits, two of them on unsorted supports."""
+    pair = [[1, 0, 0, 0.5], [0, -1, 0.3, 0], [0, 0.3, 0.2, 0], [0.5, 0, 0, 0.7]]
+    triple = 0.4 * np.eye(8) + 0.1 * (np.eye(8, k=3) + np.eye(8, k=-3))
+    return HamiltonianSum([LocalTerm([1, 0], np.array(pair)), LocalTerm([2, 0, 1], triple),
+                           LocalTerm([2], ref.X)], 3)
+
+
+def sliced_flag_loop_cases():
+    """(source, m_index, time, slices): TFIM chains, grid particles (diagonal
+    phases and QFTs) and unsorted term supports."""
+    tfim3 = build_transverse_ising(3, 1.0, 0.7)
+    return [pytest.param(tfim3, m, 0.5, 3, id=f"tfim3-m{m}") for m in (2, 3, 4)] + [
+        pytest.param(build_transverse_ising(4, 1.0, 0.7), 8, 0.5, 2, id="tfim4-m8"),
+        pytest.param(build_grid_particle(3, "harmonic:0.8,3.5", 1.0), 4, 0.4, 4, id="grid3"),
+        pytest.param(build_grid_particle(4, "harmonic:0.8,3.5", 1.0), 5, 0.4, 2, id="grid4"),
+        pytest.param(unsorted_terms(), 4, 0.5, 2, id="terms3-unsorted"),
+    ]
+
+
+@pytest.mark.parametrize("source, m_index, time, slices", sliced_flag_loop_cases())
+def test_sliced_flag_loop_is_bit_identical_to_flipped_steps(source, m_index, time, slices):
+    """A source's window product, its steps run uncontrolled on the
+    flag-clear half, writes exactly what flip, steps under the flag over the
+    whole register and flip write."""
+    config = PhaseEstimationConfig(m_index=m_index, source=source, time=time, slices=slices,
+                                   power_method="flag_loop")
+    layout = config.layout
+    rng = np.random.default_rng(89 + m_index)
+    prepared = prepare_index_superposition(
+        lift(ref.random_state(layout.l_system, rng), layout), layout
+    )
+    out = apply_conditional_powers_flag_loop(prepared, config).amplitudes
+    want = ref.flipped_source_flag_loop(prepared.amplitudes, source, time / slices, slices,
+                                        layout)
+    assert np.array_equal(out, want)
+
+
 @pytest.mark.parametrize("gate, m_index", flag_loop_cases())
-def test_flag_step_carries_columns_below_the_window(gate, m_index):
+def test_flag_step_carries_columns_below_the_window(monkeypatch, gate, m_index):
     """On a state with the flag set at every index value, each flipped step
     leaves the flag-set half and the flag-clear columns below the threshold
-    bit for bit and multiplies the rest by U; the dense loop carries the
-    same amplitudes and writes what the flipped steps write."""
+    bit for bit and multiplies the rest by U; the loop (its flag-residue
+    check switched off) carries the same amplitudes and writes what the
+    flipped steps write."""
     config = unitary_config(gate, m_index, power_method="flag_loop")
     layout = config.layout
     rng = np.random.default_rng(83 + m_index)
@@ -340,7 +365,8 @@ def test_flag_step_carries_columns_below_the_window(gate, m_index):
         window = gate.matrix @ before[0, :, i:]
         assert np.abs(after[0, :, i:] - window).max(initial=0.0) <= 1e-14
     state = load_amplitudes(layout.total_qubits, amps)
-    out = pe._unitary_driver(config).flag_loop(state, layout).amplitudes
+    monkeypatch.setattr(pe, "WORK_RESIDUE_TOL", math.inf)
+    out = apply_conditional_powers_flag_loop(state, config).amplitudes
     assert np.array_equal(out, ref.flipped_flag_loop(amps, *args))
     assert np.array_equal(out.reshape(shape)[1], before[1])
     assert np.array_equal(out.reshape(shape)[0, :, 0], before[0, :, 0])
@@ -350,28 +376,26 @@ def test_stray_flag_amplitude_below_the_window_is_caught(monkeypatch):
     """On a sliced source, a flag amplitude at an index value no window
     covers is carried to the end of the loop, where the flag-residue check
     refuses it."""
+    source = build_transverse_ising(2, 1.0, 0.7)
     config = PhaseEstimationConfig(
-        m_index=2, source=build_transverse_ising(2, 1.0, 0.7), time=0.5, slices=2,
-        power_method="flag_loop",
+        m_index=2, source=source, time=0.5, slices=2, power_method="flag_loop",
     )
     layout = config.layout
     state = prepare_index_superposition(lift([1, 0, 0, 0], layout), layout)
-    flip = pe._flip_flag_where_index_ge
-    calls = []
+    amps = state.amplitudes.copy()
+    amps[1 << layout.work_qubits[0]] += 1e-4  # flag set, index 0, system 0
+    state = load_amplitudes(state.num_qubits, amps / np.linalg.norm(amps))
+    steps = []
+    step = HamiltonianSum.apply_step
 
-    def flip_then_stray(state, layout, threshold):
-        out = flip(state, layout, threshold)
-        calls.append(threshold)
-        if len(calls) > 1:
-            return out
-        amps = out.amplitudes.copy()
-        amps[1 << layout.work_qubits[0]] += 1e-4  # flag set, index 0, system 0
-        return load_amplitudes(state.num_qubits, amps / np.linalg.norm(amps))
+    def counting_step(self, *args):
+        steps.append(args[-1])
+        return step(self, *args)
 
-    monkeypatch.setattr(pe, "_flip_flag_where_index_ge", flip_then_stray)
+    monkeypatch.setattr(HamiltonianSum, "apply_step", counting_step)
     with pytest.raises(ContractViolation, match="flag qubit"):
         apply_conditional_powers_flag_loop(state, config)
-    assert len(calls) == 2 * layout.num_bins
+    assert steps == [()] * (layout.num_bins - 1) * config.slices
 
 
 def test_stray_flag_amplitude_in_the_dense_input_is_caught():
@@ -447,8 +471,9 @@ def test_flag_loop_and_binary_agree():
 
 
 def test_dense_powers_are_validated_once(monkeypatch):
-    """U was validated with the config; each higher power is validated once,
-    when it is first built, however often it is applied."""
+    """U was validated with the config and is applied as given; the binary
+    route asks for each higher power once, and it is validated once, when
+    it is built."""
     rng = np.random.default_rng(71)
     u = ref.random_unitary(2, rng)
     config = unitary_config(u, 3)
@@ -464,7 +489,7 @@ def test_dense_powers_are_validated_once(monkeypatch):
 
     monkeypatch.setattr(sv, "GateMatrix", CountingGate)
     driver = pe._unitary_driver(config)
-    for power in (1, 1, 2, 2, 4, 1, 4):
+    for power in (1, 2, 4):
         want = sv.apply_controlled_gate(
             state, GateMatrix(np.linalg.matrix_power(u, power)), [0], [3]
         )
@@ -545,6 +570,24 @@ def test_dense_flag_loop_holds_one_and_a_half_states(traced_peak):
     out, peak = traced_peak(lambda: apply_conditional_powers_flag_loop(state, config))
     assert out.amplitudes.nbytes == state.amplitudes.nbytes
     assert peak <= 1.55 * state.amplitudes.nbytes
+
+
+def test_sliced_flag_loop_holds_two_and_a_half_states(traced_peak):
+    """Beyond its input the sliced loop holds its one writable copy and,
+    while a gate runs on the flag-clear half, three half states: the
+    previous gate's output, the operand copy and the product (M = 1024).
+    A first run fills the slice-gate cache and the interpreter's free lists
+    for the small objects each gate call makes (about 0.7 states on a cold
+    interpreter), so the traced run counts only what the loop holds."""
+    config = PhaseEstimationConfig(m_index=10, source=build_transverse_ising(3, 1.0, 0.7),
+                                   time=0.5, slices=1, power_method="flag_loop")
+    layout = config.layout
+    va = ref.random_state(3, np.random.default_rng(89))
+    state = prepare_index_superposition(lift(va, layout), layout)
+    apply_conditional_powers_flag_loop(state, config)
+    out, peak = traced_peak(lambda: apply_conditional_powers_flag_loop(state, config))
+    assert out.amplitudes.nbytes == state.amplitudes.nbytes
+    assert peak <= 2.6 * state.amplitudes.nbytes
 
 
 def spectral_case(name):
@@ -1069,28 +1112,21 @@ def test_prepare_rejects_nan_index_residue():
 
 
 def test_flag_residue_check_rejects_nan(monkeypatch):
+    """A NaN in a sliced source's input flag-set half fails the first
+    step's norm check; with every norm check switched off, the flag-residue
+    check still refuses it."""
     config = PhaseEstimationConfig(
         m_index=1, source=HamiltonianSum([LocalTerm([0], ref.Z)], 1), time=1.0,
         slices=2, power_method="flag_loop",
     )
     layout = config.layout
-    state = prepare_index_superposition(lift([1, 0], layout), layout)
-    flip = pe._flip_flag_where_index_ge
-    calls = []
-
-    def flip_then_poison_last(state, layout, threshold):
-        out = flip(state, layout, threshold)
-        calls.append(threshold)
-        if len(calls) < 2 * layout.num_bins:
-            return out
-        amps = out.amplitudes.copy()
-        amps[1 << layout.work_qubits[0]] = np.nan
-        return unchecked_state(amps)
-
-    monkeypatch.setattr(pe, "_flip_flag_where_index_ge", flip_then_poison_last)
+    amps = prepare_index_superposition(lift([1, 0], layout), layout).amplitudes.copy()
+    amps[1 << layout.work_qubits[0]] = np.nan
+    with pytest.raises(ContractViolation, match="norm drifted"):
+        apply_conditional_powers_flag_loop(unchecked_state(amps), config)
+    monkeypatch.setattr(sv, "_check_norm", lambda amps: None)
     with pytest.raises(ContractViolation, match="flag qubit"):
-        apply_conditional_powers_flag_loop(state, config)
-    assert len(calls) == 2 * layout.num_bins
+        apply_conditional_powers_flag_loop(unchecked_state(amps), config)
 
 
 def test_dense_flag_loop_rejects_nan_in_the_flag_half(monkeypatch):
