@@ -64,8 +64,10 @@ class HamiltonianSum:
     ``norm_bound()``, ``dense_hamiltonian()``, ``step_matrix(dt)``,
     ``apply_step(state, dt, system_qubits, controls)`` (one step, optionally
     controlled) and ``system_step(dt, slices)`` (``slices`` steps as a map on
-    2^l system vectors).  One step is the Trotter slice prod_i e^{-i H_i dt}
-    in term order; its gates are built once per ``dt``.
+    2^l system vectors and on (2^l, K) blocks of system columns; the one
+    slice loop, which ``step_matrix`` runs on the identity).  One step is the
+    Trotter slice prod_i e^{-i H_i dt} in term order; its gates are built
+    once per ``dt``.
     """
 
     __slots__ = ("terms", "num_qubits", "_gate_cache")
@@ -114,34 +116,10 @@ class HamiltonianSum:
         """H over the full 2^l system space (the oracle's dense assembly)."""
         return oracle.assemble_dense(self)
 
-    def _slices(self, dt: float, count: int, offset: int = 0):
-        """``count`` slices on flat vectors whose qubits [offset, offset + l)
-        hold the system, or with no vector on the 2^l identity (offset l),
-        made in the loop so no copy outlives the first gate.  Gates are
-        permuted onto ascending targets once per call: each entry then adds
-        its terms in ascending basis order, as a dense embedded product does."""
-        gates = []
-        for targets, gate in self._gates(dt):
-            ordered = sorted(targets)
-            positions = [ordered.index(t) for t in targets]
-            matrix = oracle.embed_operator(gate.matrix, positions, len(targets))
-            gates.append(([t + offset for t in ordered], matrix))
-
-        def apply(vector=None):
-            if vector is None:
-                vector = np.eye(2**self.num_qubits, dtype=np.complex128).reshape(-1)
-            for _ in range(count):
-                for targets, matrix in gates:
-                    vector = sv._apply_matrix(vector, self.num_qubits + offset, matrix, targets)
-            return vector
-
-        return apply
-
     def step_matrix(self, dt: float) -> np.ndarray:
-        """One Trotter slice as a dense matrix: the slice on the identity's
-        rows, a 2l-qubit vector, row bits on top (2^k 4^l a term, not 8^l)."""
-        l = self.num_qubits
-        return self._slices(dt, 1, offset=l)().reshape(2**l, 2**l)
+        """One Trotter slice as a dense matrix: the slice on the columns of
+        the identity (2^k 4^l a term, not 8^l)."""
+        return self.system_step(dt, 1)(np.eye(2**self.num_qubits, dtype=np.complex128))
 
     def apply_step(
         self, state: sv.StateVector, dt: float, system_qubits=None, controls=()
@@ -155,8 +133,24 @@ class HamiltonianSum:
         return state
 
     def system_step(self, dt: float, slices: int):
-        """``slices`` slices as a map on 2^l system vectors (no dense product)."""
-        return self._slices(dt, slices)
+        """``slices`` slices as a map on 2^l system vectors or (2^l, K)
+        blocks of system columns, one gate at a time (no dense product).
+        Gates are permuted onto ascending targets once per call: each entry
+        then adds its terms in ascending basis order, as a dense embedded
+        product does."""
+        gates = []
+        for targets, gate in self._gates(dt):
+            ordered = sorted(targets)
+            positions = [ordered.index(t) for t in targets]
+            gates.append((ordered, oracle.embed_operator(gate.matrix, positions, len(targets))))
+
+        def apply(block):
+            for _ in range(slices):
+                for targets, matrix in gates:
+                    block = sv._apply_matrix(block, self.num_qubits, matrix, targets)
+            return block
+
+        return apply
 
 
 def term_exponential(term: LocalTerm, dt: float) -> sv.GateMatrix:

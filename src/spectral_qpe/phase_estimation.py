@@ -15,11 +15,13 @@ builds the columns U^j|V_a> on the 2^l system register alone and takes one
 FFT along j.  For exact evolution, U = e^{-iHt} = V e^{-iEt} V^dag, column j
 is V (e^{-iEtj} * V^dag|V_a>): one matrix product per block of columns, with
 no dense U and no accumulated rounding.  For an explicit unitary or a sliced
-source it is the repeated step U^j|V_a> = U (U^(j-1)|V_a>).  Two gate-level
+source it is the repeated step U^j|V_a> = U (U^(j-1)|V_a>).  Two
 constructions over the whole register are kept as references: the
-per-index-bit binary route, and a flag-qubit comparator loop, whose
-flag-controlled steps run as U on a window of the flag-clear half, in place.
-All three must agree to 1e-10 per amplitude and the tests enforce that.
+per-index-bit binary route, whose controlled powers run gate by gate, and a
+flag-qubit comparator loop, whose flag-controlled steps run as U on a window
+of the flag-clear half, in place.  The engine and the loop apply U through
+one map on blocks of system columns, the driver's ``system_step``.  All
+three must agree to 1e-10 per amplitude and the tests enforce that.
 The module also carries the closed-form measurement distribution and
 collapsed states, which verify the whole pipeline without sampling;
 :func:`audit` runs those checks on a :class:`Run`, which is assembled and
@@ -81,7 +83,7 @@ class PhaseEstimationConfig:
       step).
 
     ``power_method`` selects the route: ``"block"`` (the engine, default),
-    or one of the gate-level references ``"binary_power"`` and
+    or one of the whole-register references ``"binary_power"`` and
     ``"flag_loop"``.  The engine rounds differently from the gate routes,
     within 1e-10 per amplitude.  ``seed`` is the master seed of the
     per-trial streams, in [0, 2^64), and ``trials`` lies in [1, MAX_TRIALS].
@@ -248,24 +250,14 @@ class _MatrixPowers:
         self._system = system_qubits
 
     def system_step(self):
-        """U as a map on 2^l system vectors, the block engine's step."""
-        return lambda vector: self._squares[0] @ vector
+        """U as a map on 2^l system vectors and (2^l, K) blocks of them."""
+        return lambda block: self._squares[0] @ block
 
     def apply_controlled(self, state, controls, power: int):
         gate = self._gate
         if power != 1:
             gate = sv.GateMatrix(sv._unitary_power(self._squares, power))
         return sv.apply_controlled_gate(state, gate, controls, self._system)
-
-    def flag_window(self, clear: np.ndarray):
-        """The flag loop's window product: ``product(i)`` is U times index
-        columns [i, M) of the flag-clear half ``clear`` (system, index),
-        written into a reused half-state scratch."""
-        scratch = np.empty_like(clear)
-        num_bins = clear.shape[1]
-        return lambda i: np.matmul(
-            self._squares[0], clear[:, i:], out=scratch[:, : num_bins - i]
-        )
 
 
 class _SourcePowers:
@@ -278,7 +270,8 @@ class _SourcePowers:
         self._system = config.layout.system_qubits
 
     def system_step(self):
-        """U, ``slices`` source steps, as a map on 2^l system vectors."""
+        """U, ``slices`` source steps, as a map on 2^l system vectors and
+        (2^l, K) blocks of them."""
         return self._source.system_step(self._dt, self._slices)
 
     def apply_controlled(self, state, controls, power: int):
@@ -286,25 +279,15 @@ class _SourcePowers:
             state = self._source.apply_step(state, self._dt, self._system, controls)
         return state
 
-    def flag_window(self, clear: np.ndarray):
-        """The flag loop's window product: ``product(i)`` runs the steps of
-        U, uncontrolled, on the flag-clear half ``clear`` (system, index),
-        wrapped as an (l+m)-qubit register with the system on the qubits it
-        holds in the layout, and returns the result's index columns [i, M)."""
-        num_qubits = clear.size.bit_length() - 1
-
-        def product(i: int) -> np.ndarray:
-            half = sv._wrap_state(num_qubits, clear.reshape(-1), check=False)
-            stepped = self.apply_controlled(half, (), 1).amplitudes
-            return stepped.reshape(clear.shape)[:, i:]
-
-        return product
-
 
 def _unitary_driver(config: PhaseEstimationConfig):
-    """The run's one provider of U: a source's steps (``apply_step`` for the
-    gate routes, ``system_step`` for the block engine), or the dense U,
-    built from a decomposition here, once per route."""
+    """The run's one provider of U.  ``system_step()`` is U as a map on
+    (2^l, K) blocks of system columns (and on single vectors), the one way
+    the block engine and the flag loop apply it: a source's ``system_step``,
+    or the dense U times the block.  ``apply_controlled`` gives the binary
+    route its controlled powers at gate level: a source's ``apply_step``
+    under the controls, or the dense U (built from a decomposition here,
+    once per route) and its validated powers."""
     if config.source is not None:
         return _SourcePowers(config)
     gate = config.unitary
@@ -323,20 +306,20 @@ def apply_conditional_powers_flag_loop(
     j thus receives exactly U^j.  The loop counter is classical and U maps
     zero to zero, so in the (flag, system, index) view of the amplitudes the
     three compose exactly to U on the window [0, :, i:] of the flag-clear
-    half.  The loop copies the input once, writes the driver's window
-    product (``flag_window``) back in place for i = 1..M-1 and norm-checks
-    the whole state after each step; step M has an empty window and is
-    skipped.  The flag-set half is never written, and the flag must end
-    |0>: a stray amplitude there is an internal contract violation.
+    half.  The loop copies the input once, writes the driver's
+    ``system_step`` of the window's (2^l, M - i) block of system columns
+    back in place for i = 1..M-1 and norm-checks the whole state after each
+    step; step M has an empty window and is skipped.  The flag-set half is
+    never written, and the flag must end |0>: a stray amplitude there is an
+    internal contract violation.
     """
     num_bins = config.layout.num_bins
     amps = state.amplitudes.copy()
     clear = amps.reshape(2, -1, num_bins)[0]
-    window_product = _unitary_driver(config).flag_window(clear)
+    step = _unitary_driver(config).system_step()
     for i in range(1, num_bins):
-        clear[:, i:] = window_product(i)
+        clear[:, i:] = step(clear[:, i:])
         sv._check_norm(amps)
-    del window_product  # frees a dense driver's scratch before the residue check
     residue = _residue(amps.reshape(2, -1)[1])  # the flag-set half
     if not (residue <= WORK_RESIDUE_TOL):  # NaN fails closed
         raise ContractViolation(f"flag qubit not restored to |0>: residue {residue:.3e}")

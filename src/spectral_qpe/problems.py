@@ -159,11 +159,11 @@ class GridRecipe:
         return np.conjugate(f, out=f).T @ scaled
 
     def system_step(self, dt: float, slices: int):
-        """``slices`` slices as a map on 2^l system vectors: the dense slice
-        raised to the slice count by drift-controlled binary powering,
-        validated once as a unitary."""
+        """``slices`` slices as a map on 2^l system vectors and (2^l, K)
+        blocks of them: the dense slice raised to the slice count by
+        drift-controlled binary powering, validated once as a unitary."""
         matrix = sv.GateMatrix(sv._unitary_power([self.step_matrix(dt)], slices)).matrix
-        return lambda vector: matrix @ vector
+        return lambda block: matrix @ block
 
     def dense_hamiltonian(self) -> np.ndarray:
         """The discretized Hermitian H = diag(V) + F^dag diag(T) F, with at

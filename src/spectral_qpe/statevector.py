@@ -284,17 +284,20 @@ def _apply_matrix(
     controls=(),
 ) -> np.ndarray:
     """Apply a 2^k x 2^k matrix to ``targets`` (optionally controlled) and
-    return new amplitudes.
+    return new amplitudes: a flat 2^q array, or a (2^q, K) block of K
+    columns, each column a q-qubit register.
 
     ``targets[0]`` is the least significant bit of the matrix's own index.
-    In the view of :func:`_grouped_axes`, with the controls at 1, the target
-    axes are moved to the front and the matrix is applied as one matmul over
-    the collapsed remainder.  The operand is copied only when it is not
-    already contiguous (contiguous ascending targets with every higher qubit
-    a control need no copy).
+    In the view of :func:`_grouped_axes`, with the controls at 1 and a
+    block's column axis kept last, the target axes are moved to the front
+    and the matrix is applied as one matmul over the collapsed remainder.
+    The operand is copied only when it is not already contiguous
+    (contiguous ascending targets with every higher qubit a control need no
+    copy).
     """
     k = len(targets)
     shape, selector, axes = _grouped_axes(q, targets, controls)
+    shape += amps.shape[1:]
     front = axes[::-1]
     moved = np.moveaxis(amps.reshape(shape)[selector], front, range(k))
     mixed = matrix @ np.ascontiguousarray(moved).reshape(2**k, -1)

@@ -159,25 +159,26 @@ def full_slab_flag_step(amps, matrix, l_system, num_bins):
     return out.ravel()
 
 
-def flipped_flag_step(amps, matrix, l_system, num_bins, threshold):
-    """One step of the dense flag loop as three fresh arrays in the (flag,
-    system, index) view: swap the flag halves of the index columns
-    [threshold, M); copy that, with U times the raised window [1, :,
-    threshold:] written straight into the copy; swap back."""
+def flipped_flag_step(amps, step, l_system, num_bins, threshold):
+    """One step of the flag loop as three fresh arrays in the (flag, system,
+    index) view: swap the flag halves of the index columns [threshold, M);
+    copy that, with ``step`` (U as a map on (2^l, K) blocks of system
+    columns) of the raised window [1, :, threshold:] written into the copy;
+    swap back."""
     view = np.asarray(amps, dtype=np.complex128).reshape(2, 2**l_system, num_bins)
     raised = view.copy()
     raised[:, :, threshold:] = view[::-1, :, threshold:]
     stepped = raised.copy()
-    np.matmul(matrix, raised[1, :, threshold:], out=stepped[1, :, threshold:])
+    stepped[1, :, threshold:] = step(raised[1, :, threshold:])
     lowered = stepped.copy()
     lowered[:, :, threshold:] = stepped[::-1, :, threshold:]
     return lowered.ravel()
 
 
-def flipped_flag_loop(amps, matrix, l_system, num_bins):
-    """The dense flag loop: :func:`flipped_flag_step` for thresholds 1..M."""
+def flipped_flag_loop(amps, step, l_system, num_bins):
+    """The flag loop: :func:`flipped_flag_step` for thresholds 1..M."""
     for threshold in range(1, num_bins + 1):
-        amps = flipped_flag_step(amps, matrix, l_system, num_bins, threshold)
+        amps = flipped_flag_step(amps, step, l_system, num_bins, threshold)
     return amps
 
 

@@ -288,17 +288,21 @@ SOURCES = {
 
 @pytest.mark.parametrize("name", sorted(SOURCES))
 def test_source_steps_agree_with_step_matrix(name):
+    """One step, gate level, and three steps as a map on a system vector and
+    on a (2^l, K) block of system columns all agree with the step matrix."""
     source = SOURCES[name]()
     rng = np.random.default_rng(20)
     amps = ref.random_state(3, rng)
+    block = ref.random_state(3 + 3, rng).reshape(8, 8)
     step = source.step_matrix(0.3)
     stepped = source.apply_step(load_amplitudes(3, amps), 0.3)
     np.testing.assert_allclose(stepped.amplitudes, step @ amps, atol=1e-12)
-    np.testing.assert_allclose(
-        source.system_step(0.3, 3)(amps),
-        np.linalg.matrix_power(step, 3) @ amps,
-        atol=1e-12,
-    )
+    for operand in (amps, block):
+        np.testing.assert_allclose(
+            source.system_step(0.3, 3)(operand),
+            np.linalg.matrix_power(step, 3) @ operand,
+            atol=1e-12,
+        )
 
 
 @pytest.mark.parametrize("name", sorted(SOURCES))

@@ -270,12 +270,13 @@ def test_windowed_flag_step_matches_full_slab(gate, m_index):
     index_values = sv.register_values(layout.total_qubits, layout.index_qubits)
     flag = layout.work_qubits[0]
     args = (gate.matrix, layout.l_system, layout.num_bins)
+    step_args = (lambda block: gate.matrix @ block,) + args[1:]
     state = reference = prepared.amplitudes
     for i in range(1, layout.num_bins + 1):
         raised = ref.masked_flag_flip(state, index_values, flag, i)
         want = ref.masked_flag_flip(ref.full_slab_flag_step(raised, *args),
                                     index_values, flag, i)
-        state = ref.flipped_flag_step(state, *args, i)
+        state = ref.flipped_flag_step(state, *step_args, i)
         assert np.abs(state - want).max() <= 1e-14, i
         reference = ref.masked_flag_flip(reference, index_values, flag, i)
         reference = ref.full_slab_flag_step(reference, *args)
@@ -301,7 +302,7 @@ def test_dense_flag_loop_is_bit_identical_to_flipped_steps(gate, m_index):
         lift(ref.random_state(layout.l_system, rng), layout), layout
     )
     out = apply_conditional_powers_flag_loop(prepared, config).amplitudes
-    want = ref.flipped_flag_loop(prepared.amplitudes, gate.matrix,
+    want = ref.flipped_flag_loop(prepared.amplitudes, lambda block: gate.matrix @ block,
                                  layout.l_system, layout.num_bins)
     assert np.array_equal(out, want)
 
@@ -328,9 +329,12 @@ def sliced_flag_loop_cases():
 
 @pytest.mark.parametrize("source, m_index, time, slices", sliced_flag_loop_cases())
 def test_sliced_flag_loop_is_bit_identical_to_flipped_steps(source, m_index, time, slices):
-    """A source's window product, its steps run uncontrolled on the
-    flag-clear half, writes exactly what flip, steps under the flag over the
-    whole register and flip write."""
+    """A source's loop writes exactly what flip, the source's
+    ``system_step`` on the raised window and flip write, and agrees to
+    1e-12 per amplitude with flip, gate-level steps under the flag over the
+    whole register and flip (a grid's ``system_step`` is its dense slice
+    power, and a term source's gates see a column window, not the whole
+    register, so the rounding differs)."""
     config = PhaseEstimationConfig(m_index=m_index, source=source, time=time, slices=slices,
                                    power_method="flag_loop")
     layout = config.layout
@@ -339,9 +343,12 @@ def test_sliced_flag_loop_is_bit_identical_to_flipped_steps(source, m_index, tim
         lift(ref.random_state(layout.l_system, rng), layout), layout
     )
     out = apply_conditional_powers_flag_loop(prepared, config).amplitudes
-    want = ref.flipped_source_flag_loop(prepared.amplitudes, source, time / slices, slices,
-                                        layout)
+    want = ref.flipped_flag_loop(prepared.amplitudes, source.system_step(time / slices, slices),
+                                 layout.l_system, layout.num_bins)
     assert np.array_equal(out, want)
+    gate_level = ref.flipped_source_flag_loop(prepared.amplitudes, source, time / slices,
+                                              slices, layout)
+    assert np.abs(out - gate_level).max() <= 1e-12
 
 
 @pytest.mark.parametrize("gate, m_index", flag_loop_cases())
@@ -356,7 +363,7 @@ def test_flag_step_carries_columns_below_the_window(monkeypatch, gate, m_index):
     rng = np.random.default_rng(83 + m_index)
     amps = ref.random_state(layout.total_qubits, rng)
     shape = (2, 2**layout.l_system, layout.num_bins)
-    args = (gate.matrix, layout.l_system, layout.num_bins)
+    args = (lambda block: gate.matrix @ block, layout.l_system, layout.num_bins)
     before = amps.reshape(shape)
     for i in range(layout.num_bins + 1):
         after = ref.flipped_flag_step(amps, *args, i).reshape(shape)
@@ -375,7 +382,8 @@ def test_flag_step_carries_columns_below_the_window(monkeypatch, gate, m_index):
 def test_stray_flag_amplitude_below_the_window_is_caught(monkeypatch):
     """On a sliced source, a flag amplitude at an index value no window
     covers is carried to the end of the loop, where the flag-residue check
-    refuses it."""
+    refuses it; the loop applies U only through ``system_step``, never
+    through the gate-level ``apply_step``."""
     source = build_transverse_ising(2, 1.0, 0.7)
     config = PhaseEstimationConfig(
         m_index=2, source=source, time=0.5, slices=2, power_method="flag_loop",
@@ -385,17 +393,13 @@ def test_stray_flag_amplitude_below_the_window_is_caught(monkeypatch):
     amps = state.amplitudes.copy()
     amps[1 << layout.work_qubits[0]] += 1e-4  # flag set, index 0, system 0
     state = load_amplitudes(state.num_qubits, amps / np.linalg.norm(amps))
-    steps = []
-    step = HamiltonianSum.apply_step
 
-    def counting_step(self, *args):
-        steps.append(args[-1])
-        return step(self, *args)
+    def forbidden_step(self, *args):
+        raise AssertionError("the flag loop ran a gate-level step")
 
-    monkeypatch.setattr(HamiltonianSum, "apply_step", counting_step)
+    monkeypatch.setattr(HamiltonianSum, "apply_step", forbidden_step)
     with pytest.raises(ContractViolation, match="flag qubit"):
         apply_conditional_powers_flag_loop(state, config)
-    assert steps == [()] * (layout.num_bins - 1) * config.slices
 
 
 def test_stray_flag_amplitude_in_the_dense_input_is_caught():
@@ -433,7 +437,8 @@ def test_dense_flag_loop_refuses_a_drifting_unitary_at_that_step(monkeypatch, dr
     state = prepare_index_superposition(lift([0.6, 0.8], layout), layout)
     amps, first_off = state.amplitudes, None
     for i in range(1, layout.num_bins):
-        amps = ref.flipped_flag_step(amps, gate.matrix, 1, layout.num_bins, i)
+        amps = ref.flipped_flag_step(amps, lambda block: gate.matrix @ block, 1,
+                                     layout.num_bins, i)
         if first_off is None and not (abs(np.vdot(amps, amps).real - 1.0) <= sv.NORM_TOL):
             first_off = i
     norms = []
@@ -574,8 +579,9 @@ def test_dense_flag_loop_holds_one_and_a_half_states(traced_peak):
 
 def test_sliced_flag_loop_holds_two_and_a_half_states(traced_peak):
     """Beyond its input the sliced loop holds its one writable copy and,
-    while a gate runs on the flag-clear half, three half states: the
-    previous gate's output, the operand copy and the product (M = 1024).
+    while a gate runs on the first step's window of the flag-clear half, up
+    to three half states: the previous gate's output, the operand copy and
+    the product (M = 1024).
     A first run fills the slice-gate cache and the interpreter's free lists
     for the small objects each gate call makes (about 0.7 states on a cold
     interpreter), so the traced run counts only what the loop holds."""
@@ -588,6 +594,23 @@ def test_sliced_flag_loop_holds_two_and_a_half_states(traced_peak):
     out, peak = traced_peak(lambda: apply_conditional_powers_flag_loop(state, config))
     assert out.amplitudes.nbytes == state.amplitudes.nbytes
     assert peak <= 2.6 * state.amplitudes.nbytes
+
+
+def test_grid_flag_loop_holds_one_and_a_half_states(traced_peak):
+    """A grid source's step is one dense slice power times the window, so
+    beyond its input the loop holds its one writable copy and the product,
+    at most half a state (M = 256, two slices); a first run fills the
+    recipe's phase cache."""
+    grid = build_grid_particle(4, "harmonic:0.8,3.5", 1.0)
+    config = PhaseEstimationConfig(m_index=8, source=grid, time=0.4, slices=2,
+                                   power_method="flag_loop")
+    layout = config.layout
+    va = ref.random_state(4, np.random.default_rng(90))
+    state = prepare_index_superposition(lift(va, layout), layout)
+    apply_conditional_powers_flag_loop(state, config)
+    out, peak = traced_peak(lambda: apply_conditional_powers_flag_loop(state, config))
+    assert out.amplitudes.nbytes == state.amplitudes.nbytes
+    assert peak <= 1.6 * state.amplitudes.nbytes
 
 
 def spectral_case(name):

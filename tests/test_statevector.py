@@ -205,6 +205,33 @@ def test_drawn_kernel_layouts_equal_reference(data):
     check_kernel_case(np.random.default_rng(q), q, order[:k], order[k : k + controls])
 
 
+@given(st.data())
+def test_column_block_kernel_equals_flat_register(data):
+    """A (2^q, 16) block of columns is the flat (q+4)-qubit register whose
+    low 4 qubits index the column: the kernel on the block equals the
+    kernel on that register, targets and controls shifted up by 4, bit for
+    bit.  On a column window [:, i:] it agrees to 1e-14 (its shorter
+    remainder may block the product differently)."""
+    q = data.draw(st.integers(1, 6))
+    order = data.draw(st.permutations(range(q)))
+    k = data.draw(st.integers(1, min(3, q)))
+    controls = order[k : k + data.draw(st.integers(0, q - k))]
+    targets = order[:k]
+    rng = np.random.default_rng(q)
+    block = ref.random_state(q + 4, rng).reshape(2**q, 16)
+    block.setflags(write=False)
+    matrix = ref.random_unitary(2**k, rng)
+    got = statevector._apply_matrix(block, q, matrix, targets, controls)
+    flat = statevector._apply_matrix(
+        block.reshape(-1), q + 4, matrix, [t + 4 for t in targets], [c + 4 for c in controls]
+    )
+    assert got.shape == block.shape
+    assert np.array_equal(got, flat.reshape(block.shape))
+    for i in (1, 5, 15):
+        window = statevector._apply_matrix(block[:, i:], q, matrix, targets, controls)
+        assert np.abs(window - got[:, i:]).max() <= 1e-14
+
+
 @pytest.mark.parametrize("unitary", ["tfim3", "explicit"])
 def test_flag_loop_state_unchanged_under_reference_kernel(monkeypatch, unitary):
     rng = np.random.default_rng(95)
