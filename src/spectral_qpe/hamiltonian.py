@@ -119,7 +119,7 @@ class HamiltonianSum:
     def step_matrix(self, dt: float) -> np.ndarray:
         """One Trotter slice as a dense matrix: the slice on the columns of
         the identity (2^k 4^l a term, not 8^l)."""
-        return self.system_step(dt, 1)(np.eye(2**self.num_qubits, dtype=np.complex128))
+        return self.system_step(dt, 1)()
 
     def apply_step(
         self, state: sv.StateVector, dt: float, system_qubits=None, controls=()
@@ -134,7 +134,8 @@ class HamiltonianSum:
 
     def system_step(self, dt: float, slices: int):
         """``slices`` slices as a map on 2^l system vectors or (2^l, K)
-        blocks of system columns, one gate at a time (no dense product).
+        blocks of system columns, one gate at a time (no dense product);
+        called with no block it returns the slices' dense matrix.
         Gates are permuted onto ascending targets once per call: each entry
         then adds its terms in ascending basis order, as a dense embedded
         product does."""
@@ -144,7 +145,11 @@ class HamiltonianSum:
             positions = [ordered.index(t) for t in targets]
             gates.append((ordered, oracle.embed_operator(gate.matrix, positions, len(targets))))
 
-        def apply(block):
+        def apply(block=None):
+            # no block: the identity, built here so that no caller's frame
+            # keeps it alive past the first gate (three matrices at peak)
+            if block is None:
+                block = np.eye(2**self.num_qubits, dtype=np.complex128)
             for _ in range(slices):
                 for targets, matrix in gates:
                     block = sv._apply_matrix(block, self.num_qubits, matrix, targets)

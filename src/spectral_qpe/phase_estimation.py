@@ -20,8 +20,9 @@ constructions over the whole register are kept as references: the
 per-index-bit binary route, whose controlled powers run gate by gate, and a
 flag-qubit comparator loop, whose flag-controlled steps run as U on a window
 of the flag-clear half, in place.  The engine and the loop apply U through
-one map on blocks of system columns, the driver's ``system_step``.  All
-three must agree to 1e-10 per amplitude and the tests enforce that.
+one map on blocks of system columns, the driver's ``system_step``, so for a
+sliced source the binary route is the only independent check of that step.
+All three must agree to 1e-10 per amplitude and the tests enforce that.
 The module also carries the closed-form measurement distribution and
 collapsed states, which verify the whole pipeline without sampling;
 :func:`audit` runs those checks on a :class:`Run`, which is assembled and
