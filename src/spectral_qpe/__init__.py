@@ -67,7 +67,6 @@ from .statevector import (
     hadamard,
     load_amplitudes,
     new_basis_state,
-    phase_shift,
     register_distribution,
     register_values,
     swap_gate,
@@ -130,7 +129,6 @@ __all__ = [
     "hadamard",
     "load_amplitudes",
     "new_basis_state",
-    "phase_shift",
     "register_distribution",
     "register_values",
     "swap_gate",

@@ -4,10 +4,10 @@
 class ContractViolation(RuntimeError):
     """A runtime invariant failed mid-simulation.
 
-    Raised when a computed state drifts off unit norm, a flag qubit is not
-    returned to |0>, or a similar internal guarantee is broken.  These signal
-    implementation bugs (or deliberately corrupted test runs), never bad user
-    input; bad input raises ValueError instead.
+    Raised when a computed state drifts off unit norm or a similar internal
+    guarantee is broken.  These signal implementation bugs (or deliberately
+    corrupted test runs), never bad user input; bad input raises ValueError
+    instead.
     """
 
 

@@ -16,12 +16,14 @@ FFT along j.  For exact evolution, U = e^{-iHt} = V e^{-iEt} V^dag, column j
 is V (e^{-iEtj} * V^dag|V_a>): one matrix product per block of columns, with
 no dense U and no accumulated rounding.  For an explicit unitary or a sliced
 source it is the repeated step U^j|V_a> = U (U^(j-1)|V_a>).  Two
-constructions over the whole register are kept as references: the
-per-index-bit binary route, whose controlled powers run gate by gate, and a
-flag-qubit comparator loop, whose flag-controlled steps run as U on a window
-of the flag-clear half, in place.  The engine and the loop apply U through
-one map on blocks of system columns, the driver's ``system_step``, so for a
-sliced source the binary route is the only independent check of that step.
+constructions over the whole 2^(m+l) register are kept as references, both
+read out by the gate-level inverse QFT: the per-index-bit binary route,
+whose controlled powers run gate by gate, and the comparator loop, whose
+step i applies U to index columns [i, M) in place.  A comparator flag
+would mark those columns and be uncomputed within the step, so the loop
+carries no flag qubit.  The engine and the loop apply U through one map on
+blocks of system columns, ``system_step`` of :func:`_unitary_driver`, so for
+a sliced source the binary route is the only independent check of that step.
 All three must agree to 1e-10 per amplitude and the tests enforce that.
 The module also carries the closed-form measurement distribution and
 collapsed states, which verify the whole pipeline without sampling;
@@ -42,11 +44,12 @@ from . import oracle
 from . import problems
 from . import qft
 from . import statevector as sv
-from .errors import AuditFailure, ConfigFieldError, ContractViolation
+from .errors import AuditFailure, ConfigFieldError
 
 log = logging.getLogger(__name__)
 
-#: Work/flag qubits must be |0> to this amplitude tolerance at readout.
+#: The index register must be |0...0> to this amplitude tolerance before
+#: its Hadamards.
 WORK_RESIDUE_TOL = 1e-9
 #: Accepted ``power_method`` values: the block engine, then the gate routes.
 POWER_METHODS = ("block", "binary_power", "flag_loop")
@@ -90,9 +93,9 @@ class PhaseEstimationConfig:
     per-trial streams, in [0, 2^64), and ``trials`` lies in [1, MAX_TRIALS].
 
     The register layout is derived, not declared: ``layout`` is the
-    read-only ``RegisterLayout(m_index, l, w)`` with l the qubits the unitary
-    acts on and w = 1 (the comparator flag) for ``"flag_loop"``, else 0.
-    Each refused value raises :class:`ConfigFieldError` naming its field.
+    read-only ``RegisterLayout(m_index, l)`` with l the qubits the unitary
+    acts on, the same on every route.  Each refused value raises
+    :class:`ConfigFieldError` naming its field.
     """
 
     m_index: int
@@ -137,9 +140,7 @@ class PhaseEstimationConfig:
         else:
             system = self.decomposition.num_qubits
         try:
-            layout = sv.RegisterLayout(
-                self.m_index, system, 1 if self.power_method == "flag_loop" else 0
-            )
+            layout = sv.RegisterLayout(self.m_index, system)
         except ValueError as exc:
             raise ConfigFieldError("m_index", str(exc)) from exc
         object.__setattr__(self, "layout", layout)
@@ -218,11 +219,6 @@ def default_peak_threshold(trials: int) -> float:
     return max(0.05, 4.0 / math.sqrt(trials))
 
 
-def _residue(amplitudes: np.ndarray) -> float:
-    """Largest |amplitude|, 0 for none; a NaN amplitude gives NaN."""
-    return float(np.abs(amplitudes).max(initial=0.0))
-
-
 def prepare_index_superposition(
     state: sv.StateVector, layout: sv.RegisterLayout
 ) -> sv.StateVector:
@@ -232,7 +228,8 @@ def prepare_index_superposition(
             f"state has {state.num_qubits} qubits, layout spans {layout.total_qubits}"
         )
     # The index bits are the low ones: column v of this view is index value v.
-    residue = _residue(state.amplitudes.reshape(-1, layout.num_bins)[:, 1:])
+    # The largest |amplitude| off index 0; a NaN gives NaN.
+    residue = float(np.abs(state.amplitudes.reshape(-1, layout.num_bins)[:, 1:]).max())
     if not (residue <= WORK_RESIDUE_TOL):  # NaN fails closed
         raise ValueError(f"index register is not |0...0>: residue amplitude {residue:.3e}")
     h = sv.hadamard()
@@ -302,28 +299,24 @@ def apply_conditional_powers_flag_loop(
 ) -> sv.StateVector:
     """Conditional powers via the comparator loop.
 
-    For i = 1..M: raise the flag on components whose index value j satisfies
+    For i = 1..M: raise a flag on components whose index value j satisfies
     i <= j, apply controlled-U on the flag, lower the flag again.  Component
     j thus receives exactly U^j.  The loop counter is classical and U maps
-    zero to zero, so in the (flag, system, index) view of the amplitudes the
-    three compose exactly to U on the window [0, :, i:] of the flag-clear
-    half.  The loop copies the input once, writes the driver's
-    ``system_step`` of the window's (2^l, M - i) block of system columns
-    back in place for i = 1..M-1 and norm-checks the whole state after each
-    step; step M has an empty window and is skipped.  The flag-set half is
-    never written, and the flag must end |0>: a stray amplitude there is an
-    internal contract violation.
+    zero to zero, so in the (system, index) view of the amplitudes the three
+    compose exactly to U on the index columns [i, M): the flag is set and
+    cleared within each step and needs no qubit.  The loop copies the input
+    once, writes ``system_step`` (of :func:`_unitary_driver`) of the window's
+    (2^l, M - i) block of system columns back in place for i = 1..M-1 and
+    norm-checks the whole state after each step; step M has an empty window
+    and is skipped.
     """
     num_bins = config.layout.num_bins
     amps = state.amplitudes.copy()
-    clear = amps.reshape(2, -1, num_bins)[0]
+    columns = amps.reshape(-1, num_bins)
     step = _unitary_driver(config).system_step()
     for i in range(1, num_bins):
-        clear[:, i:] = step(clear[:, i:])
+        columns[:, i:] = step(columns[:, i:])
         sv._check_norm(amps)
-    residue = _residue(amps.reshape(2, -1)[1])  # the flag-set half
-    if not (residue <= WORK_RESIDUE_TOL):  # NaN fails closed
-        raise ContractViolation(f"flag qubit not restored to |0>: residue {residue:.3e}")
     return sv._wrap_state(state.num_qubits, amps, check=False)
 
 
@@ -428,7 +421,7 @@ def pre_measurement_state(
         )
     if config.power_method == "block":
         return _block_engine_state(va, config, _corrupt_qft_sign)
-    # |0>_index (x) |va>_system (x) |0>_work as one register
+    # |0>_index (x) |va>_system as one register
     amps = np.zeros(2**layout.total_qubits, dtype=np.complex128)
     amps[np.arange(2**layout.l_system) << layout.m_index] = va.amplitudes
     state = prepare_index_superposition(sv._wrap_state(layout.total_qubits, amps), layout)
@@ -451,19 +444,12 @@ def pre_measurement_distribution(
 def _collapse_bins(
     state: sv.StateVector, layout: sv.RegisterLayout, bins
 ) -> dict[int, sv.StateVector]:
-    """System-register states conditioned on reading each of ``bins``.
-
-    Verifies once, over the whole state, that the work register carries no
-    amplitude (flags must have been uncomputed), then projects, extracts and
-    renormalizes per bin.
-    """
-    blocks = state.amplitudes.reshape(2**layout.w_work, 2**layout.l_system, layout.num_bins)
-    residue = _residue(blocks[1:])
-    if not (residue <= WORK_RESIDUE_TOL):
-        raise ContractViolation(f"work register not |0> at readout: residue {residue:.3e}")
+    """System-register states conditioned on reading each of ``bins``: the
+    bin's (system, index) column of the state, renormalized."""
+    columns = state.amplitudes.reshape(2**layout.l_system, layout.num_bins)
     collapsed = {}
     for bin_index in bins:
-        system = blocks[0, :, bin_index]
+        system = columns[:, bin_index]
         norm = float(np.linalg.norm(system))
         if norm == 0.0:
             raise ValueError(f"readout bin {bin_index} carries no amplitude")
@@ -747,16 +733,12 @@ def audit(run: Run, *, _corrupt_qft_sign: bool = False) -> AuditReport:
 
     # Route check: the block engine against a gate-level route, amplitude by
     # amplitude (binary_power stands in when the engine is the configured route).
-    # A flag_loop state carries a flag qubit on top: its flag-free half must
-    # match the narrower engine state and its flag half must be zero.
     other = "binary_power" if config.power_method == "block" else "block"
     cross = pre_measurement_state(
         run.guess, replace(config, power_method=other),
         _corrupt_qft_sign=_corrupt_qft_sign,
     ).amplitudes
-    gaps = np.concatenate([cross - pre.amplitudes[: cross.size],
-                           pre.amplitudes[cross.size:]])
-    route_deviation = float(np.abs(gaps).max())
+    route_deviation = float(np.abs(cross - pre.amplitudes).max())
     if not (route_deviation <= ROUTE_TOL):
         raise AuditFailure(
             f"route check: {config.power_method} and {other} differ by up to "

@@ -7,16 +7,21 @@ bin w*M/(2*pi), so a measured bin j estimates w with a plus sign as 2*pi*j/M.
 
 Implemented as the standard Hadamard + controlled-phase circuit with a final
 bit-reversal swap layer, so the returned register is in natural bit order.
-Register lists are least-significant-bit first, like everywhere else in the
-package.  Both transforms accept extra ``controls``: with controls given, the
-whole transform acts only on amplitudes whose control qubits are all |1>
-(every constituent gate picks up the controls), which is what conditional
-evolution of grid problems needs.
+The controlled phases pi/2^(t-b), b < t, onto register qubit t commute, so
+they are applied as one diagonal over register[:t+1]: the factor
+e^{+-i*pi*low/2^t} where bit t is set, ``low`` the value of the lower t bits.
+The Hadamards and swaps stay gates, so the transform is gate-level and
+shares no code with an FFT.  Register lists are least-significant-bit first,
+like everywhere else in the package.  Both transforms accept extra
+``controls``: with controls given, the whole transform acts only on
+amplitudes whose control qubits are all |1> (every gate and phase layer
+picks up the controls), which is what conditional evolution of grid
+problems needs.
 """
 
 from __future__ import annotations
 
-import math
+import numpy as np
 
 from . import statevector as sv
 
@@ -44,15 +49,25 @@ def _bit_reversal(state: sv.StateVector, register, controls) -> sv.StateVector:
     return state
 
 
+def _phase_layer(
+    state: sv.StateVector, register, t: int, sign: float, controls
+) -> sv.StateVector:
+    """Every controlled phase sign*pi/2^(t-b), b < t, onto ``register[t]``
+    at once: e^{sign*i*pi*low/2^t} wherever bit t is set."""
+    if t == 0:
+        return state
+    phases = np.ones(2 ** (t + 1), dtype=np.complex128)
+    phases[2**t :] = np.exp(sign * 1j * np.pi * np.arange(2**t) / 2**t)
+    return sv.apply_diagonal_phase(state, register[: t + 1], phases, controls)
+
+
 def qft_forward(state: sv.StateVector, register, controls=()) -> sv.StateVector:
     """Apply the forward transform (e^{+2*pi*i*jk/M} kernel) to ``register``."""
     register, controls = _validated_register(state, register, controls)
     h = sv.hadamard()
     for t in range(len(register) - 1, -1, -1):
         state = _apply(state, h, [register[t]], controls)
-        for b in range(t - 1, -1, -1):
-            gate = sv.phase_shift(math.pi / 2 ** (t - b))
-            state = _apply(state, gate, [register[t]], [*controls, register[b]])
+        state = _phase_layer(state, register, t, 1.0, controls)
     return _bit_reversal(state, register, controls)
 
 
@@ -62,8 +77,6 @@ def qft_inverse(state: sv.StateVector, register, controls=()) -> sv.StateVector:
     state = _bit_reversal(state, register, controls)
     h = sv.hadamard()
     for t in range(len(register)):
-        for b in range(t):
-            gate = sv.phase_shift(-math.pi / 2 ** (t - b))
-            state = _apply(state, gate, [register[t]], [*controls, register[b]])
+        state = _phase_layer(state, register, t, -1.0, controls)
         state = _apply(state, h, [register[t]], controls)
     return state

@@ -107,11 +107,6 @@ def hadamard() -> GateMatrix:
     return GateMatrix(np.array([[1, 1], [1, -1]]) / np.sqrt(2))
 
 
-def phase_shift(theta: float) -> GateMatrix:
-    """diag(1, e^{i*theta})."""
-    return GateMatrix(np.array([[1, 0], [0, np.exp(1j * theta)]]))
-
-
 def swap_gate() -> GateMatrix:
     return GateMatrix(
         np.array([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]])
@@ -120,25 +115,22 @@ def swap_gate() -> GateMatrix:
 
 @dataclass(frozen=True)
 class RegisterLayout:
-    """Partition of a simulation register into index | system | work.
+    """Partition of a simulation register into index | system.
 
-    The index register occupies qubits [0, m_index), the system register the
-    next l_system qubits, and any work qubits sit on top.  With the
+    The index register occupies qubits [0, m_index) and the system register
+    the next l_system qubits; no route needs a work qubit.  With the
     least-significant-bit convention this makes index-register extraction a
     mask of the low bits of the basis index.
     """
 
     m_index: int
     l_system: int
-    w_work: int = 0
 
     def __post_init__(self) -> None:
         if self.m_index < 1:
             raise ValueError(f"index register needs at least 1 qubit, got {self.m_index}")
         if self.l_system < 1:
             raise ValueError(f"system register needs at least 1 qubit, got {self.l_system}")
-        if self.w_work < 0:
-            raise ValueError(f"work register size must be >= 0, got {self.w_work}")
         if self.total_qubits > MAX_QUBITS:
             raise ValueError(
                 f"layout spans {self.total_qubits} qubits, exceeding the cap of {MAX_QUBITS}"
@@ -146,7 +138,7 @@ class RegisterLayout:
 
     @property
     def total_qubits(self) -> int:
-        return self.m_index + self.l_system + self.w_work
+        return self.m_index + self.l_system
 
     @property
     def num_bins(self) -> int:
@@ -159,11 +151,7 @@ class RegisterLayout:
 
     @property
     def system_qubits(self) -> list[int]:
-        return list(range(self.m_index, self.m_index + self.l_system))
-
-    @property
-    def work_qubits(self) -> list[int]:
-        return list(range(self.m_index + self.l_system, self.total_qubits))
+        return list(range(self.m_index, self.total_qubits))
 
 
 class StateVector:

@@ -109,6 +109,41 @@ def repeated_powers(matrix, va_amps, num_bins):
     return columns
 
 
+def per_pair_qft(amps, register, controls=(), inverse=False):
+    """The textbook QFT circuit, one gate at a time through
+    :func:`moveaxis_apply`: on each register qubit t a Hadamard and a
+    controlled diag(1, e^{+-i*pi/2^(t-b)}) off every lower register qubit b,
+    then the bit-reversal swaps; every gate also takes ``controls``.
+    ``inverse`` runs the adjoint circuit."""
+    amps = np.asarray(amps, dtype=np.complex128)
+    q = len(amps).bit_length() - 1
+    register, controls = list(register), list(controls)
+    m = len(register)
+    sign = -1.0 if inverse else 1.0
+    hadamard = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
+    swap = np.eye(4)[[0, 2, 1, 3]]
+
+    def phases(amps, t):
+        for b in range(t - 1, -1, -1):
+            gate = np.diag([1.0, np.exp(sign * 1j * np.pi / 2 ** (t - b))])
+            amps = moveaxis_apply(amps, q, gate, [register[t]], [*controls, register[b]])
+        return amps
+
+    def swaps(amps):
+        for i in range(m // 2):
+            amps = moveaxis_apply(amps, q, swap, [register[i], register[m - 1 - i]], controls)
+        return amps
+
+    if inverse:
+        amps = swaps(amps)
+        for t in range(m):
+            amps = moveaxis_apply(phases(amps, t), q, hadamard, [register[t]], controls)
+        return amps
+    for t in range(m - 1, -1, -1):
+        amps = phases(moveaxis_apply(amps, q, hadamard, [register[t]], controls), t)
+    return swaps(amps)
+
+
 def dft_matrix(points):
     """Unitary DFT with the e^{+2*pi*i*j*k/M} kernel."""
     grid = np.arange(points)
@@ -133,6 +168,13 @@ def dirichlet_amplitude(omega, j, bins):
     return sum(
         np.exp(1j * p * (omega - 2 * np.pi * j / bins)) for p in range(bins)
     ) / bins
+
+
+def with_flag(amps):
+    """``amps`` with a clear flag qubit added on top, the register of the
+    flipped-flag circuits below: the flag-set half is zero."""
+    amps = np.asarray(amps, dtype=np.complex128)
+    return np.concatenate([amps, np.zeros_like(amps)])
 
 
 def masked_flag_flip(amps, index_values, flag, threshold):
@@ -183,12 +225,12 @@ def flipped_flag_loop(amps, step, l_system, num_bins):
 
 
 def flipped_source_flag_loop(amps, source, dt, slices, layout):
-    """The sliced flag loop as the circuit reads, over the whole register:
-    for thresholds 1..M, a masked flag flip, ``slices`` source steps under
-    the flag and the flip again (slow)."""
-    q = layout.total_qubits
+    """The sliced flag loop as the circuit reads, over the whole register
+    with its flag qubit on top, at m + l: for thresholds 1..M, a masked flag
+    flip, ``slices`` source steps under the flag and the flip again (slow)."""
+    flag = layout.total_qubits
+    q = flag + 1
     index_values = np.arange(2**q) % layout.num_bins
-    flag = layout.work_qubits[0]
     state = StateVector(q, amps)
     for threshold in range(1, layout.num_bins + 1):
         state = StateVector(q, masked_flag_flip(state.amplitudes, index_values, flag, threshold))

@@ -20,7 +20,7 @@ from spectral_qpe.hamiltonian import MAX_TERM_QUBITS, slice_gates
 
 
 def one_qubit_layout(l_system=1, m_index=1):
-    return RegisterLayout(m_index, l_system, 0)
+    return RegisterLayout(m_index, l_system)
 
 
 def evolve(state, h, time, slices, layout):
@@ -137,7 +137,7 @@ def test_single_term_step_is_exact():
     rng = np.random.default_rng(16)
     mat = ref.random_hermitian(4, rng)
     h = HamiltonianSum([LocalTerm([0, 1], mat)], 2)
-    layout = RegisterLayout(1, 2, 0)
+    layout = RegisterLayout(1, 2)
     amps = ref.random_state(2, rng)
     # place system amplitudes above the single index qubit
     full = np.zeros(8, dtype=complex)
@@ -150,7 +150,7 @@ def test_single_term_step_is_exact():
 
 def test_commuting_terms_evolve_exactly():
     h = HamiltonianSum([LocalTerm([0], ref.Z), LocalTerm([1], ref.Z)], 2)
-    layout = RegisterLayout(1, 2, 0)
+    layout = RegisterLayout(1, 2)
     got = evolve_dense(h, 2.1, 3, layout)
     dense = ref.embed_kron(ref.Z, [0], 2) + ref.embed_kron(ref.Z, [1], 2)
     np.testing.assert_allclose(got, ref.exact_evolution(dense, 2.1), atol=1e-12)
@@ -162,7 +162,7 @@ def test_one_slice_equals_single_step():
         [LocalTerm([0], ref.random_hermitian(2, rng)), LocalTerm([1], ref.random_hermitian(2, rng))],
         2,
     )
-    layout = RegisterLayout(1, 2, 0)
+    layout = RegisterLayout(1, 2)
     full = np.zeros(8, dtype=complex)
     full[np.arange(4) << 1] = ref.random_state(2, rng)
     state = load_amplitudes(3, full)
@@ -265,7 +265,7 @@ def test_norm_bound_sums_term_norms_and_bounds_the_spectrum():
 def test_layout_mismatch_rejected():
     h = HamiltonianSum([LocalTerm([0], ref.Z)], 1)
     with pytest.raises(ValueError):
-        h.apply_step(new_basis_state(4, 0), 0.1, RegisterLayout(2, 2, 0).system_qubits)
+        h.apply_step(new_basis_state(4, 0), 0.1, RegisterLayout(2, 2).system_qubits)
 
 
 # ---------------------------------------------------------------------------

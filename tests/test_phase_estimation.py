@@ -51,7 +51,7 @@ def unitary_config(matrix, m_index, *, time=1.0, power_method="binary_power", **
 
 
 def lift(va_amps, layout):
-    """Place system amplitudes above a cleared index (and work) register."""
+    """Place system amplitudes above a cleared index register."""
     full = np.zeros(2**layout.total_qubits, dtype=complex)
     full[np.arange(len(va_amps)) << layout.m_index] = va_amps
     return load_amplitudes(layout.total_qubits, full)
@@ -106,17 +106,20 @@ def test_config_raw_unitary_needs_time():
         PhaseEstimationConfig(m_index=2, unitary=GateMatrix(np.eye(2)))
 
 
-def test_config_flag_loop_needs_work_qubit():
-    for method, work in (("flag_loop", 1), ("binary_power", 0), ("block", 0)):
+def test_config_layout_is_the_same_on_every_route():
+    """No route adds a work qubit: the comparator loop runs on the index and
+    system registers like the others."""
+    for method in pe.POWER_METHODS:
         config = PhaseEstimationConfig(
             m_index=2,
             unitary=GateMatrix(np.eye(2)),
             time=1.0,
             power_method=method,
         )
-        assert config.layout == RegisterLayout(2, 1, work)
+        assert config.layout == RegisterLayout(2, 1)
+        assert config.layout.total_qubits == 3
     with pytest.raises(dataclasses.FrozenInstanceError):
-        config.layout = RegisterLayout(2, 1, 1)
+        config.layout = RegisterLayout(2, 2)
 
 
 def test_config_defaults_to_block_engine_and_rejects_unknown_routes():
@@ -129,11 +132,11 @@ def test_config_defaults_to_block_engine_and_rejects_unknown_routes():
 
 def test_config_dimension_and_trials_checks():
     two_qubit = PhaseEstimationConfig(m_index=2, unitary=GateMatrix(np.eye(4)), time=1.0)
-    assert two_qubit.layout == RegisterLayout(2, 2, 0)
+    assert two_qubit.layout == RegisterLayout(2, 2)
     h = HamiltonianSum([LocalTerm([0], ref.Z)], 3)
     assert PhaseEstimationConfig(
         m_index=2, source=h, time=1.0
-    ).layout == RegisterLayout(2, 3, 0)
+    ).layout == RegisterLayout(2, 3)
     with pytest.raises(ValueError):
         PhaseEstimationConfig(
             m_index=2,
@@ -189,7 +192,7 @@ def test_config_seed_must_fit_in_64_bits():
 
 
 def test_prepare_uniform_superposition():
-    layout = RegisterLayout(3, 1, 0)
+    layout = RegisterLayout(3, 1)
     state = prepare_index_superposition(lift([0.0, 1.0], layout), layout)
     # all 8 index amplitudes equal 1/sqrt(8) on the |1> system branch
     amps = state.amplitudes.reshape(2, 8)  # [system, index]
@@ -198,7 +201,7 @@ def test_prepare_uniform_superposition():
 
 
 def test_prepare_twice_rejected():
-    layout = RegisterLayout(2, 1, 0)
+    layout = RegisterLayout(2, 1)
     once = prepare_index_superposition(lift([1.0, 0.0], layout), layout)
     with pytest.raises(ValueError):
         prepare_index_superposition(once, layout)
@@ -215,8 +218,8 @@ def test_flag_loop_entangles_index_with_applied_x():
     config = unitary_config(ref.X, 1, power_method="flag_loop")
     state = prepare_index_superposition(lift([1, 0], config.layout), config.layout)
     out = apply_conditional_powers_flag_loop(state, config)
-    # qubits: [index, system, flag]; expect (|0>|0> + |1>|1>)/sqrt(2), flag clear
-    want = np.zeros(8, dtype=complex)
+    # qubits: [index, system]; expect (|0>|0> + |1>|1>)/sqrt(2)
+    want = np.zeros(4, dtype=complex)
     want[0b000] = want[0b011] = 1 / math.sqrt(2)
     np.testing.assert_allclose(out.amplitudes, want, atol=1e-12)
 
@@ -260,18 +263,19 @@ def flag_loop_cases():
 def test_windowed_flag_step_matches_full_slab(gate, m_index):
     """Each step of the flipped reference loop, U on the raised window only,
     equals U on the whole flag-set slab between masked flips to 1e-14 per
-    amplitude, and so do the whole reference loop and the dense loop."""
+    amplitude, and so do the whole reference loop and the dense loop on the
+    flag-clear half; both references return the flag-set half to zero."""
     config = unitary_config(gate, m_index, power_method="flag_loop")
     layout = config.layout
     rng = np.random.default_rng(82 + m_index)
     prepared = prepare_index_superposition(
         lift(ref.random_state(layout.l_system, rng), layout), layout
     )
-    index_values = sv.register_values(layout.total_qubits, layout.index_qubits)
-    flag = layout.work_qubits[0]
+    flag = layout.total_qubits  # the reference circuits' flag, on top
+    index_values = sv.register_values(flag + 1, layout.index_qubits)
     args = (gate.matrix, layout.l_system, layout.num_bins)
     step_args = (lambda block: gate.matrix @ block,) + args[1:]
-    state = reference = prepared.amplitudes
+    state = reference = ref.with_flag(prepared.amplitudes)
     for i in range(1, layout.num_bins + 1):
         raised = ref.masked_flag_flip(state, index_values, flag, i)
         want = ref.masked_flag_flip(ref.full_slab_flag_step(raised, *args),
@@ -282,8 +286,10 @@ def test_windowed_flag_step_matches_full_slab(gate, m_index):
         reference = ref.full_slab_flag_step(reference, *args)
         reference = ref.masked_flag_flip(reference, index_values, flag, i)
     out = apply_conditional_powers_flag_loop(prepared, config).amplitudes
-    assert np.array_equal(out, state)
-    assert np.abs(out - reference).max() <= 1e-14
+    half = out.size
+    assert not state[half:].any() and not reference[half:].any()
+    assert np.array_equal(out, state[:half])
+    assert np.abs(out - reference[:half]).max() <= 1e-14
 
 
 @pytest.mark.parametrize("gate, m_index", [
@@ -293,8 +299,10 @@ def test_windowed_flag_step_matches_full_slab(gate, m_index):
 ])
 def test_dense_flag_loop_is_bit_identical_to_flipped_steps(gate, m_index):
     """The in-place window step writes exactly what flip, U on the raised
-    window and flip write, with M far above 2^l and on a complex 3-qubit U
-    (the cases of :func:`flag_loop_cases` are checked above)."""
+    window and flip write on the flag-clear half of the reference's flag
+    register, whose flag-set half ends zero, with M far above 2^l and on a
+    complex 3-qubit U (the cases of :func:`flag_loop_cases` are checked
+    above)."""
     config = unitary_config(gate, m_index, power_method="flag_loop")
     layout = config.layout
     rng = np.random.default_rng(86 + m_index)
@@ -302,9 +310,11 @@ def test_dense_flag_loop_is_bit_identical_to_flipped_steps(gate, m_index):
         lift(ref.random_state(layout.l_system, rng), layout), layout
     )
     out = apply_conditional_powers_flag_loop(prepared, config).amplitudes
-    want = ref.flipped_flag_loop(prepared.amplitudes, lambda block: gate.matrix @ block,
+    want = ref.flipped_flag_loop(ref.with_flag(prepared.amplitudes),
+                                 lambda block: gate.matrix @ block,
                                  layout.l_system, layout.num_bins)
-    assert np.array_equal(out, want)
+    assert not want[out.size:].any()
+    assert np.array_equal(out, want[: out.size])
 
 
 def unsorted_terms():
@@ -328,13 +338,17 @@ def sliced_flag_loop_cases():
 
 
 @pytest.mark.parametrize("source, m_index, time, slices", sliced_flag_loop_cases())
-def test_sliced_flag_loop_is_bit_identical_to_flipped_steps(source, m_index, time, slices):
+def test_sliced_flag_loop_is_bit_identical_to_flipped_steps(monkeypatch, source, m_index,
+                                                           time, slices):
     """A source's loop writes exactly what flip, the source's
-    ``system_step`` on the raised window and flip write, and agrees to
-    1e-12 per amplitude with flip, gate-level steps under the flag over the
-    whole register and flip (a grid's ``system_step`` is its dense slice
-    power, and a term source's gates see a column window, not the whole
-    register, so the rounding differs)."""
+    ``system_step`` on the raised window and flip write on the flag-clear
+    half of the reference's flag register, and agrees to 1e-12 per amplitude
+    with flip, gate-level steps under the flag over the whole flag register
+    and flip (a grid's ``system_step`` is its dense slice power, and a term
+    source's gates see a column window, not the whole register, so the
+    rounding differs); both references return the flag-set half to zero.
+    The loop applies U only through ``system_step``, never through the
+    gate-level ``apply_step``."""
     config = PhaseEstimationConfig(m_index=m_index, source=source, time=time, slices=slices,
                                    power_method="flag_loop")
     layout = config.layout
@@ -342,26 +356,36 @@ def test_sliced_flag_loop_is_bit_identical_to_flipped_steps(source, m_index, tim
     prepared = prepare_index_superposition(
         lift(ref.random_state(layout.l_system, rng), layout), layout
     )
-    out = apply_conditional_powers_flag_loop(prepared, config).amplitudes
-    want = ref.flipped_flag_loop(prepared.amplitudes, source.system_step(time / slices, slices),
+
+    def forbidden_step(self, *args):
+        raise AssertionError("the flag loop ran a gate-level step")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(type(source), "apply_step", forbidden_step)
+        out = apply_conditional_powers_flag_loop(prepared, config).amplitudes
+    half = out.size
+    flagged = ref.with_flag(prepared.amplitudes)
+    want = ref.flipped_flag_loop(flagged, source.system_step(time / slices, slices),
                                  layout.l_system, layout.num_bins)
-    assert np.array_equal(out, want)
-    gate_level = ref.flipped_source_flag_loop(prepared.amplitudes, source, time / slices,
-                                              slices, layout)
-    assert np.abs(out - gate_level).max() <= 1e-12
+    assert not want[half:].any()
+    assert np.array_equal(out, want[:half])
+    gate_level = ref.flipped_source_flag_loop(flagged, source, time / slices, slices, layout)
+    assert not gate_level[half:].any()
+    assert np.abs(out - gate_level[:half]).max() <= 1e-12
 
 
 @pytest.mark.parametrize("gate, m_index", flag_loop_cases())
-def test_flag_step_carries_columns_below_the_window(monkeypatch, gate, m_index):
-    """On a state with the flag set at every index value, each flipped step
-    leaves the flag-set half and the flag-clear columns below the threshold
-    bit for bit and multiplies the rest by U; the loop (its flag-residue
-    check switched off) carries the same amplitudes and writes what the
-    flipped steps write."""
+def test_flag_step_carries_columns_below_the_window(gate, m_index):
+    """On a flag register whose flag is set at every index value, each
+    flipped step leaves the flag-set half and the flag-clear columns below
+    the threshold bit for bit and multiplies the rest by U; the loop, run on
+    the flag-clear half alone, writes what the flipped steps write there,
+    and the flipped loop carries the flag-set half through unchanged."""
     config = unitary_config(gate, m_index, power_method="flag_loop")
     layout = config.layout
     rng = np.random.default_rng(83 + m_index)
-    amps = ref.random_state(layout.total_qubits, rng)
+    clear = ref.random_state(layout.total_qubits, rng)
+    amps = np.concatenate([clear, ref.random_state(layout.total_qubits, rng)])
     shape = (2, 2**layout.l_system, layout.num_bins)
     args = (lambda block: gate.matrix @ block, layout.l_system, layout.num_bins)
     before = amps.reshape(shape)
@@ -371,49 +395,12 @@ def test_flag_step_carries_columns_below_the_window(monkeypatch, gate, m_index):
         assert np.array_equal(after[0, :, :i], before[0, :, :i])
         window = gate.matrix @ before[0, :, i:]
         assert np.abs(after[0, :, i:] - window).max(initial=0.0) <= 1e-14
-    state = load_amplitudes(layout.total_qubits, amps)
-    monkeypatch.setattr(pe, "WORK_RESIDUE_TOL", math.inf)
-    out = apply_conditional_powers_flag_loop(state, config).amplitudes
-    assert np.array_equal(out, ref.flipped_flag_loop(amps, *args))
-    assert np.array_equal(out.reshape(shape)[1], before[1])
-    assert np.array_equal(out.reshape(shape)[0, :, 0], before[0, :, 0])
-
-
-def test_stray_flag_amplitude_below_the_window_is_caught(monkeypatch):
-    """On a sliced source, a flag amplitude at an index value no window
-    covers is carried to the end of the loop, where the flag-residue check
-    refuses it; the loop applies U only through ``system_step``, never
-    through the gate-level ``apply_step``."""
-    source = build_transverse_ising(2, 1.0, 0.7)
-    config = PhaseEstimationConfig(
-        m_index=2, source=source, time=0.5, slices=2, power_method="flag_loop",
-    )
-    layout = config.layout
-    state = prepare_index_superposition(lift([1, 0, 0, 0], layout), layout)
-    amps = state.amplitudes.copy()
-    amps[1 << layout.work_qubits[0]] += 1e-4  # flag set, index 0, system 0
-    state = load_amplitudes(state.num_qubits, amps / np.linalg.norm(amps))
-
-    def forbidden_step(self, *args):
-        raise AssertionError("the flag loop ran a gate-level step")
-
-    monkeypatch.setattr(HamiltonianSum, "apply_step", forbidden_step)
-    with pytest.raises(ContractViolation, match="flag qubit"):
-        apply_conditional_powers_flag_loop(state, config)
-
-
-def test_stray_flag_amplitude_in_the_dense_input_is_caught():
-    """The dense loop never writes the flag-set half, so a stray amplitude
-    there reaches the flag-residue check."""
-    config = unitary_config(ref.random_unitary(2, np.random.default_rng(84)), 2,
-                            power_method="flag_loop")
-    layout = config.layout
-    state = prepare_index_superposition(lift([1, 0], layout), layout)
-    amps = state.amplitudes.copy()
-    amps[1 << layout.work_qubits[0]] += 1e-4  # flag set, index 0, system 0
-    state = load_amplitudes(state.num_qubits, amps / np.linalg.norm(amps))
-    with pytest.raises(ContractViolation, match="flag qubit"):
-        apply_conditional_powers_flag_loop(state, config)
+    want = ref.flipped_flag_loop(amps, *args).reshape(shape)
+    assert np.array_equal(want[1], before[1])
+    out = apply_conditional_powers_flag_loop(load_amplitudes(layout.total_qubits, clear),
+                                             config).amplitudes
+    assert np.array_equal(out, want[0].ravel())
+    assert np.array_equal(out.reshape(shape[1:])[:, 0], before[0, :, 0])
 
 
 def drifted_gate(matrix, drift):
@@ -435,7 +422,7 @@ def test_dense_flag_loop_refuses_a_drifting_unitary_at_that_step(monkeypatch, dr
     config = unitary_config(gate, 4, power_method="flag_loop")
     layout = config.layout
     state = prepare_index_superposition(lift([0.6, 0.8], layout), layout)
-    amps, first_off = state.amplitudes, None
+    amps, first_off = ref.with_flag(state.amplitudes), None
     for i in range(1, layout.num_bins):
         amps = ref.flipped_flag_step(amps, lambda block: gate.matrix @ block, 1,
                                      layout.num_bins, i)
@@ -470,9 +457,7 @@ def test_flag_loop_and_binary_agree():
         va_state = load_amplitudes(dim_qubits, va)
         a = pre_measurement_state(va_state, flag_cfg).amplitudes
         b = pre_measurement_state(va_state, bin_cfg).amplitudes
-        # the flag qubit sits on top: the flag-free half is binary_power's state
-        np.testing.assert_allclose(a[: b.size], b, atol=1e-10)
-        np.testing.assert_allclose(a[b.size:], 0, atol=1e-10)
+        np.testing.assert_allclose(a, b, atol=1e-10)
 
 
 def test_dense_powers_are_validated_once(monkeypatch):
@@ -565,8 +550,10 @@ def test_block_engine_holds_two_states(traced_peak, corrupt):
 
 
 def test_dense_flag_loop_holds_one_and_a_half_states(traced_peak):
-    """Beyond its input the dense loop holds its one writable copy and a
-    half-state scratch, however many steps it runs (M = 1024 here)."""
+    """Beyond its input the dense loop holds its one writable copy and the
+    window's product, at most one state more, however many steps it runs
+    (M = 1024 here).  The name counts in states of a register with a flag
+    qubit, twice this one."""
     gate = exact_unitary(build_transverse_ising(4, 1.0, 0.7), 0.5)
     config = unitary_config(gate, 10, time=0.5, power_method="flag_loop")
     layout = config.layout
@@ -574,17 +561,17 @@ def test_dense_flag_loop_holds_one_and_a_half_states(traced_peak):
     state = prepare_index_superposition(lift(va, layout), layout)
     out, peak = traced_peak(lambda: apply_conditional_powers_flag_loop(state, config))
     assert out.amplitudes.nbytes == state.amplitudes.nbytes
-    assert peak <= 1.55 * state.amplitudes.nbytes
+    assert peak <= 2.05 * state.amplitudes.nbytes
 
 
 def test_sliced_flag_loop_holds_two_and_a_half_states(traced_peak):
     """Beyond its input the sliced loop holds its one writable copy and,
-    while a gate runs on the first step's window of the flag-clear half, up
-    to three half states: the previous gate's output, the operand copy and
-    the product (M = 1024).
-    A first run fills the slice-gate cache and the interpreter's free lists
-    for the small objects each gate call makes (about 0.7 states on a cold
-    interpreter), so the traced run counts only what the loop holds."""
+    while a gate runs on the first step's window, up to three states: the
+    previous gate's output, the operand copy and the product (M = 1024).
+    The name counts in states of a register with a flag qubit, twice this
+    one.  A first run fills the slice-gate cache and the interpreter's free
+    lists for the small objects each gate call makes (about 0.9 states on a
+    cold interpreter), so the traced run counts only what the loop holds."""
     config = PhaseEstimationConfig(m_index=10, source=build_transverse_ising(3, 1.0, 0.7),
                                    time=0.5, slices=1, power_method="flag_loop")
     layout = config.layout
@@ -593,14 +580,15 @@ def test_sliced_flag_loop_holds_two_and_a_half_states(traced_peak):
     apply_conditional_powers_flag_loop(state, config)
     out, peak = traced_peak(lambda: apply_conditional_powers_flag_loop(state, config))
     assert out.amplitudes.nbytes == state.amplitudes.nbytes
-    assert peak <= 2.6 * state.amplitudes.nbytes
+    assert peak <= 4.1 * state.amplitudes.nbytes
 
 
 def test_grid_flag_loop_holds_one_and_a_half_states(traced_peak):
     """A grid source's step is one dense slice power times the window, so
     beyond its input the loop holds its one writable copy and the product,
-    at most half a state (M = 256, two slices); a first run fills the
-    recipe's phase cache."""
+    at most one state (M = 256, two slices); a first run fills the recipe's
+    phase cache.  The name counts in states of a register with a flag
+    qubit, twice this one."""
     grid = build_grid_particle(4, "harmonic:0.8,3.5", 1.0)
     config = PhaseEstimationConfig(m_index=8, source=grid, time=0.4, slices=2,
                                    power_method="flag_loop")
@@ -610,7 +598,7 @@ def test_grid_flag_loop_holds_one_and_a_half_states(traced_peak):
     apply_conditional_powers_flag_loop(state, config)
     out, peak = traced_peak(lambda: apply_conditional_powers_flag_loop(state, config))
     assert out.amplitudes.nbytes == state.amplitudes.nbytes
-    assert peak <= 1.6 * state.amplitudes.nbytes
+    assert peak <= 2.15 * state.amplitudes.nbytes
 
 
 def spectral_case(name):
@@ -697,7 +685,7 @@ def test_config_takes_one_unitary_source():
     log2(dim) system qubits, and it takes no slices."""
     decomposition = eigendecompose(ref.tfim_dense(3, 1.0, 0.7))
     config = PhaseEstimationConfig(m_index=2, decomposition=decomposition, time=0.5)
-    assert config.layout == RegisterLayout(2, 3, 0)
+    assert config.layout == RegisterLayout(2, 3)
     with pytest.raises(ValueError, match="exactly one"):
         PhaseEstimationConfig(m_index=2, decomposition=decomposition,
                               unitary=GateMatrix(np.eye(8)), time=0.5)
@@ -1096,7 +1084,7 @@ def test_resolution_improves_with_index_register():
 
 
 def test_work_register_must_be_clean_for_collapse():
-    """A flag-loop run leaves the work qubit disentangled; collapse verifies it."""
+    """A flag-loop run collapses each bin read onto an l-qubit system state."""
     rng = np.random.default_rng(66)
     u = ref.random_unitary(2, rng)
     config = unitary_config(u, 2, power_method="flag_loop", trials=8, seed=4)
@@ -1105,15 +1093,6 @@ def test_work_register_must_be_clean_for_collapse():
     assert result.counts.sum() == 8
     for b in result.bins:
         assert result.collapsed_states[int(b)].num_qubits == 1
-
-
-def test_collapse_rejects_work_register_residue_in_any_bin():
-    layout = RegisterLayout(1, 1, 1)  # qubits: [index, system, work]
-    amps = np.zeros(8, dtype=complex)
-    amps[0b000] = math.sqrt(1 - 1e-6)
-    amps[0b101] = 1e-3  # work qubit set, in bin 1 rather than the collapsed bin 0
-    with pytest.raises(ContractViolation):
-        pe._collapse_bins(load_amplitudes(3, amps), layout, [0])
 
 
 # ---------------------------------------------------------------------------
@@ -1129,42 +1108,9 @@ def unchecked_state(amps):
 
 
 def test_prepare_rejects_nan_index_residue():
-    layout = RegisterLayout(1, 1, 0)
+    layout = RegisterLayout(1, 1)
     with pytest.raises(ValueError, match="index register"):
         prepare_index_superposition(unchecked_state([1.0, np.nan, 0.0, 0.0]), layout)
-
-
-def test_flag_residue_check_rejects_nan(monkeypatch):
-    """A NaN in a sliced source's input flag-set half fails the first
-    step's norm check; with every norm check switched off, the flag-residue
-    check still refuses it."""
-    config = PhaseEstimationConfig(
-        m_index=1, source=HamiltonianSum([LocalTerm([0], ref.Z)], 1), time=1.0,
-        slices=2, power_method="flag_loop",
-    )
-    layout = config.layout
-    amps = prepare_index_superposition(lift([1, 0], layout), layout).amplitudes.copy()
-    amps[1 << layout.work_qubits[0]] = np.nan
-    with pytest.raises(ContractViolation, match="norm drifted"):
-        apply_conditional_powers_flag_loop(unchecked_state(amps), config)
-    monkeypatch.setattr(sv, "_check_norm", lambda amps: None)
-    with pytest.raises(ContractViolation, match="flag qubit"):
-        apply_conditional_powers_flag_loop(unchecked_state(amps), config)
-
-
-def test_dense_flag_loop_rejects_nan_in_the_flag_half(monkeypatch):
-    """A NaN in the dense input's flag-set half fails the first step's norm
-    check; with that check switched off, the flag-residue check still
-    refuses it."""
-    config = unitary_config(np.eye(2), 1, power_method="flag_loop")
-    layout = config.layout
-    amps = prepare_index_superposition(lift([1, 0], layout), layout).amplitudes.copy()
-    amps[1 << layout.work_qubits[0]] = np.nan
-    with pytest.raises(ContractViolation, match="norm drifted"):
-        apply_conditional_powers_flag_loop(unchecked_state(amps), config)
-    monkeypatch.setattr(sv, "_check_norm", lambda amps: None)
-    with pytest.raises(ContractViolation, match="flag qubit"):
-        apply_conditional_powers_flag_loop(unchecked_state(amps), config)
 
 
 @pytest.mark.parametrize(

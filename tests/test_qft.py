@@ -28,7 +28,7 @@ def test_forward_convention_on_two_qubits():
     )
 
 
-@pytest.mark.parametrize("m", [1, 2, 3, 4])
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6, 7])
 def test_forward_matches_dense_dft(m):
     got = circuit_matrix(qft_forward, m)
     np.testing.assert_allclose(got, ref.dft_matrix(2**m), atol=1e-12)
@@ -38,6 +38,31 @@ def test_forward_matches_dense_dft(m):
 def test_inverse_is_adjoint(m):
     got = circuit_matrix(qft_inverse, m)
     np.testing.assert_allclose(got, ref.dft_matrix(2**m).conj().T, atol=1e-12)
+
+
+@pytest.mark.parametrize("layout", ["unsorted", "gapped"])
+@pytest.mark.parametrize("num_controls", [0, 1, 2])
+@pytest.mark.parametrize("m", range(1, 9))
+def test_phase_layers_match_per_pair_circuit(m, num_controls, layout):
+    """One diagonal per target qubit gives what the controlled phase per
+    (target, lower qubit) pair gives, to 1e-14 per amplitude, forward and
+    inverse: on a register in random qubit order among spectators and
+    controls, and on an ascending register with a spectator below each of
+    its qubits and the controls on top."""
+    rng = np.random.default_rng(100 * m + 10 * num_controls + len(layout))
+    if layout == "unsorted":
+        q = m + num_controls + 2
+        order = [int(qubit) for qubit in rng.permutation(q)]
+        register, controls = order[:m], order[m : m + num_controls]
+    else:
+        q = 2 * m + num_controls
+        register, controls = list(range(1, 2 * m, 2)), list(range(2 * m, q))
+    amps = ref.random_state(q, rng)
+    state = load_amplitudes(q, amps)
+    for transform, inverse in ((qft_forward, False), (qft_inverse, True)):
+        got = transform(state, register, controls).amplitudes
+        want = ref.per_pair_qft(amps, register, controls, inverse=inverse)
+        assert np.abs(got - want).max() <= 1e-14, transform.__name__
 
 
 @given(st.integers(0, 2**32 - 1))

@@ -21,7 +21,6 @@ from spectral_qpe import (
     hadamard,
     load_amplitudes,
     new_basis_state,
-    phase_shift,
     pre_measurement_state,
     prepare_index_superposition,
     register_distribution,
@@ -117,7 +116,7 @@ def test_single_qubit_gates_match_dense_embedding():
         (hadamard(), np.array([[1, 1], [1, -1]]) / np.sqrt(2)),
         (GateMatrix(ref.X), ref.X),
         (GateMatrix(ref.Z), ref.Z),
-        (phase_shift(0.37), np.diag([1.0, np.exp(0.37j)])),
+        (GateMatrix(np.diag([1.0, np.exp(0.37j)])), np.diag([1.0, np.exp(0.37j)])),
     ]:
         for target in range(4):
             got = apply_gate(state, gate, [target]).amplitudes
@@ -390,16 +389,16 @@ class TestMeasurement:
 
 
 def test_register_layout_validation_and_properties():
-    layout = RegisterLayout(3, 2, 1)
-    assert layout.total_qubits == 6
+    layout = RegisterLayout(3, 2)
+    assert layout.total_qubits == 5
     assert layout.num_bins == 8
     assert layout.index_qubits == [0, 1, 2]
     assert layout.system_qubits == [3, 4]
-    assert layout.work_qubits == [5]
+    assert RegisterLayout(20, 6).total_qubits == 26
     with pytest.raises(ValueError, match="26"):
-        RegisterLayout(20, 6, 1)
+        RegisterLayout(20, 7)
     with pytest.raises(ValueError):
-        RegisterLayout(0, 1, 0)
+        RegisterLayout(0, 1)
 
 
 def test_trial_stream_reproducible_and_distinct():
@@ -416,7 +415,8 @@ def test_norm_preserved_through_long_circuit():
     for _ in range(50):
         target = int(rng.integers(5))
         state = apply_gate(state, hadamard(), [target])
-        state = apply_gate(state, phase_shift(float(rng.uniform(0, 6))), [target])
+        phase = GateMatrix(np.diag([1.0, np.exp(1j * rng.uniform(0, 6))]))
+        state = apply_gate(state, phase, [target])
     assert np.linalg.norm(state.amplitudes) == pytest.approx(1.0, abs=1e-10)
 
 
