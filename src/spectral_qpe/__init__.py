@@ -71,7 +71,6 @@ from .statevector import (
     register_values,
     swap_gate,
     trial_stream,
-    uniform_draws,
 )
 
 __version__ = "0.1.0"
@@ -133,6 +132,5 @@ __all__ = [
     "register_values",
     "swap_gate",
     "trial_stream",
-    "uniform_draws",
     "__version__",
 ]

@@ -64,8 +64,10 @@ class HamiltonianSum:
     ``norm_bound()``, ``dense_hamiltonian()``, ``step_matrix(dt)``,
     ``apply_step(state, dt, system_qubits, controls)`` (one step, optionally
     controlled) and ``system_step(dt, slices)`` (``slices`` steps as a map on
-    2^l system vectors and on (2^l, K) blocks of system columns; the one
-    slice loop, which ``step_matrix`` runs on the identity).  One step is the
+    2^l system vectors and on (2^l, K) blocks of system columns).  Its map is
+    the one slice loop; called with no block, a form of its own that
+    ``GridRecipe``'s map lacks, it runs on the identity and returns the dense
+    matrix, which is how ``step_matrix`` builds one slice.  One step is the
     Trotter slice prod_i e^{-i H_i dt} in term order; its gates are built
     once per ``dt``.
     """

@@ -50,7 +50,7 @@ log = logging.getLogger(__name__)
 
 #: The index register must be |0...0> to this amplitude tolerance before
 #: its Hadamards.
-WORK_RESIDUE_TOL = 1e-9
+INDEX_RESIDUE_TOL = 1e-9
 #: Accepted ``power_method`` values: the block engine, then the gate routes.
 POWER_METHODS = ("block", "binary_power", "flag_loop")
 #: Most trials one run may draw: ``sample_spectrum`` holds one bin per trial,
@@ -230,7 +230,7 @@ def prepare_index_superposition(
     # The index bits are the low ones: column v of this view is index value v.
     # The largest |amplitude| off index 0; a NaN gives NaN.
     residue = float(np.abs(state.amplitudes.reshape(-1, layout.num_bins)[:, 1:]).max())
-    if not (residue <= WORK_RESIDUE_TOL):  # NaN fails closed
+    if not (residue <= INDEX_RESIDUE_TOL):  # NaN fails closed
         raise ValueError(f"index register is not |0...0>: residue amplitude {residue:.3e}")
     h = sv.hadamard()
     for qubit in layout.index_qubits:
@@ -403,6 +403,14 @@ def _block_engine_state(
     return sv._wrap_state(layout.total_qubits, readout.reshape(-1))
 
 
+def _lifted_register(va: sv.StateVector, layout: sv.RegisterLayout) -> sv.StateVector:
+    """|0>_index (x) |va>_system as one register, owned by the returned state
+    alone so that the first gate on it frees it."""
+    amps = np.zeros(2**layout.total_qubits, dtype=np.complex128)
+    amps[np.arange(2**layout.l_system) << layout.m_index] = va.amplitudes
+    return sv._wrap_state(layout.total_qubits, amps)
+
+
 def pre_measurement_state(
     va: sv.StateVector, config: PhaseEstimationConfig, *, _corrupt_qft_sign: bool = False
 ) -> sv.StateVector:
@@ -421,10 +429,7 @@ def pre_measurement_state(
         )
     if config.power_method == "block":
         return _block_engine_state(va, config, _corrupt_qft_sign)
-    # |0>_index (x) |va>_system as one register
-    amps = np.zeros(2**layout.total_qubits, dtype=np.complex128)
-    amps[np.arange(2**layout.l_system) << layout.m_index] = va.amplitudes
-    state = prepare_index_superposition(sv._wrap_state(layout.total_qubits, amps), layout)
+    state = prepare_index_superposition(_lifted_register(va, layout), layout)
     if config.power_method == "flag_loop":
         state = apply_conditional_powers_flag_loop(state, config)
     else:
@@ -488,7 +493,8 @@ def sample_spectrum(
     ``sv.trial_stream(seed, t)``, and each bin read collapses the system
     register onto its renormalized column.  This is the package's one
     readout (:func:`run_phase_estimation` is its first trial), bit-identical
-    to running the full pipeline per trial.  Trials are drawn vectorized, in
+    to running the full pipeline per trial.  Trials are drawn vectorized by
+    ``sv._trial_uniform_blocks``, from the seed's SeedSequence pool, in
     blocks of ``sv.DRAW_CHUNK``, so besides the pre-measurement state a run
     holds only ``bins`` and one block's temporaries.  A threshold that is
     not a positive real is refused before any work.

@@ -12,12 +12,13 @@ Conventions, used consistently across the package:
   drifts off unit norm by more than ``NORM_TOL`` raises
   :class:`~spectral_qpe.errors.ContractViolation`.
 * Randomness comes from per-trial streams derived from one master seed via
-  :func:`trial_stream`.
+  :func:`trial_stream`.  The sampler draws their first uniforms in blocks
+  with :func:`_trial_uniform_blocks`, bit for bit, from the seed's
+  SeedSequence pool.
 """
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -390,7 +391,8 @@ def trial_stream(master_seed: int, trial_index: int) -> np.random.Generator:
     numpy's documented counter scheme for deriving child streams.  Streams are
     reproducible across platforms and depend only on the seed and the trial
     index, never on the order or batching in which trials are drawn;
-    :func:`uniform_draws` computes the first draw of many streams at once.
+    :func:`_trial_uniform_blocks`, the sampler's generator, computes the
+    first draw of many streams at once.
     """
     if trial_index < 0:
         raise ValueError(f"trial index must be >= 0, got {trial_index}")
@@ -399,11 +401,15 @@ def trial_stream(master_seed: int, trial_index: int) -> np.random.Generator:
 
 
 # SeedSequence hash constants (numpy.random.bit_generator) and the PCG64
-# multiplier (O'Neill, "PCG", HMC-CS-2014-0905), used by uniform_draws.
+# multiplier (O'Neill, "PCG", HMC-CS-2014-0905), used by _trial_uniform_blocks.
 _MASK32 = 0xFFFFFFFF
 _POOL_SIZE = 4
 _INIT_A = 0x43B0D7E5
 _MULT_A = 0x931E8875
+#: The hash constant after the 16 hashmixes that build a seed's pool,
+#: _INIT_A * _MULT_A^16 mod 2^32 whatever the seed; the spawn-key word
+#: continues from it.
+_SPAWN_CONST = 0x78C50DA5
 _INIT_B = 0x8B51F9DD
 _MULT_B = 0x58F38DED
 _MIX_MULT_L = np.uint32(0xCA01F9DD)
@@ -415,9 +421,10 @@ _PCG_MULT_LIMBS = [np.uint64((_PCG_MULT >> (32 * k)) & _MASK32) for k in range(4
 DRAW_CHUNK = 2**12
 
 
-def _hashmix(value: np.ndarray, const: int) -> tuple[np.ndarray, int]:
-    """SeedSequence's hashmix on uint32 arrays; returns (mixed, next constant)."""
-    following = (const * _MULT_A) & _MASK32
+def _hashmix(value: np.ndarray, const: int, mult: int = _MULT_A) -> tuple[np.ndarray, int]:
+    """SeedSequence's hashmix on uint32 arrays (with ``_MULT_B``, the hash
+    of ``generate_state``); returns (mixed, next constant)."""
+    following = (const * mult) & _MASK32
     value = value ^ np.uint32(const)
     value *= np.uint32(following)
     value ^= value >> np.uint32(16)
@@ -431,29 +438,16 @@ def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return result
 
 
-def _mix_in(pool: list, word: np.ndarray, const: int) -> int:
-    """Mix one entropy word into every pool word, as SeedSequence does with
-    entropy beyond the pool size; returns the next hash constant."""
-    for dst in range(_POOL_SIZE):
-        hashed, const = _hashmix(word, const)
-        pool[dst] = _mix(pool[dst], hashed)
-    return const
-
-
-def _seed_pool(master_seed: int) -> tuple[list, int]:
-    """SeedSequence pool after mixing the seed words (padded with zeros to
-    the pool size), with the hash constant the spawn-key words continue from."""
-    words = []
-    rest = master_seed
-    while True:
-        words.append(rest & _MASK32)
-        rest >>= 32
-        if not rest:
-            break
-    words += [0] * (_POOL_SIZE - len(words))
-    const = _INIT_A
+def _seed_pool(master_seed: int) -> list:
+    """``SeedSequence(master_seed).pool`` for a seed in [0, 2^64), as four
+    one-element arrays: the seed's two 32-bit words and two zero words
+    hashed, then each pool word mixed into the others.  Computed here, not
+    read from numpy's SeedSequence: importing numpy.random, which a sampling
+    run otherwise never loads, raised a CLI run's peak RSS from 33.0 to
+    38.5 MB (numpy 2.4)."""
     pool = []
-    for word in words[:_POOL_SIZE]:
+    const = _INIT_A
+    for word in (master_seed & _MASK32, master_seed >> 32, 0, 0):
         hashed, const = _hashmix(np.array([word], dtype=np.uint32), const)
         pool.append(hashed)
     for src in range(_POOL_SIZE):
@@ -461,9 +455,7 @@ def _seed_pool(master_seed: int) -> tuple[list, int]:
             if src != dst:
                 hashed, const = _hashmix(pool[src], const)
                 pool[dst] = _mix(pool[dst], hashed)
-    for word in words[_POOL_SIZE:]:
-        const = _mix_in(pool, np.array([word], dtype=np.uint32), const)
-    return pool, const
+    return pool
 
 
 def _carry(columns: list) -> list:
@@ -500,10 +492,7 @@ def _first_uniform(pool: list) -> np.ndarray:
     const = _INIT_B
     words = []
     for i in range(2 * _POOL_SIZE):
-        value = pool[i % _POOL_SIZE] ^ np.uint32(const)
-        const = (const * _MULT_B) & _MASK32
-        value *= np.uint32(const)
-        value ^= value >> np.uint32(16)
+        value, const = _hashmix(pool[i % _POOL_SIZE], const, _MULT_B)
         words.append(value.astype(np.uint64))
     # uint64 words (w0|w1<<32, w2|w3<<32, ...); s = u0<<64 | u1, q = u2<<64 | u3.
     seed = [words[2], words[3], words[0], words[1]]
@@ -525,53 +514,28 @@ def _first_uniform(pool: list) -> np.ndarray:
     return output.astype(np.float64) * 2.0**-53
 
 
-def _spawn_uniforms(pool: list, const: int, block: np.ndarray) -> np.ndarray:
-    """First uniform of every stream whose spawn key is in ``block`` (uint64),
-    from the seed pool and hash constant of :func:`_seed_pool`.  A key below
-    2^32 is one spawn-key word, a larger one two; the second word is mixed
-    only if some key in the block needs it."""
-    low = (block & np.uint64(_MASK32)).astype(np.uint32)
+def _spawn_uniforms(pool: list, block: np.ndarray) -> np.ndarray:
+    """First uniform of every stream whose spawn key is in ``block`` (uint32),
+    given the seed's pool from :func:`_seed_pool`.  SeedSequence pads a
+    seed shorter than its pool with zero words before a spawn key, which
+    hashes as the pool built from the seed alone; the key is then mixed
+    into every pool word, as SeedSequence does with entropy beyond the pool
+    size."""
     mixed = list(pool)
-    after = _mix_in(mixed, low, const)
-    high = (block >> np.uint64(32)).astype(np.uint32)
-    wide = high != 0
-    if wide.any():
-        two_words = list(mixed)
-        _mix_in(two_words, high, after)
-        mixed = [np.where(wide, b, a) for a, b in zip(mixed, two_words)]
+    const = _SPAWN_CONST
+    for dst in range(_POOL_SIZE):
+        hashed, const = _hashmix(block, const)
+        mixed[dst] = _mix(mixed[dst], hashed)
     return _first_uniform(mixed)
-
-
-def uniform_draws(master_seed: int, trial_indices) -> np.ndarray:
-    """``trial_stream(master_seed, t).random()`` for every t, bit for bit.
-
-    Vectorizes numpy's SeedSequence with ``spawn_key=(t,)`` followed by
-    PCG64 seeding and one double draw.  The seed words are mixed once; the
-    one or two 32-bit spawn-key words of each index are mixed as arrays, in
-    blocks of ``DRAW_CHUNK`` indices.  Indices must be in [0, 2^64).
-    """
-    master_seed = operator.index(master_seed)
-    if master_seed < 0:
-        raise ValueError(f"master seed must be >= 0, got {master_seed}")
-    indices = np.asarray(trial_indices)
-    if indices.size and indices.dtype.kind not in "iu":
-        raise ValueError(f"trial indices must be integers in [0, 2^64), got {indices.dtype}")
-    if indices.dtype.kind == "i" and indices.size and int(indices.min()) < 0:
-        raise ValueError(f"trial indices must be >= 0, got {int(indices.min())}")
-    flat = indices.astype(np.uint64, copy=False).ravel()
-    pool, const = _seed_pool(master_seed)
-    out = np.empty(flat.shape, dtype=np.float64)
-    for start in range(0, flat.size, DRAW_CHUNK):
-        block = flat[start : start + DRAW_CHUNK]
-        out[start : start + block.size] = _spawn_uniforms(pool, const, block)
-    return out.reshape(indices.shape)
 
 
 def _trial_uniform_blocks(master_seed: int, trials: int):
     """Yield ``(start, uniforms)`` covering trials 0..trials-1 in blocks of
-    ``DRAW_CHUNK``: the draws of :func:`uniform_draws` over that range, with
-    the seed words mixed once and no trials-long array."""
-    pool, const = _seed_pool(master_seed)
+    ``DRAW_CHUNK``: ``trial_stream(master_seed, t).random()`` for every t,
+    bit for bit, vectorized over the block.  The seed, in [0, 2^64), is
+    hashed once; each trial index, below ``phase_estimation.MAX_TRIALS``
+    <= 2^32, is one 32-bit spawn-key word."""
+    pool = _seed_pool(master_seed)
     for start in range(0, trials, DRAW_CHUNK):
-        block = np.arange(start, min(start + DRAW_CHUNK, trials), dtype=np.uint64)
-        yield start, _spawn_uniforms(pool, const, block)
+        block = np.arange(start, min(start + DRAW_CHUNK, trials), dtype=np.uint32)
+        yield start, _spawn_uniforms(pool, block)

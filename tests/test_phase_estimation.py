@@ -1022,7 +1022,6 @@ def test_bad_threshold_refused_before_any_work(monkeypatch, threshold):
         raise AssertionError("sample_spectrum did work before checking the threshold")
 
     monkeypatch.setattr(pe, "pre_measurement_state", forbidden)
-    monkeypatch.setattr(sv, "uniform_draws", forbidden)
     monkeypatch.setattr(sv, "_trial_uniform_blocks", forbidden)
     config = unitary_config(np.diag([1, 1j]), 2, trials=4, seed=0)
     with pytest.raises(ValueError, match="threshold"):
@@ -1167,7 +1166,8 @@ def test_blocked_draws_equal_one_pass(monkeypatch, trials):
     va = load_amplitudes(2, ref.random_state(2, rng))
     result = sample_spectrum(va, config)
     cumulative = np.cumsum(pre_measurement_distribution(va, config))
-    want = sv._draw_from_cumulative(cumulative, sv.uniform_draws(config.seed, np.arange(trials)))
+    uniforms = np.array([sv.trial_stream(config.seed, t).random() for t in range(trials)])
+    want = sv._draw_from_cumulative(cumulative, uniforms)
     assert np.array_equal(result.bins, want)
     assert np.array_equal(result.counts, np.bincount(want, minlength=8))
 
@@ -1190,6 +1190,19 @@ def test_sample_spectrum_holds_about_one_byte_per_trial(traced_peak):
     result, peak = traced_peak(lambda: sample_spectrum(va, config))
     assert result.counts.sum() == trials
     assert peak <= trials + 2 * 2**20
+
+
+def test_flag_loop_spectrum_holds_six_states(traced_peak):
+    """On the flag-loop route the lifted input register is freed by its
+    first Hadamard, so sampling TFIM-8 at M = 256 peaks at six states of the
+    2^(m+l) register, the dense U (one state at l = m) among them; holding
+    the lifted input to readout made it seven."""
+    run = pe.Run({"problem": "tfim", "sites": 8, "m_index": 8, "time": 0.5,
+                  "trials": 2000, "power_method": "flag_loop"})
+    state_bytes = 16 * 2**run.config.layout.total_qubits
+    result, peak = traced_peak(lambda: sample_spectrum(run.guess, run.config))
+    assert result.counts.sum() == 2000
+    assert peak <= 6.1 * state_bytes
 
 
 # ---------------------------------------------------------------------------

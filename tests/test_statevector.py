@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import reference as ref
-from spectral_qpe import statevector
+from spectral_qpe import phase_estimation, statevector
 from spectral_qpe import (
     ContractViolation,
     GateMatrix,
@@ -28,7 +28,6 @@ from spectral_qpe import (
     sample_spectrum,
     swap_gate,
     trial_stream,
-    uniform_draws,
 )
 from spectral_qpe.statevector import MAX_GATE_ARITY, MAX_QUBITS, _wrap_state
 from reference import measure_register
@@ -432,7 +431,7 @@ def test_diagonal_phase_rejects_nan_factors():
 # ---------------------------------------------------------------------------
 # vectorized trial draws
 
-DRAW_SEEDS = [0, 1, 42, 2010, 2**32 - 1, 2**32, 2**64 - 1]
+DRAW_SEEDS = [0, 1, 42, 2010, 2**32 - 1, 2**32, 2**63 + 5, 2**64 - 1]
 
 
 def scalar_draws(seed, indices):
@@ -441,44 +440,46 @@ def scalar_draws(seed, indices):
     return np.array(draws, dtype=np.float64).view(np.uint64)
 
 
+def block_draws(seed, trials):
+    """The sampler's draws for trials 0..trials-1, as raw 64-bit patterns."""
+    blocks = list(statevector._trial_uniform_blocks(seed, trials))
+    starts = [start for start, _ in blocks]
+    assert starts == list(range(0, trials, statevector.DRAW_CHUNK))
+    return np.concatenate([uniforms for _, uniforms in blocks]).view(np.uint64)
+
+
+def spawn_draws(seed, indices):
+    """``_spawn_uniforms`` on one block of trial indices, as raw 64-bit patterns."""
+    block = np.array(indices, dtype=np.uint32)
+    return statevector._spawn_uniforms(statevector._seed_pool(seed), block).view(np.uint64)
+
+
 @pytest.mark.parametrize("seed", DRAW_SEEDS)
 def test_uniform_draws_match_trial_stream_bit_for_bit(seed):
-    indices = list(range(2048)) + [2**32 - 1, 2**32, 2**40]
-    got = uniform_draws(seed, np.array(indices, dtype=np.uint64))
-    np.testing.assert_array_equal(got.view(np.uint64), scalar_draws(seed, indices))
+    pool = np.concatenate(statevector._seed_pool(seed))
+    np.testing.assert_array_equal(pool, np.random.SeedSequence(seed).pool)
+    np.testing.assert_array_equal(block_draws(seed, 2048), scalar_draws(seed, range(2048)))
+    # the largest one-word spawn keys, past the trial cap
+    high = [2**26 - 1, 2**31, 2**32 - 3, 2**32 - 2, 2**32 - 1]
+    np.testing.assert_array_equal(spawn_draws(seed, high), scalar_draws(seed, high))
 
 
 @given(
     seed=st.integers(0, 2**64 - 1),
-    indices=st.lists(
-        st.one_of(st.integers(0, 2**32 - 1), st.integers(0, 2**64 - 1)), max_size=24
-    ),
+    indices=st.lists(st.integers(0, 2**32 - 1), max_size=24),
 )
 def test_uniform_draws_property_matches_trial_stream(seed, indices):
-    got = uniform_draws(seed, np.array(indices, dtype=np.uint64))
-    np.testing.assert_array_equal(got.view(np.uint64), scalar_draws(seed, indices))
+    np.testing.assert_array_equal(spawn_draws(seed, indices), scalar_draws(seed, indices))
 
 
 def test_uniform_draws_across_chunk_boundaries(monkeypatch):
     monkeypatch.setattr(statevector, "DRAW_CHUNK", 5)
-    indices = [0, 1, 2**32, 3, 4, 5, 2**40 + 9, 7, 8, 9, 10, 11, 12]
-    got = uniform_draws(3, np.array(indices, dtype=np.uint64))
-    np.testing.assert_array_equal(got.view(np.uint64), scalar_draws(3, indices))
+    np.testing.assert_array_equal(block_draws(3, 13), scalar_draws(3, range(13)))
 
 
-def test_uniform_draws_shape_and_validation():
-    grid = uniform_draws(9, np.arange(6).reshape(2, 3))
-    assert grid.shape == (2, 3)
-    np.testing.assert_array_equal(grid.ravel(), uniform_draws(9, range(6)))
-    assert uniform_draws(9, []).shape == (0,)
-    with pytest.raises(ValueError, match=">= 0"):
-        uniform_draws(9, [3, -1])
-    with pytest.raises(ValueError, match="seed"):
-        uniform_draws(-1, [0])
-    with pytest.raises(ValueError, match="integers"):
-        uniform_draws(9, [0.5])
-    with pytest.raises(ValueError, match="integers"):
-        uniform_draws(9, [2**64])
+def test_spawn_keys_stay_one_word():
+    # _spawn_uniforms mixes one 32-bit spawn-key word per trial index
+    assert phase_estimation.MAX_TRIALS <= 2**32
 
 
 def test_sample_spectrum_bins_equal_scalar_measurement_loop():
