@@ -44,7 +44,6 @@ from .phase_estimation import (
     pre_measurement_distribution,
     pre_measurement_state,
     prepare_index_superposition,
-    run_phase_estimation,
     sample_spectrum,
 )
 from .problems import (
@@ -108,7 +107,6 @@ __all__ = [
     "pre_measurement_distribution",
     "pre_measurement_state",
     "prepare_index_superposition",
-    "run_phase_estimation",
     "sample_spectrum",
     "GridRecipe",
     "ResourceEstimate",

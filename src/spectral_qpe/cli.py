@@ -89,10 +89,10 @@ def _load_config(path: str) -> dict:
     return raw
 
 
-def _parse_slices_flag(text: str | None):
-    """The ``--slices`` flag string: None (absent), "exact" or an integer."""
+def _parse_slices_flag(text: str):
+    """The ``--slices`` flag string: "exact" or an integer."""
     try:
-        return text if text in (None, "exact") else int(text)
+        return text if text == "exact" else int(text)
     except ValueError:
         raise ConfigFieldError(
             "slices", f'expected an integer or "exact", got {text!r}'
@@ -306,20 +306,11 @@ def cmd_oracle_check(args: argparse.Namespace) -> int:
 
 
 def _merged_config(args: argparse.Namespace) -> dict:
-    """Config file contents with command-line overrides folded in."""
+    """The config file with each given flag whose ``dest`` is a run key set under it."""
     cfg = _load_config(args.config)
-    overrides = {
-        "seed": getattr(args, "seed", None),
-        "m_index": getattr(args, "index_qubits", None),
-        "time": getattr(args, "time", None),
-        "slices": _parse_slices_flag(getattr(args, "slices", None)),
-        "trials": getattr(args, "trials", None),
-        "threshold": getattr(args, "threshold", None),
-        "out": getattr(args, "out", None),
-    }
-    for key, value in overrides.items():
-        if value is not None:
-            cfg[key] = value
+    for key, value in vars(args).items():
+        if key in problems.RUN_KEYS and value is not None:
+            cfg[key] = _parse_slices_flag(value) if key == "slices" else value
     return cfg
 
 
@@ -329,7 +320,7 @@ def _add_run_flags(parser: argparse.ArgumentParser, *, sampling: bool) -> None:
                         help="override evolution time")
     parser.add_argument("--out", metavar="PATH", help="override output path stem")
     if sampling:
-        parser.add_argument("--index-qubits", type=int, metavar="N",
+        parser.add_argument("--index-qubits", type=int, dest="m_index", metavar="N",
                             help="override m_index")
         parser.add_argument("--seed", type=int, metavar="U64",
                             help="override the sampling seed")

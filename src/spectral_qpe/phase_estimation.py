@@ -94,8 +94,11 @@ class PhaseEstimationConfig:
 
     The register layout is derived, not declared: ``layout`` is the
     read-only ``RegisterLayout(m_index, l)`` with l the qubits the unitary
-    acts on, the same on every route.  Each refused value raises
-    :class:`ConfigFieldError` naming its field.
+    acts on, the same on every route.  This is the one parser of a run's
+    values: each is typed here (an integer field takes any integral but a
+    bool; ``time`` any finite real), so a config built directly refuses
+    each value the CLI refuses, with :class:`ConfigFieldError` naming the
+    same field, before any work.
     """
 
     m_index: int
@@ -110,12 +113,9 @@ class PhaseEstimationConfig:
     layout: sv.RegisterLayout = field(init=False, compare=False)
 
     def __post_init__(self) -> None:
-        if not 1 <= self.trials <= MAX_TRIALS:
-            raise ConfigFieldError(
-                "trials", f"trials must be in [1, {MAX_TRIALS}], got {self.trials}"
-            )
-        if not 0 <= self.seed < 2**64:
-            raise ConfigFieldError("seed", f"seed must be in [0, 2^64), got {self.seed}")
+        for key, low, high in (("trials", 1, MAX_TRIALS), ("seed", 0, 2**64 - 1),
+                               ("slices", 1, None), ("m_index", None, None)):
+            object.__setattr__(self, key, problems.as_int(getattr(self, key), key, low, high))
         if self.power_method not in POWER_METHODS:
             choices = ", ".join(f'"{m}"' for m in POWER_METHODS)
             raise ConfigFieldError(
@@ -126,10 +126,7 @@ class PhaseEstimationConfig:
         if len(given) != 1:
             raise ValueError("config needs exactly one of: unitary, source, decomposition")
         phase_rate = check_time(self.time, None if self.unitary is not None else given[0])
-        if not isinstance(self.slices, (int, np.integer)) or self.slices < 1:
-            raise ConfigFieldError(
-                "slices", f"slice count must be an integer >= 1, got {self.slices!r}"
-            )
+        object.__setattr__(self, "time", float(self.time))
         if self.source is None and self.slices != 1:
             raise ConfigFieldError("slices", "slices only apply to a source, not to a unitary")
         step_time(self.time, self.slices, "slices")
@@ -158,12 +155,13 @@ class PhaseEstimationConfig:
 
 
 def check_time(time, source=None) -> float:
-    """Refuse a time that is not finite and nonzero, or whose product with
+    """Refuse a time that is not a finite nonzero real, or whose product with
     ``source.norm_bound()`` (a bound on ||H||; a source or a spectral
-    decomposition) is not, so no phase overflows; return that product,
-    |time| * ||H|| (0 without a source)."""
-    if time is None or not (math.isfinite(time) and time != 0):
-        raise ConfigFieldError("time", f"time must be finite and nonzero, got {time!r}")
+    decomposition) is not finite, so no phase overflows; return that
+    product, |time| * ||H|| (0 without a source)."""
+    time = problems.as_real(time, "time")
+    if time == 0:
+        raise ConfigFieldError("time", f"time must be nonzero, got {time!r}")
     bound = source.norm_bound() if source is not None else 0.0
     phase_rate = abs(time) * bound
     if not math.isfinite(phase_rate):
@@ -462,21 +460,10 @@ def _collapse_bins(
     return collapsed
 
 
-def run_phase_estimation(va: sv.StateVector, config: PhaseEstimationConfig) -> PhaseSample:
-    """One full estimation trial: trial 0 of :func:`sample_spectrum` run on
-    ``config`` with one trial, collapsed state included."""
-    result = sample_spectrum(va, replace(config, trials=1))
-    bin_index = int(result.bins[0])
-    phase = 2.0 * math.pi * bin_index / config.layout.num_bins
-    energy = phase_to_energy(phase, config.time)
-    return PhaseSample(bin_index, phase, energy, result.collapsed_states[bin_index])
-
-
-def _peak_threshold(threshold, trials: int) -> float:
-    """``threshold``, refused unless a positive real; None means the default."""
-    if threshold is None:
-        return default_peak_threshold(trials)
-    if not (threshold > 0.0 and math.isfinite(threshold)):
+def _peak_threshold(threshold) -> float:
+    """``threshold``, refused unless a positive real."""
+    threshold = problems.as_real(threshold, "threshold")
+    if not threshold > 0.0:
         raise ConfigFieldError("threshold", f"peak threshold must be a positive real, got {threshold!r}")
     return threshold
 
@@ -492,14 +479,15 @@ def sample_spectrum(
     probability exceeds u times the total, u the first uniform of its stream
     ``sv.trial_stream(seed, t)``, and each bin read collapses the system
     register onto its renormalized column.  This is the package's one
-    readout (:func:`run_phase_estimation` is its first trial), bit-identical
-    to running the full pipeline per trial.  Trials are drawn vectorized by
-    ``sv._trial_uniform_blocks``, from the seed's SeedSequence pool, in
-    blocks of ``sv.DRAW_CHUNK``, so besides the pre-measurement state a run
-    holds only ``bins`` and one block's temporaries.  A threshold that is
-    not a positive real is refused before any work.
+    readout, bit-identical to running the full pipeline per trial.  Trials
+    are drawn vectorized by ``sv._trial_uniform_blocks``, from the seed's
+    SeedSequence pool, in blocks of ``sv.DRAW_CHUNK``, so besides the
+    pre-measurement state a run holds only ``bins`` and one block's
+    temporaries.  ``threshold`` None takes :func:`default_peak_threshold`;
+    one that is not a positive real is refused before any work.
     """
-    threshold = _peak_threshold(threshold, config.trials)
+    threshold = (default_peak_threshold(config.trials) if threshold is None
+                 else _peak_threshold(threshold))
     layout = config.layout
     pre = pre_measurement_state(va, config)
     cumulative = np.cumsum(sv.register_distribution(pre, layout.index_qubits))
@@ -655,17 +643,17 @@ class Run:
         self._problem_entries = {key: cfg[key] for key in kind_keys if key in cfg}
         self.slices = problems.parse_slices(cfg, self.problem)
         self.config = PhaseEstimationConfig(
-            m_index=problems.as_int(problems.require(cfg, "m_index"), "m_index"),
+            m_index=problems.require(cfg, "m_index"),
             unitary=self.problem.unitary,
             source=self.problem.source,
-            time=problems.as_real(problems.require(cfg, "time"), "time"),
+            time=problems.require(cfg, "time"),
             slices=1 if self.slices == "exact" else self.slices,
-            trials=problems.as_int(cfg.get("trials", 1), "trials"),
-            seed=problems.as_int(cfg.get("seed", 0), "seed"),
+            trials=cfg.get("trials", 1),
+            seed=cfg.get("seed", 0),
             power_method=cfg.get("power_method", "block"),
         )
-        threshold = problems.as_real(cfg["threshold"], "threshold") if "threshold" in cfg else None
-        self.threshold = _peak_threshold(threshold, self.config.trials)
+        self.threshold = (_peak_threshold(cfg["threshold"]) if "threshold" in cfg
+                          else default_peak_threshold(self.config.trials))
         self.guess, self.guess_json = problems.build_guess(cfg, self.config.layout.l_system)
         if self.slices == "exact" and self.problem.source is not None:
             self.config = _exact_config(self.config, self.problem.require_decomposition())
@@ -723,7 +711,7 @@ def audit(run: Run, *, _corrupt_qft_sign: bool = False) -> AuditReport:
     decomposition = run.problem.require_decomposition()
     config = run.config
     if config.source is not None:
-        log.info("oracle audit always runs exact evolution; ignoring slices=%r", run.slices)
+        log.warning("oracle audit always runs exact evolution; ignoring slices=%r", run.slices)
         config = _exact_config(config, decomposition)
 
     components = oracle.spectral_components(run.guess, decomposition, config.time)

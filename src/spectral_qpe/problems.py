@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -249,22 +250,24 @@ def require(cfg: dict, key: str):
 
 
 def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 def as_int(value, key: str, minimum: int | None = None, maximum: int | None = None) -> int:
-    """A JSON integer (not a bool), within ``minimum`` and ``maximum`` when given."""
-    if isinstance(value, bool) or not isinstance(value, int):
+    """An integer (any ``numbers.Integral`` but a bool), within ``minimum``
+    and ``maximum`` when given, as an ``int``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ConfigFieldError(key, f"expected an integer, got {value!r}")
     if minimum is not None and value < minimum:
         raise ConfigFieldError(key, f"must be >= {minimum}, got {value}")
     if maximum is not None and value > maximum:
         raise ConfigFieldError(key, f"must be <= {maximum}, got {value}")
-    return value
+    return int(value)
 
 
 def as_real(value, key: str) -> float:
-    """A finite JSON number; an integer past the float range is refused too."""
+    """A finite real (any ``numbers.Real`` but a bool) as a float; an
+    integer past the float range is refused too."""
     if not _is_number(value):
         raise ConfigFieldError(key, f"expected a number, got {value!r}")
     try:
@@ -358,8 +361,8 @@ def build_problem(cfg: dict) -> Problem:
             raise ConfigFieldError(
                 "potential", "expected a builtin name or a list of samples"
             )
-        samples = _named("potential", sample_potential, potential, l_system)
-        return Problem(kind, source=build_grid_particle(l_system, samples, mass))
+        recipe = _named("potential", build_grid_particle, l_system, potential, mass)
+        return Problem(kind, source=recipe)
     if kind == "explicit_terms":
         l_system = as_int(require(cfg, "system_qubits"), "system_qubits", 1, sv.MAX_QUBITS - 1)
         raw_terms = require(cfg, "terms")
@@ -394,12 +397,12 @@ def _build_term(spec, label: str, num_qubits: int) -> ham.LocalTerm:
 
 
 def parse_slices(cfg: dict, problem: Problem):
-    """The "slices" key: "exact" (default) or an integer; not for a unitary."""
+    """The "slices" key as given ("exact" by default), refused for a unitary."""
     if "slices" not in cfg:
         return "exact"
     if problem.unitary is not None:
         raise ConfigFieldError("slices", "not meaningful for an explicit unitary")
-    return "exact" if cfg["slices"] == "exact" else as_int(cfg["slices"], "slices")
+    return cfg["slices"]
 
 
 def build_guess(cfg: dict, l_system: int) -> tuple[sv.StateVector, object]:

@@ -107,6 +107,30 @@ class TestSolve:
         assert "out" not in resolved
         assert "threads" not in resolved
 
+    FLAGGED = {"problem": "tfim", "sites": 2, "m_index": 2, "time": 0.5, "slices": 2,
+               "trials": 3, "seed": 9, "threshold": 0.5, "out": "keyed"}
+
+    @pytest.mark.parametrize("flag, text, key, value", [
+        ("--seed", "5", "seed", 5), ("--index-qubits", "3", "m_index", 3),
+        ("--time", "0.75", "time", 0.75), ("--slices", "3", "slices", 3),
+        ("--trials", "7", "trials", 7), ("--threshold", "0.25", "threshold", 0.25),
+    ], ids=["seed", "index-qubits", "time", "slices", "trials", "threshold"])
+    def test_each_flag_lands_on_its_key(self, tmp_path, monkeypatch, flag, text, key, value):
+        monkeypatch.chdir(tmp_path)
+        path = write_config(tmp_path, self.FLAGGED)
+        assert cli.main(["solve", "--config", path, flag, text]) == 0
+        resolved = json.loads((tmp_path / "keyed.result.json").read_text())["config"]
+        assert resolved[key] == value
+        kept = [k for k in self.FLAGGED if k not in (key, "out")]
+        assert {k: resolved[k] for k in kept} == {k: self.FLAGGED[k] for k in kept}
+
+    def test_out_flag_lands_on_the_output_path(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        path = write_config(tmp_path, self.FLAGGED)
+        assert cli.main(["solve", "--config", path, "--out", "flagged"]) == 0
+        assert sorted(p.name for p in tmp_path.glob("*ed.*")) == [
+            "flagged.histogram.csv", "flagged.result.json"]
+
     def test_slices_flag_matches_slices_key(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
         base = {"problem": "tfim", "sites": 3, "m_index": 4, "time": 0.5,
@@ -349,6 +373,17 @@ class TestConfigRejections:
         err = self.check(tmp_path, capsys, cfg, f'key "{key}"', command=command)
         assert list(tmp_path.glob(f"{cfg['out']}*")) == []
         return err
+
+    @pytest.mark.parametrize("command", ["solve", "spectrum", "oracle-check"])
+    @pytest.mark.parametrize("key", ["m_index", "time", "slices", "trials", "seed",
+                                     "threshold", "power_method", "guess"])
+    def test_null_run_key_is_refused_before_running(
+        self, tmp_path, monkeypatch, capsys, key, command
+    ):
+        """A JSON null is a value, never the default: it is refused naming its key."""
+        cfg = {"problem": "tfim", "sites": 3, "m_index": 3, "time": 0.5, "out": "null",
+               key: None}
+        self.check_refused_before_running(tmp_path, monkeypatch, capsys, cfg, key, command)
 
     BIG = 10**400  # a JSON integer past the float range
 
@@ -699,7 +734,23 @@ class TestOracleCheck:
         err = capsys.readouterr().err
         assert 'key "system_qubits"' in err
         assert "12 qubits" in err
-        assert "slice count" not in err
+        assert 'key "slices"' not in err
+
+    @pytest.mark.parametrize("slices", [2, "exact"])
+    def test_says_when_it_ignores_slices(self, tmp_path, monkeypatch, capsys, slices):
+        """The audit runs exact evolution whatever the slice count, and says
+        so at the default log level rather than pass a run it did not audit."""
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.delenv("SPECTRAL_QPE_LOG", raising=False)
+        cfg = {"problem": "tfim", "sites": 3, "m_index": 3, "time": 0.5, "slices": slices}
+        assert cli.main(["oracle-check", "--config", write_config(tmp_path, cfg)]) == 0
+        captured = capsys.readouterr()
+        assert "oracle check passed" in captured.out
+        if slices == "exact":
+            assert captured.err == ""
+        else:
+            assert "WARNING" in captured.err
+            assert "ignoring slices=2" in captured.err
 
     def test_rejects_explicit_unitary(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)

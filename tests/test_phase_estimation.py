@@ -37,7 +37,6 @@ from spectral_qpe import (
     pre_measurement_distribution,
     pre_measurement_state,
     prepare_index_superposition,
-    run_phase_estimation,
     sample_spectrum,
     spectral_components,
 )
@@ -147,17 +146,19 @@ def test_config_dimension_and_trials_checks():
     assert PhaseEstimationConfig(
         m_index=1, unitary=GateMatrix(np.eye(2)), time=1.0, trials=pe.MAX_TRIALS
     ).trials == pe.MAX_TRIALS
-    with pytest.raises(ConfigFieldError, match="trials"):
+    with pytest.raises(ConfigFieldError, match=f"must be <= {pe.MAX_TRIALS}") as excinfo:
         PhaseEstimationConfig(
             m_index=1, unitary=GateMatrix(np.eye(2)), time=1.0, trials=pe.MAX_TRIALS + 1
         )
+    assert excinfo.value.field == "trials"
 
 
 def test_config_slice_count_checks():
     h = HamiltonianSum([LocalTerm([0], ref.Z)], 1)
-    for bad_slices in (0, 2.5):
-        with pytest.raises(ValueError, match="slice count"):
+    for bad_slices, wording in ((0, "must be >= 1"), (2.5, "expected an integer")):
+        with pytest.raises(ConfigFieldError, match=wording) as excinfo:
             PhaseEstimationConfig(m_index=2, source=h, time=1.0, slices=bad_slices)
+        assert excinfo.value.field == "slices"
     with pytest.raises(ValueError, match="slices"):
         PhaseEstimationConfig(m_index=2, unitary=GateMatrix(np.eye(2)),
                               time=1.0, slices=2)
@@ -172,19 +173,57 @@ def test_config_rejects_non_finite_time(mode, bad_time):
         if mode == "unitary"
         else dict(source=HamiltonianSum([LocalTerm([0], ref.Z)], 1), slices=2)
     )
-    with pytest.raises(ValueError, match="time"):
+    with pytest.raises(ConfigFieldError, match="must be finite") as excinfo:
         PhaseEstimationConfig(m_index=2, time=bad_time, **source_kw)
+    assert excinfo.value.field == "time"
 
 
 def test_config_seed_must_fit_in_64_bits():
     gate = GateMatrix(np.eye(2))
     for bad_seed in (-1, -3, 2**64):
-        with pytest.raises(ValueError, match="seed"):
+        with pytest.raises(ConfigFieldError, match="must be [<>]= ") as excinfo:
             PhaseEstimationConfig(m_index=2, unitary=gate, time=1.0, seed=bad_seed)
+        assert excinfo.value.field == "seed"
     for seed in (0, 2**64 - 1):
         assert PhaseEstimationConfig(
             m_index=2, unitary=gate, time=1.0, seed=seed
         ).seed == seed
+
+
+def sliced_tfim3_kwargs(**overrides):
+    return dict(dict(m_index=3, source=build_transverse_ising(3, 1.0, 0.7), time=0.5,
+                     slices=2, trials=4, seed=0), **overrides)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("seed", 1.5), ("seed", True), ("seed", None), ("trials", 2.0), ("trials", True),
+    ("trials", None), ("m_index", 2.0), ("m_index", None), ("slices", True),
+    ("slices", 2.5), ("slices", None), ("time", "0.5"), ("time", None), ("threshold", True),
+], ids=repr)
+def test_library_run_types_each_value_before_any_work(monkeypatch, field, value):
+    """A config built directly, and the threshold ``sample_spectrum`` takes,
+    refuse each value the CLI refuses, naming the same field, before the
+    pre-measurement state is built; a bool is not taken for an integer."""
+    def forbidden(*args, **kwargs):
+        raise AssertionError(f"the run started before {field}={value!r} was refused")
+
+    monkeypatch.setattr(pe, "pre_measurement_state", forbidden)
+    va = load_amplitudes(3, np.full(8, 8**-0.5))
+    with pytest.raises(ConfigFieldError) as excinfo:
+        if field == "threshold":
+            sample_spectrum(va, PhaseEstimationConfig(**sliced_tfim3_kwargs()), threshold=value)
+        else:
+            sample_spectrum(va, PhaseEstimationConfig(**sliced_tfim3_kwargs(**{field: value})))
+    assert excinfo.value.field == field
+
+
+def test_config_takes_numpy_integers_as_ints():
+    typed = PhaseEstimationConfig(**sliced_tfim3_kwargs(
+        m_index=np.int64(3), slices=np.int64(2), trials=np.int32(4), seed=np.uint64(9)))
+    fields = ("m_index", "slices", "trials", "seed")
+    assert [type(getattr(typed, key)) for key in fields] == [int] * 4
+    assert [getattr(typed, key) for key in fields] == [3, 2, 4, 9]
+    assert type(PhaseEstimationConfig(**sliced_tfim3_kwargs(time=1)).time) is float
 
 
 # ---------------------------------------------------------------------------
@@ -549,11 +588,10 @@ def test_block_engine_holds_two_states(traced_peak, corrupt):
     assert peak <= 2.05 * state_bytes
 
 
-def test_dense_flag_loop_holds_one_and_a_half_states(traced_peak):
+def test_dense_flag_loop_holds_two_states(traced_peak):
     """Beyond its input the dense loop holds its one writable copy and the
     window's product, at most one state more, however many steps it runs
-    (M = 1024 here).  The name counts in states of a register with a flag
-    qubit, twice this one."""
+    (M = 1024 here)."""
     gate = exact_unitary(build_transverse_ising(4, 1.0, 0.7), 0.5)
     config = unitary_config(gate, 10, time=0.5, power_method="flag_loop")
     layout = config.layout
@@ -564,14 +602,13 @@ def test_dense_flag_loop_holds_one_and_a_half_states(traced_peak):
     assert peak <= 2.05 * state.amplitudes.nbytes
 
 
-def test_sliced_flag_loop_holds_two_and_a_half_states(traced_peak):
+def test_sliced_flag_loop_holds_four_states(traced_peak):
     """Beyond its input the sliced loop holds its one writable copy and,
     while a gate runs on the first step's window, up to three states: the
     previous gate's output, the operand copy and the product (M = 1024).
-    The name counts in states of a register with a flag qubit, twice this
-    one.  A first run fills the slice-gate cache and the interpreter's free
-    lists for the small objects each gate call makes (about 0.9 states on a
-    cold interpreter), so the traced run counts only what the loop holds."""
+    A first run fills the slice-gate cache and the interpreter's free lists
+    for the small objects each gate call makes (about 0.9 states on a cold
+    interpreter), so the traced run counts only what the loop holds."""
     config = PhaseEstimationConfig(m_index=10, source=build_transverse_ising(3, 1.0, 0.7),
                                    time=0.5, slices=1, power_method="flag_loop")
     layout = config.layout
@@ -583,12 +620,11 @@ def test_sliced_flag_loop_holds_two_and_a_half_states(traced_peak):
     assert peak <= 4.1 * state.amplitudes.nbytes
 
 
-def test_grid_flag_loop_holds_one_and_a_half_states(traced_peak):
+def test_grid_flag_loop_holds_two_states(traced_peak):
     """A grid source's step is one dense slice power times the window, so
     beyond its input the loop holds its one writable copy and the product,
     at most one state (M = 256, two slices); a first run fills the recipe's
-    phase cache.  The name counts in states of a register with a flag
-    qubit, twice this one."""
+    phase cache."""
     grid = build_grid_particle(4, "harmonic:0.8,3.5", 1.0)
     config = PhaseEstimationConfig(m_index=8, source=grid, time=0.4, slices=2,
                                    power_method="flag_loop")
@@ -886,13 +922,21 @@ def test_phase_to_energy_rejects_zero_time():
 # end-to-end single runs
 
 
+def first_trial(va, config):
+    """Trial 0 of ``sample_spectrum`` run on one trial: its bin, the bin's
+    phase 2*pi*bin/M, the energy estimate and the collapsed state."""
+    result = sample_spectrum(va, dataclasses.replace(config, trials=1))
+    bin_index = int(result.bins[0])
+    phase = 2.0 * math.pi * bin_index / config.layout.num_bins
+    return bin_index, phase, phase_to_energy(phase, config.time), result.collapsed_states[bin_index]
+
+
 def test_run_on_grid_eigenvector():
     config = unitary_config(np.diag([1, 1j]), 2, trials=1, seed=3)
-    sample = run_phase_estimation(load_amplitudes(1, [0, 1]), config)
-    assert sample.bin == 1
-    assert sample.phase == pytest.approx(np.pi / 2, abs=1e-12)
-    np.testing.assert_allclose(np.abs(sample.collapsed_state.amplitudes), [0, 1],
-                               atol=1e-9)
+    bin_index, phase, _, collapsed = first_trial(load_amplitudes(1, [0, 1]), config)
+    assert bin_index == 1
+    assert phase == pytest.approx(np.pi / 2, abs=1e-12)
+    np.testing.assert_allclose(np.abs(collapsed.amplitudes), [0, 1], atol=1e-9)
 
 
 def test_run_balanced_superposition_collapses_cleanly():
@@ -900,13 +944,12 @@ def test_run_balanced_superposition_collapses_cleanly():
     seen = set()
     for seed in range(12):
         cfg = unitary_config(np.diag([1, 1j]), 2, seed=seed)
-        sample = run_phase_estimation(va, cfg)
-        assert sample.bin in (0, 1)
+        bin_index, _, _, collapsed = first_trial(va, cfg)
+        assert bin_index in (0, 1)
         target = np.zeros(2)
-        target[sample.bin] = 1.0
-        np.testing.assert_allclose(np.abs(sample.collapsed_state.amplitudes),
-                                   target, atol=1e-9)
-        seen.add(sample.bin)
+        target[bin_index] = 1.0
+        np.testing.assert_allclose(np.abs(collapsed.amplitudes), target, atol=1e-9)
+        seen.add(bin_index)
     assert seen == {0, 1}  # both outcomes occur across seeds
 
 
@@ -915,10 +958,10 @@ def test_run_pauli_z_energy_recovery():
     t = np.pi / 4
     config = PhaseEstimationConfig(m_index=3, unitary=exact_unitary(h, t),
                                    time=t, seed=5)
-    sample = run_phase_estimation(load_amplitudes(1, [1, 0]), config)
-    assert sample.bin == 7
-    assert sample.phase == pytest.approx(7 * np.pi / 4, abs=1e-12)
-    assert sample.energy == pytest.approx(1.0, abs=1e-9)
+    bin_index, phase, energy, _ = first_trial(load_amplitudes(1, [1, 0]), config)
+    assert bin_index == 7
+    assert phase == pytest.approx(7 * np.pi / 4, abs=1e-12)
+    assert energy == pytest.approx(1.0, abs=1e-9)
 
 
 def test_run_reproduces_first_spectrum_trial():
@@ -926,9 +969,9 @@ def test_run_reproduces_first_spectrum_trial():
     u = ref.random_unitary(2, rng)
     va = load_amplitudes(1, ref.random_state(1, rng))
     config = unitary_config(u, 3, trials=5, seed=77)
-    single = run_phase_estimation(va, config)
+    single, _, _, _ = first_trial(va, config)
     batch = sample_spectrum(va, config)
-    assert single.bin == batch.bins[0]
+    assert single == batch.bins[0]
 
 
 @pytest.mark.parametrize("seed", range(20))
@@ -938,12 +981,11 @@ def test_single_trial_is_the_first_batch_trial(seed):
     config = PhaseEstimationConfig(m_index=5, unitary=exact_unitary(h, 0.5), time=0.5,
                                    trials=3, seed=seed, power_method="block")
     va = load_amplitudes(3, ref.random_state(3, np.random.default_rng(seed)))
-    single = run_phase_estimation(va, config)
+    single, _, _, collapsed = first_trial(va, config)
     batch = sample_spectrum(va, config)
     first = int(batch.bins[0])
-    assert single.bin == first
-    assert np.array_equal(single.collapsed_state.amplitudes,
-                          batch.collapsed_states[first].amplitudes)
+    assert single == first
+    assert np.array_equal(collapsed.amplitudes, batch.collapsed_states[first].amplitudes)
 
 
 def test_single_trial_holds_two_states(traced_peak):
@@ -951,7 +993,7 @@ def test_single_trial_holds_two_states(traced_peak):
     config = unitary_config(ref.random_unitary(8, rng), 12, power_method="block", seed=4)
     va = load_amplitudes(3, ref.random_state(3, rng))
     state_bytes = 16 * 2**config.layout.total_qubits
-    _, peak = traced_peak(lambda: run_phase_estimation(va, config))
+    _, peak = traced_peak(lambda: first_trial(va, config))
     assert peak <= 2.05 * state_bytes
 
 
@@ -1024,8 +1066,9 @@ def test_bad_threshold_refused_before_any_work(monkeypatch, threshold):
     monkeypatch.setattr(pe, "pre_measurement_state", forbidden)
     monkeypatch.setattr(sv, "_trial_uniform_blocks", forbidden)
     config = unitary_config(np.diag([1, 1j]), 2, trials=4, seed=0)
-    with pytest.raises(ValueError, match="threshold"):
+    with pytest.raises(ConfigFieldError, match="positive real|must be finite") as excinfo:
         sample_spectrum(load_amplitudes(1, [0, 1]), config, threshold=threshold)
+    assert excinfo.value.field == "threshold"
 
 
 # ---------------------------------------------------------------------------
@@ -1136,10 +1179,10 @@ def test_bins_and_collapsed_states_record_every_trial():
     populated = [int(b) for b in np.nonzero(result.counts)[0]]
     assert sorted(result.collapsed_states) == populated
     assert all(int(b) in result.collapsed_states for b in result.bins)
-    single = run_phase_estimation(va, config)
-    assert single.bin == result.bins[0]
-    assert single.phase == 2.0 * math.pi * single.bin / 8
-    assert single.energy == phase_to_energy(single.phase, 1.0)
+    single, phase, energy, _ = first_trial(va, config)
+    assert single == result.bins[0]
+    assert phase == 2.0 * math.pi * single / 8
+    assert energy == phase_to_energy(phase, 1.0)
     assert all(b in result.collapsed_states for b, _ in result.peaks)
     fields = [f.name for f in dataclasses.fields(result)]
     assert fields == ["bins", "counts", "collapsed_states", "peaks"]
