@@ -49,7 +49,6 @@ from .phase_estimation import (
 from .problems import (
     GridRecipe,
     ResourceEstimate,
-    build_grid_particle,
     build_transverse_ising,
     product_state_guess,
     resource_estimate,
@@ -110,7 +109,6 @@ __all__ = [
     "sample_spectrum",
     "GridRecipe",
     "ResourceEstimate",
-    "build_grid_particle",
     "build_transverse_ising",
     "product_state_guess",
     "resource_estimate",

@@ -64,8 +64,8 @@ _LOG_LEVELS = {
 
 
 class ConfigError(Exception):
-    """Bad input only the command line sees: the config file, its JSON,
-    ``SPECTRAL_QPE_LOG`` or ``--threads`` (config keys raise ConfigFieldError)."""
+    """Bad input only the command line sees: the config file, its JSON or
+    ``SPECTRAL_QPE_LOG`` (config keys raise ConfigFieldError)."""
 
 
 class OutputError(Exception):
@@ -90,13 +90,12 @@ def _load_config(path: str) -> dict:
 
 
 def _parse_slices_flag(text: str):
-    """The ``--slices`` flag string: "exact" or an integer."""
+    """The ``--slices`` flag string as an integer where it is one; any other
+    string is left to ``problems.parse_slices``, which takes only "exact"."""
     try:
-        return text if text == "exact" else int(text)
+        return int(text)
     except ValueError:
-        raise ConfigFieldError(
-            "slices", f'expected an integer or "exact", got {text!r}'
-        ) from None
+        return text
 
 
 def _parse_out(cfg: dict, *suffixes: str) -> list[str]:
@@ -244,8 +243,9 @@ def cmd_trotter_bench(args: argparse.Namespace) -> int:
     cfg = _merged_config(args)
     problems.check_keys(cfg, problems.BENCH_KEYS)
     problem = problems.build_problem(cfg)
-    t = problems.as_real(problems.require(cfg, "time"), "time")
+    t = problems.require(cfg, "time")
     pe.check_time(t, problem.source)
+    t = float(t)
     sweep_raw = problems.require(cfg, "slice_sweep")
     if not isinstance(sweep_raw, list) or not sweep_raw:
         raise ConfigFieldError("slice_sweep", "expected a non-empty list of integers")
@@ -330,9 +330,6 @@ def _add_run_flags(parser: argparse.ArgumentParser, *, sampling: bool) -> None:
                             help="override the trial count")
         parser.add_argument("--threshold", type=float, metavar="F",
                             help="override the peak detection threshold")
-        parser.add_argument("--threads", type=int, default=1, metavar="N",
-                            help="accepted for compatibility; sampling is one "
-                             "vectorized pass and ignores it")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -406,13 +403,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         _configure_logging()
-        if getattr(args, "threads", 1) < 1:
-            raise ConfigError('flag "--threads": must be >= 1')
         return args.handler(args)
-    except ConfigFieldError as exc:
-        print(f'config error: key "{exc.field}": {exc}', file=sys.stderr)
-        return EXIT_CONFIG
-    except ConfigError as exc:
+    except (ConfigFieldError, ConfigError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except ContractViolation as exc:

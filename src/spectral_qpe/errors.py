@@ -12,10 +12,11 @@ class ContractViolation(RuntimeError):
 
 
 class ConfigFieldError(ValueError):
-    """A configuration value is refused; ``field`` names the offending field."""
+    """A configuration value is refused; ``field`` names the offending field,
+    and the message reads ``key "<field>": <message>``."""
 
     def __init__(self, field: str, message: str) -> None:
-        super().__init__(message)
+        super().__init__(f'key "{field}": {message}')
         self.field = field
 
 

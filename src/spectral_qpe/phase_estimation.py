@@ -589,23 +589,14 @@ def phase_to_energy(phase: float, t: float) -> float:
     return wrapped / t
 
 
-def eigenvector_fidelity(
-    collapsed: sv.StateVector, h, energy: float, tol: float
-) -> float:
+def eigenvector_fidelity(collapsed: sv.StateVector, decomposition: oracle.SpectralDecomposition,
+                         energy: float, tol: float) -> float:
     """Overlap of a collapsed state with the eigenspace near ``energy``.
 
-    ``h`` may be an evolution source (anything with ``dense_hamiltonian()``,
-    such as a :class:`~spectral_qpe.hamiltonian.HamiltonianSum`), a dense
-    Hermitian matrix, or its already computed
-    :class:`~spectral_qpe.oracle.SpectralDecomposition`.  Returns <c|P|c>
-    where P projects onto oracle eigenvectors with |lambda - energy| <= tol;
-    raises if no eigenvalue is that close (the peak was mis-identified).
+    Returns <c|P|c> where P projects onto the eigenvectors of
+    ``decomposition`` with |lambda - energy| <= tol; raises if no eigenvalue
+    is that close (the peak was mis-identified).
     """
-    if isinstance(h, oracle.SpectralDecomposition):
-        decomposition = h
-    else:
-        dense = h.dense_hamiltonian() if hasattr(h, "dense_hamiltonian") else h
-        decomposition = oracle.eigendecompose(dense)
     mask = np.abs(decomposition.eigenvalues - energy) <= tol
     if not mask.any():
         raise ValueError(

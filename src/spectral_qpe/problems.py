@@ -36,11 +36,12 @@ def build_transverse_ising(sites: int, coupling: float, field: float) -> ham.Ham
 
     Minus signs on both terms, so the h = 0 ground states are the
     ferromagnets.  Term order (fixed, hence the Trotter order) is all bond
-    terms left to right, then all field terms left to right.
+    terms left to right, then all field terms left to right.  Each value is
+    typed as the config key of its name (``sites`` in [2, 12]), a refusal a
+    ``ConfigFieldError`` naming that key.
     """
-    low, high = _TFIM_SITES
-    if not low <= sites <= high:
-        raise ValueError(f"site count must be in [{low}, {high}], got {sites}")
+    sites = as_int(sites, "sites", *_TFIM_SITES)
+    coupling, field = as_real(coupling, "coupling"), as_real(field, "field")
     zz = np.kron(_PAULI_Z, _PAULI_Z)
     terms = [ham.LocalTerm([i, i + 1], -coupling * zz) for i in range(sites - 1)]
     terms += [ham.LocalTerm([i], -field * _PAULI_X) for i in range(sites)]
@@ -50,10 +51,11 @@ def build_transverse_ising(sites: int, coupling: float, field: float) -> ham.Ham
 def sample_potential(spec, num_qubits: int) -> np.ndarray:
     """Resolve a potential description to 2^l sampled values.
 
-    ``spec`` is either an array of 2^l reals or one of the built-ins:
+    ``spec`` is either a list or 1-D array of 2^l reals or one of the built-ins:
     ``"zero"``, ``"constant:c"``, ``"harmonic:omega,x0"`` (the last samples
     V(x) = 0.5 * omega^2 * (x - x0)^2 on grid points x = 0 .. 2^l - 1).
-    Every sample must be finite, whichever form produced it.
+    Every sample must be finite, whichever form produced it; each refusal is
+    a ``ConfigFieldError`` naming the key "potential".
     """
     points = 2**num_qubits
     if isinstance(spec, str):
@@ -61,7 +63,9 @@ def sample_potential(spec, num_qubits: int) -> np.ndarray:
         try:
             args = [float(a) for a in argtext.split(",")] if argtext else []
         except ValueError:
-            raise ValueError(f"bad numeric arguments in potential spec {spec!r}") from None
+            raise ConfigFieldError(
+                "potential", f"bad numeric arguments in potential spec {spec!r}"
+            ) from None
         if name == "zero" and not args:
             values = np.zeros(points)
         elif name == "constant" and len(args) == 1:
@@ -72,16 +76,18 @@ def sample_potential(spec, num_qubits: int) -> np.ndarray:
             with np.errstate(over="ignore", invalid="ignore"):
                 values = 0.5 * np.float64(omega) ** 2 * (x - x0) ** 2
         else:
-            raise ValueError(f"unknown potential spec {spec!r}")
-    else:
-        values = np.array(spec, dtype=float)
+            raise ConfigFieldError("potential", f"unknown potential spec {spec!r}")
+    elif isinstance(spec, (list, tuple)) or (isinstance(spec, np.ndarray) and spec.ndim == 1):
+        values = np.array([as_real(v, "potential") for v in spec], dtype=float)
         if values.shape != (points,):
-            raise ValueError(
-                f"potential needs {points} samples for {num_qubits} qubits, "
+            raise ConfigFieldError(
+                "potential", f"potential needs {points} samples for {num_qubits} qubits, "
                 f"got shape {values.shape}"
             )
+    else:
+        raise ConfigFieldError("potential", "expected a builtin name or a list of samples")
     if not np.all(np.isfinite(values)):
-        raise ValueError("potential samples must be finite")
+        raise ConfigFieldError("potential", "potential samples must be finite")
     return values
 
 
@@ -95,21 +101,23 @@ class GridRecipe:
     units, so the ground state sits at zero frequency rather than at a
     spurious high-frequency corner.  It is an evolution source with the
     same interface as :class:`~spectral_qpe.hamiltonian.HamiltonianSum`.
+    The qubit count (in [2, 10]) is refused under the config key
+    "system_qubits", then a ``mass`` that is not a positive real, then the
+    potential (see :func:`sample_potential`), each as a ``ConfigFieldError``.
     """
 
     __slots__ = ("num_qubits", "potential", "mass", "_phase_cache")
 
     def __init__(self, num_qubits: int, potential, mass: float) -> None:
-        low, high = _GRID_QUBITS
-        if not low <= num_qubits <= high:
-            raise ValueError(f"grid qubit count must be in [{low}, {high}], got {num_qubits}")
+        num_qubits = as_int(num_qubits, "system_qubits", *_GRID_QUBITS)
+        mass = as_real(mass, "mass")
         if not mass > 0:
-            raise ValueError(f"mass must be positive, got {mass}")
+            raise ConfigFieldError("mass", f"must be positive, got {mass}")
         values = sample_potential(potential, num_qubits)
         values.setflags(write=False)
         self.num_qubits = num_qubits
         self.potential = values
-        self.mass = float(mass)
+        self.mass = mass
         self._phase_cache: dict[float, tuple[np.ndarray, np.ndarray]] = {}
 
     def kinetic_energies(self) -> np.ndarray:
@@ -178,11 +186,6 @@ class GridRecipe:
         h += h.conj().T
         h /= 2.0
         return h
-
-
-def build_grid_particle(num_qubits: int, potential, mass: float) -> GridRecipe:
-    """Grid-particle evolution recipe; see :class:`GridRecipe`."""
-    return GridRecipe(num_qubits, potential, mass)
 
 
 def product_state_guess(num_qubits: int, single_qubit_amplitudes) -> sv.StateVector:
@@ -345,24 +348,11 @@ def build_problem(cfg: dict) -> Problem:
     refusal names the key at fault."""
     kind = _problem_kind(cfg)
     if kind == "tfim":
-        sites = as_int(require(cfg, "sites"), "sites", *_TFIM_SITES)
-        coupling = as_real(cfg.get("coupling", 1.0), "coupling")
-        field = as_real(cfg.get("field", 1.0), "field")
-        return Problem(kind, source=build_transverse_ising(sites, coupling, field))
+        return Problem(kind, source=build_transverse_ising(
+            require(cfg, "sites"), cfg.get("coupling", 1.0), cfg.get("field", 1.0)))
     if kind == "grid":
-        l_system = as_int(require(cfg, "system_qubits"), "system_qubits", *_GRID_QUBITS)
-        mass = as_real(cfg.get("mass", 1.0), "mass")
-        if not mass > 0:
-            raise ConfigFieldError("mass", f"must be positive, got {mass}")
-        potential = cfg.get("potential", "zero")
-        if isinstance(potential, list):
-            potential = [as_real(v, "potential") for v in potential]
-        elif not isinstance(potential, str):
-            raise ConfigFieldError(
-                "potential", "expected a builtin name or a list of samples"
-            )
-        recipe = _named("potential", build_grid_particle, l_system, potential, mass)
-        return Problem(kind, source=recipe)
+        return Problem(kind, source=GridRecipe(
+            require(cfg, "system_qubits"), cfg.get("potential", "zero"), cfg.get("mass", 1.0)))
     if kind == "explicit_terms":
         l_system = as_int(require(cfg, "system_qubits"), "system_qubits", 1, sv.MAX_QUBITS - 1)
         raw_terms = require(cfg, "terms")
@@ -397,12 +387,16 @@ def _build_term(spec, label: str, num_qubits: int) -> ham.LocalTerm:
 
 
 def parse_slices(cfg: dict, problem: Problem):
-    """The "slices" key as given ("exact" by default), refused for a unitary."""
+    """The "slices" key as given ("exact" by default), refused for a unitary
+    and, as a string, unless "exact"."""
     if "slices" not in cfg:
         return "exact"
     if problem.unitary is not None:
         raise ConfigFieldError("slices", "not meaningful for an explicit unitary")
-    return cfg["slices"]
+    slices = cfg["slices"]
+    if isinstance(slices, str) and slices != "exact":
+        raise ConfigFieldError("slices", f'expected an integer or "exact", got {slices!r}')
+    return slices
 
 
 def build_guess(cfg: dict, l_system: int) -> tuple[sv.StateVector, object]:
@@ -466,6 +460,8 @@ def resource_estimate(
     to (larger) position-space registers while the rest keep theirs:
     ``total = 2 * position_space_qubits_per_particle
     + (n - 2) * qubits_per_particle + index_qubits + scratch_qubits``.
+    Each count must be a whole number >= 0 (not a bool); a refusal is a
+    ``ConfigFieldError`` naming its parameter.
     """
     counts = {
         "particles": particles,
@@ -474,9 +470,9 @@ def resource_estimate(
         "scratch_qubits": scratch_qubits,
         "position_space_qubits_per_particle": position_space_qubits_per_particle,
     }
-    for name, value in counts.items():
-        if value < 0:
-            raise ConfigFieldError(name, f"{name} must be >= 0, got {value}")
+    counts = {name: as_int(value, name, 0) for name, value in counts.items()}
+    (particles, qubits_per_particle, index_qubits, scratch_qubits,
+     position_space_qubits_per_particle) = counts.values()
     if interacting_pair_in_position_space:
         if particles < 2:
             raise ConfigFieldError(

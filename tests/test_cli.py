@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spectral_qpe import cli, oracle
+from spectral_qpe import ConfigFieldError, cli, oracle, problems
 from spectral_qpe import hamiltonian as ham
 from spectral_qpe import phase_estimation as pe
 from spectral_qpe import statevector as sv
@@ -105,7 +105,6 @@ class TestSolve:
         assert resolved["trials"] == 7
         assert resolved["m_index"] == 3
         assert "out" not in resolved
-        assert "threads" not in resolved
 
     FLAGGED = {"problem": "tfim", "sites": 2, "m_index": 2, "time": 0.5, "slices": 2,
                "trials": 3, "seed": 9, "threshold": 0.5, "out": "keyed"}
@@ -153,10 +152,10 @@ class TestDeterminism:
         "m_index": 3, "time": 0.5, "trials": 999, "seed": 42,
     }
 
-    def run(self, tmp_path, out, extra=()):
+    def run(self, tmp_path, out):
         cfg = dict(self.CFG, out=str(tmp_path / out))
         path = write_config(tmp_path, cfg, name=f"{out}.json")
-        assert cli.main(["spectrum", "--config", path, *extra]) == 0
+        assert cli.main(["spectrum", "--config", path]) == 0
         return (
             (tmp_path / f"{out}.histogram.csv").read_bytes(),
             (tmp_path / f"{out}.result.json").read_bytes(),
@@ -165,12 +164,6 @@ class TestDeterminism:
     def test_reruns_are_byte_identical(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         assert self.run(tmp_path, "a") == self.run(tmp_path, "b")
-
-    def test_thread_count_is_content_neutral(self, tmp_path, monkeypatch):
-        monkeypatch.chdir(tmp_path)
-        serial = self.run(tmp_path, "t1", ("--threads", "1"))
-        threaded = self.run(tmp_path, "t4", ("--threads", "4"))
-        assert serial == threaded
 
 
 class TestSpectrum:
@@ -290,6 +283,19 @@ class TestConfigRejections:
         assert code == 2
         assert 'key "slices"' in capsys.readouterr().err
         assert list(tmp_path.glob("bad*")) == []
+
+    @pytest.mark.parametrize("text", ["foo", "2.5", "Exact"])
+    def test_slices_string_is_refused_alike_by_key_and_flag(self, tmp_path, monkeypatch,
+                                                            capsys, text):
+        monkeypatch.chdir(tmp_path)
+        cfg = {"problem": "tfim", "sites": 3, "m_index": 3, "time": 0.5}
+        keyed = write_config(tmp_path, dict(cfg, slices=text), "keyed.json")
+        flagged = write_config(tmp_path, cfg, "flagged.json")
+        assert cli.main(["solve", "--config", keyed]) == 2
+        by_key = capsys.readouterr().err
+        assert cli.main(["solve", "--config", flagged, "--slices", text]) == 2
+        assert capsys.readouterr().err == by_key == (
+            f'config error: key "slices": expected an integer or "exact", got {text!r}\n')
 
     def test_nonpositive_threshold(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
@@ -470,6 +476,50 @@ class TestConfigRejections:
         cfg = dict(DIAG_I, m_index=2, time=1.0)
         assert cli.main(["solve", "--config", write_config(tmp_path, cfg)]) == 2
         assert "SPECTRAL_QPE_LOG" in capsys.readouterr().err
+
+
+NAN, INF = float("nan"), float("inf")
+#: Refused values of each problem key: out of range, a float or a bool for an
+#: integer, null, a string, a wrong length, non-finite, an unknown builtin.
+PROBLEM_REFUSALS = [
+    *[("sites", v) for v in (1, 13, 2.5, 3.0, True, None, "3", NAN)],
+    *[("coupling", v) for v in (True, None, "1", [1], NAN, INF, 10**400)],
+    *[("field", v) for v in (False, None, "x", -INF, -10**400)],
+    *[("system_qubits", v) for v in (1, 11, 2.5, True, None, "3", INF)],
+    *[("mass", v) for v in (0, -2, True, None, "1", NAN, INF, 10**400)],
+    *[("potential", v) for v in (
+        "bogus", "constant", "zero:1", "constant:abc", "constant:inf", "harmonic:1e200,0",
+        [0, 1, 2], [0, 1, 2, 3, 4], [], [0, NAN, 0, 0], [0, True, 0, 0], [0, "x", 0, 0],
+        [0, None, 0, 0], [[0, 1], [2, 3]], [0, 10**400, 0, 0], None, 3, True, {})],
+]
+
+
+@pytest.mark.parametrize("key, value", PROBLEM_REFUSALS)
+def test_problem_builders_refuse_as_the_cli_does(tmp_path, monkeypatch, capsys, key, value):
+    """A builder called directly raises the ConfigFieldError the CLI prints:
+    the same field, the same text, the key named once."""
+    monkeypatch.chdir(tmp_path)
+    tfim = key in ("sites", "coupling", "field")
+    if tfim:
+        values = {"sites": 3, "coupling": 1.0, "field": 1.0, key: value}
+    else:
+        values = {"system_qubits": 2, "potential": "zero", "mass": 1.0, key: value}
+    with pytest.raises(ConfigFieldError) as excinfo:
+        if tfim:
+            problems.build_transverse_ising(values["sites"], values["coupling"], values["field"])
+        else:
+            problems.GridRecipe(values["system_qubits"], values["potential"], values["mass"])
+    assert excinfo.value.field == key
+    cfg = {"problem": "tfim" if tfim else "grid", **values, "m_index": 3, "time": 0.5}
+    assert cli.main(["solve", "--config", write_config(tmp_path, cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"config error: {excinfo.value}\n"
+    assert err.count('key "') == 1
+
+
+def test_config_field_error_names_its_key():
+    assert str(ConfigFieldError("trials", "must be >= 1, got 0")) == (
+        'key "trials": must be >= 1, got 0')
 
 
 def test_failed_rename_leaves_no_output(tmp_path, monkeypatch, capsys):

@@ -6,10 +6,10 @@ import pytest
 import reference as ref
 from spectral_qpe import (
     HamiltonianSum,
+    GridRecipe,
     LocalTerm,
     RegisterLayout,
     assemble_dense,
-    build_grid_particle,
     build_transverse_ising,
     exact_unitary,
     load_amplitudes,
@@ -281,7 +281,7 @@ def unsorted_explicit_terms():
 
 SOURCES = {
     "tfim": lambda: build_transverse_ising(3, 1.0, 0.7),
-    "grid": lambda: build_grid_particle(3, "harmonic:0.8,3.5", 1.0),
+    "grid": lambda: GridRecipe(3, "harmonic:0.8,3.5", 1.0),
     "unsorted_terms": unsorted_explicit_terms,
 }
 

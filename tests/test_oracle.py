@@ -11,10 +11,10 @@ import reference as ref
 from spectral_qpe import (
     ContractViolation,
     HamiltonianSum,
+    GridRecipe,
     LocalTerm,
     SpectralDecomposition,
     assemble_dense,
-    build_grid_particle,
     build_transverse_ising,
     eigendecompose,
     load_amplitudes,
@@ -252,7 +252,7 @@ def test_real_solver_agrees_with_complex_solver(case):
 
 
 def test_nonzero_imaginary_part_keeps_complex_solver():
-    grid = build_grid_particle(3, "harmonic:0.8,3.5", 1.0).dense_hamiltonian()
+    grid = GridRecipe(3, "harmonic:0.8,3.5", 1.0).dense_hamiltonian()
     tiny = np.diag([1.0, 2.0]).astype(np.complex128)
     tiny[0, 1], tiny[1, 0] = 1e-3j, -1e-3j
     for a in (grid, tiny):
@@ -294,7 +294,7 @@ def test_non_orthonormal_eigenvectors_are_refused(monkeypatch, entry, kind):
     if kind == "real":
         a = ref.tfim_dense(3, 1.0, 0.7)
     else:
-        a = build_grid_particle(3, "harmonic:0.8,3.5", 1.0).dense_hamiltonian()
+        a = GridRecipe(3, "harmonic:0.8,3.5", 1.0).dense_hamiltonian()
     d = eigendecompose(a)
     defect = np.abs(d.eigenvectors.conj().T @ d.eigenvectors - np.eye(8)).max()
     assert defect <= 1e-13

@@ -15,6 +15,7 @@ from spectral_qpe import (
     ConfigFieldError,
     ContractViolation,
     GateMatrix,
+    GridRecipe,
     HamiltonianSum,
     LocalTerm,
     PhaseEstimationConfig,
@@ -25,7 +26,6 @@ from spectral_qpe import (
     analytic_collapsed_states,
     apply_conditional_powers_binary,
     apply_conditional_powers_flag_loop,
-    build_grid_particle,
     build_transverse_ising,
     default_peak_threshold,
     eigendecompose,
@@ -370,8 +370,8 @@ def sliced_flag_loop_cases():
     tfim3 = build_transverse_ising(3, 1.0, 0.7)
     return [pytest.param(tfim3, m, 0.5, 3, id=f"tfim3-m{m}") for m in (2, 3, 4)] + [
         pytest.param(build_transverse_ising(4, 1.0, 0.7), 8, 0.5, 2, id="tfim4-m8"),
-        pytest.param(build_grid_particle(3, "harmonic:0.8,3.5", 1.0), 4, 0.4, 4, id="grid3"),
-        pytest.param(build_grid_particle(4, "harmonic:0.8,3.5", 1.0), 5, 0.4, 2, id="grid4"),
+        pytest.param(GridRecipe(3, "harmonic:0.8,3.5", 1.0), 4, 0.4, 4, id="grid3"),
+        pytest.param(GridRecipe(4, "harmonic:0.8,3.5", 1.0), 5, 0.4, 2, id="grid4"),
         pytest.param(unsorted_terms(), 4, 0.5, 2, id="terms3-unsorted"),
     ]
 
@@ -538,7 +538,7 @@ BLOCK_SOURCES = {
     "trotter_tfim": lambda rng: (
         3, dict(source=build_transverse_ising(3, 1.0, 0.7), time=0.5, slices=3)),
     "grid_recipe": lambda rng: (
-        3, dict(source=build_grid_particle(3, "harmonic:0.8,3.5", 1.0),
+        3, dict(source=GridRecipe(3, "harmonic:0.8,3.5", 1.0),
                 time=0.4, slices=4)),
 }
 
@@ -625,7 +625,7 @@ def test_grid_flag_loop_holds_two_states(traced_peak):
     beyond its input the loop holds its one writable copy and the product,
     at most one state (M = 256, two slices); a first run fills the recipe's
     phase cache."""
-    grid = build_grid_particle(4, "harmonic:0.8,3.5", 1.0)
+    grid = GridRecipe(4, "harmonic:0.8,3.5", 1.0)
     config = PhaseEstimationConfig(m_index=8, source=grid, time=0.4, slices=2,
                                    power_method="flag_loop")
     layout = config.layout
@@ -804,7 +804,7 @@ def test_distribution_law_random_instances():
 
 
 def test_distribution_law_grid_recipe_route():
-    recipe = build_grid_particle(3, "harmonic:0.8,3.5", 1.0)
+    recipe = GridRecipe(3, "harmonic:0.8,3.5", 1.0)
     t, m_index, slices = 0.4, 4, 12
     config = PhaseEstimationConfig(
         m_index=m_index,
@@ -1093,22 +1093,17 @@ def test_collapse_fidelity_on_grid_distinct_spectrum():
 
 def test_eigenvector_fidelity_bounds():
     rng = np.random.default_rng(65)
-    mat = ref.random_hermitian(4, rng)
-    h = HamiltonianSum([LocalTerm([0, 1], mat)], 2)
-    d = eigendecompose(mat)
+    d = eigendecompose(ref.random_hermitian(4, rng))
     exact_vec = load_amplitudes(2, d.eigenvectors[:, 1])
-    assert eigenvector_fidelity(exact_vec, h, float(d.eigenvalues[1]), 1e-6) == (
-        pytest.approx(1.0, abs=1e-10)
-    )
-    orthogonal = load_amplitudes(2, d.eigenvectors[:, 2])
-    assert eigenvector_fidelity(orthogonal, h, float(d.eigenvalues[1]), 1e-6) == (
-        pytest.approx(0.0, abs=1e-10)
-    )
-    with pytest.raises(ValueError):
-        eigenvector_fidelity(exact_vec, h, 1e6, 1e-6)
     assert eigenvector_fidelity(exact_vec, d, float(d.eigenvalues[1]), 1e-6) == (
         pytest.approx(1.0, abs=1e-10)
     )
+    orthogonal = load_amplitudes(2, d.eigenvectors[:, 2])
+    assert eigenvector_fidelity(orthogonal, d, float(d.eigenvalues[1]), 1e-6) == (
+        pytest.approx(0.0, abs=1e-10)
+    )
+    with pytest.raises(ValueError):
+        eigenvector_fidelity(exact_vec, d, 1e6, 1e-6)
 
 
 def test_resolution_improves_with_index_register():

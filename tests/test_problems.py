@@ -6,9 +6,10 @@ import scipy.linalg
 
 import reference as ref
 from spectral_qpe import (
+    ConfigFieldError,
+    GridRecipe,
     apply_gate,
     assemble_dense,
-    build_grid_particle,
     build_transverse_ising,
     eigendecompose,
     load_amplitudes,
@@ -103,7 +104,7 @@ def recipe_dense(recipe, dt, num_qubits, system=None, controls=()):
 
 class TestGridRecipe:
     def test_kinetic_grid_is_centered(self):
-        recipe = build_grid_particle(3, "zero", 2.0)
+        recipe = GridRecipe(3, "zero", 2.0)
         t = recipe.kinetic_energies()
         assert t[0] == 0.0
         for p in range(1, 4):
@@ -112,17 +113,17 @@ class TestGridRecipe:
         assert t[4] == pytest.approx(np.pi**2 / (2 * 2.0), abs=1e-12)
 
     def test_step_matrix_is_unitary(self):
-        recipe = build_grid_particle(3, "harmonic:1.0,3.5", 1.0)
+        recipe = GridRecipe(3, "harmonic:1.0,3.5", 1.0)
         s = recipe.step_matrix(0.37)
         np.testing.assert_allclose(s.conj().T @ s, np.eye(8), atol=1e-12)
 
     def test_apply_step_matches_dense_step(self):
-        recipe = build_grid_particle(2, "harmonic:0.9,1.5", 0.8)
+        recipe = GridRecipe(2, "harmonic:0.9,1.5", 0.8)
         got = recipe_dense(recipe, 0.23, 2)
         np.testing.assert_allclose(got, recipe.step_matrix(0.23), atol=1e-12)
 
     def test_apply_step_respects_offset_register_and_control(self):
-        recipe = build_grid_particle(2, "constant:0.4", 1.0)
+        recipe = GridRecipe(2, "constant:0.4", 1.0)
         dt = 0.31
         full = recipe_dense(recipe, dt, 3, system=[1, 2], controls=[0])
         s = recipe.step_matrix(dt)
@@ -133,14 +134,14 @@ class TestGridRecipe:
         np.testing.assert_allclose(full, want, atol=1e-12)
 
     def test_zero_potential_spectrum_is_kinetic(self):
-        recipe = build_grid_particle(3, "zero", 1.7)
+        recipe = GridRecipe(3, "zero", 1.7)
         d = eigendecompose(recipe.dense_hamiltonian())
         np.testing.assert_allclose(
             d.eigenvalues, np.sort(recipe.kinetic_energies()), atol=1e-12
         )
 
     def test_dense_hamiltonian_hermitian_and_consistent(self):
-        recipe = build_grid_particle(3, "harmonic:1.2,3.5", 1.0)
+        recipe = GridRecipe(3, "harmonic:1.2,3.5", 1.0)
         h = recipe.dense_hamiltonian()
         np.testing.assert_allclose(h, h.conj().T, atol=1e-14)
         # diagonal part in position space is the sampled potential plus the
@@ -150,14 +151,14 @@ class TestGridRecipe:
                                    recipe.potential + kinetic_diag, atol=1e-12)
 
     def test_dense_hamiltonian_holds_three_matrices(self, traced_peak):
-        recipe = build_grid_particle(8, "harmonic:0.3,100.0", 1.0)
+        recipe = GridRecipe(8, "harmonic:0.3,100.0", 1.0)
         h, peak = traced_peak(recipe.dense_hamiltonian)
         # H itself, F and diag(T) F at the product; 64 KiB of bookkeeping
         assert peak <= 3 * h.nbytes + 2**16
 
     @pytest.mark.parametrize("qubits", [8, 10])
     def test_step_matrix_is_one_product_within_three_matrices(self, traced_peak, qubits):
-        recipe = build_grid_particle(qubits, "harmonic:0.3,100.0", 1.0)
+        recipe = GridRecipe(qubits, "harmonic:0.3,100.0", 1.0)
         dt = 0.05
         step, peak = traced_peak(lambda: recipe.step_matrix(dt))
         # the step, F^dag and the scaled F at the product, plus the phase vectors
@@ -168,7 +169,7 @@ class TestGridRecipe:
         np.testing.assert_allclose(step, want, rtol=0, atol=1e-14)
 
     def test_step_is_first_order_split_of_dense_hamiltonian(self):
-        recipe = build_grid_particle(3, "harmonic:1.1,3.0", 1.0)
+        recipe = GridRecipe(3, "harmonic:1.1,3.0", 1.0)
         h = recipe.dense_hamiltonian()
 
         def err(dt):
@@ -180,7 +181,7 @@ class TestGridRecipe:
         assert err(0.01) < 0.01
 
     def test_norm_bound_bounds_the_spectrum(self):
-        recipe = build_grid_particle(3, "harmonic:1.2,3.5", 0.8)
+        recipe = GridRecipe(3, "harmonic:1.2,3.5", 0.8)
         spectral_norm = np.linalg.norm(recipe.dense_hamiltonian(), 2)
         assert spectral_norm - 1e-12 <= recipe.norm_bound()
         assert recipe.norm_bound() == pytest.approx(
@@ -188,17 +189,19 @@ class TestGridRecipe:
         )
 
     def test_constructor_rejections(self):
-        with pytest.raises(ValueError, match=r"\[2, 10\]"):
-            build_grid_particle(1, "zero", 1.0)
-        with pytest.raises(ValueError, match=r"\[2, 10\]"):
-            build_grid_particle(11, "zero", 1.0)
+        with pytest.raises(ValueError, match="must be >= 2, got 1") as excinfo:
+            GridRecipe(1, "zero", 1.0)
+        assert excinfo.value.field == "system_qubits"
+        with pytest.raises(ValueError, match="must be <= 10, got 11") as excinfo:
+            GridRecipe(11, "zero", 1.0)
+        assert excinfo.value.field == "system_qubits"
         with pytest.raises(ValueError, match="mass"):
-            build_grid_particle(3, "zero", 0.0)
+            GridRecipe(3, "zero", 0.0)
         with pytest.raises(ValueError, match="mass"):
-            build_grid_particle(3, "zero", -2.0)
+            GridRecipe(3, "zero", -2.0)
 
     def test_potential_array_is_frozen(self):
-        recipe = build_grid_particle(2, [0.0, 1.0, 2.0, 3.0], 1.0)
+        recipe = GridRecipe(2, [0.0, 1.0, 2.0, 3.0], 1.0)
         with pytest.raises(ValueError):
             recipe.potential[0] = 5.0
 
@@ -253,6 +256,10 @@ class TestResources:
     def test_rejections(self):
         with pytest.raises(ValueError, match="index_qubits"):
             resource_estimate(2, 3, -1, 0)
+        for fractional_or_bool in (2.5, True):
+            with pytest.raises(ConfigFieldError, match="expected an integer") as excinfo:
+                resource_estimate(fractional_or_bool, 3, 4)
+            assert excinfo.value.field == "particles"
         with pytest.raises(ValueError, match="at least 2 particles"):
             resource_estimate(
                 1, 3, 2, 0,
