@@ -261,7 +261,7 @@ def cmd_trotter_bench(args: argparse.Namespace) -> int:
     for r, dt in zip(sweep, steps):
         started = _time.perf_counter()
         step = problem.source.step_matrix(dt)
-        error = float(np.abs(sv._unitary_power([step], r) - exact).max())
+        error = float(np.abs(sv._unitary_power(step, r) - exact).max())
         elapsed = _time.perf_counter() - started
         lines.append(f"{r},{_g(error)},{_g(elapsed)}")
         log.info("r=%d operator error %.3e (%.3fs)", r, error, elapsed)

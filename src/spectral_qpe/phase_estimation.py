@@ -22,8 +22,9 @@ whose controlled powers run gate by gate, and the comparator loop, whose
 step i applies U to index columns [i, M) in place.  A comparator flag
 would mark those columns and be uncomputed within the step, so the loop
 carries no flag qubit.  The engine and the loop apply U through one map on
-blocks of system columns, ``system_step`` of :func:`_unitary_driver`, so for
-a sliced source the binary route is the only independent check of that step.
+blocks of system columns, :func:`_step_map`, so for a sliced source the
+binary route, which runs the source's gate-level steps, is the only
+independent check of that map.
 All three must agree to 1e-10 per amplitude and the tests enforce that.
 The module also carries the closed-form measurement distribution and
 collapsed states, which verify the whole pipeline without sampling;
@@ -236,60 +237,22 @@ def prepare_index_superposition(
     return state
 
 
-class _MatrixPowers:
-    """Applies controlled-U^p for a dense system unitary, building each
-    power from memoized squarings and validating it when it is built."""
-
-    def __init__(self, gate: sv.GateMatrix, system_qubits: list[int]) -> None:
-        self._gate = gate
-        self._squares = [gate.matrix]
-        self._system = system_qubits
-
-    def system_step(self):
-        """U as a map on 2^l system vectors and (2^l, K) blocks of them."""
-        return lambda block: self._squares[0] @ block
-
-    def apply_controlled(self, state, controls, power: int):
-        gate = self._gate
-        if power != 1:
-            gate = sv.GateMatrix(sv._unitary_power(self._squares, power))
-        return sv.apply_controlled_gate(state, gate, controls, self._system)
-
-
-class _SourcePowers:
-    """Applies controlled-U^p by running ``slices`` source steps per power."""
-
-    def __init__(self, config: PhaseEstimationConfig) -> None:
-        self._source = config.source
-        self._dt = config.time / config.slices
-        self._slices = config.slices
-        self._system = config.layout.system_qubits
-
-    def system_step(self):
-        """U, ``slices`` source steps, as a map on 2^l system vectors and
-        (2^l, K) blocks of them."""
-        return self._source.system_step(self._dt, self._slices)
-
-    def apply_controlled(self, state, controls, power: int):
-        for _ in range(power * self._slices):
-            state = self._source.apply_step(state, self._dt, self._system, controls)
-        return state
-
-
-def _unitary_driver(config: PhaseEstimationConfig):
-    """The run's one provider of U.  ``system_step()`` is U as a map on
-    (2^l, K) blocks of system columns (and on single vectors), the one way
-    the block engine and the flag loop apply it: a source's ``system_step``,
-    or the dense U times the block.  ``apply_controlled`` gives the binary
-    route its controlled powers at gate level: a source's ``apply_step``
-    under the controls, or the dense U (built from a decomposition here,
-    once per route) and its validated powers."""
+def _step_map(config: PhaseEstimationConfig):
+    """U as a map on (2^l, K) blocks of system columns (and on single
+    vectors), the one map the block engine and the flag loop apply: a
+    source's ``system_step`` over ``slices`` steps, or the dense U times the
+    block."""
     if config.source is not None:
-        return _SourcePowers(config)
-    gate = config.unitary
-    if gate is None:
-        gate = ham.unitary_from_decomposition(config.decomposition, config.time)
-    return _MatrixPowers(gate, config.layout.system_qubits)
+        return config.source.system_step(config.time / config.slices, config.slices)
+    matrix = _dense_unitary(config).matrix
+    return lambda block: matrix @ block
+
+
+def _dense_unitary(config: PhaseEstimationConfig) -> sv.GateMatrix:
+    """The config's unitary, or U built from its decomposition."""
+    if config.unitary is not None:
+        return config.unitary
+    return ham.unitary_from_decomposition(config.decomposition, config.time)
 
 
 def apply_conditional_powers_flag_loop(
@@ -303,15 +266,14 @@ def apply_conditional_powers_flag_loop(
     zero to zero, so in the (system, index) view of the amplitudes the three
     compose exactly to U on the index columns [i, M): the flag is set and
     cleared within each step and needs no qubit.  The loop copies the input
-    once, writes ``system_step`` (of :func:`_unitary_driver`) of the window's
-    (2^l, M - i) block of system columns back in place for i = 1..M-1 and
-    norm-checks the whole state after each step; step M has an empty window
-    and is skipped.
+    once, writes :func:`_step_map` of the window's (2^l, M - i) block of
+    system columns back in place for i = 1..M-1 and norm-checks the whole
+    state after each step; step M has an empty window and is skipped.
     """
     num_bins = config.layout.num_bins
     amps = state.amplitudes.copy()
     columns = amps.reshape(-1, num_bins)
-    step = _unitary_driver(config).system_step()
+    step = _step_map(config)
     for i in range(1, num_bins):
         columns[:, i:] = step(columns[:, i:])
         sv._check_norm(amps)
@@ -321,10 +283,23 @@ def apply_conditional_powers_flag_loop(
 def apply_conditional_powers_binary(
     state: sv.StateVector, config: PhaseEstimationConfig
 ) -> sv.StateVector:
-    """Conditional powers via index bits: controlled-U^(2^s) off index qubit s."""
-    driver = _unitary_driver(config)
+    """Conditional powers via index bits: controlled-U^(2^s) off index qubit s.
+
+    A source runs 2^s * ``slices`` gate-level steps under qubit s; a dense
+    U^(2^s) is the stable square of U^(2^(s-1)), validated once as a gate.
+    """
+    system = config.layout.system_qubits
+    if config.source is not None:
+        dt = config.time / config.slices
+        for s, qubit in enumerate(config.layout.index_qubits):
+            for _ in range(2**s * config.slices):
+                state = config.source.apply_step(state, dt, system, [qubit])
+        return state
+    gate = _dense_unitary(config)
     for s, qubit in enumerate(config.layout.index_qubits):
-        state = driver.apply_controlled(state, [qubit], 2**s)
+        if s:
+            gate = sv.GateMatrix(sv._stable_square(gate.matrix))
+        state = sv.apply_controlled_gate(state, gate, [qubit], system)
     return state
 
 
@@ -366,12 +341,12 @@ def _spectral_columns(
 
 def _power_columns(va: sv.StateVector, config: PhaseEstimationConfig) -> np.ndarray:
     """The (2^l, M) array whose column j is U^j|va>: from the eigenbasis
-    for exact evolution, else by repeating the step of :func:`_unitary_driver`."""
+    for exact evolution, else by repeating :func:`_step_map`."""
     psi = np.empty((2**config.layout.l_system, config.layout.num_bins), dtype=np.complex128)
     if config.decomposition is not None:
         _spectral_columns(psi, va, config.decomposition, config.time)
         return psi
-    step = _unitary_driver(config).system_step()
+    step = _step_map(config)
     vector = psi[:, 0] = va.amplitudes
     for j in range(1, config.layout.num_bins):
         vector = psi[:, j] = step(vector)

@@ -171,7 +171,7 @@ class GridRecipe:
         """``slices`` slices as a map on 2^l system vectors and (2^l, K)
         blocks of them: the dense slice raised to the slice count by
         drift-controlled binary powering, validated once as a unitary."""
-        matrix = sv.GateMatrix(sv._unitary_power([self.step_matrix(dt)], slices)).matrix
+        matrix = sv.GateMatrix(sv._unitary_power(self.step_matrix(dt), slices)).matrix
         return lambda block: matrix @ block
 
     def dense_hamiltonian(self) -> np.ndarray:
@@ -241,7 +241,7 @@ def check_keys(cfg: dict, command_keys: set[str]) -> None:
     for key in cfg:
         if key not in allowed:
             raise ConfigFieldError(
-                key, f'unknown key "{key}"; this config takes {", ".join(sorted(allowed))}'
+                key, f'unknown key; this config takes {", ".join(sorted(allowed))}'
             )
 
 

@@ -35,17 +35,11 @@ def _validated_register(state: sv.StateVector, register, controls) -> tuple[list
     return register, controls
 
 
-def _apply(state: sv.StateVector, gate: sv.GateMatrix, targets, controls) -> sv.StateVector:
-    if controls:
-        return sv.apply_controlled_gate(state, gate, controls, targets)
-    return sv.apply_gate(state, gate, targets)
-
-
 def _bit_reversal(state: sv.StateVector, register, controls) -> sv.StateVector:
     swap = sv.swap_gate()
     m = len(register)
     for i in range(m // 2):
-        state = _apply(state, swap, [register[i], register[m - 1 - i]], controls)
+        state = sv.apply_controlled_gate(state, swap, controls, [register[i], register[m - 1 - i]])
     return state
 
 
@@ -66,7 +60,7 @@ def qft_forward(state: sv.StateVector, register, controls=()) -> sv.StateVector:
     register, controls = _validated_register(state, register, controls)
     h = sv.hadamard()
     for t in range(len(register) - 1, -1, -1):
-        state = _apply(state, h, [register[t]], controls)
+        state = sv.apply_controlled_gate(state, h, controls, [register[t]])
         state = _phase_layer(state, register, t, 1.0, controls)
     return _bit_reversal(state, register, controls)
 
@@ -78,5 +72,5 @@ def qft_inverse(state: sv.StateVector, register, controls=()) -> sv.StateVector:
     h = sv.hadamard()
     for t in range(len(register)):
         state = _phase_layer(state, register, t, -1.0, controls)
-        state = _apply(state, h, [register[t]], controls)
+        state = sv.apply_controlled_gate(state, h, controls, [register[t]])
     return state

@@ -79,24 +79,23 @@ def _stable_square(matrix: np.ndarray) -> np.ndarray:
     return _near_unitary(matrix @ matrix)
 
 
-def _unitary_power(squares: list, power: int) -> np.ndarray:
-    """U^power (power >= 1) for the unitary U = ``squares[0]``.
+def _unitary_power(matrix: np.ndarray, power: int) -> np.ndarray:
+    """U^power (power >= 1) for the unitary U = ``matrix``.
 
-    ``squares`` holds U, U^2, U^4, ...; it is extended in place by
-    :func:`_stable_square`, so a caller that keeps the list reuses every
-    squaring.  The factors picked by power's bits are multiplied, and a
-    product of several is snapped like a square.  A power of two is its
-    squaring as is: U^2 is exactly ``U @ U`` unless that drifted.
+    U, U^2, U^4, ... are built by :func:`_stable_square`, and the factors
+    picked by power's bits are multiplied; a product of several is snapped
+    like a square.  A power of two is its squaring as is: U^2 is exactly
+    ``U @ U`` unless that drifted.
     """
     factors = []
-    s = 0
-    while power:
-        while s >= len(squares):
-            squares.append(_stable_square(squares[-1]))
+    square = matrix
+    while True:
         if power & 1:
-            factors.append(squares[s])
+            factors.append(square)
         power >>= 1
-        s += 1
+        if not power:
+            break
+        square = _stable_square(square)
     result = factors[0]
     for factor in factors[1:]:
         result = factor @ result
@@ -299,12 +298,7 @@ def _apply_matrix(
 
 def apply_gate(state: StateVector, gate: GateMatrix, targets) -> StateVector:
     """Apply ``gate`` to the given target qubits (identity elsewhere)."""
-    targets = list(targets)
-    _check_qubits(targets, state.num_qubits, "target")
-    if len(targets) != gate.arity:
-        raise ValueError(f"gate arity {gate.arity} != {len(targets)} targets")
-    amps = _apply_matrix(state.amplitudes, state.num_qubits, gate.matrix, targets)
-    return _wrap_state(state.num_qubits, amps)
+    return apply_controlled_gate(state, gate, (), targets)
 
 
 def apply_controlled_gate(state: StateVector, gate: GateMatrix, controls, targets) -> StateVector:

@@ -501,8 +501,8 @@ def test_flag_loop_and_binary_agree():
 
 def test_dense_powers_are_validated_once(monkeypatch):
     """U was validated with the config and is applied as given; the binary
-    route asks for each higher power once, and it is validated once, when
-    it is built."""
+    route builds each higher power once, as the square of the one before,
+    and it is validated once, when it is built."""
     rng = np.random.default_rng(71)
     u = ref.random_unitary(2, rng)
     config = unitary_config(u, 3)
@@ -516,14 +516,14 @@ def test_dense_powers_are_validated_once(monkeypatch):
             constructed.append(np.array(matrix))
             super().__init__(matrix)
 
-    monkeypatch.setattr(sv, "GateMatrix", CountingGate)
-    driver = pe._unitary_driver(config)
-    for power in (1, 2, 4):
+    want = state
+    for qubit, power in enumerate((1, 2, 4)):
         want = sv.apply_controlled_gate(
-            state, GateMatrix(np.linalg.matrix_power(u, power)), [0], [3]
+            want, GateMatrix(np.linalg.matrix_power(u, power)), [qubit], [3]
         )
-        got = driver.apply_controlled(state, [0], power)
-        np.testing.assert_allclose(got.amplitudes, want.amplitudes, atol=1e-12)
+    monkeypatch.setattr(sv, "GateMatrix", CountingGate)
+    got = pe.apply_conditional_powers_binary(state, config)
+    np.testing.assert_allclose(got.amplitudes, want.amplitudes, atol=1e-12)
     assert len(constructed) == 2  # U^2 and U^4
     np.testing.assert_allclose(constructed[1], np.linalg.matrix_power(u, 4), atol=1e-12)
 
@@ -572,7 +572,7 @@ def test_block_engine_equals_row_layout_reference(source):
     config = PhaseEstimationConfig(m_index=5, **source_kw)
     for corrupt in (False, True):
         got = pe._block_engine_state(va, config, corrupt).amplitudes
-        step = pe._unitary_driver(config).system_step()
+        step = pe._step_map(config)
         want = ref.row_engine_state(va.amplitudes, step, 32, corrupt)
         assert np.array_equal(got, want)
 

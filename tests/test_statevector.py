@@ -92,15 +92,13 @@ def test_unitary_powers_stay_unitary_at_huge_exponents():
     multiplies 60 squares, each within the snap threshold, whose product
     alone drifts past the tolerance."""
     u = ref.random_unitary(8, np.random.default_rng(60))
-    squares = [u]
-    assert np.array_equal(statevector._unitary_power(squares, 2), u @ u)
-    assert len(squares) == 2  # kept for the next call
+    assert np.array_equal(statevector._unitary_power(u, 2), u @ u)
     for power in (1, 3, 12):
-        np.testing.assert_allclose(statevector._unitary_power([u], power),
+        np.testing.assert_allclose(statevector._unitary_power(u, power),
                                    np.linalg.matrix_power(u, power), rtol=0, atol=1e-13)
     phases, vectors = np.linalg.eig(u)
     for power in (100000, 1000003, 2**30, 2**60 - 1):
-        got = statevector._unitary_power([u], power)
+        got = statevector._unitary_power(u, power)
         GateMatrix(got)
         if power < 2**30:
             want = (vectors * phases**power) @ np.linalg.inv(vectors)
