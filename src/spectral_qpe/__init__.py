@@ -18,11 +18,9 @@ from .hamiltonian import (
     unitary_from_decomposition,
 )
 from .oracle import (
-    DEGENERACY_TOL,
     MAX_DENSE_QUBITS,
     SpectralDecomposition,
     assemble_dense,
-    degenerate_groups,
     eigendecompose,
     embed_operator,
     spectral_amplitudes,
@@ -82,11 +80,9 @@ __all__ = [
     "exact_unitary",
     "term_exponential",
     "unitary_from_decomposition",
-    "DEGENERACY_TOL",
     "MAX_DENSE_QUBITS",
     "SpectralDecomposition",
     "assemble_dense",
-    "degenerate_groups",
     "eigendecompose",
     "embed_operator",
     "spectral_amplitudes",

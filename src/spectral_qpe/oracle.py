@@ -31,8 +31,6 @@ log = logging.getLogger(__name__)
 MAX_DENSE_QUBITS = MAX_GATE_ARITY
 #: Absolute Hermiticity tolerance on max|A - A^dag| (scaled by max(1, |A|_max)).
 HERMITICITY_TOL = 1e-10
-#: Eigenvalues closer than this (times |A|_max) are treated as one eigenspace.
-DEGENERACY_TOL = 1e-8
 
 
 def _embedding_index(targets, num_qubits: int) -> np.ndarray:
@@ -203,18 +201,3 @@ def spectral_components(
     overlaps, phases = spectral_amplitudes(va, decomposition, t)
     weights = np.abs(overlaps) ** 2
     return [(float(w), float(p)) for w, p in zip(weights, phases)]
-
-
-def degenerate_groups(eigenvalues, tol: float) -> list[list[int]]:
-    """Indices of (ascending) eigenvalues grouped into eigenspaces.
-
-    Consecutive eigenvalues closer than ``tol`` land in the same group, so
-    projector-based comparisons can tolerate eigenvector non-uniqueness.
-    """
-    groups: list[list[int]] = []
-    for i, value in enumerate(eigenvalues):
-        if groups and value - eigenvalues[groups[-1][-1]] <= tol:
-            groups[-1].append(i)
-        else:
-            groups.append([i])
-    return groups

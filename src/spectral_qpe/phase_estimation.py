@@ -353,9 +353,7 @@ def _power_columns(va: sv.StateVector, config: PhaseEstimationConfig) -> np.ndar
     return psi
 
 
-def _block_engine_state(
-    va: sv.StateVector, config: PhaseEstimationConfig, corrupt_qft_sign: bool
-) -> sv.StateVector:
+def _block_engine_state(va: sv.StateVector, config: PhaseEstimationConfig) -> sv.StateVector:
     """Pre-measurement state from U^j|va> and one FFT along j.
 
     Column j of ``psi`` holds U^j|va> (:func:`_power_columns`), so the
@@ -363,16 +361,11 @@ def _block_engine_state(
     is already laid out like the gate routes' state, index bits low: no
     transposed copy is made, and ``psi`` and the transform's output are the
     only state-sized arrays.  The inverse-QFT kernel e^{-2*pi*i*jk/M} is
-    numpy's forward FFT, so the readout amplitudes are fft(psi)/M; the
-    corrupted readout uses the forward-QFT kernel, ifft(psi).
+    numpy's forward FFT, so the readout amplitudes are fft(psi)/M.
     """
     layout = config.layout
-    psi = _power_columns(va, config)
-    if corrupt_qft_sign:
-        readout = np.fft.ifft(psi)
-    else:
-        readout = np.fft.fft(psi)
-        readout /= layout.num_bins
+    readout = np.fft.fft(_power_columns(va, config))
+    readout /= layout.num_bins
     return sv._wrap_state(layout.total_qubits, readout.reshape(-1))
 
 
@@ -384,16 +377,9 @@ def _lifted_register(va: sv.StateVector, layout: sv.RegisterLayout) -> sv.StateV
     return sv._wrap_state(layout.total_qubits, amps)
 
 
-def pre_measurement_state(
-    va: sv.StateVector, config: PhaseEstimationConfig, *, _corrupt_qft_sign: bool = False
-) -> sv.StateVector:
-    """Everything before measurement; deterministic (no randomness involved).
-
-    Runs the route named by ``config.power_method``.  ``_corrupt_qft_sign``
-    is a negative-control hook for the oracle-check command: it runs the
-    readout with the wrong transform direction, which the distribution
-    cross-check must catch.
-    """
+def pre_measurement_state(va: sv.StateVector, config: PhaseEstimationConfig) -> sv.StateVector:
+    """Everything before measurement, on the route named by
+    ``config.power_method``; deterministic (no randomness involved)."""
     layout = config.layout
     if va.num_qubits != layout.l_system:
         raise ValueError(
@@ -401,22 +387,26 @@ def pre_measurement_state(
             f"has {layout.l_system}"
         )
     if config.power_method == "block":
-        return _block_engine_state(va, config, _corrupt_qft_sign)
+        return _block_engine_state(va, config)
     state = prepare_index_superposition(_lifted_register(va, layout), layout)
     if config.power_method == "flag_loop":
         state = apply_conditional_powers_flag_loop(state, config)
     else:
         state = apply_conditional_powers_binary(state, config)
-    readout = qft.qft_forward if _corrupt_qft_sign else qft.qft_inverse
-    return readout(state, layout.index_qubits)
+    return qft.qft_inverse(state, layout.index_qubits)
 
 
-def pre_measurement_distribution(
-    va: sv.StateVector, config: PhaseEstimationConfig, *, _corrupt_qft_sign: bool = False
-) -> np.ndarray:
+def pre_measurement_distribution(va: sv.StateVector, config: PhaseEstimationConfig) -> np.ndarray:
     """Exact readout-bin distribution, computed from amplitudes (no sampling)."""
-    state = pre_measurement_state(va, config, _corrupt_qft_sign=_corrupt_qft_sign)
-    return sv.register_distribution(state, config.layout.index_qubits)
+    return sv.register_distribution(pre_measurement_state(va, config), config.layout.index_qubits)
+
+
+def _negated_bins(state: sv.StateVector, layout: sv.RegisterLayout) -> sv.StateVector:
+    """``state`` with the amplitudes of readout bin j moved to bin -j mod M;
+    a permutation of a checked state, so its norm is not checked again."""
+    columns = state.amplitudes.reshape(-1, layout.num_bins)
+    negated = columns[:, -np.arange(layout.num_bins) % layout.num_bins]
+    return sv._wrap_state(layout.total_qubits, negated.reshape(-1), check=False)
 
 
 def _collapse_bins(
@@ -671,8 +661,13 @@ def audit(run: Run, *, _corrupt_qft_sign: bool = False) -> AuditReport:
     """Check ``run``, in exact evolution whatever its slices, against
     :func:`analytic_bin_distribution` per bin, a second route per amplitude
     and :func:`analytic_collapsed_states` per populated bin; raises
-    :class:`AuditFailure` past a tolerance.  ``_corrupt_qft_sign`` reverses
-    the readout transform, a negative control the first check must catch.
+    :class:`AuditFailure` past a tolerance.
+
+    ``_corrupt_qft_sign`` is a negative control, the readout by the forward
+    QFT F: F^2 is the bin negation P, j -> -j mod M, so F = P F^{-1} and
+    the distribution and collapse checks read the true state with its bins
+    negated.  One of the checks must catch it; a distribution symmetric
+    under P passes the first, so the collapse check must.
     """
     decomposition = run.problem.require_decomposition()
     config = run.config
@@ -682,8 +677,9 @@ def audit(run: Run, *, _corrupt_qft_sign: bool = False) -> AuditReport:
 
     components = oracle.spectral_components(run.guess, decomposition, config.time)
     analytic = analytic_bin_distribution(components, config.m_index)
-    pre = pre_measurement_state(run.guess, config, _corrupt_qft_sign=_corrupt_qft_sign)
-    simulated = sv.register_distribution(pre, config.layout.index_qubits)
+    pre = pre_measurement_state(run.guess, config)
+    read = _negated_bins(pre, config.layout) if _corrupt_qft_sign else pre
+    simulated = sv.register_distribution(read, config.layout.index_qubits)
     deviation = float(np.abs(simulated - analytic).max())
     if not (deviation <= DISTRIBUTION_TOL):
         raise AuditFailure(
@@ -694,10 +690,7 @@ def audit(run: Run, *, _corrupt_qft_sign: bool = False) -> AuditReport:
     # Route check: the block engine against a gate-level route, amplitude by
     # amplitude (binary_power stands in when the engine is the configured route).
     other = "binary_power" if config.power_method == "block" else "block"
-    cross = pre_measurement_state(
-        run.guess, replace(config, power_method=other),
-        _corrupt_qft_sign=_corrupt_qft_sign,
-    ).amplitudes
+    cross = pre_measurement_state(run.guess, replace(config, power_method=other)).amplitudes
     route_deviation = float(np.abs(cross - pre.amplitudes).max())
     if not (route_deviation <= ROUTE_TOL):
         raise AuditFailure(
@@ -709,7 +702,7 @@ def audit(run: Run, *, _corrupt_qft_sign: bool = False) -> AuditReport:
     # sample_spectrum collapses, must land on the spectrally predicted
     # mixture of eigenvectors.
     populated = [int(j) for j in np.nonzero(analytic > POPULATED_BIN_FLOOR)[0]]
-    collapsed = _collapse_bins(pre, config.layout, populated)
+    collapsed = _collapse_bins(read, config.layout, populated)
     predicted = analytic_collapsed_states(
         run.guess, decomposition, config.time, config.m_index, populated
     )

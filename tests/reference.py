@@ -85,18 +85,14 @@ def moveaxis_apply(amps, q, matrix, targets, controls=()):
     return out
 
 
-def row_engine_state(va_amps, step, num_bins, corrupt=False):
+def row_engine_state(va_amps, step, num_bins):
     """The block engine with U^j|va> in row j of psi: the FFT along axis 0,
     then a transposed copy into the register layout (index bits low)."""
     psi = np.empty((num_bins, len(va_amps)), dtype=np.complex128)
     psi[0] = va_amps
     for j in range(1, num_bins):
         psi[j] = step(psi[j - 1])
-    if corrupt:
-        readout = np.fft.ifft(psi, axis=0)
-    else:
-        readout = np.fft.fft(psi, axis=0) / num_bins
-    return readout.T.ravel()
+    return (np.fft.fft(psi, axis=0) / num_bins).T.ravel()
 
 
 def repeated_powers(matrix, va_amps, num_bins):
@@ -238,6 +234,25 @@ def flipped_source_flag_loop(amps, source, dt, slices, layout):
             state = source.apply_step(state, dt, layout.system_qubits, [flag])
         state = StateVector(q, masked_flag_flip(state.amplitudes, index_values, flag, threshold))
     return state.amplitudes
+
+
+#: Eigenvalues closer than this (times |A|_max) are treated as one eigenspace.
+DEGENERACY_TOL = 1e-8
+
+
+def degenerate_groups(eigenvalues, tol):
+    """Indices of (ascending) eigenvalues grouped into eigenspaces.
+
+    Consecutive eigenvalues closer than ``tol`` land in the same group, so
+    projector-based comparisons can tolerate eigenvector non-uniqueness.
+    """
+    groups = []
+    for i, value in enumerate(eigenvalues):
+        if groups and value - eigenvalues[groups[-1][-1]] <= tol:
+            groups[-1].append(i)
+        else:
+            groups.append([i])
+    return groups
 
 
 def tfim_dense(sites, coupling, field):

@@ -8,7 +8,6 @@ import numpy as np
 
 import reference as ref
 from spectral_qpe import (
-    DEGENERACY_TOL,
     GateMatrix,
     GridRecipe,
     HamiltonianSum,
@@ -18,7 +17,6 @@ from spectral_qpe import (
     assemble_dense,
     build_transverse_ising,
     cli,
-    degenerate_groups,
     eigendecompose,
     eigenvector_fidelity,
     exact_unitary,
@@ -246,7 +244,7 @@ def test_spin_chain_spectrum_end_to_end(acceptance):
     # a detected peak within one bin
     components = spectral_components(va, decomposition, t)
     missed = []
-    for group in degenerate_groups(decomposition.eigenvalues, DEGENERACY_TOL):
+    for group in ref.degenerate_groups(decomposition.eigenvalues, ref.DEGENERACY_TOL):
         weight = sum(components[k][0] for k in group)
         if weight <= 0.05:
             continue

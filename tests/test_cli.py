@@ -756,10 +756,10 @@ class TestOracleCheck:
                                                       capsys, method):
         engine = pe._block_engine_state
 
-        def rotated(va, config, corrupt):
+        def rotated(va, config):
             # a global phase leaves the distribution and every collapse
             # fidelity unchanged, so only the route check can see it
-            state = engine(va, config, corrupt)
+            state = engine(va, config)
             return sv.StateVector(state.num_qubits, state.amplitudes * np.exp(0.01j))
 
         monkeypatch.setattr(pe, "_block_engine_state", rotated)

@@ -21,12 +21,7 @@ from spectral_qpe import (
     spectral_amplitudes,
     spectral_components,
 )
-from spectral_qpe.oracle import (
-    DEGENERACY_TOL,
-    MAX_DENSE_QUBITS,
-    degenerate_groups,
-    embed_operator,
-)
+from spectral_qpe.oracle import MAX_DENSE_QUBITS, embed_operator
 
 
 # ---------------------------------------------------------------------------
@@ -215,7 +210,7 @@ def test_degenerate_eigenspace_projectors():
     a = (u * lam) @ u.conj().T
     a = (a + a.conj().T) / 2
     d = eigendecompose(a)
-    groups = degenerate_groups(d.eigenvalues, DEGENERACY_TOL * np.abs(a).max())
+    groups = ref.degenerate_groups(d.eigenvalues, ref.DEGENERACY_TOL * np.abs(a).max())
     assert [len(g) for g in groups] == [1, 2, 1]
     idx = list(groups[1])
     got = d.eigenvectors[:, idx] @ d.eigenvectors[:, idx].conj().T
@@ -242,7 +237,7 @@ def test_real_solver_agrees_with_complex_solver(case):
     assert d.eigenvectors.dtype == np.float64
     lam, vec = np.linalg.eigh(a)  # the complex solver
     np.testing.assert_allclose(d.eigenvalues, lam, rtol=0, atol=1e-12 * scale)
-    groups = degenerate_groups(lam, DEGENERACY_TOL * scale)
+    groups = ref.degenerate_groups(lam, ref.DEGENERACY_TOL * scale)
     if case != "tfim6":
         assert max(len(g) for g in groups) > 1
     for group in groups:
@@ -304,9 +299,9 @@ def test_non_orthonormal_eigenvectors_are_refused(monkeypatch, entry, kind):
 
 
 def test_degenerate_groups_consecutive_tolerance():
-    groups = degenerate_groups(np.array([1.0, 1.0 + 1e-9, 2.0]), 1e-8)
+    groups = ref.degenerate_groups(np.array([1.0, 1.0 + 1e-9, 2.0]), 1e-8)
     assert groups == [[0, 1], [2]]
-    groups = degenerate_groups(np.array([1.0, 1.0 + 1e-9, 2.0]), 1e-10)
+    groups = ref.degenerate_groups(np.array([1.0, 1.0 + 1e-9, 2.0]), 1e-10)
     assert groups == [[0], [1], [2]]
 
 

@@ -37,6 +37,7 @@ from spectral_qpe import (
     pre_measurement_distribution,
     pre_measurement_state,
     prepare_index_superposition,
+    qft_forward,
     sample_spectrum,
     spectral_components,
 )
@@ -546,20 +547,33 @@ BLOCK_SOURCES = {
 @pytest.mark.parametrize("source", sorted(BLOCK_SOURCES))
 def test_block_engine_matches_gate_route(source):
     """The engine's one-step operator for each source type reproduces the
-    gate-level binary-power state, for the true and the corrupted readout."""
+    gate-level binary-power state."""
     rng = np.random.default_rng(70)
     l_system, source_kw = BLOCK_SOURCES[source](rng)
     va = load_amplitudes(l_system, ref.random_state(l_system, rng))
-    for corrupt in (False, True):
-        block, gate = (
-            pre_measurement_state(
-                va,
-                PhaseEstimationConfig(m_index=4, power_method=method, **source_kw),
-                _corrupt_qft_sign=corrupt,
-            ).amplitudes
-            for method in ("block", "binary_power")
-        )
-        np.testing.assert_allclose(block, gate, rtol=0, atol=1e-10)
+    block, gate = (
+        pre_measurement_state(
+            va, PhaseEstimationConfig(m_index=4, power_method=method, **source_kw)
+        ).amplitudes
+        for method in ("block", "binary_power")
+    )
+    np.testing.assert_allclose(block, gate, rtol=0, atol=1e-10)
+
+
+@pytest.mark.parametrize("route", pe.POWER_METHODS)
+@pytest.mark.parametrize("source", sorted(BLOCK_SOURCES))
+def test_negated_bins_are_the_forward_qft_readout(source, route):
+    """Each route's state with its bins negated is the gate-level readout by
+    the forward QFT instead of the inverse, the audit's reversed readout."""
+    rng = np.random.default_rng(73)
+    l_system, source_kw = BLOCK_SOURCES[source](rng)
+    va = load_amplitudes(l_system, ref.random_state(l_system, rng))
+    config = PhaseEstimationConfig(m_index=4, power_method=route, **source_kw)
+    layout = config.layout
+    state = prepare_index_superposition(lift(va.amplitudes, layout), layout)
+    want = qft_forward(apply_conditional_powers_binary(state, config), layout.index_qubits)
+    got = pe._negated_bins(pre_measurement_state(va, config), layout)
+    assert np.abs(got.amplitudes - want.amplitudes).max() <= 1e-10
 
 
 @pytest.mark.parametrize("source", sorted(BLOCK_SOURCES))
@@ -570,20 +584,17 @@ def test_block_engine_equals_row_layout_reference(source):
     l_system, source_kw = BLOCK_SOURCES[source](rng)
     va = load_amplitudes(l_system, ref.random_state(l_system, rng))
     config = PhaseEstimationConfig(m_index=5, **source_kw)
-    for corrupt in (False, True):
-        got = pe._block_engine_state(va, config, corrupt).amplitudes
-        step = pe._step_map(config)
-        want = ref.row_engine_state(va.amplitudes, step, 32, corrupt)
-        assert np.array_equal(got, want)
+    got = pe._block_engine_state(va, config).amplitudes
+    want = ref.row_engine_state(va.amplitudes, pe._step_map(config), 32)
+    assert np.array_equal(got, want)
 
 
-@pytest.mark.parametrize("corrupt", [False, True])
-def test_block_engine_holds_two_states(traced_peak, corrupt):
+def test_block_engine_holds_two_states(traced_peak):
     rng = np.random.default_rng(72)
     config = unitary_config(ref.random_unitary(8, rng), 12, power_method="block")
     va = load_amplitudes(3, ref.random_state(3, rng))
     state_bytes = 16 * 2**config.layout.total_qubits
-    state, peak = traced_peak(lambda: pe._block_engine_state(va, config, corrupt))
+    state, peak = traced_peak(lambda: pe._block_engine_state(va, config))
     assert state.amplitudes.nbytes == state_bytes
     assert peak <= 2.05 * state_bytes
 
@@ -664,7 +675,7 @@ def test_eigenbasis_columns_match_repeated_multiplication(name):
     real = name == "real_tfim"
     assert (decomposition.eigenvectors.dtype == np.float64) == real
     if name == "degenerate":
-        groups = oracle.degenerate_groups(decomposition.eigenvalues, 1e-8)
+        groups = ref.degenerate_groups(decomposition.eigenvalues, 1e-8)
         assert sorted(len(g) for g in groups) == [2, 3, 3]
     va = load_amplitudes(3, ref.random_state(3, np.random.default_rng(92)))
     config = PhaseEstimationConfig(m_index=6, decomposition=decomposition, time=t)
@@ -676,20 +687,18 @@ def test_eigenbasis_columns_match_repeated_multiplication(name):
 @pytest.mark.parametrize("name", SPECTRAL_CASES)
 def test_eigenbasis_engine_matches_gate_route(name):
     """The engine in the eigenbasis and the binary route on the dense U built
-    from the same decomposition agree per amplitude, for both readouts."""
+    from the same decomposition agree per amplitude."""
     dense, t = spectral_case(name)
     va = load_amplitudes(3, ref.random_state(3, np.random.default_rng(93)))
-    for corrupt in (False, True):
-        block, gate = (
-            pre_measurement_state(
-                va,
-                PhaseEstimationConfig(m_index=5, decomposition=eigendecompose(dense),
-                                      time=t, power_method=method),
-                _corrupt_qft_sign=corrupt,
-            ).amplitudes
-            for method in ("block", "binary_power")
-        )
-        np.testing.assert_allclose(block, gate, rtol=0, atol=1e-10)
+    block, gate = (
+        pre_measurement_state(
+            va,
+            PhaseEstimationConfig(m_index=5, decomposition=eigendecompose(dense),
+                                  time=t, power_method=method),
+        ).amplitudes
+        for method in ("block", "binary_power")
+    )
+    np.testing.assert_allclose(block, gate, rtol=0, atol=1e-10)
 
 
 def test_eigenbasis_columns_span_several_phase_blocks(monkeypatch):
@@ -702,8 +711,7 @@ def test_eigenbasis_columns_span_several_phase_blocks(monkeypatch):
     np.testing.assert_allclose(pe._power_columns(va, config), whole, rtol=0, atol=1e-15)
 
 
-@pytest.mark.parametrize("corrupt", [False, True])
-def test_eigenbasis_engine_holds_two_states(traced_peak, corrupt):
+def test_eigenbasis_engine_holds_two_states(traced_peak):
     """The phase table is built a block of columns at a time, so the engine
     holds no more than the columns and the transform's output."""
     config = PhaseEstimationConfig(
@@ -711,7 +719,7 @@ def test_eigenbasis_engine_holds_two_states(traced_peak, corrupt):
     )
     va = load_amplitudes(4, ref.random_state(4, np.random.default_rng(95)))
     state_bytes = 16 * 2**config.layout.total_qubits
-    state, peak = traced_peak(lambda: pe._block_engine_state(va, config, corrupt))
+    state, peak = traced_peak(lambda: pe._block_engine_state(va, config))
     assert state.amplitudes.nbytes == state_bytes
     assert peak <= 2.05 * state_bytes
 
@@ -1274,10 +1282,21 @@ def test_audit_runs_exact_evolution_for_a_sliced_run():
 
 
 def test_audit_catches_a_reversed_readout():
-    run = pe.Run({"problem": "explicit_terms", "system_qubits": 1, "m_index": 3, "time": 0.8,
-                  "terms": [{"support": [0], "matrix": [[0.7, 0.9], [0.9, -0.1]]}]})
-    with pytest.raises(pe.AuditFailure, match="distribution check"):
-        pe.audit(run, _corrupt_qft_sign=True)
+    """A tilted spectrum's distribution is not symmetric under the bin
+    negation, so the first check catches the control; the complex Pauli-Y
+    Hamiltonian's is, and only the collapse check can."""
+    tilted = {"problem": "explicit_terms", "system_qubits": 1, "m_index": 3, "time": 0.8,
+              "terms": [{"support": [0], "matrix": [[0.7, 0.9], [0.9, -0.1]]}]}
+    pauli_y = {"problem": "explicit_terms", "system_qubits": 2, "m_index": 4, "time": 0.5,
+               "terms": [{"support": [0], "matrix": [[0, [0, -1]], [[0, 1], 0]]},
+                         {"support": [0, 1], "matrix": [[1, 0, 0, 0], [0, -1, 0, 0],
+                                                        [0, 0, -1, 0], [0, 0, 0, 1]]}]}
+    for cfg, match in ((tilted, "distribution check"),
+                       (pauli_y, "eigenvector-fidelity audit: bin 1 fidelity 0.302281492592")):
+        run = pe.Run(cfg)
+        pe.audit(run)
+        with pytest.raises(pe.AuditFailure, match=match):
+            pe.audit(run, _corrupt_qft_sign=True)
 
 
 def test_audit_collapses_through_the_sampling_collapse(monkeypatch):
