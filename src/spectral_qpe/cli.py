@@ -38,6 +38,7 @@ import os
 import sys
 import tempfile
 import time as _time
+from collections.abc import Iterable, Iterator
 
 import numpy as np
 
@@ -118,12 +119,13 @@ def _parse_out(cfg: dict, *suffixes: str) -> list[str]:
 # output files
 
 
-def _write_atomic(files: dict[str, str]) -> None:
-    """Write each ``path: text`` pair, all or none: every text goes to a
-    temporary file beside its path first, then each is renamed into place.
-    On a failure the temporary files and any path already renamed into are
-    removed; an ``OSError`` is raised again as :class:`OutputError` naming
-    the path it failed on."""
+def _write_atomic(files: dict[str, Iterable[str]]) -> None:
+    """Write each ``path: chunks`` pair, all or none: every file's text, an
+    iterable of string chunks written one after another (so a large file
+    never exists as one string), goes to a temporary file beside its path
+    first, then each is renamed into place.  On a failure the temporary
+    files and any path already renamed into are removed; an ``OSError`` is
+    raised again as :class:`OutputError` naming the path it failed on."""
     temps = []
     renamed = []
     path = None
@@ -133,7 +135,8 @@ def _write_atomic(files: dict[str, str]) -> None:
             fd, tmp = tempfile.mkstemp(dir=directory, prefix=".spectral_qpe_")
             temps.append(tmp)
             with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
-                fh.write(files[path])
+                for chunk in files[path]:
+                    fh.write(chunk)
         for tmp, path in zip(temps, files):
             os.replace(tmp, path)
             renamed.append(path)
@@ -153,17 +156,28 @@ def _g(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _histogram_csv(run: pe.Run, counts: np.ndarray) -> str:
+#: Lines per chunk of the histogram CSV: a file of up to this many lines
+#: goes out in one write, and a longer one (a 2^20-bin histogram) never
+#: exists as one string.
+_CSV_CHUNK_ROWS = 2**12
+
+
+def _histogram_csv(run: pe.Run, counts: np.ndarray) -> Iterator[str]:
+    """The histogram CSV, newline-terminated lines joined into chunks of at
+    most ``_CSV_CHUNK_ROWS`` lines."""
     config = run.config
     bins = config.layout.num_bins
     lines = ["bin,phase_radians,energy,probability,counts"]
     for j in range(bins):
+        if len(lines) == _CSV_CHUNK_ROWS:
+            yield "\n".join(lines) + "\n"
+            lines = []
         phase = 2.0 * math.pi * j / bins
         energy = pe.phase_to_energy(phase, config.time)
         lines.append(
             f"{j},{_g(phase)},{_g(energy)},{_g(counts[j] / config.trials)},{int(counts[j])}"
         )
-    return "\n".join(lines) + "\n"
+    yield "\n".join(lines) + "\n"
 
 
 def _peak_record(run: pe.Run, bin_index: int, counts: np.ndarray, collapsed) -> dict:
@@ -227,7 +241,7 @@ def cmd_sample(args: argparse.Namespace, *, spectrum: bool) -> int:
     }
     _write_atomic({
         csv_path: _histogram_csv(run, counts),
-        json_path: json.dumps(record, sort_keys=True, indent=2) + "\n",
+        json_path: [json.dumps(record, sort_keys=True, indent=2) + "\n"],
     })
 
     for entry in peaks:
@@ -265,7 +279,7 @@ def cmd_trotter_bench(args: argparse.Namespace) -> int:
         elapsed = _time.perf_counter() - started
         lines.append(f"{r},{_g(error)},{_g(elapsed)}")
         log.info("r=%d operator error %.3e (%.3fs)", r, error, elapsed)
-    _write_atomic({csv_path: "\n".join(lines) + "\n"})
+    _write_atomic({csv_path: ["\n".join(lines) + "\n"]})
     print(f"wrote {csv_path}")
     return EXIT_OK
 

@@ -179,7 +179,9 @@ def exact_unitary(h: HamiltonianSum, t: float) -> sv.GateMatrix:
 def unitary_from_decomposition(
     decomposition: oracle.SpectralDecomposition, t: float
 ) -> sv.GateMatrix:
-    """e^{-iHt} = V diag(e^{-i lambda t}) V^dag from H's spectral decomposition."""
-    phases = np.exp(-1j * decomposition.eigenvalues * t)
-    vectors = decomposition.eigenvectors
-    return sv.GateMatrix((vectors * phases) @ vectors.conj().T)
+    """e^{-iHt} = V (diag(e^{-i lambda t}) V^dag) from H's spectral
+    decomposition; for a real V the weighted V^dag is the only matrix built
+    besides U, and it is freed before U is checked."""
+    phases = np.exp(-1j * decomposition.eigenvalues * t)[:, None]
+    return sv.GateMatrix(decomposition.from_eigenbasis(
+        np.multiply(decomposition.eigenvectors.conj().T, phases, order="C")))

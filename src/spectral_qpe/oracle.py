@@ -126,6 +126,43 @@ class SpectralDecomposition:
         """||H|| itself: the largest |eigenvalue|."""
         return float(np.abs(self.eigenvalues).max())
 
+    def to_eigenbasis(self, x: np.ndarray) -> np.ndarray:
+        """V^dag x, for a vector x or a (dim, K) block of columns.
+
+        Neither this nor :meth:`from_eigenbasis` copies V: a real V (every
+        real symmetric H) multiplies the float64 view of the complex operand,
+        its real and imaginary parts as one real product, and a complex V
+        takes V^dag x = conj(V^T conj(x)).
+        """
+        vectors = self.eigenvectors
+        if np.iscomplexobj(vectors):
+            product = vectors.T @ np.conjugate(x)
+            return np.conjugate(product, out=product)
+        return _real_product(vectors.T, x)
+
+    def from_eigenbasis(self, y: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """V y, for a vector y or a (dim, K) block of columns, written into
+        ``out`` when given (whose last axis must be contiguous)."""
+        vectors = self.eigenvectors
+        if np.iscomplexobj(vectors):
+            return np.matmul(vectors, y, out=out)
+        return _real_product(vectors, y, out)
+
+
+def _real_product(matrix: np.ndarray, operand, out: np.ndarray | None = None) -> np.ndarray:
+    """``matrix @ operand`` for a real matrix and a complex vector or (dim, K)
+    block, as one real product on the (dim, 2K) float64 views of the operand
+    and of ``out``; the operand is copied only if its last axis is not
+    contiguous (a transposed block)."""
+    operand = np.asarray(operand, dtype=np.complex128)
+    pairs = operand.reshape(len(operand), -1)
+    if pairs.strides[-1] != pairs.itemsize:
+        pairs = np.ascontiguousarray(pairs)
+    if out is None:
+        out = np.empty(operand.shape, dtype=np.complex128)
+    np.matmul(matrix, pairs.view(np.float64), out=out.reshape(len(out), -1).view(np.float64))
+    return out
+
 
 def eigendecompose(matrix) -> SpectralDecomposition:
     """Full decomposition of a dense Hermitian matrix, eigenvalues ascending.
@@ -189,7 +226,7 @@ def spectral_amplitudes(
             f"dimension mismatch: {decomposition.dim} eigenvectors vs "
             f"{len(va.amplitudes)} amplitudes"
         )
-    overlaps = decomposition.eigenvectors.conj().T @ va.amplitudes
+    overlaps = decomposition.to_eigenbasis(va.amplitudes)
     phases = np.mod(-decomposition.eigenvalues * t, 2.0 * np.pi)
     return overlaps, phases
 

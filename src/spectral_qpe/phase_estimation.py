@@ -315,28 +315,23 @@ def _spectral_columns(
 
     The phase table e^{-iEtj} * c is built for one block of columns at a
     time, at most ``_PHASE_BLOCK`` entries, and V multiplies it straight
-    into ``psi``.  A real V (every real symmetric H) multiplies the table's
-    real and imaginary parts as one real product.
+    into ``psi`` (:meth:`~spectral_qpe.oracle.SpectralDecomposition.from_eigenbasis`,
+    which never copies V).
     """
-    vectors = decomposition.eigenvectors
-    coefficients = (vectors.conj().T @ va.amplitudes)[:, None]
+    coefficients = decomposition.to_eigenbasis(va.amplitudes)[:, None]
     rates = -time * decomposition.eigenvalues
     dim, num_bins = psi.shape
     width = max(1, min(num_bins, _PHASE_BLOCK // dim))
-    angles = np.empty((dim, width))
     table = np.empty((dim, width), dtype=np.complex128)
-    real = not np.iscomplexobj(vectors)
     for start in range(0, num_bins, width):
         stop = min(start + width, num_bins)
         block = table[:, : stop - start]
-        phase = np.multiply.outer(rates, np.arange(start, stop), out=angles[:, : stop - start])
-        np.cos(phase, out=block.real)
-        np.sin(phase, out=block.imag)
+        # the angles go in the real parts: sines first, then cosines over them
+        np.multiply(rates[:, None], np.arange(start, stop), out=block.real)
+        np.sin(block.real, out=block.imag)
+        np.cos(block.real, out=block.real)
         block *= coefficients
-        if real:
-            np.matmul(vectors, block.view(np.float64), out=psi[:, start:stop].view(np.float64))
-        else:
-            np.matmul(vectors, block, out=psi[:, start:stop])
+        decomposition.from_eigenbasis(block, out=psi[:, start:stop])
 
 
 def _power_columns(va: sv.StateVector, config: PhaseEstimationConfig) -> np.ndarray:
@@ -359,14 +354,20 @@ def _block_engine_state(va: sv.StateVector, config: PhaseEstimationConfig) -> sv
     Column j of ``psi`` holds U^j|va> (:func:`_power_columns`), so the
     transform runs along the contiguous axis and its (system, index) result
     is already laid out like the gate routes' state, index bits low: no
-    transposed copy is made, and ``psi`` and the transform's output are the
-    only state-sized arrays.  The inverse-QFT kernel e^{-2*pi*i*jk/M} is
-    numpy's forward FFT, so the readout amplitudes are fft(psi)/M.
+    transposed copy is made.  The transform runs in place, one block of at
+    most ``_PHASE_BLOCK`` entries (or one row) at a time, so ``psi`` is the
+    only state-sized array; its bits are those of one whole-array FFT.  The
+    inverse-QFT kernel e^{-2*pi*i*jk/M} is numpy's forward FFT, so the
+    readout amplitudes are fft(psi)/M.
     """
     layout = config.layout
-    readout = np.fft.fft(_power_columns(va, config))
-    readout /= layout.num_bins
-    return sv._wrap_state(layout.total_qubits, readout.reshape(-1))
+    psi = _power_columns(va, config)
+    rows = max(1, _PHASE_BLOCK // layout.num_bins)
+    for start in range(0, len(psi), rows):
+        block = psi[start : start + rows]
+        np.fft.fft(block, out=block)
+    psi /= layout.num_bins
+    return sv._wrap_state(layout.total_qubits, psi.reshape(-1))
 
 
 def _lifted_register(va: sv.StateVector, layout: sv.RegisterLayout) -> sv.StateVector:
@@ -514,13 +515,13 @@ def analytic_collapsed_states(
         raise ValueError("eigenphases must be finite")
     M = 2**m_index
     bins = [int(j) for j in bins]
-    delta = phases[None, :] - (2.0 * np.pi / M) * np.array(bins, dtype=float)[:, None]
-    predicted = (overlaps * _dirichlet_amplitude(delta, M)) @ decomposition.eigenvectors.T
-    norms = np.linalg.norm(predicted, axis=1)
+    delta = phases[:, None] - (2.0 * np.pi / M) * np.array(bins, dtype=float)[None, :]
+    predicted = decomposition.from_eigenbasis(overlaps[:, None] * _dirichlet_amplitude(delta, M))
+    norms = np.linalg.norm(predicted, axis=0)
     for j, norm in zip(bins, norms):
         if not (norm > 0.0):  # NaN fails closed
             raise ValueError(f"predicted state for bin {j} has norm {norm!r}")
-    return dict(zip(bins, predicted / norms[:, None]))
+    return dict(zip(bins, np.ascontiguousarray((predicted / norms).T)))
 
 
 #: |sin(d/2)| below this counts as d = 0 mod 2*pi, where the sine ratio is 1.
@@ -567,7 +568,7 @@ def eigenvector_fidelity(collapsed: sv.StateVector, decomposition: oracle.Spectr
         raise ValueError(
             f"no oracle eigenvalue within {tol!r} of energy {energy!r}"
         )
-    overlaps = decomposition.eigenvectors[:, mask].conj().T @ collapsed.amplitudes
+    overlaps = decomposition.to_eigenbasis(collapsed.amplitudes)[mask]
     return float(np.sum(np.abs(overlaps) ** 2))
 
 

@@ -355,16 +355,35 @@ def register_values(q: int, qubits) -> np.ndarray:
     return value
 
 
+#: Entries per block of :func:`register_distribution`'s low-register sum
+#: (128 KiB of float64), or one row if a row is longer.
+_ROW_BLOCK = 2**14
+
+
 def register_distribution(state: StateVector, qubits) -> np.ndarray:
-    """Marginal Born distribution over the values of a sub-register."""
+    """Marginal Born distribution over the values of a sub-register.
+
+    A low register, the readout's, is the fast axis of the (rest, 2^k) view
+    of the amplitudes: its |a|^2 are summed one block of rows at a time, at
+    most ``_ROW_BLOCK`` entries or one row, so no |a|^2 array of the whole
+    state is made.  Each block's sum starts from the running total, stacked
+    on as its first row, so every value is added in row order and the
+    result has the bits of ``probabilities().reshape(-1, 2^k).sum(axis=0)``,
+    a row-order sum in the same order as the bincount of any other register.
+    """
     qubits = list(qubits)
     if not qubits:
         raise ValueError("cannot take the distribution of an empty register")
     _check_qubits(qubits, state.num_qubits, "register")
     if qubits == list(range(len(qubits))):
-        # A low register is the fast axis of the (rest, 2^k) view; the
-        # row-order sum adds in the same order as the bincount below.
-        return state.probabilities().reshape(-1, 2 ** len(qubits)).sum(axis=0)
+        rows = state.amplitudes.reshape(-1, 2 ** len(qubits))
+        step = max(1, _ROW_BLOCK // rows.shape[1])
+        total = np.zeros(rows.shape[1])
+        for start in range(0, len(rows), step):
+            squares = np.abs(rows[start : start + step])
+            squares **= 2
+            total = np.vstack((total, squares)).sum(axis=0)
+        return total
     values = register_values(state.num_qubits, qubits)
     return np.bincount(
         values, weights=state.probabilities(), minlength=2 ** len(qubits)

@@ -8,6 +8,7 @@ import math
 import os
 import pathlib
 import tempfile
+import types
 
 import numpy as np
 import pytest
@@ -164,6 +165,56 @@ class TestDeterminism:
     def test_reruns_are_byte_identical(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         assert self.run(tmp_path, "a") == self.run(tmp_path, "b")
+
+
+def one_string_histogram(run, counts):
+    """The histogram CSV as one string, the layout of the file before it
+    went out in chunks."""
+    config = run.config
+    bins = config.layout.num_bins
+    lines = ["bin,phase_radians,energy,probability,counts"]
+    for j in range(bins):
+        phase = 2.0 * math.pi * j / bins
+        energy = phase_to_energy(phase, config.time)
+        lines.append(f"{j},{cli._g(phase)},{cli._g(energy)},"
+                     f"{cli._g(counts[j] / config.trials)},{int(counts[j])}")
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("chunk_rows", [1, 5, 17, 1000])
+def test_histogram_chunks_join_to_the_one_string_layout(tmp_path, monkeypatch, chunk_rows):
+    """At M = 16 (17 lines with the header) the histogram goes out in
+    chunks of one line, of five with a short last one, or in one chunk, and
+    the file written from them is the one-string layout, byte for byte."""
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli, "_CSV_CHUNK_ROWS", chunk_rows)
+    cfg = dict(DIAG_I, m_index=4, time=1.0, trials=64, seed=3)
+    run = pe.Run(cfg)
+    counts = pe.sample_spectrum(run.guess, run.config).counts
+    chunks = list(cli._histogram_csv(run, counts))
+    assert len(chunks) == math.ceil(17 / chunk_rows)
+    assert "".join(chunks) == one_string_histogram(run, counts)
+    assert cli.main(["spectrum", "--config", write_config(tmp_path, dict(cfg, out="run"))]) == 0
+    assert (tmp_path / "run.histogram.csv").read_text() == one_string_histogram(run, counts)
+
+
+def test_bench_size_histogram_goes_out_in_one_write(tmp_path, monkeypatch):
+    """A 256-bin histogram is written by one call, as it was before chunks."""
+    monkeypatch.chdir(tmp_path)
+    writes = []
+    fdopen = os.fdopen
+
+    def counting_fdopen(*args, **kwargs):
+        handle = fdopen(*args, **kwargs)
+        write = handle.write
+        handle.write = lambda text: writes.append(len(text)) or write(text)
+        return handle
+
+    monkeypatch.setattr(cli.os, "fdopen", counting_fdopen)
+    cfg = dict(DIAG_I, m_index=8, time=1.0, trials=64, out="run")
+    assert cli.main(["solve", "--config", write_config(tmp_path, cfg)]) == 0
+    assert len(writes) == 2  # the histogram and the result, one write each
+    assert writes[0] == len((tmp_path / "run.histogram.csv").read_text())
 
 
 class TestSpectrum:
@@ -599,6 +650,23 @@ class TestTrotterBench:
         assert 0.4 <= errors[1] / errors[0] <= 0.6
         assert 0.4 <= errors[2] / errors[1] <= 0.6
         assert all(float(r[2]) >= 0 for r in rows)
+
+    def test_csv_is_the_one_string_layout(self, tmp_path, monkeypatch):
+        """With the clock fixed, the file is the header and one line per
+        slice count, byte for byte."""
+        monkeypatch.chdir(tmp_path)
+        ticks = iter(range(100))
+        monkeypatch.setattr(cli, "_time", types.SimpleNamespace(
+            perf_counter=lambda: next(ticks) * 0.25))
+        cfg = dict(self.X_PLUS_Z, time=1.0, slice_sweep=[1, 2, 4], out="xz")
+        assert cli.main(["trotter-bench", "--config", write_config(tmp_path, cfg)]) == 0
+        problem = problems.build_problem(cfg)
+        exact = ham.unitary_from_decomposition(problem.require_decomposition(), 1.0).matrix
+        lines = ["r,operator_error,wall_seconds"]
+        for r in cfg["slice_sweep"]:
+            error = np.abs(sv._unitary_power(problem.source.step_matrix(1.0 / r), r) - exact).max()
+            lines.append(f"{r},{cli._g(error)},{cli._g(0.25)}")
+        assert (tmp_path / "xz.trotter.csv").read_text() == "\n".join(lines) + "\n"
 
     def test_error_falls_as_one_over_r_at_ten_million_slices(self, tmp_path, monkeypatch):
         """The slice is powered with drift control, so the first-order 1/r

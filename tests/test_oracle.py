@@ -345,6 +345,52 @@ def test_components_are_squared_spectral_amplitudes():
     ]
 
 
+def eigenbasis_case(case):
+    """A decomposition with real eigenvectors (TFIM-8, dim 256) or complex
+    ones (the Pauli-Y terms, dim 4; a random Hermitian, dim 256)."""
+    if case == "tfim8":
+        return eigendecompose(build_transverse_ising(8, 1.0, 0.7).dense_hamiltonian())
+    if case == "pauli-y":
+        return eigendecompose(assemble_dense(HamiltonianSum(PAULI_Y_TERMS, 2)))
+    return eigendecompose(ref.random_hermitian(256, np.random.default_rng(12)))
+
+
+def eigenbasis_operands(dim, rng):
+    """A vector, a (dim, 5) block, a column window of a wider block (rows
+    not contiguous) and a transposed (Fortran-ordered) block."""
+    def draw(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    return [draw(dim), draw(dim, 5), draw(dim, 9)[:, 2:7], draw(5, dim).T]
+
+
+@pytest.mark.parametrize("case", ["tfim8", "pauli-y", "complex256"])
+def test_eigenbasis_products_match_the_complex_products(case):
+    """V^dag x and V y equal the products with V as a complex matrix to
+    1e-13, on vectors and on blocks of any layout; ``out`` receives V y."""
+    d = eigenbasis_case(case)
+    assert (d.eigenvectors.dtype == np.float64) == (case == "tfim8")
+    vectors = d.eigenvectors.astype(np.complex128)
+    for x in eigenbasis_operands(d.dim, np.random.default_rng(13)):
+        assert np.abs(d.to_eigenbasis(x) - vectors.conj().T @ x).max() <= 1e-13
+        assert np.abs(d.from_eigenbasis(x) - vectors @ x).max() <= 1e-13
+        out = np.empty(x.shape, dtype=np.complex128)
+        d.from_eigenbasis(x, out=out)
+        assert np.array_equal(out, d.from_eigenbasis(x))
+
+
+@pytest.mark.parametrize("case", ["tfim8", "complex256"])
+def test_eigenbasis_products_make_no_copy_of_v(traced_peak, case):
+    """Neither product allocates the 16 dim^2 bytes (1 MiB at dim 256) of a
+    complex V: a real V multiplies the float64 view of its operand, a
+    complex one conjugates the operand instead of V."""
+    d = eigenbasis_case(case)
+    for x in eigenbasis_operands(d.dim, np.random.default_rng(14)):
+        for product in (d.to_eigenbasis, d.from_eigenbasis):
+            _, peak = traced_peak(lambda: product(x))
+            assert peak < 16 * d.dim**2
+
+
 def test_components_validation():
     d = eigendecompose(ref.X)
     va = load_amplitudes(2, np.array([1, 0, 0, 0], dtype=complex))

@@ -323,13 +323,27 @@ def test_low_register_reads_build_no_index_array(monkeypatch):
     assert register_distribution(state, layout.index_qubits).shape == (8,)
 
 
+@pytest.mark.parametrize("row_block", [2**20, 48, 16, 1])
+def test_low_register_distribution_is_one_whole_array_sum(monkeypatch, row_block):
+    """Blocks of all rows at once, of several rows (three at M = 16, with a
+    short last block) or of one row (every M past the block size), give the
+    bits of one row-order sum over the whole |a|^2 array."""
+    state = load_amplitudes(10, ref.random_state(10, np.random.default_rng(110)))
+    monkeypatch.setattr(statevector, "_ROW_BLOCK", row_block)
+    for k in (1, 4, 10):
+        want = state.probabilities().reshape(-1, 2**k).sum(axis=0)
+        assert np.array_equal(register_distribution(state, range(k)), want)
+
+
 def test_low_register_distribution_memory(traced_peak):
     q, k = 18, 8
     state = load_amplitudes(q, ref.random_state(q, np.random.default_rng(109)))
     dist, peak = traced_peak(lambda: register_distribution(state, range(k)))
     assert dist.shape == (2**k,)
-    # one float64 per amplitude, the output, and 64 KiB for interpreter bookkeeping
-    assert peak <= 8 * 2**q + 8 * 2**k + 2**16
+    # one block of |a|^2 and its copy with the running total stacked on,
+    # the block's sum and the total, and 64 KiB for interpreter bookkeeping:
+    # no float64 per amplitude (2 MiB here)
+    assert peak <= 8 * (2 * statevector._ROW_BLOCK + 4 * 2**k) + 2**16
 
 
 class TestMeasurement:
