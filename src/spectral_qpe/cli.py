@@ -274,8 +274,12 @@ def cmd_trotter_bench(args: argparse.Namespace) -> int:
     lines = ["r,operator_error,wall_seconds"]
     for r, dt in zip(sweep, steps):
         started = _time.perf_counter()
-        step = problem.source.step_matrix(dt)
-        error = float(np.abs(sv._unitary_power(step, r) - exact).max())
+        # a new array for each r (at r = 1 the new slice itself)
+        power = sv._unitary_power(problem.source.step_matrix(dt), r)
+        power -= exact
+        error = float(np.abs(power).max())
+        if not math.isfinite(error):
+            raise ContractViolation(f"slice power at r={r} is not finite")
         elapsed = _time.perf_counter() - started
         lines.append(f"{r},{_g(error)},{_g(elapsed)}")
         log.info("r=%d operator error %.3e (%.3fs)", r, error, elapsed)

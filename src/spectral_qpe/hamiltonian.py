@@ -181,7 +181,7 @@ def unitary_from_decomposition(
 ) -> sv.GateMatrix:
     """e^{-iHt} = V (diag(e^{-i lambda t}) V^dag) from H's spectral
     decomposition; for a real V the weighted V^dag is the only matrix built
-    besides U, and it is freed before U is checked."""
+    besides U, and it is freed before U is copied and checked by slabs."""
     phases = np.exp(-1j * decomposition.eigenvalues * t)[:, None]
     return sv.GateMatrix(decomposition.from_eigenbasis(
         np.multiply(decomposition.eigenvectors.conj().T, phases, order="C")))

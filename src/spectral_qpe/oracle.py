@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import ContractViolation
-from .statevector import MAX_GATE_ARITY, UNITARY_TOL
+from .statevector import CHECK_ROWS, MAX_GATE_ARITY, UNITARY_TOL, unitarity_defect
 
 if TYPE_CHECKING:
     from .hamiltonian import HamiltonianSum
@@ -175,14 +175,15 @@ def eigendecompose(matrix) -> SpectralDecomposition:
     max|A - A^dag| <= ``HERMITICITY_TOL`` * max(1, max|A|), and
     orthonormality of the eigenvectors, max|V^dag V - I| <= ``UNITARY_TOL``,
     the gate tolerance: every e^{-iHt} built from them, in closed form or
-    densely, is then unitary to it.  NaN fails both; a failed Hermiticity
+    densely, is then unitary to it.  Both run over row slabs, so neither
+    makes a full-size temporary.  NaN fails both; a failed Hermiticity
     check raises ``ValueError``, a failed orthonormality check
     ``ContractViolation``.
     """
     started = time.perf_counter()
     mat = np.asarray(matrix)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {mat.shape}")
+    if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or not mat.size:
+        raise ValueError(f"expected a non-empty square matrix, got shape {mat.shape}")
     if mat.shape[0] > 2**MAX_DENSE_QUBITS:
         raise ValueError(
             f"matrix of dimension {mat.shape[0]} exceeds the dense cap "
@@ -190,17 +191,17 @@ def eigendecompose(matrix) -> SpectralDecomposition:
         )
     real = not np.iscomplexobj(mat)
     mat = mat.astype(np.float64 if real else np.complex128, copy=False)
-    scale = max(1.0, float(np.abs(mat).max()))
-    defect = float(np.abs(mat - mat.conj().T).max())
+    scale, defect = 1.0, 0.0
+    for start in range(0, len(mat), CHECK_ROWS):
+        rows = slice(start, start + CHECK_ROWS)
+        scale = np.maximum(scale, np.abs(mat[rows]).max())
+        defect = np.maximum(defect, np.abs(mat[rows] - mat[:, rows].conj().T).max())
     if not (defect <= HERMITICITY_TOL * scale):  # NaN fails closed
         raise ValueError(f"matrix is not Hermitian: max|A - A^dag| = {defect:.3e}")
     if not (real or mat.imag.any()):
         real, mat = True, mat.real
     eigenvalues, eigenvectors = np.linalg.eigh(mat)
-    gram = eigenvectors.conj().T @ eigenvectors
-    gram[np.diag_indices_from(gram)] -= 1.0  # V^dag V - I, in place
-    # a real gram takes its own magnitudes, with no second full-size array
-    defect = float(np.abs(gram, out=gram if real else None).max())
+    defect = unitarity_defect(eigenvectors)
     if not (defect <= UNITARY_TOL):  # NaN fails closed
         raise ContractViolation(
             f"eigenvectors are not orthonormal: max|V^dag V - I| = {defect:.3e}"

@@ -488,8 +488,8 @@ def analytic_bin_distribution(components, m_index: int) -> np.ndarray:
     if not (abs(total - 1.0) <= 1e-9):
         raise ValueError(f"component weights must sum to 1, got {total!r}")
     M = 2**m_index
-    delta = phases[:, None] - (2.0 * np.pi / M) * np.arange(M)[None, :]
-    return weights @ _dirichlet_amplitude(delta, M, phase=False) ** 2
+    ratio = _dirichlet_amplitude(phases, np.arange(M), M, phase=False)
+    return weights @ np.square(ratio, out=ratio)
 
 
 def analytic_collapsed_states(
@@ -513,34 +513,56 @@ def analytic_collapsed_states(
     overlaps, phases = oracle.spectral_amplitudes(va, decomposition, t)
     if not np.isfinite(phases).all():
         raise ValueError("eigenphases must be finite")
-    M = 2**m_index
     bins = [int(j) for j in bins]
-    delta = phases[:, None] - (2.0 * np.pi / M) * np.array(bins, dtype=float)[None, :]
-    predicted = decomposition.from_eigenbasis(overlaps[:, None] * _dirichlet_amplitude(delta, M))
+    amplitudes = _dirichlet_amplitude(phases, np.array(bins, dtype=float), 2**m_index)
+    predicted = decomposition.from_eigenbasis(
+        np.multiply(overlaps[:, None], amplitudes, out=amplitudes))
+    del amplitudes
     norms = np.linalg.norm(predicted, axis=0)
     for j, norm in zip(bins, norms):
         if not (norm > 0.0):  # NaN fails closed
             raise ValueError(f"predicted state for bin {j} has norm {norm!r}")
-    return dict(zip(bins, np.ascontiguousarray((predicted / norms).T)))
+    predicted /= norms
+    return dict(zip(bins, np.ascontiguousarray(predicted.T)))
 
 
 #: |sin(d/2)| below this counts as d = 0 mod 2*pi, where the sine ratio is 1.
 _ON_GRID = 1e-12
 
 
-def _dirichlet_amplitude(delta: np.ndarray, M: int, phase: bool = True) -> np.ndarray:
-    """D_M(d) = (1/M) sum_{p<M} e^{ipd} = e^{i(M-1)d/2} sin(M*d/2)/(M sin(d/2)).
+def _dirichlet_amplitude(
+    phases: np.ndarray, bins: np.ndarray, M: int, phase: bool = True
+) -> np.ndarray:
+    """D_M(d) = (1/M) sum_{p<M} e^{ipd} = e^{i(M-1)d/2} sin(M*d/2)/(M sin(d/2))
+    at d = w_k - 2*pi*j/M, phase w_k down the rows and bin j along the columns.
 
     The geometric series in closed form (Cleve et al. 1998), with d first
     wrapped into (-pi, pi].  On the grid only the sine ratio is set to 1; the
     phase factor is kept, since (M-1)d/2 there still reaches about 1e-9 at
-    M = 1024.  Without ``phase`` only the real sine ratio is returned.
+    M = 1024.  Without ``phase`` only the real sine ratio is returned.  Each
+    step writes in place, bit for bit the whole-array expressions.
     """
-    d = np.pi - np.mod(np.pi - delta, 2.0 * np.pi)
-    half_sin = np.sin(d / 2.0)
-    on_grid = np.abs(half_sin) < _ON_GRID
-    ratio = np.where(on_grid, 1.0, np.sin(M * d / 2.0) / (M * np.where(on_grid, 1.0, half_sin)))
-    return np.exp(0.5j * (M - 1) * d) * ratio if phase else ratio
+    d = phases[:, None] - (2.0 * np.pi / M) * bins[None, :]
+    np.subtract(np.pi, d, out=d)
+    np.mod(d, 2.0 * np.pi, out=d)
+    np.subtract(np.pi, d, out=d)
+    denominator = np.divide(d, 2.0)
+    np.sin(denominator, out=denominator)
+    on_grid = np.abs(denominator) < _ON_GRID
+    denominator[on_grid] = 1.0
+    denominator *= M
+    ratio = np.multiply(M, d)
+    ratio /= 2.0
+    np.sin(ratio, out=ratio)
+    ratio /= denominator
+    ratio[on_grid] = 1.0
+    if not phase:
+        return ratio
+    del denominator
+    amplitude = np.multiply(0.5j * (M - 1), d)
+    np.exp(amplitude, out=amplitude)
+    amplitude *= ratio
+    return amplitude
 
 
 def phase_to_energy(phase: float, t: float) -> float:
@@ -693,6 +715,7 @@ def audit(run: Run, *, _corrupt_qft_sign: bool = False) -> AuditReport:
     other = "binary_power" if config.power_method == "block" else "block"
     cross = pre_measurement_state(run.guess, replace(config, power_method=other)).amplitudes
     route_deviation = float(np.abs(cross - pre.amplitudes).max())
+    del cross
     if not (route_deviation <= ROUTE_TOL):
         raise AuditFailure(
             f"route check: {config.power_method} and {other} differ by up to "

@@ -33,10 +33,13 @@ MAX_GATE_ARITY = 12
 NORM_TOL = 1e-6
 #: Allowed deviation of max |G^dag G - I| from 0 for gate matrices.
 UNITARY_TOL = 1e-10
+#: Rows per slab of the dense checks: at 2^12 a complex slab is 4 MiB.
+CHECK_ROWS = 64
 
 
 class GateMatrix:
-    """A unitary acting on ``arity`` qubits, validated at construction."""
+    """A unitary acting on ``arity`` qubits: a read-only copy, validated by
+    :func:`unitarity_defect` (the copy plus one slab at peak)."""
 
     __slots__ = ("arity", "matrix")
 
@@ -52,7 +55,7 @@ class GateMatrix:
             raise ValueError(
                 f"gate acts on {arity} qubits; dense application is capped at {MAX_GATE_ARITY}"
             )
-        defect = float(np.abs(mat.conj().T @ mat - np.eye(dim)).max())
+        defect = unitarity_defect(mat)
         if not (defect <= UNITARY_TOL):  # NaN fails closed
             raise ValueError(f"gate is not unitary: max|G^dag G - I| = {defect:.3e}")
         mat.setflags(write=False)
@@ -63,10 +66,30 @@ class GateMatrix:
         return f"GateMatrix(arity={self.arity})"
 
 
+def unitarity_defect(matrix: np.ndarray) -> float:
+    """max|G^dag G - I| for a square G, not finite if G^dag G is not: its
+    upper triangle (half the products) in slabs of ``CHECK_ROWS`` rows, one
+    buffer, their maxima taken by ``np.maximum``, which keeps a NaN."""
+    dim = len(matrix)
+    real = not np.iscomplexobj(matrix)
+    buffer = np.empty(min(dim, CHECK_ROWS) * dim, dtype=matrix.dtype)
+    worst = 0.0
+    for start in range(0, dim, CHECK_ROWS):
+        columns = matrix[:, start : start + CHECK_ROWS]
+        width = dim - start
+        slab = np.matmul((columns if real else columns.conj()).T, matrix[:, start:],
+                         out=buffer[: columns.shape[1] * width].reshape(-1, width))
+        slab.reshape(-1)[:: width + 1] -= 1.0  # minus I on the slab's diagonal
+        worst = np.maximum(worst, np.abs(slab, out=slab if real else None).max())
+    return float(worst)
+
+
 def _near_unitary(matrix: np.ndarray) -> np.ndarray:
     """``matrix``, snapped back onto the unitary manifold (the polar factor
     of its SVD) when float drift approaches the gate tolerance."""
-    defect = np.abs(matrix.conj().T @ matrix - np.eye(len(matrix))).max()
+    defect = unitarity_defect(matrix)
+    if not np.isfinite(defect):
+        raise ContractViolation(f"matrix power is not finite: defect {defect}")
     if defect > UNITARY_TOL / 4:
         u, _, vh = np.linalg.svd(matrix)
         matrix = u @ vh

@@ -166,6 +166,37 @@ def dirichlet_amplitude(omega, j, bins):
     ) / bins
 
 
+def dirichlet_closed_form(delta, M):
+    """The closed-form Dirichlet kernel D_M over a whole (phases, bins)
+    array of ``delta``, one full-size temporary per step: (sine ratio,
+    amplitude)."""
+    d = np.pi - np.mod(np.pi - delta, 2.0 * np.pi)
+    half_sin = np.sin(d / 2.0)
+    on_grid = np.abs(half_sin) < 1e-12
+    ratio = np.where(on_grid, 1.0, np.sin(M * d / 2.0) / (M * np.where(on_grid, 1.0, half_sin)))
+    return ratio, np.exp(0.5j * (M - 1) * d) * ratio
+
+
+def unitarity_defect(matrix):
+    """max|G^dag G - I| over the whole product and identity at once."""
+    return float(np.abs(matrix.conj().T @ matrix - np.eye(len(matrix))).max())
+
+
+def non_finite_last_rows(matrix, kind):
+    """A copy of a square ``matrix`` made non-finite in its last rows.
+    "nan" and "inf" set its last diagonal entry.  "overflow" sets its last
+    2 x 2 block to [[e, e], [e, -e]] with e = 1e200: every entry is finite,
+    but e^2 overflows, so for an identity ``matrix`` G^dag G is exactly I
+    outside its last two rows and not finite in them."""
+    matrix = np.array(matrix)
+    if kind == "overflow":
+        e = 1e200
+        matrix[-2:, -2:] = [[e, e], [e, -e]]
+    else:
+        matrix[-1, -1] = np.nan if kind == "nan" else np.inf
+    return matrix
+
+
 def with_flag(amps):
     """``amps`` with a clear flag qubit added on top, the register of the
     flipped-flag circuits below: the flag-set half is zero."""

@@ -696,6 +696,19 @@ class TestTrotterBench:
         _, rows = read_rows(tmp_path / "zz.trotter.csv")
         assert all(float(r[1]) <= 1e-9 for r in rows)
 
+    @pytest.mark.parametrize("sweep", [[1], [2]], ids=["r=1", "r=2"])
+    def test_non_finite_slice_power_exits_3(self, tmp_path, monkeypatch, capsys, sweep):
+        """A slice holding a NaN fails closed, as itself (r = 1, no product
+        checked) or in its powering (r = 2, the snap check), before any file
+        is written."""
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(ham.HamiltonianSum, "step_matrix",
+                            lambda self, dt: np.full((2, 2), np.nan, dtype=complex))
+        cfg = dict(self.X_PLUS_Z, time=1.0, slice_sweep=sweep, out="xz")
+        assert cli.main(["trotter-bench", "--config", write_config(tmp_path, cfg)]) == 3
+        assert "not finite" in capsys.readouterr().err
+        assert list(tmp_path.glob("xz*")) == []
+
     def test_rejects_explicit_unitary(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
         cfg = dict(DIAG_I, time=1.0, slice_sweep=[1, 2])

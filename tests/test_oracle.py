@@ -109,13 +109,14 @@ def test_assemble_dense_holds_one_matrix(traced_peak):
 
 
 def test_real_matrix_is_decomposed_without_a_complex_copy(traced_peak):
-    """A float64 TFIM-9 matrix is checked and solved in real arithmetic:
-    beyond the eigenvectors it returns, it never holds as much as one
-    complex128 copy of the matrix."""
+    """A float64 TFIM-9 matrix is checked and solved in real arithmetic,
+    both checks over slabs of rows: beyond the eigenvectors it returns, it
+    holds less than a quarter of the matrix (the whole-matrix checks held
+    two of its size)."""
     a = build_transverse_ising(9, 1.0, 0.7).dense_hamiltonian()
     d, peak = traced_peak(lambda: eigendecompose(a))
     assert d.eigenvectors.dtype == np.float64
-    assert peak < a.astype(np.complex128).nbytes + d.eigenvectors.nbytes
+    assert peak < d.eigenvectors.nbytes + a.nbytes / 4
 
 
 @pytest.mark.parametrize("case, kind", [("tfim4", "real"), ("pauli-y", "complex")])
@@ -198,8 +199,9 @@ def test_rejects_nan_matrix():
 
 
 def test_rejects_nonsquare():
-    with pytest.raises(ValueError):
-        eigendecompose(np.zeros((2, 3)))
+    for shape in [(2, 3), (0, 0)]:
+        with pytest.raises(ValueError, match="non-empty square"):
+            eigendecompose(np.zeros(shape))
 
 
 def test_degenerate_eigenspace_projectors():
@@ -265,6 +267,37 @@ def test_nan_is_refused_before_any_solver(monkeypatch, bad):
     a[1, 1] = bad
     with pytest.raises(ValueError, match="Hermitian"):
         eigendecompose(a)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow and Inf - Inf
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("kind", ["real", "complex"])
+def test_non_finite_entry_in_the_last_slab_is_refused_before_any_solver(monkeypatch, bad, kind):
+    """TFIM-7's 128 x 128 matrix with its last diagonal entry NaN or Inf:
+    the entry lies in the last of two row slabs alone, and fails the
+    Hermiticity check (Inf - Inf is NaN) before eigh runs."""
+    a = build_transverse_ising(7, 1.0, 0.7).dense_hamiltonian()
+    a = ref.non_finite_last_rows(a if kind == "real" else a.astype(np.complex128), bad)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("eigh ran on a matrix with a non-finite entry")
+
+    monkeypatch.setattr(np.linalg, "eigh", forbidden)
+    with pytest.raises(ValueError, match="Hermitian"):
+        eigendecompose(a)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow and Inf - Inf
+@pytest.mark.parametrize("bad", ["nan", "inf", "overflow"])
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+def test_non_finite_eigenvectors_in_the_last_slab_are_refused(monkeypatch, bad, dtype):
+    """Eigenvectors of dimension 128 (two slabs of V^dag V) that are not
+    finite in their last row, or whose V^dag V overflows only in its last
+    two rows, fail the orthonormality check."""
+    vectors = ref.non_finite_last_rows(np.eye(128, dtype=dtype), bad)
+    monkeypatch.setattr(np.linalg, "eigh", lambda matrix: (np.arange(128.0), vectors))
+    with pytest.raises(ContractViolation, match="orthonormal"):
+        eigendecompose(np.diag(np.arange(128.0)).astype(dtype))
 
 
 def perturb_eigenvectors(monkeypatch, entry):

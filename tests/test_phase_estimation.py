@@ -905,9 +905,45 @@ def test_dirichlet_amplitude_matches_direct_sum(m_index):
         np.concatenate([[0, 1, 2, 3, M - 2, M - 1], rng.integers(0, M, 10)])
     )
     for omega in omegas:
-        got = pe._dirichlet_amplitude(omega - step * bins, M)
+        (got,) = pe._dirichlet_amplitude(np.array([omega]), bins, M)
         want = [ref.dirichlet_amplitude(omega, int(j), M) for j in bins]
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("m_index", [1, 4, 10])
+@pytest.mark.parametrize("shape", ["one row", "one bin", "rows by bins"])
+def test_dirichlet_kernel_is_the_whole_array_formula(m_index, shape):
+    """Written step by step into its own arrays, the kernel equals the
+    whole-array closed form bit for bit, the sine ratio and the amplitude,
+    on and next to the grid and across the wrap at 2*pi."""
+    M = 2**m_index
+    step = 2 * np.pi / M
+    rng = np.random.default_rng(64 + m_index)
+    phases = np.concatenate([
+        step * np.arange(0, M, max(1, M // 8)),  # on the grid
+        [step + 1e-13, 2 * np.pi - 1e-13, 0.0],
+        rng.uniform(0, 2 * np.pi, 20),
+    ])
+    bins = np.arange(M)
+    if shape == "one row":
+        phases = phases[-1:]
+    elif shape == "one bin":
+        bins = bins[-1:]
+    ratio, amplitude = ref.dirichlet_closed_form(phases[:, None] - step * bins[None, :], M)
+    assert np.array_equal(pe._dirichlet_amplitude(phases, bins, M, phase=False), ratio)
+    assert np.array_equal(pe._dirichlet_amplitude(phases, bins, M), amplitude)
+
+
+def test_audit_holds_a_few_states(traced_peak):
+    """The bench oracle-audit run (TFIM-7, 128 bins, flag loop) stays under
+    six states of 2^14 amplitudes: the closed forms write into their own
+    arrays and the second route's state is dropped once compared (with
+    whole-array temporaries it peaked at 7.7, in the collapse predictions)."""
+    run = pe.Run({"problem": "tfim", "sites": 7, "m_index": 7, "time": 0.25,
+                  "power_method": "flag_loop"})
+    report, peak = traced_peak(lambda: pe.audit(run))
+    assert report.worst_bin >= 0
+    assert peak < 6 * 16 * 2**run.config.layout.total_qubits
 
 
 def test_analytic_collapsed_states_refuse_non_finite_time():

@@ -105,6 +105,73 @@ def test_unitary_powers_stay_unitary_at_huge_exponents():
             assert np.abs(got - want).max() <= 1e-8
 
 
+def defect_case(kind, dim, rng):
+    """A square matrix for the unitarity-defect checks; the drifted ones
+    put their largest entry of G^dag G - I in the first or the last slab."""
+    if kind == "real orthogonal":
+        return np.linalg.qr(rng.normal(size=(dim, dim)))[0]
+    if kind == "general":
+        return rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    u = ref.random_unitary(dim, rng)
+    if kind != "unitary":
+        u[:, 0 if kind == "first column drifted" else -1] *= 1 + 1e-7
+    return u
+
+
+@pytest.mark.parametrize("dim", [2, 64, 100, 256], ids=lambda d: f"dim{d}")
+@pytest.mark.parametrize(
+    "kind", ["unitary", "real orthogonal", "general", "first column drifted", "last column drifted"]
+)
+def test_unitarity_defect_matches_the_whole_product(dim, kind):
+    """One slab (dim <= CHECK_ROWS) or several, with a short last slab at
+    dim 100: the blocked upper triangle of G^dag G - I has the whole
+    product's largest magnitude, to rounding."""
+    assert statevector.CHECK_ROWS == 64
+    g = defect_case(kind, dim, np.random.default_rng(dim))
+    got, want = statevector.unitarity_defect(g), ref.unitarity_defect(g)
+    assert got == pytest.approx(want, rel=1e-12, abs=1e-14)
+    if "drifted" in kind:
+        assert got == pytest.approx(2e-7, rel=1e-3)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow and Inf - Inf
+@pytest.mark.parametrize("kind", ["nan", "inf", "overflow"])
+def test_non_finite_defect_in_the_last_slab_fails_closed(kind):
+    """A NaN or Inf in the last row of a 128 x 128 matrix (two slabs), or
+    finite last rows whose G^dag G overflows there while every other row
+    of it is exactly I: the defect is not finite, so the gate is refused
+    and ``_near_unitary`` raises instead of snapping (an SVD would have made
+    a unitary of the overflowing one).  A NaN is in every slab's maximum
+    here, which a reduction by Python's ``max`` from 0 would drop."""
+    if kind == "overflow":
+        g = ref.non_finite_last_rows(np.eye(128, dtype=complex), kind)
+    else:
+        g = ref.non_finite_last_rows(ref.random_unitary(128, np.random.default_rng(7)), kind)
+    assert not np.isfinite(statevector.unitarity_defect(g))
+    with pytest.raises(ValueError, match="not unitary"):
+        GateMatrix(g)
+    with pytest.raises(ContractViolation, match="not finite"):
+        statevector._near_unitary(g)
+
+
+@pytest.mark.parametrize("power", [2, 3, 2**20 + 1])
+def test_unitary_power_of_a_nan_matrix_raises(power):
+    u = ref.random_unitary(4, np.random.default_rng(61))
+    u[3, 3] = np.nan
+    with pytest.raises(ContractViolation, match="not finite"):
+        statevector._unitary_power(u, power)
+
+
+def test_gate_matrix_holds_its_copy_and_one_slab(traced_peak):
+    """Beyond its read-only copy of U, construction holds one slab of
+    G^dag G and its magnitudes: a 2^10 unitary (16 MiB) peaks below 1.25 U;
+    the whole product, identity and difference took 3 U."""
+    u = ref.random_unitary(2**10, np.random.default_rng(62))
+    gate, peak = traced_peak(lambda: GateMatrix(u))
+    assert gate.arity == 10
+    assert peak < 1.25 * u.nbytes
+
+
 def test_single_qubit_gates_match_dense_embedding():
     rng = np.random.default_rng(11)
     state_amps = ref.random_state(4, rng)
