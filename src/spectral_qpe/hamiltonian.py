@@ -44,10 +44,7 @@ class LocalTerm:
             raise ValueError(
                 f"term matrix shape {mat.shape} does not match support size {k}"
             )
-        scale = max(1.0, float(np.abs(mat).max()))
-        defect = float(np.abs(mat - mat.conj().T).max())
-        if not (defect <= oracle.HERMITICITY_TOL * scale):  # NaN fails closed
-            raise ValueError(f"term is not Hermitian: max|H - H^dag| = {defect:.3e}")
+        oracle.check_hermitian(mat, "term", "H")
         mat.setflags(write=False)
         self.support = support
         self.matrix = mat
@@ -182,6 +179,6 @@ def unitary_from_decomposition(
     """e^{-iHt} = V (diag(e^{-i lambda t}) V^dag) from H's spectral
     decomposition; for a real V the weighted V^dag is the only matrix built
     besides U, and it is freed before U is copied and checked by slabs."""
-    phases = np.exp(-1j * decomposition.eigenvalues * t)[:, None]
+    phases = decomposition.evolution_phases(t)[:, None]
     return sv.GateMatrix(decomposition.from_eigenbasis(
         np.multiply(decomposition.eigenvectors.conj().T, phases, order="C")))

@@ -126,6 +126,11 @@ class SpectralDecomposition:
         """||H|| itself: the largest |eigenvalue|."""
         return float(np.abs(self.eigenvalues).max())
 
+    def evolution_phases(self, t: float) -> np.ndarray:
+        """e^{-i lambda_k t}, the eigenvalues of U = e^{-iHt} in the order of
+        the eigenvectors."""
+        return np.exp(-1j * self.eigenvalues * t)
+
     def to_eigenbasis(self, x: np.ndarray) -> np.ndarray:
         """V^dag x, for a vector x or a (dim, K) block of columns.
 
@@ -164,6 +169,20 @@ def _real_product(matrix: np.ndarray, operand, out: np.ndarray | None = None) ->
     return out
 
 
+def check_hermitian(mat: np.ndarray, name: str, symbol: str) -> None:
+    """The one Hermiticity check: raise ``ValueError`` naming ``name`` unless
+    max|A - A^dag| <= ``HERMITICITY_TOL`` * max(1, max|A|), both maxima
+    taken over slabs of ``CHECK_ROWS`` rows, so no full-size temporary is
+    made.  NaN fails it."""
+    scale, defect = 1.0, 0.0
+    for start in range(0, len(mat), CHECK_ROWS):
+        rows = slice(start, start + CHECK_ROWS)
+        scale = np.maximum(scale, np.abs(mat[rows]).max())
+        defect = np.maximum(defect, np.abs(mat[rows] - mat[:, rows].conj().T).max())
+    if not (defect <= HERMITICITY_TOL * scale):  # NaN fails closed
+        raise ValueError(f"{name} is not Hermitian: max|{symbol} - {symbol}^dag| = {defect:.3e}")
+
+
 def eigendecompose(matrix) -> SpectralDecomposition:
     """Full decomposition of a dense Hermitian matrix, eigenvalues ascending.
 
@@ -171,11 +190,11 @@ def eigendecompose(matrix) -> SpectralDecomposition:
     reads the entries.  A real matrix stays float64, with no complex copy,
     and a complex one whose imaginary part is exactly zero is real
     symmetric too: both go to the real solver, several times faster, and
-    their eigenvectors come back as float64.  The checks are Hermiticity,
-    max|A - A^dag| <= ``HERMITICITY_TOL`` * max(1, max|A|), and
-    orthonormality of the eigenvectors, max|V^dag V - I| <= ``UNITARY_TOL``,
-    the gate tolerance: every e^{-iHt} built from them, in closed form or
-    densely, is then unitary to it.  Both run over row slabs, so neither
+    their eigenvectors come back as float64.  The checks are Hermiticity
+    (:func:`check_hermitian`) and orthonormality of the eigenvectors,
+    max|V^dag V - I| <= ``UNITARY_TOL``, the gate tolerance: every e^{-iHt}
+    built from them, in closed form or densely, and every step of the
+    eigenbasis flag loop, is then unitary to it.  Both run over row slabs, so neither
     makes a full-size temporary.  NaN fails both; a failed Hermiticity
     check raises ``ValueError``, a failed orthonormality check
     ``ContractViolation``.
@@ -191,13 +210,7 @@ def eigendecompose(matrix) -> SpectralDecomposition:
         )
     real = not np.iscomplexobj(mat)
     mat = mat.astype(np.float64 if real else np.complex128, copy=False)
-    scale, defect = 1.0, 0.0
-    for start in range(0, len(mat), CHECK_ROWS):
-        rows = slice(start, start + CHECK_ROWS)
-        scale = np.maximum(scale, np.abs(mat[rows]).max())
-        defect = np.maximum(defect, np.abs(mat[rows] - mat[:, rows].conj().T).max())
-    if not (defect <= HERMITICITY_TOL * scale):  # NaN fails closed
-        raise ValueError(f"matrix is not Hermitian: max|A - A^dag| = {defect:.3e}")
+    check_hermitian(mat, "matrix", "A")
     if not (real or mat.imag.any()):
         real, mat = True, mat.real
     eigenvalues, eigenvectors = np.linalg.eigh(mat)

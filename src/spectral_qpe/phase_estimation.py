@@ -21,9 +21,13 @@ read out by the gate-level inverse QFT: the per-index-bit binary route,
 whose controlled powers run gate by gate, and the comparator loop, whose
 step i applies U to index columns [i, M) in place.  A comparator flag
 would mark those columns and be uncomputed within the step, so the loop
-carries no flag qubit.  The engine and the loop apply U through one map on
-blocks of system columns, :func:`_step_map`, so for a sliced source the
-binary route, which runs the source's gate-level steps, is the only
+carries no flag qubit.  In exact evolution V acts on the system register
+alone and commutes with every flag step, so the loop runs in the
+eigenbasis, where step i multiplies the window by e^{-iEt}, and builds no
+dense U; the binary route's dense U and its squares are then the one dense
+witness of e^{-iHt}.  Otherwise the engine and the loop apply U through one
+map on blocks of system columns, :func:`_step_map`, so for a sliced source
+the binary route, which runs the source's gate-level steps, is the only
 independent check of that map.
 All three must agree to 1e-10 per amplitude and the tests enforce that.
 The module also carries the closed-form measurement distribution and
@@ -77,9 +81,9 @@ class PhaseEstimationConfig:
     * ``unitary`` -- a dense gate over the system register, taken to be
       e^{-iHt} as is;
     * ``decomposition`` -- the :class:`~spectral_qpe.oracle.SpectralDecomposition`
-      of H, for exact evolution U = e^{-iHt}.  The block engine works in its
-      eigenbasis and never forms U; the gate routes build the dense U from
-      it once, with
+      of H, for exact evolution U = e^{-iHt}.  The block engine and the
+      flag loop work in its eigenbasis and never form U; the binary route
+      builds the dense U from it once, with
       :func:`~spectral_qpe.hamiltonian.unitary_from_decomposition`; or
     * ``source`` -- an evolution source, run as ``slices`` steps of
       ``dt = time / slices``: a :class:`~spectral_qpe.hamiltonian.HamiltonianSum`
@@ -221,38 +225,42 @@ def default_peak_threshold(trials: int) -> float:
 def prepare_index_superposition(
     state: sv.StateVector, layout: sv.RegisterLayout
 ) -> sv.StateVector:
-    """Hadamard every index qubit: |0>|sys> -> (1/sqrt(M)) sum_j |j>|sys>."""
+    """Hadamard every index qubit: |0>|sys> -> (1/sqrt(M)) sum_j |j>|sys>.
+
+    The layer's result is written in one pass: the index-0 column spread
+    over every bin.  Its 1/sqrt(M) is applied to that 2^l column as one
+    factor of the Hadamard's 1/sqrt(2) per index qubit, so the bits are
+    those of the gate-by-gate layer; beyond its input the call holds only
+    its output.
+    """
     if state.num_qubits != layout.total_qubits:
         raise ValueError(
             f"state has {state.num_qubits} qubits, layout spans {layout.total_qubits}"
         )
     # The index bits are the low ones: column v of this view is index value v.
+    columns = state.amplitudes.reshape(-1, layout.num_bins)
     # The largest |amplitude| off index 0; a NaN gives NaN.
-    residue = float(np.abs(state.amplitudes.reshape(-1, layout.num_bins)[:, 1:]).max())
+    residue = float(np.abs(columns[:, 1:]).max())
     if not (residue <= INDEX_RESIDUE_TOL):  # NaN fails closed
         raise ValueError(f"index register is not |0...0>: residue amplitude {residue:.3e}")
-    h = sv.hadamard()
-    for qubit in layout.index_qubits:
-        state = sv.apply_gate(state, h, [qubit])
-    return state
+    column, half = columns[:, :1], sv.hadamard().matrix[0, 0]  # 1/sqrt(2)
+    for _ in layout.index_qubits:
+        column = column * half
+    amps = np.empty_like(state.amplitudes)
+    amps.reshape(columns.shape)[:] = column
+    return sv._wrap_state(layout.total_qubits, amps)
 
 
 def _step_map(config: PhaseEstimationConfig):
     """U as a map on (2^l, K) blocks of system columns (and on single
-    vectors), the one map the block engine and the flag loop apply: a
-    source's ``system_step`` over ``slices`` steps, or the dense U times the
-    block."""
+    vectors), for an explicit unitary or a source: the map the block engine
+    repeats and the flag loop applies to its windows.  It is a source's
+    ``system_step`` over ``slices`` steps, or the dense U times the block.
+    Exact evolution has no step map: both routes work in the eigenbasis."""
     if config.source is not None:
         return config.source.system_step(config.time / config.slices, config.slices)
-    matrix = _dense_unitary(config).matrix
+    matrix = config.unitary.matrix
     return lambda block: matrix @ block
-
-
-def _dense_unitary(config: PhaseEstimationConfig) -> sv.GateMatrix:
-    """The config's unitary, or U built from its decomposition."""
-    if config.unitary is not None:
-        return config.unitary
-    return ham.unitary_from_decomposition(config.decomposition, config.time)
 
 
 def apply_conditional_powers_flag_loop(
@@ -265,12 +273,29 @@ def apply_conditional_powers_flag_loop(
     j thus receives exactly U^j.  The loop counter is classical and U maps
     zero to zero, so in the (system, index) view of the amplitudes the three
     compose exactly to U on the index columns [i, M): the flag is set and
-    cleared within each step and needs no qubit.  The loop copies the input
-    once, writes :func:`_step_map` of the window's (2^l, M - i) block of
-    system columns back in place for i = 1..M-1 and norm-checks the whole
-    state after each step; step M has an empty window and is skipped.
+    cleared within each step and needs no qubit.  Step M has an empty
+    window and is skipped; the whole state is norm-checked after each of
+    the steps 1..M-1.
+
+    For exact evolution U = V e^{-iEt} V^dag, and V acts on the system
+    register alone, so it commutes with every flag step (Cleve et al. 1998):
+    the loop moves the (2^l, M) system columns into the eigenbasis once,
+    multiplies the window [:, i:] by e^{-iEt} in place for i = 1..M-1 and
+    comes back once.  No dense U is built, and beyond its input the loop
+    holds the eigenbasis columns and its output.  Otherwise it copies the
+    input once and writes :func:`_step_map` of the window's (2^l, M - i)
+    block of system columns back in place.
     """
     num_bins = config.layout.num_bins
+    decomposition = config.decomposition
+    if decomposition is not None:
+        columns = decomposition.to_eigenbasis(state.amplitudes.reshape(-1, num_bins))
+        phases = decomposition.evolution_phases(config.time)[:, None]
+        for i in range(1, num_bins):
+            columns[:, i:] *= phases
+            sv._check_norm(columns)
+        amps = decomposition.from_eigenbasis(columns).reshape(-1)
+        return sv._wrap_state(state.num_qubits, amps)
     amps = state.amplitudes.copy()
     columns = amps.reshape(-1, num_bins)
     step = _step_map(config)
@@ -295,7 +320,9 @@ def apply_conditional_powers_binary(
             for _ in range(2**s * config.slices):
                 state = config.source.apply_step(state, dt, system, [qubit])
         return state
-    gate = _dense_unitary(config)
+    gate = config.unitary
+    if gate is None:
+        gate = ham.unitary_from_decomposition(config.decomposition, config.time)
     for s, qubit in enumerate(config.layout.index_qubits):
         if s:
             gate = sv.GateMatrix(sv._stable_square(gate.matrix))
@@ -612,7 +639,7 @@ class Run:
     Hamiltonian runs as U = e^{-iHt} from its decomposition, which the
     config carries in place of the source.  The decomposition is computed
     last, so every refusal (a :class:`ConfigFieldError` naming its key)
-    precedes it; no dense U is built unless a gate route needs one.
+    precedes it; no dense U is built unless the binary route needs one.
     """
 
     def __init__(self, cfg: dict) -> None:

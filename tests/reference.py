@@ -85,6 +85,17 @@ def moveaxis_apply(amps, q, matrix, targets, controls=()):
     return out
 
 
+def hadamard_layer(amps, qubits):
+    """A Hadamard on each of ``qubits`` in turn, one gate at a time through
+    :func:`moveaxis_apply`."""
+    amps = np.asarray(amps, dtype=np.complex128)
+    q = len(amps).bit_length() - 1
+    hadamard = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
+    for qubit in qubits:
+        amps = moveaxis_apply(amps, q, hadamard, [qubit])
+    return amps
+
+
 def row_engine_state(va_amps, step, num_bins):
     """The block engine with U^j|va> in row j of psi: the FFT along axis 0,
     then a transposed copy into the register layout (index bits low)."""

@@ -939,27 +939,32 @@ def count_dense_unitaries(monkeypatch):
     return built, validated
 
 
-@pytest.mark.parametrize("command", ["solve", "spectrum"])
-def test_exact_block_runs_build_no_dense_unitary(tmp_path, monkeypatch, command):
-    """The engine works in the eigenbasis: an exact block run never forms
-    or validates the dense 2^l x 2^l e^{-iHt}."""
+@pytest.mark.parametrize("command, extra", [
+    ("solve", {"m_index": 6, "trials": 500}),
+    ("spectrum", {"m_index": 6, "trials": 500}),
+    ("solve", {"power_method": "flag_loop", "m_index": 4, "trials": 50}),
+    ("oracle-check", {"m_index": 4, "power_method": "flag_loop"}),
+], ids=["solve", "spectrum", "flag_loop", "oracle-check-flag_loop"])
+def test_exact_runs_build_no_dense_unitary(tmp_path, monkeypatch, command, extra):
+    """The engine and the flag loop work in the eigenbasis: an exact block
+    or flag-loop run, and the audit of a flag-loop config (whose route check
+    is the engine), never form or validate the dense 2^l x 2^l e^{-iHt}."""
     built, validated = count_dense_unitaries(monkeypatch)
     monkeypatch.chdir(tmp_path)
-    cfg = dict(_TFIM4, m_index=6, trials=500, out="eig")
+    cfg = dict(_TFIM4, out="eig", **extra)
     assert cli.main([command, "--config", write_config(tmp_path, cfg)]) == 0
     assert built == [] and validated == []
 
 
 @pytest.mark.parametrize("command, extra", [
     ("solve", {"power_method": "binary_power", "m_index": 4, "trials": 50}),
-    ("solve", {"power_method": "flag_loop", "m_index": 4, "trials": 50}),
     ("oracle-check", {"m_index": 4}),
-    ("oracle-check", {"m_index": 4, "power_method": "flag_loop"}),
     ("trotter-bench", {"slice_sweep": [1, 2, 4]}),
-], ids=["binary_power", "flag_loop", "oracle-check", "oracle-check-flag_loop", "trotter-bench"])
+], ids=["binary_power", "oracle-check", "trotter-bench"])
 def test_dense_unitary_is_built_once_where_needed(tmp_path, monkeypatch, command, extra):
-    """The gate routes, the audit's route check and the Trotter sweep build
-    the dense e^{-iHt} from the decomposition exactly once per run."""
+    """The binary route, the audit's route check of a block config (by the
+    binary route) and the Trotter sweep build the dense e^{-iHt} from the
+    decomposition exactly once per run."""
     built, _ = count_dense_unitaries(monkeypatch)
     monkeypatch.chdir(tmp_path)
     cfg = dict(_TFIM4, out="dense", **extra)

@@ -11,6 +11,7 @@ from spectral_qpe import (
     RegisterLayout,
     assemble_dense,
     build_transverse_ising,
+    eigendecompose,
     exact_unitary,
     load_amplitudes,
     new_basis_state,
@@ -59,6 +60,21 @@ def test_local_term_validation():
 def test_local_term_rejects_nan_matrix():
     with pytest.raises(ValueError, match="Hermitian"):
         LocalTerm([0], [[1.0, 0.0], [0.0, np.nan]])
+
+
+@pytest.mark.parametrize("skew, accepted", [(0.9e-10, True), (1.1e-10, False)])
+def test_terms_and_matrices_share_one_hermiticity_check(skew, accepted):
+    """A term and a dense matrix pass or fail the same tolerance, scaled by
+    max(1, max|A|) (here 2), each refusal with its own message."""
+    matrix = np.array([[2.0, 0.5 + 2 * skew], [0.5, -1.0]])
+    if accepted:
+        LocalTerm([0], matrix)
+        eigendecompose(matrix)
+        return
+    with pytest.raises(ValueError, match=r"^term is not Hermitian: max\|H - H\^dag\| = 2\.200e-10$"):
+        LocalTerm([0], matrix)
+    with pytest.raises(ValueError, match=r"^matrix is not Hermitian: max\|A - A\^dag\| = 2\.200e-10$"):
+        eigendecompose(matrix)
 
 
 def test_hamiltonian_sum_validation():

@@ -8,6 +8,7 @@ import pytest
 import scipy.stats
 
 import reference as ref
+from spectral_qpe import hamiltonian as ham
 from spectral_qpe import oracle
 from spectral_qpe import phase_estimation as pe
 from spectral_qpe import statevector as sv
@@ -238,6 +239,31 @@ def test_prepare_uniform_superposition():
     amps = state.amplitudes.reshape(2, 8)  # [system, index]
     np.testing.assert_allclose(np.abs(amps[1]), 1 / math.sqrt(8), atol=1e-12)
     np.testing.assert_allclose(amps[0], 0, atol=1e-15)
+
+
+@pytest.mark.parametrize("m_index, l_system", [(1, 1), (3, 2), (7, 3), (10, 2)])
+def test_prepare_is_the_per_qubit_hadamard_layer(m_index, l_system):
+    """The one-pass spread equals the reference's Hadamard gates, one per
+    index qubit, to 1e-15 per amplitude, and the package's own gate layer
+    bit for bit."""
+    layout = RegisterLayout(m_index, l_system)
+    lifted = lift(ref.random_state(l_system, np.random.default_rng(30 + m_index)), layout)
+    got = prepare_index_superposition(lifted, layout).amplitudes
+    want = ref.hadamard_layer(lifted.amplitudes, layout.index_qubits)
+    assert np.abs(got - want).max() <= 1e-15
+    gated = lifted
+    for qubit in layout.index_qubits:
+        gated = sv.apply_gate(gated, sv.hadamard(), [qubit])
+    assert np.array_equal(got, gated.amplitudes)
+
+
+def test_prepare_holds_its_output(traced_peak):
+    """Beyond its input the spread holds its output state and one 2^l
+    column (M = 1024); a Hadamard gate per index qubit held three states."""
+    layout = RegisterLayout(10, 4)
+    lifted = lift(ref.random_state(4, np.random.default_rng(31)), layout)
+    state, peak = traced_peak(lambda: prepare_index_superposition(lifted, layout))
+    assert peak <= 1.05 * state.amplitudes.nbytes
 
 
 def test_prepare_twice_rejected():
@@ -634,6 +660,69 @@ def test_dense_flag_loop_holds_two_states(traced_peak):
     config = unitary_config(gate, 10, time=0.5, power_method="flag_loop")
     layout = config.layout
     va = ref.random_state(4, np.random.default_rng(88))
+    state = prepare_index_superposition(lift(va, layout), layout)
+    out, peak = traced_peak(lambda: apply_conditional_powers_flag_loop(state, config))
+    assert out.amplitudes.nbytes == state.amplitudes.nbytes
+    assert peak <= 2.05 * state.amplitudes.nbytes
+
+
+EXACT_FLAG_LOOP_CASES = {
+    "tfim4": {"problem": "tfim", "sites": 4, "field": 0.7},
+    "complex_terms": {"problem": "explicit_terms", "system_qubits": 3, "terms": [
+        {"support": [0, 1], "matrix": [[0.3, [0, -0.5], 0.2, 0], [[0, 0.5], -0.1, 0, [0.4, 0.1]],
+                                       [0.2, 0, 0.6, [0, 0.7]], [0, [0.4, -0.1], [0, -0.7], -0.8]]},
+        {"support": [2], "matrix": [[0.2, [0, -1]], [[0, 1], -0.4]]},
+        {"support": [1, 2], "matrix": [[1, 0, 0, 0], [0, -1, 0, 0], [0, 0, -1, 0], [0, 0, 0, 1]]}]},
+    "tfim4-field0": {"problem": "tfim", "sites": 4, "field": 0.0},
+}
+
+
+@pytest.mark.parametrize("name", sorted(EXACT_FLAG_LOOP_CASES))
+def test_exact_flag_loop_matches_dense_comparator_loop(name):
+    """In the eigenbasis the loop agrees to 1e-12 per amplitude with the
+    flipped comparator loop stepping the dense U from the same
+    decomposition, on a real V (TFIM-4), a complex V (complex explicit
+    terms) and a degenerate spectrum (TFIM-4 at field 0)."""
+    run = pe.Run({"m_index": 6, "time": 0.5, "power_method": "flag_loop",
+                  **EXACT_FLAG_LOOP_CASES[name]})
+    config, layout = run.config, run.config.layout
+    decomposition = config.decomposition
+    assert (decomposition.eigenvectors.dtype == np.float64) == (name != "complex_terms")
+    if name == "tfim4-field0":
+        assert len(ref.degenerate_groups(decomposition.eigenvalues, 1e-8)) < decomposition.dim
+    rng = np.random.default_rng(87)
+    prepared = prepare_index_superposition(
+        lift(ref.random_state(layout.l_system, rng), layout), layout
+    )
+    out = apply_conditional_powers_flag_loop(prepared, config).amplitudes
+    u = ham.unitary_from_decomposition(decomposition, config.time).matrix
+    want = ref.flipped_flag_loop(ref.with_flag(prepared.amplitudes), lambda block: u @ block,
+                                 layout.l_system, layout.num_bins)
+    assert not want[out.size:].any()
+    assert np.abs(out - want[: out.size]).max() <= 1e-12
+
+
+@pytest.mark.parametrize("real", [True, False], ids=["real_tfim6", "complex_terms6"])
+def test_exact_flag_loop_holds_two_states(traced_peak, real):
+    """In the eigenbasis the loop holds, beyond its input, the eigenbasis
+    columns and its output (a complex V's conjugated operand and product
+    before that), at most two states however many steps it runs (M =
+    1024).  Each window multiply also takes numpy's three ufunc buffers of
+    ``np.getbufsize()`` complex entries, 0.375 states at l = 6."""
+    if real:
+        dense = ref.tfim_dense(6, 1.0, 0.7)
+    else:
+        rng = np.random.default_rng(92)
+        dense = HamiltonianSum([LocalTerm([0, 2, 4], ref.random_hermitian(8, rng)),
+                                LocalTerm([1, 3, 5], ref.random_hermitian(8, rng)),
+                                LocalTerm([2, 3], ref.random_hermitian(4, rng))],
+                               6).dense_hamiltonian()
+    decomposition = eigendecompose(dense)
+    assert (decomposition.eigenvectors.dtype == np.float64) == real
+    config = PhaseEstimationConfig(m_index=10, decomposition=decomposition, time=0.5,
+                                   power_method="flag_loop")
+    layout = config.layout
+    va = ref.random_state(layout.l_system, np.random.default_rng(91))
     state = prepare_index_superposition(lift(va, layout), layout)
     out, peak = traced_peak(lambda: apply_conditional_powers_flag_loop(state, config))
     assert out.amplitudes.nbytes == state.amplitudes.nbytes
@@ -1324,16 +1413,18 @@ def test_block_spectrum_holds_one_state(traced_peak):
 
 
 def test_flag_loop_spectrum_holds_six_states(traced_peak):
-    """On the flag-loop route the lifted input register is freed by its
-    first Hadamard, so sampling TFIM-8 at M = 256 peaks at six states of the
-    2^(m+l) register, the dense U (one state at l = m) among them; holding
-    the lifted input to readout made it seven."""
+    """Sampling TFIM-8 at M = 256 on the flag-loop route, in exact
+    evolution, peaks at four states of the 2^(m+l) register, in the
+    gate-level inverse QFT: its input and, while a gate runs, three more.
+    The index spread holds one state beyond its input and the eigenbasis
+    loop two.  The dense U (one state at l = m) and the loop's per-step
+    product made it six, and holding the lifted input to readout seven."""
     run = pe.Run({"problem": "tfim", "sites": 8, "m_index": 8, "time": 0.5,
                   "trials": 2000, "power_method": "flag_loop"})
     state_bytes = 16 * 2**run.config.layout.total_qubits
     result, peak = traced_peak(lambda: sample_spectrum(run.guess, run.config))
     assert result.counts.sum() == 2000
-    assert peak <= 6.1 * state_bytes
+    assert peak <= 4.1 * state_bytes
 
 
 # ---------------------------------------------------------------------------
