@@ -126,10 +126,15 @@ class SpectralDecomposition:
         """||H|| itself: the largest |eigenvalue|."""
         return float(np.abs(self.eigenvalues).max())
 
+    def _eigenphases(self, t: float) -> np.ndarray:
+        """-lambda_k * t, unwrapped: the eigenphases of U = e^{-iHt} in the
+        order of the eigenvectors, the one place that fixes U's sign."""
+        return -self.eigenvalues * t
+
     def evolution_phases(self, t: float) -> np.ndarray:
         """e^{-i lambda_k t}, the eigenvalues of U = e^{-iHt} in the order of
         the eigenvectors."""
-        return np.exp(-1j * self.eigenvalues * t)
+        return np.exp(1j * self._eigenphases(t))
 
     def to_eigenbasis(self, x: np.ndarray) -> np.ndarray:
         """V^dag x, for a vector x or a (dim, K) block of columns.
@@ -241,7 +246,7 @@ def spectral_amplitudes(
             f"{len(va.amplitudes)} amplitudes"
         )
     overlaps = decomposition.to_eigenbasis(va.amplitudes)
-    phases = np.mod(-decomposition.eigenvalues * t, 2.0 * np.pi)
+    phases = np.mod(decomposition._eigenphases(t), 2.0 * np.pi)
     return overlaps, phases
 
 

@@ -53,9 +53,6 @@ from .errors import AuditFailure, ConfigFieldError
 
 log = logging.getLogger(__name__)
 
-#: The index register must be |0...0> to this amplitude tolerance before
-#: its Hadamards.
-INDEX_RESIDUE_TOL = 1e-9
 #: Accepted ``power_method`` values: the block engine, then the gate routes.
 POWER_METHODS = ("block", "binary_power", "flag_loop")
 #: Most trials one run may draw: ``sample_spectrum`` holds one bin per trial,
@@ -222,32 +219,26 @@ def default_peak_threshold(trials: int) -> float:
     return max(0.05, 4.0 / math.sqrt(trials))
 
 
-def prepare_index_superposition(
-    state: sv.StateVector, layout: sv.RegisterLayout
-) -> sv.StateVector:
-    """Hadamard every index qubit: |0>|sys> -> (1/sqrt(M)) sum_j |j>|sys>.
+def _check_guess(va: sv.StateVector, layout: sv.RegisterLayout) -> None:
+    """Refuse a guess that does not span the system register."""
+    if va.num_qubits != layout.l_system:
+        raise ValueError(f"guess state spans {va.num_qubits} qubits but the system "
+                         f"register has {layout.l_system}")
 
-    The layer's result is written in one pass: the index-0 column spread
-    over every bin.  Its 1/sqrt(M) is applied to that 2^l column as one
-    factor of the Hadamard's 1/sqrt(2) per index qubit, so the bits are
-    those of the gate-by-gate layer; beyond its input the call holds only
-    its output.
-    """
-    if state.num_qubits != layout.total_qubits:
-        raise ValueError(
-            f"state has {state.num_qubits} qubits, layout spans {layout.total_qubits}"
-        )
-    # The index bits are the low ones: column v of this view is index value v.
-    columns = state.amplitudes.reshape(-1, layout.num_bins)
-    # The largest |amplitude| off index 0; a NaN gives NaN.
-    residue = float(np.abs(columns[:, 1:]).max())
-    if not (residue <= INDEX_RESIDUE_TOL):  # NaN fails closed
-        raise ValueError(f"index register is not |0...0>: residue amplitude {residue:.3e}")
-    column, half = columns[:, :1], sv.hadamard().matrix[0, 0]  # 1/sqrt(2)
+
+def prepare_index_superposition(va: sv.StateVector, layout: sv.RegisterLayout) -> sv.StateVector:
+    """Hadamard every index qubit of |0...0>|va>: (1/sqrt(M)) sum_j |j>|va>
+    over the 2^(m+l) register, written in one pass.  The 1/sqrt(M) is one
+    factor of the Hadamard's 1/sqrt(2) per index qubit on the 2^l guess, so
+    the bits are those of the gate-by-gate layer; the call holds only its
+    output and that column."""
+    _check_guess(va, layout)
+    column, half = va.amplitudes, sv.hadamard().matrix[0, 0]  # 1/sqrt(2)
     for _ in layout.index_qubits:
         column = column * half
-    amps = np.empty_like(state.amplitudes)
-    amps.reshape(columns.shape)[:] = column
+    amps = np.empty(2**layout.total_qubits, dtype=np.complex128)
+    # The index bits are the low ones: column v of this view is index value v.
+    amps.reshape(-1, layout.num_bins)[:] = column[:, None]
     return sv._wrap_state(layout.total_qubits, amps)
 
 
@@ -346,7 +337,7 @@ def _spectral_columns(
     which never copies V).
     """
     coefficients = decomposition.to_eigenbasis(va.amplitudes)[:, None]
-    rates = -time * decomposition.eigenvalues
+    rates = decomposition._eigenphases(time)
     dim, num_bins = psi.shape
     width = max(1, min(num_bins, _PHASE_BLOCK // dim))
     table = np.empty((dim, width), dtype=np.complex128)
@@ -397,26 +388,14 @@ def _block_engine_state(va: sv.StateVector, config: PhaseEstimationConfig) -> sv
     return sv._wrap_state(layout.total_qubits, psi.reshape(-1))
 
 
-def _lifted_register(va: sv.StateVector, layout: sv.RegisterLayout) -> sv.StateVector:
-    """|0>_index (x) |va>_system as one register, owned by the returned state
-    alone so that the first gate on it frees it."""
-    amps = np.zeros(2**layout.total_qubits, dtype=np.complex128)
-    amps[np.arange(2**layout.l_system) << layout.m_index] = va.amplitudes
-    return sv._wrap_state(layout.total_qubits, amps)
-
-
 def pre_measurement_state(va: sv.StateVector, config: PhaseEstimationConfig) -> sv.StateVector:
     """Everything before measurement, on the route named by
     ``config.power_method``; deterministic (no randomness involved)."""
     layout = config.layout
-    if va.num_qubits != layout.l_system:
-        raise ValueError(
-            f"guess state spans {va.num_qubits} qubits but the system register "
-            f"has {layout.l_system}"
-        )
+    _check_guess(va, layout)
     if config.power_method == "block":
         return _block_engine_state(va, config)
-    state = prepare_index_superposition(_lifted_register(va, layout), layout)
+    state = prepare_index_superposition(va, layout)
     if config.power_method == "flag_loop":
         state = apply_conditional_powers_flag_loop(state, config)
     else:

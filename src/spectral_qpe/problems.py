@@ -106,7 +106,7 @@ class GridRecipe:
     potential (see :func:`sample_potential`), each as a ``ConfigFieldError``.
     """
 
-    __slots__ = ("num_qubits", "potential", "mass", "_phase_cache")
+    __slots__ = ("num_qubits", "potential", "mass")
 
     def __init__(self, num_qubits: int, potential, mass: float) -> None:
         num_qubits = as_int(num_qubits, "system_qubits", *_GRID_QUBITS)
@@ -118,7 +118,6 @@ class GridRecipe:
         self.num_qubits = num_qubits
         self.potential = values
         self.mass = mass
-        self._phase_cache: dict[float, tuple[np.ndarray, np.ndarray]] = {}
 
     def kinetic_energies(self) -> np.ndarray:
         """T(p~) on the centered discrete momentum grid, in index order p."""
@@ -129,14 +128,8 @@ class GridRecipe:
         return wavenumber**2 / (2.0 * self.mass)
 
     def _phases(self, dt: float) -> tuple[np.ndarray, np.ndarray]:
-        cached = self._phase_cache.get(dt)
-        if cached is None:
-            cached = (
-                np.exp(-1j * self.potential * dt),
-                np.exp(-1j * self.kinetic_energies() * dt),
-            )
-            self._phase_cache[dt] = cached
-        return cached
+        """e^{-iV dt} in the position basis and e^{-iT dt} in the momentum basis."""
+        return np.exp(-1j * self.potential * dt), np.exp(-1j * self.kinetic_energies() * dt)
 
     def apply_step(self, state: sv.StateVector, dt: float, system_qubits=None, controls=()) -> sv.StateVector:
         """Apply one slice to the given register (optionally controlled)."""

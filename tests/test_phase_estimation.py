@@ -22,7 +22,6 @@ from spectral_qpe import (
     PhaseEstimationConfig,
     RegisterLayout,
     SpectralDecomposition,
-    StateVector,
     analytic_bin_distribution,
     analytic_collapsed_states,
     apply_conditional_powers_binary,
@@ -39,6 +38,7 @@ from spectral_qpe import (
     pre_measurement_state,
     prepare_index_superposition,
     qft_forward,
+    qft_inverse,
     sample_spectrum,
     spectral_components,
 )
@@ -56,6 +56,11 @@ def lift(va_amps, layout):
     full = np.zeros(2**layout.total_qubits, dtype=complex)
     full[np.arange(len(va_amps)) << layout.m_index] = va_amps
     return load_amplitudes(layout.total_qubits, full)
+
+
+def spread(va_amps, layout):
+    """The index register's Hadamard layer beside the guess ``va_amps``."""
+    return prepare_index_superposition(load_amplitudes(layout.l_system, va_amps), layout)
 
 
 # ---------------------------------------------------------------------------
@@ -234,7 +239,7 @@ def test_config_takes_numpy_integers_as_ints():
 
 def test_prepare_uniform_superposition():
     layout = RegisterLayout(3, 1)
-    state = prepare_index_superposition(lift([0.0, 1.0], layout), layout)
+    state = spread([0.0, 1.0], layout)
     # all 8 index amplitudes equal 1/sqrt(8) on the |1> system branch
     amps = state.amplitudes.reshape(2, 8)  # [system, index]
     np.testing.assert_allclose(np.abs(amps[1]), 1 / math.sqrt(8), atol=1e-12)
@@ -243,12 +248,13 @@ def test_prepare_uniform_superposition():
 
 @pytest.mark.parametrize("m_index, l_system", [(1, 1), (3, 2), (7, 3), (10, 2)])
 def test_prepare_is_the_per_qubit_hadamard_layer(m_index, l_system):
-    """The one-pass spread equals the reference's Hadamard gates, one per
-    index qubit, to 1e-15 per amplitude, and the package's own gate layer
-    bit for bit."""
+    """The one-pass spread of the guess equals the reference's Hadamard
+    gates on the lifted register, one per index qubit, to 1e-15 per
+    amplitude, and the package's own gate layer bit for bit."""
     layout = RegisterLayout(m_index, l_system)
-    lifted = lift(ref.random_state(l_system, np.random.default_rng(30 + m_index)), layout)
-    got = prepare_index_superposition(lifted, layout).amplitudes
+    va = ref.random_state(l_system, np.random.default_rng(30 + m_index))
+    got = spread(va, layout).amplitudes
+    lifted = lift(va, layout)
     want = ref.hadamard_layer(lifted.amplitudes, layout.index_qubits)
     assert np.abs(got - want).max() <= 1e-15
     gated = lifted
@@ -257,32 +263,32 @@ def test_prepare_is_the_per_qubit_hadamard_layer(m_index, l_system):
     assert np.array_equal(got, gated.amplitudes)
 
 
+def test_prepare_refuses_a_guess_off_the_system_register():
+    layout = RegisterLayout(2, 2)
+    for qubits in (1, 3, layout.total_qubits):
+        with pytest.raises(ValueError, match="system register has 2"):
+            prepare_index_superposition(new_basis_state(qubits, 0), layout)
+
+
 def test_prepare_holds_its_output(traced_peak):
-    """Beyond its input the spread holds its output state and one 2^l
-    column (M = 1024); a Hadamard gate per index qubit held three states."""
+    """The spread holds its output state and one 2^l column (M = 1024); a
+    Hadamard gate per index qubit on the lifted register held three states."""
     layout = RegisterLayout(10, 4)
-    lifted = lift(ref.random_state(4, np.random.default_rng(31)), layout)
-    state, peak = traced_peak(lambda: prepare_index_superposition(lifted, layout))
+    va = load_amplitudes(4, ref.random_state(4, np.random.default_rng(31)))
+    state, peak = traced_peak(lambda: prepare_index_superposition(va, layout))
     assert peak <= 1.05 * state.amplitudes.nbytes
-
-
-def test_prepare_twice_rejected():
-    layout = RegisterLayout(2, 1)
-    once = prepare_index_superposition(lift([1.0, 0.0], layout), layout)
-    with pytest.raises(ValueError):
-        prepare_index_superposition(once, layout)
 
 
 def test_flag_loop_identity_unitary_leaves_state():
     config = unitary_config(np.eye(2), 2, power_method="flag_loop")
-    state = prepare_index_superposition(lift([0, 1], config.layout), config.layout)
+    state = spread([0, 1], config.layout)
     out = apply_conditional_powers_flag_loop(state, config)
     np.testing.assert_allclose(out.amplitudes, state.amplitudes, atol=1e-12)
 
 
 def test_flag_loop_entangles_index_with_applied_x():
     config = unitary_config(ref.X, 1, power_method="flag_loop")
-    state = prepare_index_superposition(lift([1, 0], config.layout), config.layout)
+    state = spread([1, 0], config.layout)
     out = apply_conditional_powers_flag_loop(state, config)
     # qubits: [index, system]; expect (|0>|0> + |1>|1>)/sqrt(2)
     want = np.zeros(4, dtype=complex)
@@ -293,7 +299,7 @@ def test_flag_loop_entangles_index_with_applied_x():
 def test_binary_powers_diagonal_phase_accumulation():
     theta = 0.9
     config = unitary_config(np.diag([1, np.exp(1j * theta)]), 2)
-    state = prepare_index_superposition(lift([0, 1], config.layout), config.layout)
+    state = spread([0, 1], config.layout)
     out = apply_conditional_powers_binary(state, config)
     sys_one = out.amplitudes[np.arange(4) + 4]  # system |1> branch, index j
     want = np.exp(1j * theta * np.arange(4)) / 2
@@ -306,7 +312,7 @@ def test_conditional_powers_match_dense_reference(m_index):
     u = ref.random_unitary(2, rng)
     va = ref.random_state(1, rng)
     config = unitary_config(u, m_index, power_method="flag_loop")
-    state = prepare_index_superposition(lift(va, config.layout), config.layout)
+    state = spread(va, config.layout)
     out = apply_conditional_powers_flag_loop(state, config)
     M = 2**m_index
     for j in range(M):
@@ -334,9 +340,7 @@ def test_windowed_flag_step_matches_full_slab(gate, m_index):
     config = unitary_config(gate, m_index, power_method="flag_loop")
     layout = config.layout
     rng = np.random.default_rng(82 + m_index)
-    prepared = prepare_index_superposition(
-        lift(ref.random_state(layout.l_system, rng), layout), layout
-    )
+    prepared = spread(ref.random_state(layout.l_system, rng), layout)
     flag = layout.total_qubits  # the reference circuits' flag, on top
     index_values = sv.register_values(flag + 1, layout.index_qubits)
     args = (gate.matrix, layout.l_system, layout.num_bins)
@@ -372,9 +376,7 @@ def test_dense_flag_loop_is_bit_identical_to_flipped_steps(gate, m_index):
     config = unitary_config(gate, m_index, power_method="flag_loop")
     layout = config.layout
     rng = np.random.default_rng(86 + m_index)
-    prepared = prepare_index_superposition(
-        lift(ref.random_state(layout.l_system, rng), layout), layout
-    )
+    prepared = spread(ref.random_state(layout.l_system, rng), layout)
     out = apply_conditional_powers_flag_loop(prepared, config).amplitudes
     want = ref.flipped_flag_loop(ref.with_flag(prepared.amplitudes),
                                  lambda block: gate.matrix @ block,
@@ -419,9 +421,7 @@ def test_sliced_flag_loop_is_bit_identical_to_flipped_steps(monkeypatch, source,
                                    power_method="flag_loop")
     layout = config.layout
     rng = np.random.default_rng(89 + m_index)
-    prepared = prepare_index_superposition(
-        lift(ref.random_state(layout.l_system, rng), layout), layout
-    )
+    prepared = spread(ref.random_state(layout.l_system, rng), layout)
 
     def forbidden_step(self, *args):
         raise AssertionError("the flag loop ran a gate-level step")
@@ -487,7 +487,7 @@ def test_dense_flag_loop_refuses_a_drifting_unitary_at_that_step(monkeypatch, dr
     gate = drifted_gate(ref.random_unitary(2, np.random.default_rng(87)), drift)
     config = unitary_config(gate, 4, power_method="flag_loop")
     layout = config.layout
-    state = prepare_index_superposition(lift([0.6, 0.8], layout), layout)
+    state = spread([0.6, 0.8], layout)
     amps, first_off = ref.with_flag(state.amplitudes), None
     for i in range(1, layout.num_bins):
         amps = ref.flipped_flag_step(amps, lambda block: gate.matrix @ block, 1,
@@ -533,9 +533,7 @@ def test_dense_powers_are_validated_once(monkeypatch):
     rng = np.random.default_rng(71)
     u = ref.random_unitary(2, rng)
     config = unitary_config(u, 3)
-    state = prepare_index_superposition(
-        lift(ref.random_state(1, rng), config.layout), config.layout
-    )
+    state = spread(ref.random_state(1, rng), config.layout)
     constructed = []
 
     class CountingGate(GateMatrix):
@@ -586,6 +584,37 @@ def test_block_engine_matches_gate_route(source):
     np.testing.assert_allclose(block, gate, rtol=0, atol=1e-10)
 
 
+GATE_ROUTE_SOURCES = {
+    **BLOCK_SOURCES,
+    "exact_decomposition": lambda rng: (
+        3, dict(decomposition=eigendecompose(ref.tfim_dense(3, 1.0, 0.7)), time=0.5)),
+}
+
+
+@pytest.mark.parametrize("m_index", [4, 5])
+@pytest.mark.parametrize("route", ["binary_power", "flag_loop"])
+@pytest.mark.parametrize("source", sorted(GATE_ROUTE_SOURCES))
+def test_gate_routes_start_with_the_lifted_hadamard_layer(source, route, m_index):
+    """Each gate route's state is, bit for bit, the guess lifted above a
+    cleared index register, one Hadamard gate per index qubit, the route's
+    conditional powers and the inverse QFT, on exact evolution, explicit
+    unitaries and sliced sources; an odd ``m_index`` leaves a factor
+    1/sqrt(2) that is no power of two."""
+    rng = np.random.default_rng(75 + m_index)
+    l_system, source_kw = GATE_ROUTE_SOURCES[source](rng)
+    va = ref.random_state(l_system, rng)
+    config = PhaseEstimationConfig(m_index=m_index, power_method=route, **source_kw)
+    layout = config.layout
+    state = lift(va, layout)
+    for qubit in layout.index_qubits:
+        state = sv.apply_gate(state, sv.hadamard(), [qubit])
+    powers = (apply_conditional_powers_flag_loop if route == "flag_loop"
+              else apply_conditional_powers_binary)
+    want = qft_inverse(powers(state, config), layout.index_qubits)
+    got = pre_measurement_state(load_amplitudes(l_system, va), config)
+    assert got.amplitudes.tobytes() == want.amplitudes.tobytes()
+
+
 @pytest.mark.parametrize("route", pe.POWER_METHODS)
 @pytest.mark.parametrize("source", sorted(BLOCK_SOURCES))
 def test_negated_bins_are_the_forward_qft_readout(source, route):
@@ -596,7 +625,7 @@ def test_negated_bins_are_the_forward_qft_readout(source, route):
     va = load_amplitudes(l_system, ref.random_state(l_system, rng))
     config = PhaseEstimationConfig(m_index=4, power_method=route, **source_kw)
     layout = config.layout
-    state = prepare_index_superposition(lift(va.amplitudes, layout), layout)
+    state = spread(va.amplitudes, layout)
     want = qft_forward(apply_conditional_powers_binary(state, config), layout.index_qubits)
     got = pe._negated_bins(pre_measurement_state(va, config), layout)
     assert np.abs(got.amplitudes - want.amplitudes).max() <= 1e-10
@@ -660,7 +689,7 @@ def test_dense_flag_loop_holds_two_states(traced_peak):
     config = unitary_config(gate, 10, time=0.5, power_method="flag_loop")
     layout = config.layout
     va = ref.random_state(4, np.random.default_rng(88))
-    state = prepare_index_superposition(lift(va, layout), layout)
+    state = spread(va, layout)
     out, peak = traced_peak(lambda: apply_conditional_powers_flag_loop(state, config))
     assert out.amplitudes.nbytes == state.amplitudes.nbytes
     assert peak <= 2.05 * state.amplitudes.nbytes
@@ -691,9 +720,7 @@ def test_exact_flag_loop_matches_dense_comparator_loop(name):
     if name == "tfim4-field0":
         assert len(ref.degenerate_groups(decomposition.eigenvalues, 1e-8)) < decomposition.dim
     rng = np.random.default_rng(87)
-    prepared = prepare_index_superposition(
-        lift(ref.random_state(layout.l_system, rng), layout), layout
-    )
+    prepared = spread(ref.random_state(layout.l_system, rng), layout)
     out = apply_conditional_powers_flag_loop(prepared, config).amplitudes
     u = ham.unitary_from_decomposition(decomposition, config.time).matrix
     want = ref.flipped_flag_loop(ref.with_flag(prepared.amplitudes), lambda block: u @ block,
@@ -723,7 +750,7 @@ def test_exact_flag_loop_holds_two_states(traced_peak, real):
                                    power_method="flag_loop")
     layout = config.layout
     va = ref.random_state(layout.l_system, np.random.default_rng(91))
-    state = prepare_index_superposition(lift(va, layout), layout)
+    state = spread(va, layout)
     out, peak = traced_peak(lambda: apply_conditional_powers_flag_loop(state, config))
     assert out.amplitudes.nbytes == state.amplitudes.nbytes
     assert peak <= 2.05 * state.amplitudes.nbytes
@@ -740,7 +767,7 @@ def test_sliced_flag_loop_holds_four_states(traced_peak):
                                    time=0.5, slices=1, power_method="flag_loop")
     layout = config.layout
     va = ref.random_state(3, np.random.default_rng(89))
-    state = prepare_index_superposition(lift(va, layout), layout)
+    state = spread(va, layout)
     apply_conditional_powers_flag_loop(state, config)
     out, peak = traced_peak(lambda: apply_conditional_powers_flag_loop(state, config))
     assert out.amplitudes.nbytes == state.amplitudes.nbytes
@@ -750,15 +777,13 @@ def test_sliced_flag_loop_holds_four_states(traced_peak):
 def test_grid_flag_loop_holds_two_states(traced_peak):
     """A grid source's step is one dense slice power times the window, so
     beyond its input the loop holds its one writable copy and the product,
-    at most one state (M = 256, two slices); a first run fills the recipe's
-    phase cache."""
+    at most one state (M = 256, two slices)."""
     grid = GridRecipe(4, "harmonic:0.8,3.5", 1.0)
     config = PhaseEstimationConfig(m_index=8, source=grid, time=0.4, slices=2,
                                    power_method="flag_loop")
     layout = config.layout
     va = ref.random_state(4, np.random.default_rng(90))
-    state = prepare_index_superposition(lift(va, layout), layout)
-    apply_conditional_powers_flag_loop(state, config)
+    state = spread(va, layout)
     out, peak = traced_peak(lambda: apply_conditional_powers_flag_loop(state, config))
     assert out.amplitudes.nbytes == state.amplitudes.nbytes
     assert peak <= 2.15 * state.amplitudes.nbytes
@@ -1295,7 +1320,7 @@ def test_work_register_must_be_clean_for_collapse():
     u = ref.random_unitary(2, rng)
     config = unitary_config(u, 2, power_method="flag_loop", trials=8, seed=4)
     va = load_amplitudes(1, ref.random_state(1, rng))
-    result = sample_spectrum(va, config)  # passes the internal residue check
+    result = sample_spectrum(va, config)
     assert result.counts.sum() == 8
     for b in result.bins:
         assert result.collapsed_states[int(b)].num_qubits == 1
@@ -1303,20 +1328,6 @@ def test_work_register_must_be_clean_for_collapse():
 
 # ---------------------------------------------------------------------------
 # non-finite values fail closed
-
-
-def unchecked_state(amps):
-    """A state that skips the constructor's norm check, to carry NaN past it."""
-    state = StateVector.__new__(StateVector)
-    state.num_qubits = len(amps).bit_length() - 1
-    state.amplitudes = np.asarray(amps, dtype=complex)
-    return state
-
-
-def test_prepare_rejects_nan_index_residue():
-    layout = RegisterLayout(1, 1)
-    with pytest.raises(ValueError, match="index register"):
-        prepare_index_superposition(unchecked_state([1.0, np.nan, 0.0, 0.0]), layout)
 
 
 @pytest.mark.parametrize(
@@ -1416,8 +1427,8 @@ def test_flag_loop_spectrum_holds_six_states(traced_peak):
     """Sampling TFIM-8 at M = 256 on the flag-loop route, in exact
     evolution, peaks at four states of the 2^(m+l) register, in the
     gate-level inverse QFT: its input and, while a gate runs, three more.
-    The index spread holds one state beyond its input and the eigenbasis
-    loop two.  The dense U (one state at l = m) and the loop's per-step
+    The index spread, written from the guess, holds its output alone and
+    the eigenbasis loop two states beyond it.  The dense U (one state at l = m) and the loop's per-step
     product made it six, and holding the lifted input to readout seven."""
     run = pe.Run({"problem": "tfim", "sites": 8, "m_index": 8, "time": 0.5,
                   "trials": 2000, "power_method": "flag_loop"})

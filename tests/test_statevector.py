@@ -383,10 +383,9 @@ def test_low_register_reads_build_no_index_array(monkeypatch):
 
     rng = np.random.default_rng(108)
     layout = RegisterLayout(3, 2)
-    cleared = np.zeros(2**5, dtype=complex)
-    cleared[np.arange(4) << 3] = ref.random_state(2, rng)
+    va = load_amplitudes(2, ref.random_state(2, rng))
     monkeypatch.setattr(statevector, "register_values", forbidden)
-    state = prepare_index_superposition(load_amplitudes(5, cleared), layout)
+    state = prepare_index_superposition(va, layout)
     assert register_distribution(state, layout.index_qubits).shape == (8,)
 
 
