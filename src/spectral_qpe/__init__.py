@@ -24,7 +24,6 @@ from .oracle import (
     eigendecompose,
     embed_operator,
     spectral_amplitudes,
-    spectral_components,
 )
 from .phase_estimation import (
     EigenResult,
@@ -86,7 +85,6 @@ __all__ = [
     "eigendecompose",
     "embed_operator",
     "spectral_amplitudes",
-    "spectral_components",
     "EigenResult",
     "PhaseEstimationConfig",
     "PhaseSample",

@@ -218,17 +218,15 @@ def cmd_sample(args: argparse.Namespace, *, spectrum: bool) -> int:
     result = pe.sample_spectrum(run.guess, run.config, threshold=run.threshold)
     counts = result.counts
 
+    # one record per bin: the dominant bin is also the first peak, if any
     dominant_bin = int(np.argmax(counts))
-    dominant = _peak_record(
-        run, dominant_bin, counts, result.collapsed_states[dominant_bin]
-    )
-
-    if spectrum:
-        peaks = [_peak_record(run, b, counts, result.collapsed_states[b]) for b, _ in result.peaks]
-        if not peaks:
-            log.warning("no peaks at or above threshold %.6g", run.threshold)
-    else:
-        peaks = [dominant]
+    peak_bins = [b for b, _ in result.peaks] if spectrum else [dominant_bin]
+    records = {b: _peak_record(run, b, counts, result.collapsed_states[b])
+               for b in dict.fromkeys([dominant_bin, *peak_bins])}
+    dominant = records[dominant_bin]
+    peaks = [records[b] for b in peak_bins]
+    if spectrum and not peaks:
+        log.warning("no peaks at or above threshold %.6g", run.threshold)
 
     trials = run.config.trials
     record = {

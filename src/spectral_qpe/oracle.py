@@ -1,8 +1,8 @@
 """Dense brute-force spectral reference engine.
 
 Everything here is classical ground truth: dense assembly of a local
-Hamiltonian, full Hermitian eigendecomposition, and the spectral overlap /
-phase data that the closed-form measurement distribution consumes.  Exact
+Hamiltonian, full Hermitian eigendecomposition, and the spectral record of a
+guess (overlaps and eigenphases) that both closed forms read.  Exact
 evolution runs in the eigenbasis computed here; tests and the
 ``oracle-check`` CLI command use the same data to cross-check the quantum
 pipeline.
@@ -234,12 +234,16 @@ def eigendecompose(matrix) -> SpectralDecomposition:
 def spectral_amplitudes(
     va: StateVector, decomposition: SpectralDecomposition, t: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Overlaps ``c_k = <phi_k|V_a>`` and eigenphases ``w_k = (-lambda_k * t) mod 2pi``.
+    """The spectral record of a guess, read by both closed forms: overlaps
+    ``c_k = <phi_k|V_a>`` and eigenphases ``w_k = (-lambda_k * t) mod 2pi``.
 
     ``w_k`` is the phase that ``e^{-iHt}`` hands to the readout register.
+    A zero or non-finite ``t``, or a dimension mismatch, raises ``ValueError``.
     """
     if t == 0:
         raise ValueError("evolution time t must be nonzero")
+    if not np.isfinite(t):
+        raise ValueError(f"evolution time must be finite, got {t!r}")
     if decomposition.dim != len(va.amplitudes):
         raise ValueError(
             f"dimension mismatch: {decomposition.dim} eigenvectors vs "
@@ -248,12 +252,3 @@ def spectral_amplitudes(
     overlaps = decomposition.to_eigenbasis(va.amplitudes)
     phases = np.mod(decomposition._eigenphases(t), 2.0 * np.pi)
     return overlaps, phases
-
-
-def spectral_components(
-    va: StateVector, decomposition: SpectralDecomposition, t: float
-) -> list[tuple[float, float]]:
-    """One ``(|c_k|^2, w_k)`` pair per eigenvector; see :func:`spectral_amplitudes`."""
-    overlaps, phases = spectral_amplitudes(va, decomposition, t)
-    weights = np.abs(overlaps) ** 2
-    return [(float(w), float(p)) for w, p in zip(weights, phases)]

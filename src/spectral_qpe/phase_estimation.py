@@ -372,19 +372,21 @@ def _block_engine_state(va: sv.StateVector, config: PhaseEstimationConfig) -> sv
     Column j of ``psi`` holds U^j|va> (:func:`_power_columns`), so the
     transform runs along the contiguous axis and its (system, index) result
     is already laid out like the gate routes' state, index bits low: no
-    transposed copy is made.  The transform runs in place, one block of at
-    most ``_PHASE_BLOCK`` entries (or one row) at a time, so ``psi`` is the
-    only state-sized array; its bits are those of one whole-array FFT.  The
-    inverse-QFT kernel e^{-2*pi*i*jk/M} is numpy's forward FFT, so the
-    readout amplitudes are fft(psi)/M.
+    transposed copy is made.  The inverse-QFT kernel e^{-2*pi*i*jk/M} is
+    numpy's forward FFT, so the readout amplitudes are fft(psi)/M, the 1/M
+    applied by the FFT itself (``norm="forward"``; exact, M a power of two).
+    The transform runs in place one block of at most ``_PHASE_BLOCK``
+    entries (or one row) at a time, so ``psi`` is the only state-sized
+    array.  One whole-array call gives the same bits but raised the peak
+    RSS of TFIM-3 ``spectrum`` at ``m_index`` 18 from 76.3 to 84.4 MiB
+    (numpy 2.4.6, one BLAS thread), a quarter of the state more.
     """
     layout = config.layout
     psi = _power_columns(va, config)
     rows = max(1, _PHASE_BLOCK // layout.num_bins)
     for start in range(0, len(psi), rows):
         block = psi[start : start + rows]
-        np.fft.fft(block, out=block)
-    psi /= layout.num_bins
+        np.fft.fft(block, out=block, norm="forward")
     return sv._wrap_state(layout.total_qubits, psi.reshape(-1))
 
 
@@ -477,17 +479,18 @@ def sample_spectrum(
     return EigenResult(bins, counts, collapsed, [(b, float(empirical[b])) for b in peak_bins])
 
 
-def analytic_bin_distribution(components, m_index: int) -> np.ndarray:
-    """Closed-form readout distribution for known spectral components.
+def analytic_bin_distribution(weights, phases, m_index: int) -> np.ndarray:
+    """Closed-form readout distribution of a spectral record.
 
-    ``components`` is a list of (weight |c_k|^2, phase w_k) pairs; the result
-    is P(j) = sum_k w_k * F_M(w_k - 2*pi*j/M) with the leakage kernel F_M =
+    ``weights`` holds |c_k|^2 and ``phases`` w_k, one of each per component
+    (:func:`~spectral_qpe.oracle.spectral_amplitudes`); the result is
+    P(j) = sum_k |c_k|^2 F_M(w_k - 2*pi*j/M) with the leakage kernel F_M =
     |D_M|^2, the squared sine ratio of :func:`_dirichlet_amplitude`.
     """
     if m_index < 1:
         raise ValueError(f"m_index must be >= 1, got {m_index}")
-    weights = np.array([w for w, _ in components], dtype=float)
-    phases = np.array([p for _, p in components], dtype=float)
+    weights = np.asarray(weights, dtype=float)
+    phases = np.asarray(phases, dtype=float)
     if not (np.isfinite(weights).all() and np.isfinite(phases).all()):
         raise ValueError("component weights and phases must be finite")
     total = float(weights.sum())
@@ -499,24 +502,19 @@ def analytic_bin_distribution(components, m_index: int) -> np.ndarray:
 
 
 def analytic_collapsed_states(
-    va: sv.StateVector,
-    decomposition: oracle.SpectralDecomposition,
-    t: float,
-    m_index: int,
-    bins,
+    overlaps, phases, decomposition: oracle.SpectralDecomposition, m_index: int, bins
 ) -> dict[int, np.ndarray]:
     """Closed-form system states left by reading each of ``bins``.
 
     Reading bin j leaves sum_k c_k D_M(w_k - 2*pi*j/M) |phi_k>, normalized,
-    with c_k and w_k from :func:`~spectral_qpe.oracle.spectral_amplitudes`
-    and the Dirichlet amplitude D_M of :func:`_dirichlet_amplitude`, whose
-    squared modulus is the leakage kernel of :func:`analytic_bin_distribution`.
-    All bins are evaluated in one O(bins * K) pass.  A non-finite ``t`` or
-    eigenphase, or a bin whose prediction has no norm, raises ``ValueError``.
+    with c_k and w_k the arrays of a spectral record
+    (:func:`~spectral_qpe.oracle.spectral_amplitudes`), |phi_k> the
+    eigenvectors of ``decomposition`` and the Dirichlet amplitude D_M of
+    :func:`_dirichlet_amplitude`, whose squared modulus is the leakage kernel
+    of :func:`analytic_bin_distribution`.  All bins are evaluated in one
+    O(bins * K) pass.  A non-finite eigenphase, or a bin whose prediction has
+    no norm, raises ``ValueError``.
     """
-    if not math.isfinite(t):
-        raise ValueError(f"evolution time must be finite, got {t!r}")
-    overlaps, phases = oracle.spectral_amplitudes(va, decomposition, t)
     if not np.isfinite(phases).all():
         raise ValueError("eigenphases must be finite")
     bins = [int(j) for j in bins]
@@ -661,17 +659,24 @@ class Run:
         }
 
     def warn_if_aliased(self) -> None:
-        """Warn when an eigenvalue lies outside the window (-pi/t, pi/t]."""
-        decomposition = self.problem.decomposition
-        if decomposition is None:
+        """Warn when an eigenvalue may lie outside the window (-pi/t, pi/t],
+        by the spectral radius, or above the dense cap by the source's
+        ``norm_bound()``, an upper bound (1.5 times the radius on TFIM-12)."""
+        source = self.problem.source
+        if source is None:
             return
+        decomposition = self.problem.decomposition
+        if decomposition is not None:
+            what, extreme = "spectral radius", decomposition.norm_bound()
+        else:
+            what = "norm bound (an upper bound on the spectral radius)"
+            extreme = source.norm_bound()
         window = math.pi / abs(self.config.time)
-        extreme = float(np.abs(decomposition.eigenvalues).max())
         if extreme > window:
             log.warning(
-                "spectral radius %.6g exceeds the unaliased window (-%.6g, %.6g]; "
+                "%s %.6g exceeds the unaliased window (-%.6g, %.6g]; "
                 "reported energies may be aliased — reduce time below %.6g",
-                extreme, window, window, math.pi / extreme,
+                what, extreme, window, window, math.pi / extreme,
             )
 
 
@@ -689,8 +694,8 @@ class AuditReport:
 def audit(run: Run, *, _corrupt_qft_sign: bool = False) -> AuditReport:
     """Check ``run``, in exact evolution whatever its slices, against
     :func:`analytic_bin_distribution` per bin, a second route per amplitude
-    and :func:`analytic_collapsed_states` per populated bin; raises
-    :class:`AuditFailure` past a tolerance.
+    and :func:`analytic_collapsed_states` per populated bin, both reading
+    one spectral record; raises :class:`AuditFailure` past a tolerance.
 
     ``_corrupt_qft_sign`` is a negative control, the readout by the forward
     QFT F: F^2 is the bin negation P, j -> -j mod M, so F = P F^{-1} and
@@ -704,8 +709,8 @@ def audit(run: Run, *, _corrupt_qft_sign: bool = False) -> AuditReport:
         log.warning("oracle audit always runs exact evolution; ignoring slices=%r", run.slices)
         config = _exact_config(config, decomposition)
 
-    components = oracle.spectral_components(run.guess, decomposition, config.time)
-    analytic = analytic_bin_distribution(components, config.m_index)
+    overlaps, phases = oracle.spectral_amplitudes(run.guess, decomposition, config.time)
+    analytic = analytic_bin_distribution(np.abs(overlaps) ** 2, phases, config.m_index)
     pre = pre_measurement_state(run.guess, config)
     read = _negated_bins(pre, config.layout) if _corrupt_qft_sign else pre
     simulated = sv.register_distribution(read, config.layout.index_qubits)
@@ -733,9 +738,7 @@ def audit(run: Run, *, _corrupt_qft_sign: bool = False) -> AuditReport:
     # mixture of eigenvectors.
     populated = [int(j) for j in np.nonzero(analytic > POPULATED_BIN_FLOOR)[0]]
     collapsed = _collapse_bins(read, config.layout, populated)
-    predicted = analytic_collapsed_states(
-        run.guess, decomposition, config.time, config.m_index, populated
-    )
+    predicted = analytic_collapsed_states(overlaps, phases, decomposition, config.m_index, populated)
     worst_bin, worst = -1, 1.0
     for j in populated:
         fidelity = float(abs(np.vdot(predicted[j], collapsed[j].amplitudes)) ** 2)

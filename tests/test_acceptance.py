@@ -25,7 +25,7 @@ from spectral_qpe import (
     pre_measurement_distribution,
     pre_measurement_state,
     sample_spectrum,
-    spectral_components,
+    spectral_amplitudes,
     term_exponential,
 )
 
@@ -83,9 +83,8 @@ def test_exact_distribution_matches_closed_form(acceptance):
             time=t,
         )
         got = pre_measurement_distribution(va, config)
-        want = analytic_bin_distribution(
-            spectral_components(va, eigendecompose(dense), t), m_index
-        )
+        overlaps, phases = spectral_amplitudes(va, eigendecompose(dense), t)
+        want = analytic_bin_distribution(np.abs(overlaps) ** 2, phases, m_index)
         worst = max(worst, float(np.abs(got - want).max()))
     elapsed = time.perf_counter() - started
     acceptance(
@@ -242,13 +241,14 @@ def test_spin_chain_spectrum_end_to_end(acceptance):
 
     # every eigenvalue with aggregate guess overlap > 0.05 must be covered by
     # a detected peak within one bin
-    components = spectral_components(va, decomposition, t)
+    overlaps, phases = spectral_amplitudes(va, decomposition, t)
+    weights = np.abs(overlaps) ** 2
     missed = []
     for group in ref.degenerate_groups(decomposition.eigenvalues, ref.DEGENERACY_TOL):
-        weight = sum(components[k][0] for k in group)
+        weight = sum(weights[k] for k in group)
         if weight <= 0.05:
             continue
-        ideal = components[group[0]][1] * bins / (2.0 * math.pi)
+        ideal = phases[group[0]] * bins / (2.0 * math.pi)
         covered = any(
             circular_bin_distance(b, ideal, bins) <= 1.0 for b in peak_bins
         )

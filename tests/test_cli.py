@@ -251,6 +251,58 @@ class TestSpectrum:
         _, rows = read_rows(tmp_path / "grid.histogram.csv")
         assert sum(int(r[4]) for r in rows) == 50
 
+    def test_each_peak_record_is_built_once(self, tmp_path, monkeypatch, capsys):
+        """The dominant bin is also the first peak: its record, and the
+        warning that its collapsed state matches no oracle eigenvalue, come
+        once, and the record is the one solve writes (sliced TFIM-4, whose
+        bin 383 lies a Trotter shift away from every eigenvalue)."""
+        monkeypatch.chdir(tmp_path)
+        cfg = {"problem": "tfim", "sites": 4, "slices": 2, "m_index": 10, "time": 0.5,
+               "trials": 2000}
+        records = {}
+        for command in ("solve", "spectrum"):
+            argv = [command, "--config", write_config(tmp_path, cfg), "--out", command]
+            assert cli.main(argv) == 0
+            err = capsys.readouterr().err
+            assert err.count("peak at bin 383 matches no oracle eigenvalue") == 1
+            records[command] = json.loads((tmp_path / f"{command}.result.json").read_text())
+        dominant = records["solve"]["dominant"]
+        assert dominant["bin"] == 383 and dominant["eigenvector_fidelity"] is None
+        assert records["spectrum"]["dominant"] == dominant
+        assert records["spectrum"]["peaks"][0] == dominant
+
+
+class TestAliasingWarning:
+    """Every Hamiltonian run warns when its spectrum may leave the unaliased
+    window: by the spectral radius up to the dense cap, above it by the
+    source's norm bound, Sigma_q Z_q reading the radius l exactly."""
+
+    @staticmethod
+    def z_sum(tmp_path, qubits):
+        terms = [{"support": [q], "matrix": _Z} for q in range(qubits)]
+        cfg = {"problem": "explicit_terms", "system_qubits": qubits, "terms": terms,
+               "m_index": 2, "time": 10, "slices": 1, "trials": 10, "out": "z"}
+        return ["solve", "--config", write_config(tmp_path, cfg)]
+
+    def test_above_the_dense_cap_reads_the_norm_bound(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(self.z_sum(tmp_path, oracle.MAX_DENSE_QUBITS + 1)) == 0
+        assert capsys.readouterr().err == (
+            "WARNING spectral_qpe.phase_estimation: norm bound (an upper bound on the "
+            "spectral radius) 13 exceeds the unaliased window (-0.314159, 0.314159]; "
+            "reported energies may be aliased — reduce time below 0.241661\n"
+        )
+
+    def test_with_a_decomposition_reads_the_spectral_radius(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(self.z_sum(tmp_path, 3)) == 0
+        # the aliased peak then matches no eigenvalue, which the next line says
+        assert capsys.readouterr().err.splitlines()[0] == (
+            "WARNING spectral_qpe.phase_estimation: spectral radius 3 exceeds the "
+            "unaliased window (-0.314159, 0.314159]; reported energies may be "
+            "aliased — reduce time below 1.0472"
+        )
+
 
 class TestConfigRejections:
     def check(self, tmp_path, capsys, cfg, needle, command="solve"):

@@ -1,4 +1,4 @@
-"""Dense reference engine: embedding, eigensolver contracts, components."""
+"""Dense reference engine: embedding, eigensolver contracts, spectral record."""
 
 import logging
 
@@ -19,7 +19,6 @@ from spectral_qpe import (
     eigendecompose,
     load_amplitudes,
     spectral_amplitudes,
-    spectral_components,
 )
 from spectral_qpe.oracle import MAX_DENSE_QUBITS, embed_operator
 
@@ -339,7 +338,7 @@ def test_degenerate_groups_consecutive_tolerance():
 
 
 # ---------------------------------------------------------------------------
-# spectral components
+# the spectral record (overlaps and eigenphases)
 
 
 def test_components_of_pure_eigenvector():
@@ -347,12 +346,12 @@ def test_components_of_pure_eigenvector():
     a = ref.random_hermitian(4, rng)
     d = eigendecompose(a)
     va = load_amplitudes(2, d.eigenvectors[:, 2])
-    comps = spectral_components(va, d, t=0.9)
-    weights = [w for w, _ in comps]
+    overlaps, phases = spectral_amplitudes(va, d, t=0.9)
+    weights = np.abs(overlaps) ** 2
     assert weights[2] == pytest.approx(1.0, abs=1e-12)
-    assert sum(weights) == pytest.approx(1.0, abs=1e-9)
+    assert weights.sum() == pytest.approx(1.0, abs=1e-9)
     # omega = (-lambda * t) mod 2pi, in [0, 2pi)
-    for (_, omega), lam in zip(comps, d.eigenvalues):
+    for omega, lam in zip(phases, d.eigenvalues):
         assert 0 <= omega < 2 * np.pi
         assert np.exp(1j * omega) == pytest.approx(np.exp(-1j * lam * 0.9), abs=1e-12)
 
@@ -362,20 +361,19 @@ def test_components_of_balanced_superposition():
     a = ref.random_hermitian(4, rng)
     d = eigendecompose(a)
     va = load_amplitudes(2, (d.eigenvectors[:, 0] + d.eigenvectors[:, 1]) / np.sqrt(2))
-    weights = [w for w, _ in spectral_components(va, d, t=1.0)]
+    weights = np.abs(spectral_amplitudes(va, d, t=1.0)[0]) ** 2
     assert weights[0] == pytest.approx(0.5, abs=1e-12)
     assert weights[1] == pytest.approx(0.5, abs=1e-12)
 
 
-def test_components_are_squared_spectral_amplitudes():
+def test_spectral_amplitudes_are_overlaps_and_eigenphases():
     rng = np.random.default_rng(10)
     d = eigendecompose(ref.random_hermitian(4, rng))
     va = load_amplitudes(2, ref.random_state(2, rng))
     overlaps, phases = spectral_amplitudes(va, d, t=0.8)
     np.testing.assert_allclose(overlaps, d.eigenvectors.conj().T @ va.amplitudes, atol=1e-15)
-    assert spectral_components(va, d, t=0.8) == [
-        (float(w), float(p)) for w, p in zip(np.abs(overlaps) ** 2, phases)
-    ]
+    assert np.array_equal(phases, np.mod(-d.eigenvalues * 0.8, 2 * np.pi))
+    assert (np.abs(overlaps) ** 2).sum() == pytest.approx(1.0, abs=1e-12)
 
 
 def eigenbasis_case(case):
@@ -428,9 +426,17 @@ def test_components_validation():
     d = eigendecompose(ref.X)
     va = load_amplitudes(2, np.array([1, 0, 0, 0], dtype=complex))
     with pytest.raises(ValueError):
-        spectral_components(va, d, t=1.0)  # dimension mismatch
+        spectral_amplitudes(va, d, t=1.0)  # dimension mismatch
     with pytest.raises(ValueError):
-        spectral_components(load_amplitudes(1, np.array([1.0, 0])), d, t=0.0)
+        spectral_amplitudes(load_amplitudes(1, np.array([1.0, 0])), d, t=0.0)
+
+
+def test_spectral_amplitudes_refuse_non_finite_time():
+    va = load_amplitudes(1, [1.0, 0.0])
+    decomposition = eigendecompose(np.diag([0.0, 1.0]))
+    for t in (np.inf, np.nan):
+        with pytest.raises(ValueError, match="finite"):
+            spectral_amplitudes(va, decomposition, t)
 
 
 def test_max_dense_qubits_constant():

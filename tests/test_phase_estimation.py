@@ -40,7 +40,7 @@ from spectral_qpe import (
     qft_forward,
     qft_inverse,
     sample_spectrum,
-    spectral_components,
+    spectral_amplitudes,
 )
 
 
@@ -906,7 +906,7 @@ def test_on_grid_weights_are_guess_overlaps():
 
 
 def test_analytic_distribution_on_grid_delta():
-    dist = analytic_bin_distribution([(1.0, 2 * np.pi * 3 / 8)], 3)
+    dist = analytic_bin_distribution([1.0], [2 * np.pi * 3 / 8], 3)
     want = np.zeros(8)
     want[3] = 1.0
     np.testing.assert_allclose(dist, want, atol=1e-12)
@@ -915,7 +915,7 @@ def test_analytic_distribution_on_grid_delta():
 def test_analytic_distribution_half_bin_value():
     # omega = 2*pi*1.5/8 splits evenly between bins 1 and 2; the value is
     # 1/(64 sin^2(pi/16)), frozen below from the direct geometric sum.
-    dist = analytic_bin_distribution([(1.0, 2 * np.pi * 1.5 / 8)], 3)
+    dist = analytic_bin_distribution([1.0], [2 * np.pi * 1.5 / 8], 3)
     assert dist[1] == pytest.approx(0.41053347451700289, abs=1e-14)
     assert dist[2] == pytest.approx(0.41053347451700289, abs=1e-14)
     assert dist[0] == pytest.approx(0.050622325138180442, abs=1e-14)
@@ -928,7 +928,7 @@ def test_analytic_distribution_matches_direct_sum():
     for m_index in (2, 4, 6):
         weights = rng.dirichlet(np.ones(3))
         omegas = rng.uniform(0, 2 * np.pi, size=3)
-        got = analytic_bin_distribution(list(zip(weights, omegas)), m_index)
+        got = analytic_bin_distribution(weights, omegas, m_index)
         want = ref.dirichlet_distribution(weights, omegas, m_index)
         np.testing.assert_allclose(got, want, atol=1e-12)
         assert got.sum() == pytest.approx(1.0, abs=1e-10)
@@ -936,7 +936,7 @@ def test_analytic_distribution_matches_direct_sum():
 
 def test_analytic_distribution_rejects_bad_weights():
     with pytest.raises(ValueError):
-        analytic_bin_distribution([(0.7, 1.0)], 3)
+        analytic_bin_distribution([0.7], [1.0], 3)
 
 
 def test_distribution_law_random_instances():
@@ -955,9 +955,9 @@ def test_distribution_law_random_instances():
             m_index=m_index, unitary=exact_unitary(h, t), time=t
         )
         got = pre_measurement_distribution(va, config)
-        comps = spectral_components(va, eigendecompose(ref.embed_kron(
+        overlaps, phases = spectral_amplitudes(va, eigendecompose(ref.embed_kron(
             h.terms[0].matrix, list(range(l_system)), l_system)), t)
-        want = analytic_bin_distribution(comps, m_index)
+        want = analytic_bin_distribution(np.abs(overlaps) ** 2, phases, m_index)
         np.testing.assert_allclose(got, want, atol=1e-10)
 
 
@@ -990,7 +990,8 @@ def test_analytic_collapsed_states_match_dirichlet_reference():
     decomposition = eigendecompose(ref.random_hermitian(4, rng))
     va = load_amplitudes(l_system, ref.random_state(l_system, rng))
     M = 2**m_index
-    got = analytic_collapsed_states(va, decomposition, t, m_index, range(M))
+    overlaps, phases = spectral_amplitudes(va, decomposition, t)
+    got = analytic_collapsed_states(overlaps, phases, decomposition, m_index, range(M))
     coefficients = decomposition.eigenvectors.conj().T @ va.amplitudes
     omegas = np.mod(-decomposition.eigenvalues * t, 2 * np.pi)
     for j in range(M):
@@ -1060,19 +1061,30 @@ def test_audit_holds_a_few_states(traced_peak):
     assert peak < 6 * 16 * 2**run.config.layout.total_qubits
 
 
-def test_analytic_collapsed_states_refuse_non_finite_time():
-    va = load_amplitudes(1, [1.0, 0.0])
-    decomposition = eigendecompose(np.diag([0.0, 1.0]))
-    for t in (np.inf, np.nan):
-        with pytest.raises(ValueError, match="finite"):
-            analytic_collapsed_states(va, decomposition, t, 3, [0])
+@pytest.mark.parametrize("power_method", ["block", "flag_loop"])
+def test_audit_derives_one_spectral_record(monkeypatch, power_method):
+    """Both closed forms of one audit read one spectral record: the guess
+    meets V^dag once, in one ``spectral_amplitudes`` call."""
+    calls = []
+    amplitudes = oracle.spectral_amplitudes
+
+    def counted(*args):
+        calls.append(1)
+        return amplitudes(*args)
+
+    monkeypatch.setattr(oracle, "spectral_amplitudes", counted)
+    run = pe.Run({"problem": "tfim", "sites": 3, "m_index": 4, "time": 0.5,
+                  "power_method": power_method})
+    assert pe.audit(run).worst_bin >= 0
+    assert len(calls) == 1
 
 
 def test_analytic_collapsed_states_refuse_non_finite_eigenphase():
     va = load_amplitudes(1, [1.0, 0.0])
     decomposition = SpectralDecomposition(np.array([np.nan, 1.0]), np.eye(2))
+    overlaps, phases = spectral_amplitudes(va, decomposition, 0.5)
     with pytest.raises(ValueError, match="finite"):
-        analytic_collapsed_states(va, decomposition, 0.5, 3, [0])
+        analytic_collapsed_states(overlaps, phases, decomposition, 3, [0])
 
 
 def test_analytic_collapsed_states_refuse_zero_norm_bin():
@@ -1081,8 +1093,9 @@ def test_analytic_collapsed_states_refuse_zero_norm_bin():
     decomposition = SpectralDecomposition(
         np.array([0.0, 1.0]), np.array([[0.0, 0.0], [1.0, 1.0]])
     )
+    overlaps, phases = spectral_amplitudes(va, decomposition, 0.5)
     with pytest.raises(ValueError, match="bin 2"):
-        analytic_collapsed_states(va, decomposition, 0.5, 3, [2])
+        analytic_collapsed_states(overlaps, phases, decomposition, 3, [2])
 
 
 # ---------------------------------------------------------------------------
@@ -1218,7 +1231,7 @@ def test_sample_spectrum_off_grid_chi_squared():
     config = unitary_config(np.diag([1.0, np.exp(1j * omega)]), 3,
                             trials=10000, seed=9)
     result = sample_spectrum(load_amplitudes(1, [0, 1]), config)
-    expected = analytic_bin_distribution([(1.0, omega)], 3) * 10000
+    expected = analytic_bin_distribution([1.0], [omega], 3) * 10000
     _, p_value = scipy.stats.chisquare(result.counts, expected)
     assert p_value > 0.001
 
@@ -1335,8 +1348,9 @@ def test_work_register_must_be_clean_for_collapse():
     [[(np.nan, 0.0)], [(1.0, np.nan)], [(0.5, 0.0), (np.nan, 1.0)], [(1.0, np.inf)]],
 )
 def test_analytic_distribution_rejects_non_finite_components(components):
+    weights, phases = zip(*components)
     with pytest.raises(ValueError, match="finite"):
-        analytic_bin_distribution(components, 3)
+        analytic_bin_distribution(weights, phases, 3)
 
 
 # ---------------------------------------------------------------------------
