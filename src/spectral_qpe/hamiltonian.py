@@ -66,7 +66,8 @@ class HamiltonianSum:
     ``GridRecipe``'s map lacks, it runs on the identity and returns the dense
     matrix, which is how ``step_matrix`` builds one slice.  One step is the
     Trotter slice prod_i e^{-i H_i dt} in term order; its gates are built
-    once per ``dt``.
+    once per ``dt`` and kept for the latest ``dt`` alone: a run steps at one
+    ``dt``, and a slice sweep takes each of its ``dt`` once.
     """
 
     __slots__ = ("terms", "num_qubits", "_gate_cache")
@@ -86,17 +87,15 @@ class HamiltonianSum:
                 )
         self.terms = terms
         self.num_qubits = num_qubits
-        self._gate_cache: dict[float, list[tuple[list[int], sv.GateMatrix]]] = {}
+        self._gate_cache: tuple[float | None, list] = (None, [])  # (dt, its slice gates)
 
     def __repr__(self) -> str:
         return f"HamiltonianSum(num_qubits={self.num_qubits}, terms={len(self.terms)})"
 
     def _gates(self, dt: float) -> list[tuple[list[int], sv.GateMatrix]]:
-        cached = self._gate_cache.get(dt)
-        if cached is None:
-            cached = slice_gates(self, dt)
-            self._gate_cache[dt] = cached
-        return cached
+        if self._gate_cache[0] != dt:
+            self._gate_cache = (dt, slice_gates(self, dt))
+        return self._gate_cache[1]
 
     def norm_bound(self) -> float:
         """Cheap upper bound on ||H||: the sum of the terms' spectral norms.

@@ -268,32 +268,30 @@ def apply_conditional_powers_flag_loop(
     window and is skipped; the whole state is norm-checked after each of
     the steps 1..M-1.
 
+    One loop runs on the (2^l, M) system columns, whatever form U takes.
     For exact evolution U = V e^{-iEt} V^dag, and V acts on the system
     register alone, so it commutes with every flag step (Cleve et al. 1998):
-    the loop moves the (2^l, M) system columns into the eigenbasis once,
-    multiplies the window [:, i:] by e^{-iEt} in place for i = 1..M-1 and
-    comes back once.  No dense U is built, and beyond its input the loop
-    holds the eigenbasis columns and its output.  Otherwise it copies the
-    input once and writes :func:`_step_map` of the window's (2^l, M - i)
-    block of system columns back in place.
+    the columns go into the eigenbasis and back once, and a step multiplies
+    the window by e^{-iEt} in place (its write-back copies nothing), so no
+    dense U is built and beyond its input the loop holds two states.
+    Otherwise the columns are a copy of the input and a step is
+    :func:`_step_map` of the window's (2^l, M - i) block.
     """
     num_bins = config.layout.num_bins
     decomposition = config.decomposition
     if decomposition is not None:
         columns = decomposition.to_eigenbasis(state.amplitudes.reshape(-1, num_bins))
         phases = decomposition.evolution_phases(config.time)[:, None]
-        for i in range(1, num_bins):
-            columns[:, i:] *= phases
-            sv._check_norm(columns)
-        amps = decomposition.from_eigenbasis(columns).reshape(-1)
-        return sv._wrap_state(state.num_qubits, amps)
-    amps = state.amplitudes.copy()
-    columns = amps.reshape(-1, num_bins)
-    step = _step_map(config)
+        step = lambda window: np.multiply(window, phases, out=window)
+    else:
+        columns = state.amplitudes.reshape(-1, num_bins).copy()
+        step = _step_map(config)
     for i in range(1, num_bins):
         columns[:, i:] = step(columns[:, i:])
-        sv._check_norm(amps)
-    return sv._wrap_state(state.num_qubits, amps, check=False)
+        sv._check_norm(columns)
+    if decomposition is None:
+        return sv._wrap_state(state.num_qubits, columns.reshape(-1), check=False)
+    return sv._wrap_state(state.num_qubits, decomposition.from_eigenbasis(columns).reshape(-1))
 
 
 def apply_conditional_powers_binary(
@@ -302,7 +300,7 @@ def apply_conditional_powers_binary(
     """Conditional powers via index bits: controlled-U^(2^s) off index qubit s.
 
     A source runs 2^s * ``slices`` gate-level steps under qubit s; a dense
-    U^(2^s) is the stable square of U^(2^(s-1)), validated once as a gate.
+    U^(2^s) is square s of ``sv._unitary_squares``, validated as a gate.
     """
     system = config.layout.system_qubits
     if config.source is not None:
@@ -314,15 +312,14 @@ def apply_conditional_powers_binary(
     gate = config.unitary
     if gate is None:
         gate = ham.unitary_from_decomposition(config.decomposition, config.time)
+    # drawn one at a time: a zip's cached tuple would keep a used square alive
+    squares = sv._unitary_squares(gate.matrix)
     for s, qubit in enumerate(config.layout.index_qubits):
+        square = next(squares)
         if s:
-            gate = sv.GateMatrix(sv._stable_square(gate.matrix))
+            gate = sv.GateMatrix(square)
         state = sv.apply_controlled_gate(state, gate, [qubit], system)
     return state
-
-
-#: Phase-table entries the spectral engine builds at once (256 KiB of complex128).
-_PHASE_BLOCK = 2**14
 
 
 def _spectral_columns(
@@ -332,14 +329,14 @@ def _spectral_columns(
     """Fill column j of ``psi`` with e^{-iHtj}|va> = V (e^{-iEtj} * c), c = V^dag|va>.
 
     The phase table e^{-iEtj} * c is built for one block of columns at a
-    time, at most ``_PHASE_BLOCK`` entries, and V multiplies it straight
+    time, at most ``sv._BLOCK_ENTRIES`` entries, and V multiplies it straight
     into ``psi`` (:meth:`~spectral_qpe.oracle.SpectralDecomposition.from_eigenbasis`,
     which never copies V).
     """
     coefficients = decomposition.to_eigenbasis(va.amplitudes)[:, None]
     rates = decomposition._eigenphases(time)
     dim, num_bins = psi.shape
-    width = max(1, min(num_bins, _PHASE_BLOCK // dim))
+    width = max(1, min(num_bins, sv._BLOCK_ENTRIES // dim))
     table = np.empty((dim, width), dtype=np.complex128)
     for start in range(0, num_bins, width):
         stop = min(start + width, num_bins)
@@ -375,7 +372,7 @@ def _block_engine_state(va: sv.StateVector, config: PhaseEstimationConfig) -> sv
     transposed copy is made.  The inverse-QFT kernel e^{-2*pi*i*jk/M} is
     numpy's forward FFT, so the readout amplitudes are fft(psi)/M, the 1/M
     applied by the FFT itself (``norm="forward"``; exact, M a power of two).
-    The transform runs in place one block of at most ``_PHASE_BLOCK``
+    The transform runs in place one block of at most ``sv._BLOCK_ENTRIES``
     entries (or one row) at a time, so ``psi`` is the only state-sized
     array.  One whole-array call gives the same bits but raised the peak
     RSS of TFIM-3 ``spectrum`` at ``m_index`` 18 from 76.3 to 84.4 MiB
@@ -383,7 +380,7 @@ def _block_engine_state(va: sv.StateVector, config: PhaseEstimationConfig) -> sv
     """
     layout = config.layout
     psi = _power_columns(va, config)
-    rows = max(1, _PHASE_BLOCK // layout.num_bins)
+    rows = max(1, sv._BLOCK_ENTRIES // layout.num_bins)
     for start in range(0, len(psi), rows):
         block = psi[start : start + rows]
         np.fft.fft(block, out=block, norm="forward")

@@ -35,6 +35,10 @@ NORM_TOL = 1e-6
 UNITARY_TOL = 1e-10
 #: Rows per slab of the dense checks: at 2^12 a complex slab is 4 MiB.
 CHECK_ROWS = 64
+#: Entries per temporary block of a (rows, M) state taken a block at a time
+#: (256 KiB of complex128): the marginal's |a|^2 rows, and the block
+#: engine's phase-table columns and FFT rows; one row or column if longer.
+_BLOCK_ENTRIES = 2**14
 
 
 class GateMatrix:
@@ -96,33 +100,24 @@ def _near_unitary(matrix: np.ndarray) -> np.ndarray:
     return matrix
 
 
-def _stable_square(matrix: np.ndarray) -> np.ndarray:
-    """Square a unitary, kept off the drift that many repeated squarings
-    build up (see :func:`_near_unitary`)."""
-    return _near_unitary(matrix @ matrix)
+def _unitary_squares(matrix: np.ndarray):
+    """Yield U, U^2, U^4, ... for the unitary U = ``matrix``, each square kept
+    off the drift of repeated squarings by :func:`_near_unitary`."""
+    while True:
+        yield matrix
+        matrix = _near_unitary(matrix @ matrix)
 
 
 def _unitary_power(matrix: np.ndarray, power: int) -> np.ndarray:
-    """U^power (power >= 1) for the unitary U = ``matrix``.
-
-    U, U^2, U^4, ... are built by :func:`_stable_square`, and the factors
-    picked by power's bits are multiplied; a product of several is snapped
-    like a square.  A power of two is its squaring as is: U^2 is exactly
-    ``U @ U`` unless that drifted.
-    """
-    factors = []
-    square = matrix
-    while True:
-        if power & 1:
-            factors.append(square)
-        power >>= 1
-        if not power:
-            break
-        square = _stable_square(square)
-    result = factors[0]
-    for factor in factors[1:]:
-        result = factor @ result
-    return result if len(factors) == 1 else _near_unitary(result)
+    """U^power (power >= 1) for the unitary U = ``matrix``: the product of the
+    squares that power's bits pick, lowest first, snapped like a square if
+    it has several factors; a power of two is its square as is."""
+    product = None
+    for bit, square in enumerate(_unitary_squares(matrix)):
+        if power >> bit & 1:
+            product = square if product is None else square @ product
+        if power >> bit <= 1:  # the top bit: no square past it is built
+            return _near_unitary(product) if power & (power - 1) else product
 
 
 def hadamard() -> GateMatrix:
@@ -378,17 +373,12 @@ def register_values(q: int, qubits) -> np.ndarray:
     return value
 
 
-#: Entries per block of :func:`register_distribution`'s low-register sum
-#: (128 KiB of float64), or one row if a row is longer.
-_ROW_BLOCK = 2**14
-
-
 def register_distribution(state: StateVector, qubits) -> np.ndarray:
     """Marginal Born distribution over the values of a sub-register.
 
     A low register, the readout's, is the fast axis of the (rest, 2^k) view
     of the amplitudes: its |a|^2 are summed one block of rows at a time, at
-    most ``_ROW_BLOCK`` entries or one row, so no |a|^2 array of the whole
+    most ``_BLOCK_ENTRIES`` entries or one row, so no |a|^2 array of the whole
     state is made.  Each block's sum starts from the running total, stacked
     on as its first row, so every value is added in row order and the
     result has the bits of ``probabilities().reshape(-1, 2^k).sum(axis=0)``,
@@ -400,7 +390,7 @@ def register_distribution(state: StateVector, qubits) -> np.ndarray:
     _check_qubits(qubits, state.num_qubits, "register")
     if qubits == list(range(len(qubits))):
         rows = state.amplitudes.reshape(-1, 2 ** len(qubits))
-        step = max(1, _ROW_BLOCK // rows.shape[1])
+        step = max(1, _BLOCK_ENTRIES // rows.shape[1])
         total = np.zeros(rows.shape[1])
         for start in range(0, len(rows), step):
             squares = np.abs(rows[start : start + step])

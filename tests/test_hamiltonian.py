@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import reference as ref
+from spectral_qpe import hamiltonian as ham
 from spectral_qpe import (
     HamiltonianSum,
     GridRecipe,
@@ -230,6 +231,24 @@ def test_energy_conserved_under_exact_evolution():
 def test_slice_gates_follow_term_order():
     h = HamiltonianSum([LocalTerm([1], ref.Z), LocalTerm([0], ref.X)], 2)
     assert [targets for targets, _ in slice_gates(h, 0.5)] == [[1], [0]]
+
+
+def test_gate_cache_keeps_the_latest_dt_alone(monkeypatch):
+    """Over a sweep of 50 step times each dt builds its slice gates once, and
+    the cache then holds the last dt's gates alone: an earlier dt builds
+    its gates again."""
+    h = build_transverse_ising(4, 1.0, 0.7)
+    built = []
+    monkeypatch.setattr(ham, "slice_gates",
+                        lambda h, dt, build=ham.slice_gates: built.append(dt) or build(h, dt))
+    sweep = [0.5 / r for r in range(1, 51)]
+    for dt in sweep:
+        h.step_matrix(dt)
+        h.step_matrix(dt)
+    assert built == sweep
+    assert h._gate_cache[0] == sweep[-1]
+    h.step_matrix(sweep[0])
+    assert built == sweep + sweep[:1]
 
 
 def test_step_matrix_is_one_simulated_slice():

@@ -306,6 +306,46 @@ def test_binary_powers_diagonal_phase_accumulation():
     np.testing.assert_allclose(sys_one, want, atol=1e-12)
 
 
+@pytest.mark.parametrize("m_index", [1, 2, 5])
+def test_binary_route_squares_a_dense_unitary_once_per_later_index_qubit(monkeypatch, m_index):
+    """On a dense U the binary route takes U and its squares from
+    ``_unitary_squares``: it squares m - 1 times, snapping each square
+    once, and wraps those m - 1 squares in ``GateMatrix``; U goes under
+    index qubit 0 as given."""
+    rng = np.random.default_rng(95)
+    config = unitary_config(ref.random_unitary(4, rng), m_index)
+    state = spread(ref.random_state(2, rng), config.layout)
+    snapped, wrapped = [], []
+    near_unitary, gate_matrix = sv._near_unitary, sv.GateMatrix
+
+    def snap(matrix):
+        snapped.append(near_unitary(matrix))
+        return snapped[-1]
+
+    def wrap(matrix):
+        wrapped.append(matrix)
+        return gate_matrix(matrix)
+
+    monkeypatch.setattr(sv, "_near_unitary", snap)
+    monkeypatch.setattr(sv, "GateMatrix", wrap)
+    apply_conditional_powers_binary(state, config)
+    assert len(snapped) == len(wrapped) == m_index - 1
+    assert all(w is s for w, s in zip(wrapped, snapped))
+
+
+def test_sliced_binary_route_builds_its_slice_gates_once(monkeypatch):
+    """A sliced source's (M - 1) * slices gate-level steps all run at one
+    dt, so a run builds the slice gates once."""
+    built = []
+    monkeypatch.setattr(ham, "slice_gates",
+                        lambda h, dt, build=ham.slice_gates: built.append(dt) or build(h, dt))
+    config = PhaseEstimationConfig(m_index=4, source=build_transverse_ising(3, 1.0, 0.7),
+                                   time=0.5, slices=3, power_method="binary_power")
+    va = load_amplitudes(3, ref.random_state(3, np.random.default_rng(96)))
+    pre_measurement_state(va, config)
+    assert built == [0.5 / 3]
+
+
 @pytest.mark.parametrize("m_index", [1, 2, 3])
 def test_conditional_powers_match_dense_reference(m_index):
     rng = np.random.default_rng(40 + m_index)
@@ -476,22 +516,48 @@ def drifted_gate(matrix, drift):
     return gate
 
 
+def nan_diagonal(values):
+    """``values``, a matrix or the diagonal of one, with NaN on that diagonal."""
+    if values.ndim == 1:
+        return np.full_like(values, np.nan)
+    return np.where(np.eye(len(values), dtype=bool), np.nan, values)
+
+
+@pytest.mark.parametrize("exact", [False, True], ids=["dense", "exact"])
 @pytest.mark.parametrize("drift", [
     pytest.param(lambda u: (1 + 1e-7) * u, id="norm-drift"),
-    pytest.param(lambda u: np.where(np.eye(len(u), dtype=bool), np.nan, u), id="nan"),
+    pytest.param(nan_diagonal, id="nan"),
 ])
-def test_dense_flag_loop_refuses_a_drifting_unitary_at_that_step(monkeypatch, drift):
+def test_flag_loop_refuses_a_drifting_unitary_at_that_step(monkeypatch, drift, exact):
     """Each step norm-checks the whole state, so a U that drifts past
     NORM_TOL, or holds a NaN, is refused at the first step whose state is
-    off (step 7 of 15 for the drift, step 1 for the NaN), not at the end."""
-    gate = drifted_gate(ref.random_unitary(2, np.random.default_rng(87)), drift)
-    config = unitary_config(gate, 4, power_method="flag_loop")
+    off (step 7 of 15 for the drift, step 1 for the NaN), not at the end.
+    The drift is put on a dense U's matrix, or in exact mode on the
+    eigenphase factors e^{-iEt} that the loop multiplies its eigenbasis
+    window by."""
+    rng = np.random.default_rng(87)
+    if exact:
+        decomposition = eigendecompose(ref.random_hermitian(2, rng))
+        config = PhaseEstimationConfig(m_index=4, decomposition=decomposition, time=0.5,
+                                       power_method="flag_loop")
+        phases = SpectralDecomposition.evolution_phases
+        monkeypatch.setattr(SpectralDecomposition, "evolution_phases",
+                            lambda self, t: drift(phases(self, t)))
+        drifted = decomposition.evolution_phases(config.time)[:, None]
+
+        def step(block):
+            return decomposition.from_eigenbasis(drifted * decomposition.to_eigenbasis(block))
+    else:
+        gate = drifted_gate(ref.random_unitary(2, rng), drift)
+        config = unitary_config(gate, 4, power_method="flag_loop")
+
+        def step(block):
+            return gate.matrix @ block
     layout = config.layout
     state = spread([0.6, 0.8], layout)
     amps, first_off = ref.with_flag(state.amplitudes), None
     for i in range(1, layout.num_bins):
-        amps = ref.flipped_flag_step(amps, lambda block: gate.matrix @ block, 1,
-                                     layout.num_bins, i)
+        amps = ref.flipped_flag_step(amps, step, 1, layout.num_bins, i)
         if first_off is None and not (abs(np.vdot(amps, amps).real - 1.0) <= sv.NORM_TOL):
             first_off = i
     norms = []
@@ -504,7 +570,7 @@ def test_dense_flag_loop_refuses_a_drifting_unitary_at_that_step(monkeypatch, dr
     monkeypatch.setattr(sv, "_check_norm", recording_check)
     with pytest.raises(ContractViolation, match="norm drifted"):
         apply_conditional_powers_flag_loop(state, config)
-    assert len(norms) == first_off < layout.num_bins - 1  # steps 1..M-1 write
+    assert len(norms) == first_off == (1 if drift is nan_diagonal else 7)
     assert all(abs(n - 1.0) <= sv.NORM_TOL for n in norms[:-1])
 
 
@@ -657,17 +723,17 @@ def test_block_engine_readout_is_the_whole_array_fft(monkeypatch, source, rows):
     va = load_amplitudes(l_system, ref.random_state(l_system, rng))
     config = PhaseEstimationConfig(m_index=5, **source_kw)
     block = 32 * (2**l_system if rows is None else rows) or 8
-    monkeypatch.setattr(pe, "_PHASE_BLOCK", block)
+    monkeypatch.setattr(sv, "_BLOCK_ENTRIES", block)
     want = np.fft.fft(pe._power_columns(va, config)) / 32
     assert np.array_equal(pe._block_engine_state(va, config).amplitudes, want.reshape(-1))
 
 
 def one_state_and_a_phase_block(state_bytes):
     """Bytes of one state plus one block of the eigenbasis engine's phase
-    table (``_PHASE_BLOCK`` complex entries), the two buffers of
+    table (``sv._BLOCK_ENTRIES`` complex entries), the two buffers of
     ``np.getbufsize()`` float64 entries each that numpy's ufuncs take to
     broadcast, and 64 KiB for index arrays and small objects."""
-    return state_bytes + 16 * pe._PHASE_BLOCK + 16 * np.getbufsize() + 2**16
+    return state_bytes + 16 * sv._BLOCK_ENTRIES + 16 * np.getbufsize() + 2**16
 
 
 def test_block_engine_holds_one_state(traced_peak):
@@ -848,7 +914,7 @@ def test_eigenbasis_columns_span_several_phase_blocks(monkeypatch):
     config = PhaseEstimationConfig(m_index=5, decomposition=eigendecompose(dense), time=t)
     va = load_amplitudes(3, ref.random_state(3, np.random.default_rng(94)))
     whole = pe._power_columns(va, config)
-    monkeypatch.setattr(pe, "_PHASE_BLOCK", 8 * 3)  # 3 columns a block
+    monkeypatch.setattr(sv, "_BLOCK_ENTRIES", 8 * 3)  # 3 columns a block
     np.testing.assert_allclose(pe._power_columns(va, config), whole, rtol=0, atol=1e-15)
 
 

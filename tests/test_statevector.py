@@ -162,6 +162,35 @@ def test_unitary_power_of_a_nan_matrix_raises(power):
         statevector._unitary_power(u, power)
 
 
+@pytest.mark.parametrize("power", [1, 2, 3, 12, 2**20, 2**20 + 1])
+def test_unitary_power_squares_bit_length_minus_one_times(monkeypatch, power):
+    """U^p draws U and its squares up to p's top bit from
+    ``_unitary_squares``, so it squares ``p.bit_length() - 1`` times, each
+    square snapped once by ``_near_unitary``; a product of several squares
+    is snapped once more, and a power of two is its last square."""
+    u = ref.random_unitary(4, np.random.default_rng(62))
+    squares, snapped = [], []
+    unitary_squares, near_unitary = statevector._unitary_squares, statevector._near_unitary
+
+    def drawn(matrix):
+        for square in unitary_squares(matrix):
+            squares.append(square)
+            yield square
+
+    def snap(matrix):
+        snapped.append(near_unitary(matrix))
+        return snapped[-1]
+
+    monkeypatch.setattr(statevector, "_unitary_squares", drawn)
+    monkeypatch.setattr(statevector, "_near_unitary", snap)
+    got = statevector._unitary_power(u, power)
+    several = bin(power).count("1") > 1
+    assert len(squares) == power.bit_length()
+    assert squares[0] is u
+    assert len(snapped) == power.bit_length() - 1 + several
+    assert got is (snapped[-1] if several else squares[-1])
+
+
 def test_gate_matrix_holds_its_copy_and_one_slab(traced_peak):
     """Beyond its read-only copy of U, construction holds one slab of
     G^dag G and its magnitudes: a 2^10 unitary (16 MiB) peaks below 1.25 U;
@@ -395,7 +424,7 @@ def test_low_register_distribution_is_one_whole_array_sum(monkeypatch, row_block
     short last block) or of one row (every M past the block size), give the
     bits of one row-order sum over the whole |a|^2 array."""
     state = load_amplitudes(10, ref.random_state(10, np.random.default_rng(110)))
-    monkeypatch.setattr(statevector, "_ROW_BLOCK", row_block)
+    monkeypatch.setattr(statevector, "_BLOCK_ENTRIES", row_block)
     for k in (1, 4, 10):
         want = state.probabilities().reshape(-1, 2**k).sum(axis=0)
         assert np.array_equal(register_distribution(state, range(k)), want)
@@ -409,7 +438,7 @@ def test_low_register_distribution_memory(traced_peak):
     # one block of |a|^2 and its copy with the running total stacked on,
     # the block's sum and the total, and 64 KiB for interpreter bookkeeping:
     # no float64 per amplitude (2 MiB here)
-    assert peak <= 8 * (2 * statevector._ROW_BLOCK + 4 * 2**k) + 2**16
+    assert peak <= 8 * (2 * statevector._BLOCK_ENTRIES + 4 * 2**k) + 2**16
 
 
 class TestMeasurement:
