@@ -29,7 +29,6 @@ The ``SPECTRAL_QPE_LOG`` environment variable selects the log level
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import json
 import logging
@@ -295,7 +294,8 @@ def cmd_resources(args: argparse.Namespace) -> int:
         position_space_qubits_per_particle=args.position_qubits_per_particle,
         interacting_pair_in_position_space=args.pair_in_position_space,
     )
-    for name, value in dataclasses.asdict(estimate).items():
+    for name in estimate.__slots__:
+        value = getattr(estimate, name)
         if isinstance(value, bool):
             value = "yes" if value else "no"
         print(f"{name:<36} {value}")

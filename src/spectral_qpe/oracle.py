@@ -12,13 +12,12 @@ from __future__ import annotations
 
 import logging
 import time
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import ContractViolation
-from .statevector import CHECK_ROWS, MAX_GATE_ARITY, UNITARY_TOL, unitarity_defect
+from .statevector import CHECK_ROWS, MAX_GATE_ARITY, UNITARY_TOL, _Record, unitarity_defect
 
 if TYPE_CHECKING:
     from .hamiltonian import HamiltonianSum
@@ -103,12 +102,11 @@ def assemble_dense(h: HamiltonianSum) -> np.ndarray:
     return full
 
 
-@dataclass(frozen=True)
-class SpectralDecomposition:
-    """Eigenvalues in ascending order; eigenvectors as orthonormal columns."""
+class SpectralDecomposition(_Record):
+    """``SpectralDecomposition(eigenvalues, eigenvectors)``: eigenvalues in
+    ascending order; eigenvectors as orthonormal columns."""
 
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
+    __slots__ = ("eigenvalues", "eigenvectors")
 
     @property
     def dim(self) -> int:

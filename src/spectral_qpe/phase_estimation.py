@@ -40,7 +40,6 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -66,8 +65,7 @@ COLLAPSE_FIDELITY_TOL = 1e-9
 POPULATED_BIN_FLOOR = 1e-9
 
 
-@dataclass(frozen=True)
-class PhaseEstimationConfig:
+class PhaseEstimationConfig(sv._Record):
     """Everything one estimation run needs.
 
     ``m_index`` is the number of index qubits (M = 2^m_index readout bins).
@@ -96,25 +94,31 @@ class PhaseEstimationConfig:
 
     The register layout is derived, not declared: ``layout`` is the
     read-only ``RegisterLayout(m_index, l)`` with l the qubits the unitary
-    acts on, the same on every route.  This is the one parser of a run's
+    acts on, the same on every route.  :meth:`replace` gives a copy with
+    fields changed, validated anew.  This is the one parser of a run's
     values: each is typed here (an integer field takes any integral but a
     bool; ``time`` any finite real), so a config built directly refuses
     each value the CLI refuses, with :class:`ConfigFieldError` naming the
     same field, before any work.
     """
 
-    m_index: int
-    unitary: sv.GateMatrix | None = None
-    source: object | None = None
-    decomposition: oracle.SpectralDecomposition | None = None
-    time: float | None = None
-    slices: int = 1
-    trials: int = 1
-    seed: int = 0
-    power_method: str = "block"
-    layout: sv.RegisterLayout = field(init=False, compare=False)
+    __slots__ = ("m_index", "unitary", "source", "decomposition", "time", "slices", "trials",
+                 "seed", "power_method", "layout")
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self,
+        m_index: int,
+        unitary: sv.GateMatrix | None = None,
+        source: object | None = None,
+        decomposition: oracle.SpectralDecomposition | None = None,
+        time: float | None = None,
+        slices: int = 1,
+        trials: int = 1,
+        seed: int = 0,
+        power_method: str = "block",
+    ) -> None:
+        super().__init__(m_index, unitary, source, decomposition, time, slices, trials, seed,
+                         power_method, None)
         for key, low, high in (("trials", 1, MAX_TRIALS), ("seed", 0, 2**64 - 1),
                                ("slices", 1, None), ("m_index", None, None)):
             object.__setattr__(self, key, problems.as_int(getattr(self, key), key, low, high))
@@ -155,6 +159,12 @@ class PhaseEstimationConfig:
                 f"bins; reduce the time",
             )
 
+    def replace(self, **changes) -> PhaseEstimationConfig:
+        """This config with ``changes`` to its fields (all but ``layout``),
+        validated as a new one."""
+        fields = dict(zip(self.__slots__[:-1], self._values()))
+        return PhaseEstimationConfig(**{**fields, **changes})
+
 
 def check_time(time, source=None) -> float:
     """Refuse a time that is not a finite nonzero real, or whose product with
@@ -183,20 +193,21 @@ def step_time(time: float, slices: int, key: str) -> float:
     return step
 
 
-@dataclass(frozen=True)
-class PhaseSample:
+class PhaseSample(sv._Record):
     """One measured readout: bin, its phase 2*pi*bin/M, the energy estimate,
     and the post-measurement system-register state."""
 
-    bin: int
-    phase: float
-    energy: float
-    collapsed_state: sv.StateVector
+    __slots__ = ("bin", "phase", "energy", "collapsed_state")
+
+    # An __init__ in the class body: bench/tracer.py labels a constructor by it.
+    def __init__(self, bin: int, phase: float, energy: float,
+                 collapsed_state: sv.StateVector) -> None:
+        super().__init__(bin, phase, energy, collapsed_state)
 
 
-@dataclass(frozen=True)
-class EigenResult:
-    """Aggregate of a multi-trial run.
+class EigenResult(sv._Record):
+    """``EigenResult(bins, counts, collapsed_states, peaks)``, the aggregate
+    of a multi-trial run.
 
     ``bins`` holds the readout bin of every trial, in trial order, read-only
     and in the narrowest unsigned dtype that holds M - 1 (uint8 up to
@@ -208,10 +219,7 @@ class EigenResult:
     threshold, sorted by descending probability (ties by bin).
     """
 
-    bins: np.ndarray
-    counts: np.ndarray
-    collapsed_states: dict[int, sv.StateVector]
-    peaks: list[tuple[int, float]]
+    __slots__ = ("bins", "counts", "collapsed_states", "peaks")
 
 
 def default_peak_threshold(trials: int) -> float:
@@ -603,7 +611,7 @@ def _exact_config(
     config: PhaseEstimationConfig, decomposition: oracle.SpectralDecomposition
 ) -> PhaseEstimationConfig:
     """``config`` running U = e^{-iHt} from ``decomposition`` instead of its source."""
-    return replace(config, source=None, slices=1, decomposition=decomposition)
+    return config.replace(source=None, slices=1, decomposition=decomposition)
 
 
 class Run:
@@ -677,15 +685,13 @@ class Run:
             )
 
 
-@dataclass(frozen=True)
-class AuditReport:
-    """The deviations :func:`audit` found; ``worst_bin`` is -1 when no bin is populated."""
+class AuditReport(sv._ValueRecord):
+    """``AuditReport(distribution_deviation, other_route, route_deviation,
+    worst_fidelity, worst_bin)``, the deviations :func:`audit` found;
+    ``worst_bin`` is -1 when no bin is populated."""
 
-    distribution_deviation: float
-    other_route: str
-    route_deviation: float
-    worst_fidelity: float
-    worst_bin: int
+    __slots__ = ("distribution_deviation", "other_route", "route_deviation", "worst_fidelity",
+                 "worst_bin")
 
 
 def audit(run: Run, *, _corrupt_qft_sign: bool = False) -> AuditReport:
@@ -721,7 +727,7 @@ def audit(run: Run, *, _corrupt_qft_sign: bool = False) -> AuditReport:
     # Route check: the block engine against a gate-level route, amplitude by
     # amplitude (binary_power stands in when the engine is the configured route).
     other = "binary_power" if config.power_method == "block" else "block"
-    cross = pre_measurement_state(run.guess, replace(config, power_method=other)).amplitudes
+    cross = pre_measurement_state(run.guess, config.replace(power_method=other)).amplitudes
     route_deviation = float(np.abs(cross - pre.amplitudes).max())
     del cross
     if not (route_deviation <= ROUTE_TOL):

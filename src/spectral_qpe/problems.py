@@ -14,7 +14,6 @@ from __future__ import annotations
 import functools
 import math
 import numbers
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -422,17 +421,12 @@ def build_guess(cfg: dict, l_system: int) -> tuple[sv.StateVector, object]:
         raise ConfigFieldError("guess", str(exc)) from exc
 
 
-@dataclass(frozen=True)
-class ResourceEstimate:
+class ResourceEstimate(sv._ValueRecord):
     """Qubit budget: per-particle registers + readout register + scratch."""
 
-    particles: int
-    qubits_per_particle: int
-    index_qubits: int
-    scratch_qubits: int
-    position_space_qubits_per_particle: int
-    interacting_pair_in_position_space: bool
-    total: int
+    __slots__ = ("particles", "qubits_per_particle", "index_qubits", "scratch_qubits",
+                 "position_space_qubits_per_particle", "interacting_pair_in_position_space",
+                 "total")
 
 
 def resource_estimate(
@@ -481,8 +475,4 @@ def resource_estimate(
         )
     else:
         total = particles * qubits_per_particle + index_qubits + scratch_qubits
-    return ResourceEstimate(
-        **counts,
-        interacting_pair_in_position_space=interacting_pair_in_position_space,
-        total=total,
-    )
+    return ResourceEstimate(*counts.values(), interacting_pair_in_position_space, total)

@@ -19,8 +19,6 @@ Conventions, used consistently across the package:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import ContractViolation
@@ -39,6 +37,53 @@ CHECK_ROWS = 64
 #: (256 KiB of complex128): the marginal's |a|^2 rows, and the block
 #: engine's phase-table columns and FFT rows; one row or column if longer.
 _BLOCK_ENTRIES = 2**14
+
+
+class _Record:
+    """A read-only record: its fields are its ``__slots__``, in order, set
+    once by ``__init__`` (or by copy and pickle); assigning or deleting one
+    raises ``AttributeError``.  Equality is identity, as for records that
+    hold arrays."""
+
+    __slots__ = ()
+
+    def __init__(self, *values) -> None:
+        if len(values) != len(self.__slots__):
+            raise TypeError(f"{type(self).__name__} takes {len(self.__slots__)} fields")
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"{type(self).__name__} is read-only: cannot set {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"{type(self).__name__} is read-only: cannot delete {name!r}")
+
+    def __setstate__(self, state: tuple) -> None:
+        """Restore the ``(None, {field: value})`` state that copy and pickle
+        take from a slotted object."""
+        for name, value in state[1].items():
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+
+class _ValueRecord(_Record):
+    """A :class:`_Record` equal to one of its class with equal fields, and
+    hashed by them."""
+
+    __slots__ = ()
+
+    def __eq__(self, other) -> bool:
+        return self._values() == other._values() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
 
 
 class GateMatrix:
@@ -131,8 +176,7 @@ def swap_gate() -> GateMatrix:
     )
 
 
-@dataclass(frozen=True)
-class RegisterLayout:
+class RegisterLayout(_ValueRecord):
     """Partition of a simulation register into index | system.
 
     The index register occupies qubits [0, m_index) and the system register
@@ -141,10 +185,10 @@ class RegisterLayout:
     mask of the low bits of the basis index.
     """
 
-    m_index: int
-    l_system: int
+    __slots__ = ("m_index", "l_system")
 
-    def __post_init__(self) -> None:
+    def __init__(self, m_index: int, l_system: int) -> None:
+        super().__init__(m_index, l_system)
         if self.m_index < 1:
             raise ValueError(f"index register needs at least 1 qubit, got {self.m_index}")
         if self.l_system < 1:

@@ -829,6 +829,25 @@ class TestResources:
         assert self.total_line(out).split() == ["total", "100"]
         assert "interacting_pair_in_position_space yes" in " ".join(out.split())
 
+    @pytest.mark.parametrize("pair, tail", [
+        ([], "0\n"
+             "interacting_pair_in_position_space   no\n"
+             "total                                60\n"),
+        (["--position-qubits-per-particle", "30", "--pair-in-position-space"],
+         "30\n"
+         "interacting_pair_in_position_space   yes\n"
+         "total                                100\n"),
+    ], ids=["plain", "pair"])
+    def test_prints_every_field_in_declaration_order(self, capsys, pair, tail):
+        code, out = self.run(capsys, "--particles", "5", "--qubits-per-particle", "10",
+                             "--index-qubits", "7", "--scratch-qubits", "3", *pair)
+        assert code == 0
+        assert out == ("particles                            5\n"
+                       "qubits_per_particle                  10\n"
+                       "index_qubits                         7\n"
+                       "scratch_qubits                       3\n"
+                       "position_space_qubits_per_particle   " + tail)
+
     def test_minimal_budget(self, capsys):
         code, out = self.run(capsys, "--particles", "1",
                              "--qubits-per-particle", "1",

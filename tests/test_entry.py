@@ -7,10 +7,12 @@ run must give the exit code, stdout, stderr and files of ``cli.main`` called
 in this process on the same arguments.
 """
 
+import importlib
 import json
 import logging
 import os
 import pathlib
+import pkgutil
 import re
 import subprocess
 import sys
@@ -20,6 +22,7 @@ import pytest
 
 import spectral_qpe
 from spectral_qpe import cli
+from spectral_qpe import phase_estimation as pe
 
 _SRC = str(pathlib.Path(spectral_qpe.__file__).resolve().parent.parent)
 
@@ -218,3 +221,23 @@ def test_a_sampling_run_loads_no_numpy_random(tmp_path):
     assert done.returncode == 0, done.stderr
     eager, loaded = done.stdout.split()[-2:]
     assert loaded == eager
+
+
+def test_start_up_generates_no_dataclass(tmp_path):
+    """Importing the package generates no code: no class of it is a
+    dataclass, and a fresh ``import spectral_qpe.cli`` loads ``dataclasses``
+    only if numpy and the CLI's standard-library imports already do.
+    ``PhaseSample`` keeps an ``__init__`` in its own class body, the
+    constructor the benchmark's tracer wraps by name."""
+    for info in pkgutil.iter_modules(spectral_qpe.__path__):
+        module = importlib.import_module(f"spectral_qpe.{info.name}")
+        for value in vars(module).values():
+            assert not hasattr(value, "__dataclass_fields__"), value
+    assert "__init__" in vars(pe.PhaseSample)
+    loaded = {}
+    for imports in ("numpy, argparse, json, logging", "spectral_qpe.cli"):
+        source = f"import sys\nimport {imports}\nprint('dataclasses' in sys.modules)"
+        done = run_child([sys.executable, "-c", source], tmp_path, capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+        loaded[imports] = done.stdout.split()[-1]
+    assert loaded["spectral_qpe.cli"] == loaded["numpy, argparse, json, logging"]

@@ -1,7 +1,8 @@
 """Estimation pipeline: conditional powers, readout law, sampling, collapse."""
 
-import dataclasses
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -124,8 +125,51 @@ def test_config_layout_is_the_same_on_every_route():
         )
         assert config.layout == RegisterLayout(2, 1)
         assert config.layout.total_qubits == 3
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(AttributeError):
         config.layout = RegisterLayout(2, 2)
+
+
+def test_config_replace_validates_a_new_config():
+    config = PhaseEstimationConfig(m_index=2, unitary=GateMatrix(np.eye(2)), time=1.0, trials=5)
+    wider = config.replace(m_index=3, time=2)
+    assert (wider.m_index, wider.time, wider.trials) == (3, 2.0, 5)
+    assert type(wider.time) is float
+    assert wider.layout == RegisterLayout(3, 1)
+    assert config.layout == RegisterLayout(2, 1)
+    with pytest.raises(ConfigFieldError) as excinfo:
+        config.replace(trials=0)
+    assert excinfo.value.field == "trials"
+    with pytest.raises(ValueError, match="exactly one of"):
+        config.replace(decomposition=eigendecompose(np.diag([1.0, -1.0])))
+
+
+def test_records_copy_and_pickle():
+    config = PhaseEstimationConfig(m_index=2, decomposition=eigendecompose(np.diag([1.0, -1.0])),
+                                   time=1.0, trials=3)
+    for copied in (copy.copy(config), copy.deepcopy(config), pickle.loads(pickle.dumps(config))):
+        assert (copied.m_index, copied.time, copied.trials) == (2, 1.0, 3)
+        assert copied.layout == config.layout == RegisterLayout(2, 1)
+        np.testing.assert_array_equal(copied.decomposition.eigenvalues, [-1.0, 1.0])
+        with pytest.raises(AttributeError):
+            copied.trials = 4
+
+
+def test_records_holding_arrays_compare_by_identity():
+    """``==`` on a decomposition, a result or a config returns a bool, and
+    each hashes: equal to itself alone, whatever the arrays it holds."""
+    matrix = np.diag([1.0, -1.0])
+    first, second = eigendecompose(matrix), eigendecompose(matrix)
+    config = PhaseEstimationConfig(m_index=2, decomposition=first, time=1.0, trials=4)
+    twin = config.replace(decomposition=second)
+    va = load_amplitudes(1, [1.0, 0.0])
+    for record, other in [(first, second), (config, twin),
+                          (sample_spectrum(va, config), sample_spectrum(va, config))]:
+        assert (record == record) is True
+        assert (record == other) is False
+        assert (record != other) is True
+        assert hash(record) == hash(record)
+        with pytest.raises(AttributeError):
+            setattr(record, record.__slots__[0], None)
 
 
 def test_config_defaults_to_block_engine_and_rejects_unknown_routes():
@@ -1198,7 +1242,7 @@ def test_phase_to_energy_rejects_zero_time():
 def first_trial(va, config):
     """Trial 0 of ``sample_spectrum`` run on one trial: its bin, the bin's
     phase 2*pi*bin/M, the energy estimate and the collapsed state."""
-    result = sample_spectrum(va, dataclasses.replace(config, trials=1))
+    result = sample_spectrum(va, config.replace(trials=1))
     bin_index = int(result.bins[0])
     phase = 2.0 * math.pi * bin_index / config.layout.num_bins
     return bin_index, phase, phase_to_energy(phase, config.time), result.collapsed_states[bin_index]
@@ -1439,7 +1483,7 @@ def test_bins_and_collapsed_states_record_every_trial():
     assert phase == 2.0 * math.pi * single / 8
     assert energy == phase_to_energy(phase, 1.0)
     assert all(b in result.collapsed_states for b, _ in result.peaks)
-    fields = [f.name for f in dataclasses.fields(result)]
+    fields = list(result.__slots__)
     assert fields == ["bins", "counts", "collapsed_states", "peaks"]
 
 

@@ -238,6 +238,8 @@ class TestResources:
         estimate = resource_estimate(5, 10, 7, 3)
         assert estimate.total == 60
         assert not estimate.interacting_pair_in_position_space
+        assert estimate == resource_estimate(5, 10, 7, 3) != resource_estimate(5, 10, 7, 4)
+        assert hash(estimate) == hash(resource_estimate(5, 10, 7, 3))
 
     def test_pair_promotion_total(self):
         estimate = resource_estimate(
