@@ -308,7 +308,8 @@ def apply_conditional_powers_binary(
     """Conditional powers via index bits: controlled-U^(2^s) off index qubit s.
 
     A source runs 2^s * ``slices`` gate-level steps under qubit s; a dense
-    U^(2^s) is square s of ``sv._unitary_squares``, validated as a gate.
+    U^(2^s) is square s of ``sv._unitary_squares``, applied by the gate
+    kernel as the squaring checked it (U itself was checked as a gate).
     """
     system = config.layout.system_qubits
     if config.source is not None:
@@ -322,11 +323,9 @@ def apply_conditional_powers_binary(
         gate = ham.unitary_from_decomposition(config.decomposition, config.time)
     # drawn one at a time: a zip's cached tuple would keep a used square alive
     squares = sv._unitary_squares(gate.matrix)
-    for s, qubit in enumerate(config.layout.index_qubits):
-        square = next(squares)
-        if s:
-            gate = sv.GateMatrix(square)
-        state = sv.apply_controlled_gate(state, gate, [qubit], system)
+    for qubit in config.layout.index_qubits:
+        amps = sv._apply_matrix(state.amplitudes, state.num_qubits, next(squares), system, [qubit])
+        state = sv._wrap_state(state.num_qubits, amps)
     return state
 
 

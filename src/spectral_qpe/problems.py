@@ -161,9 +161,10 @@ class GridRecipe:
 
     def system_step(self, dt: float, slices: int):
         """``slices`` slices as a map on 2^l system vectors and (2^l, K)
-        blocks of them: the dense slice raised to the slice count by
-        drift-controlled binary powering, validated once as a unitary."""
-        matrix = sv.GateMatrix(sv._unitary_power(self.step_matrix(dt), slices)).matrix
+        blocks of them: the dense slice, checked once as a gate, raised to
+        the slice count by drift-controlled binary powering (which checks
+        each square and product it builds)."""
+        matrix = sv._unitary_power(sv.GateMatrix(self.step_matrix(dt)).matrix, slices)
         return lambda block: matrix @ block
 
     def dense_hamiltonian(self) -> np.ndarray:
@@ -392,33 +393,29 @@ def parse_slices(cfg: dict, problem: Problem):
 
 
 def build_guess(cfg: dict, l_system: int) -> tuple[sv.StateVector, object]:
-    """V_a from the "guess" key (default (+)^l), and the key as given."""
+    """V_a from the "guess" key (default (+)^l), and the key as given; a
+    refusal of an object form names its sub-key."""
     raw = cfg.get("guess", "plus")
-    try:
-        if raw == "plus":
-            dim = 2**l_system
-            return sv.load_amplitudes(l_system, np.full(dim, 1 / math.sqrt(dim))), raw
-        if raw == "zero":
-            return sv.new_basis_state(l_system, 0), raw
-        if isinstance(raw, dict):
-            keys = set(raw)
-            if keys == {"amplitudes"}:
-                amps = _as_complex_vector(raw["amplitudes"], "guess.amplitudes")
-                return sv.load_amplitudes(l_system, amps), raw
-            if keys == {"product"}:
-                factors = raw["product"]
-                if not isinstance(factors, list):
-                    raise ConfigFieldError("guess.product", "expected a list of pairs")
-                pairs = [_as_complex_vector(f, "guess.product") for f in factors]
-                return product_state_guess(l_system, pairs), raw
-            raise ConfigFieldError(
-                "guess", 'object form must have exactly one of "amplitudes" or "product"'
-            )
+    if raw == "plus":
+        dim = 2**l_system
+        return sv.load_amplitudes(l_system, np.full(dim, 1 / math.sqrt(dim))), raw
+    if raw == "zero":
+        return sv.new_basis_state(l_system, 0), raw
+    if not isinstance(raw, dict):
         raise ConfigFieldError("guess", f'expected "plus", "zero", or an object, got {raw!r}')
-    except ConfigFieldError:
-        raise
-    except ValueError as exc:
-        raise ConfigFieldError("guess", str(exc)) from exc
+    keys = set(raw)
+    if keys == {"amplitudes"}:
+        amps = _as_complex_vector(raw["amplitudes"], "guess.amplitudes")
+        return _named("guess.amplitudes", sv.load_amplitudes, l_system, amps), raw
+    if keys == {"product"}:
+        factors = raw["product"]
+        if not isinstance(factors, list):
+            raise ConfigFieldError("guess.product", "expected a list of pairs")
+        pairs = [_as_complex_vector(f, "guess.product") for f in factors]
+        return _named("guess.product", product_state_guess, l_system, pairs), raw
+    raise ConfigFieldError(
+        "guess", 'object form must have exactly one of "amplitudes" or "product"'
+    )
 
 
 class ResourceEstimate(sv._ValueRecord):

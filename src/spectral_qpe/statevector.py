@@ -135,13 +135,17 @@ def unitarity_defect(matrix: np.ndarray) -> float:
 
 def _near_unitary(matrix: np.ndarray) -> np.ndarray:
     """``matrix``, snapped back onto the unitary manifold (the polar factor
-    of its SVD) when float drift approaches the gate tolerance."""
+    of its SVD) when float drift approaches the gate tolerance: a unitary
+    within ``UNITARY_TOL``, the one check a dense power gets."""
     defect = unitarity_defect(matrix)
     if not np.isfinite(defect):
         raise ContractViolation(f"matrix power is not finite: defect {defect}")
     if defect > UNITARY_TOL / 4:
         u, _, vh = np.linalg.svd(matrix)
         matrix = u @ vh
+        defect = unitarity_defect(matrix)
+        if not (defect <= UNITARY_TOL):  # NaN fails closed
+            raise ContractViolation(f"snapped matrix power is not unitary: defect {defect:.3e}")
     return matrix
 
 

@@ -272,6 +272,24 @@ class TestSpectrum:
         assert records["spectrum"]["peaks"][0] == dominant
 
 
+def test_product_guess_writes_the_histogram_of_its_amplitudes(tmp_path, monkeypatch):
+    """A product guess is the tensor product of its pairs, qubit 0 first:
+    (1, 0) (x) (0, 1) (x) (0.6, 0.8) is 0.6 on |010> and 0.8 on |110>, and a
+    spectrum run from it writes the histogram of those amplitudes given as
+    the "amplitudes" form."""
+    monkeypatch.chdir(tmp_path)
+    guesses = {"product": {"product": [[1, 0], [0, 1], [0.6, 0.8]]},
+               "amplitudes": {"amplitudes": [0, 0, 0.6, 0, 0, 0, 0.8, 0]}}
+    for name, guess in guesses.items():
+        cfg = {"problem": "tfim", "sites": 3, "m_index": 5, "time": 0.5, "trials": 500,
+               "seed": 3, "guess": guess, "out": name}
+        assert cli.main(["spectrum", "--config", write_config(tmp_path, cfg, f"{name}.json")]) == 0
+    product = (tmp_path / "product.histogram.csv").read_bytes()
+    assert product == (tmp_path / "amplitudes.histogram.csv").read_bytes()
+    record = json.loads((tmp_path / "product.result.json").read_text())
+    assert record["config"]["guess"] == guesses["product"]
+
+
 class TestAliasingWarning:
     """Every Hamiltonian run warns when its spectrum may leave the unaliased
     window: by the spectral radius up to the dense cap, above it by the
@@ -528,6 +546,39 @@ class TestConfigRejections:
     ):
         cfg = {**DIAG_I, "m_index": 2, "time": 1.0, "out": "big", **extra}
         self.check_refused_before_running(tmp_path, monkeypatch, capsys, cfg, key, "solve")
+
+    @pytest.mark.parametrize("guess, key, message", [
+        ({"amplitudes": [1, 0]}, "guess.amplitudes", "expected 4 amplitudes"),
+        ({"amplitudes": [1, 1, 0, 0]}, "guess.amplitudes", "not normalized"),
+        ({"product": [[1, 0]]}, "guess.product", "need 2 amplitude pairs, got 1"),
+        ({"product": [[1, 0], [1, 0, 0]]}, "guess.product", "qubit 1 needs exactly 2 amplitudes"),
+        ({"product": [[1, 0], [1, 1]]}, "guess.product", "qubit 1 amplitudes are not normalized"),
+        ({"product": "x"}, "guess.product", "expected a list of pairs"),
+        ({"amplitudes": [1, 0, 0, 0], "product": [[1, 0], [1, 0]]}, "guess",
+         'exactly one of "amplitudes" or "product"'),
+    ], ids=["amplitudes-length", "amplitudes-norm", "product-count", "product-pair-length",
+            "product-pair-norm", "product-not-a-list", "both-forms"])
+    def test_guess_refusal_names_its_sub_key(self, tmp_path, monkeypatch, capsys, guess, key,
+                                             message):
+        """A guess object refused for its shape or norm names the sub-key
+        at fault, as its parse errors do; one with both forms names "guess"."""
+        cfg = {"problem": "tfim", "sites": 2, "m_index": 3, "time": 0.5, "out": "guess",
+               "guess": guess}
+        err = self.check_refused_before_running(tmp_path, monkeypatch, capsys, cfg, key, "solve")
+        assert message in err
+
+    @pytest.mark.parametrize("text, message", [
+        ('{"problem": "tfim",', "config is not valid JSON"),
+        ('[{"problem": "tfim"}]', "config must be a JSON object"),
+    ], ids=["not-json", "array"])
+    def test_config_that_is_no_json_object_is_refused(self, tmp_path, monkeypatch, capsys, text,
+                                                      message):
+        monkeypatch.chdir(tmp_path)
+        path = tmp_path / "config.json"
+        path.write_text(text)
+        assert cli.main(["solve", "--config", str(path)]) == 2
+        assert message in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [path]
 
     @pytest.mark.parametrize("command", ["solve", "spectrum", "trotter-bench", "oracle-check"])
     def test_out_in_missing_directory_is_refused_before_running(

@@ -14,6 +14,7 @@ from spectral_qpe import (
     GridRecipe,
     LocalTerm,
     SpectralDecomposition,
+    analytic_bin_distribution,
     assemble_dense,
     build_transverse_ising,
     eigendecompose,
@@ -441,3 +442,21 @@ def test_spectral_amplitudes_refuse_non_finite_time():
 
 def test_max_dense_qubits_constant():
     assert MAX_DENSE_QUBITS == 12
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: HamiltonianSum([LocalTerm([0], ref.X)], 0), "at least 1 qubit, got 0"),
+    (lambda: analytic_bin_distribution([1.0], [0.0], 0), "m_index must be >= 1, got 0"),
+    (lambda: embed_operator(np.eye(2), [0, 1], 2),
+     r"operator shape \(2, 2\) does not match 2 target qubits"),
+    (lambda: embed_operator(np.eye(4), [1, 1], 2), r"duplicate target qubits: \[1, 1\]"),
+    (lambda: embed_operator(ref.X, [2], 2), "target qubit 2 out of range for 2 qubits"),
+    (lambda: SpectralDecomposition(np.zeros(3), np.eye(3)).num_qubits,
+     "dimension 3 is not a power of two >= 2"),
+], ids=["hamiltonian-no-qubits", "readout-no-index-qubits", "embed-shape",
+        "embed-duplicate-target", "embed-target-out-of-range", "decomposition-dim-3"])
+def test_library_refusals(call, message):
+    """The library's size and target checks refuse with a ValueError that
+    says what is wrong."""
+    with pytest.raises(ValueError, match=message):
+        call()

@@ -353,28 +353,47 @@ def test_binary_powers_diagonal_phase_accumulation():
 @pytest.mark.parametrize("m_index", [1, 2, 5])
 def test_binary_route_squares_a_dense_unitary_once_per_later_index_qubit(monkeypatch, m_index):
     """On a dense U the binary route takes U and its squares from
-    ``_unitary_squares``: it squares m - 1 times, snapping each square
-    once, and wraps those m - 1 squares in ``GateMatrix``; U goes under
-    index qubit 0 as given."""
+    ``_unitary_squares`` and applies each through the gate kernel as drawn:
+    it squares m - 1 times, and the check of each square by ``_near_unitary``
+    is its only one (m - 1 ``unitarity_defect`` calls, no ``GateMatrix``),
+    made on the very matrix applied; U goes under index qubit 0 as given."""
     rng = np.random.default_rng(95)
     config = unitary_config(ref.random_unitary(4, rng), m_index)
     state = spread(ref.random_state(2, rng), config.layout)
-    snapped, wrapped = [], []
-    near_unitary, gate_matrix = sv._near_unitary, sv.GateMatrix
+    snapped, checked, applied = [], [], []
+    near_unitary, defect, apply_matrix = sv._near_unitary, sv.unitarity_defect, sv._apply_matrix
 
     def snap(matrix):
         snapped.append(near_unitary(matrix))
         return snapped[-1]
 
-    def wrap(matrix):
-        wrapped.append(matrix)
-        return gate_matrix(matrix)
+    def apply(amps, q, matrix, targets, controls=()):
+        applied.append(matrix)
+        return apply_matrix(amps, q, matrix, targets, controls)
+
+    def unbuilt(matrix):
+        raise AssertionError("the binary route built a GateMatrix")
 
     monkeypatch.setattr(sv, "_near_unitary", snap)
-    monkeypatch.setattr(sv, "GateMatrix", wrap)
+    monkeypatch.setattr(sv, "unitarity_defect", lambda matrix: checked.append(matrix) or defect(matrix))
+    monkeypatch.setattr(sv, "_apply_matrix", apply)
+    monkeypatch.setattr(sv, "GateMatrix", unbuilt)
     apply_conditional_powers_binary(state, config)
-    assert len(snapped) == len(wrapped) == m_index - 1
-    assert all(w is s for w, s in zip(wrapped, snapped))
+    assert len(snapped) == len(checked) == m_index - 1
+    assert len(applied) == m_index and applied[0] is config.unitary.matrix
+    assert all(a is s is c for a, s, c in zip(applied[1:], snapped, checked))
+
+
+def test_dense_binary_route_holds_no_copy_of_a_square(traced_peak):
+    """Beyond its input (U and the state) the binary route holds the square
+    it applies, the next one as it is built and the gate kernel's operand
+    and output (2.9 dense matrices of 2^8 at M = 64); a gate copy of each
+    square held one more (3.9)."""
+    rng = np.random.default_rng(97)
+    config = unitary_config(ref.random_unitary(2**8, rng), 6)
+    state = spread(ref.random_state(8, rng), config.layout)
+    _, peak = traced_peak(lambda: apply_conditional_powers_binary(state, config))
+    assert peak <= 3.25 * config.unitary.matrix.nbytes
 
 
 def test_sliced_binary_route_builds_its_slice_gates_once(monkeypatch):
@@ -639,12 +658,13 @@ def test_flag_loop_and_binary_agree():
 def test_dense_powers_are_validated_once(monkeypatch):
     """U was validated with the config and is applied as given; the binary
     route builds each higher power once, as the square of the one before,
-    and it is validated once, when it is built."""
+    and it is validated once, when it is built: ``unitarity_defect`` runs on
+    U^2 and U^4 alone, and no ``GateMatrix`` copies either."""
     rng = np.random.default_rng(71)
     u = ref.random_unitary(2, rng)
     config = unitary_config(u, 3)
     state = spread(ref.random_state(1, rng), config.layout)
-    constructed = []
+    checked, constructed = [], []
 
     class CountingGate(GateMatrix):
         def __init__(self, matrix):
@@ -656,11 +676,16 @@ def test_dense_powers_are_validated_once(monkeypatch):
         want = sv.apply_controlled_gate(
             want, GateMatrix(np.linalg.matrix_power(u, power)), [qubit], [3]
         )
+    defect = sv.unitarity_defect
+    monkeypatch.setattr(sv, "unitarity_defect",
+                        lambda matrix: checked.append(np.array(matrix)) or defect(matrix))
     monkeypatch.setattr(sv, "GateMatrix", CountingGate)
     got = pe.apply_conditional_powers_binary(state, config)
     np.testing.assert_allclose(got.amplitudes, want.amplitudes, atol=1e-12)
-    assert len(constructed) == 2  # U^2 and U^4
-    np.testing.assert_allclose(constructed[1], np.linalg.matrix_power(u, 4), atol=1e-12)
+    assert constructed == []
+    assert len(checked) == 2  # U^2 and U^4
+    for matrix, power in zip(checked, (2, 4)):
+        np.testing.assert_allclose(matrix, np.linalg.matrix_power(u, power), atol=1e-12)
 
 
 # One unitary source per case: (system qubits, config keywords).

@@ -5,6 +5,7 @@ import pytest
 import scipy.linalg
 
 import reference as ref
+from spectral_qpe import statevector as sv
 from spectral_qpe import (
     ConfigFieldError,
     GridRecipe,
@@ -167,6 +168,27 @@ class TestGridRecipe:
         kinetic = np.diag(np.exp(-1j * recipe.kinetic_energies() * dt))
         want = f.conj().T @ kinetic @ f @ np.diag(np.exp(-1j * recipe.potential * dt))
         np.testing.assert_allclose(step, want, rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("slices", [1, 2, 5])
+    def test_system_step_checks_each_matrix_once(self, monkeypatch, slices):
+        """The raw slice is checked once as a gate, and the powering checks
+        each square and product it builds: the matrices checked are the
+        slice, its squares up to the count's top bit and, for a count that
+        is no power of two, their product, and each of them once."""
+        recipe = GridRecipe(3, "harmonic:0.8,3.5", 1.0)
+        checked = []
+        defect = sv.unitarity_defect
+        monkeypatch.setattr(sv, "unitarity_defect",
+                            lambda matrix: checked.append(np.array(matrix)) or defect(matrix))
+        step = recipe.system_step(0.1, slices)
+        one = recipe.step_matrix(0.1)
+        powers = [2**k for k in range(slices.bit_length())]
+        powers += [slices] if slices not in powers else []
+        assert len(checked) == len(powers)
+        for matrix, power in zip(checked, powers):
+            np.testing.assert_allclose(matrix, np.linalg.matrix_power(one, power), atol=1e-12)
+        np.testing.assert_allclose(step(np.eye(8)), np.linalg.matrix_power(one, slices),
+                                   atol=1e-12)
 
     def test_step_is_first_order_split_of_dense_hamiltonian(self):
         recipe = GridRecipe(3, "harmonic:1.1,3.0", 1.0)

@@ -154,6 +154,32 @@ def test_non_finite_defect_in_the_last_slab_fails_closed(kind):
         statevector._near_unitary(g)
 
 
+def test_a_snapped_power_is_checked_again(monkeypatch):
+    """A product drifted past a quarter of the gate tolerance is snapped to
+    the polar factor of its SVD, and the snap is checked once more, so
+    ``_near_unitary`` returns a unitary within ``UNITARY_TOL`` or raises: a
+    snap that is not unitary (here from an SVD whose left factor is
+    scaled) is a ``ContractViolation``."""
+    u = ref.random_unitary(4, np.random.default_rng(63))
+    drifted = u * (1 + 1e-9)
+    checked = []
+    defect, svd = statevector.unitarity_defect, np.linalg.svd
+    monkeypatch.setattr(statevector, "unitarity_defect",
+                        lambda matrix: checked.append(matrix) or defect(matrix))
+    snapped = statevector._near_unitary(drifted)
+    assert len(checked) == 2 and checked[0] is drifted and checked[1] is snapped
+    assert defect(snapped) <= statevector.UNITARY_TOL
+    np.testing.assert_allclose(snapped, u, rtol=0, atol=1e-14)
+
+    def scaled_svd(matrix):
+        left, values, right = svd(matrix)
+        return left * (1 + 1e-6), values, right
+
+    monkeypatch.setattr(np.linalg, "svd", scaled_svd)
+    with pytest.raises(ContractViolation, match="snapped matrix power is not unitary"):
+        statevector._near_unitary(drifted)
+
+
 @pytest.mark.parametrize("power", [2, 3, 2**20 + 1])
 def test_unitary_power_of_a_nan_matrix_raises(power):
     u = ref.random_unitary(4, np.random.default_rng(61))
