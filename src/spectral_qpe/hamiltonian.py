@@ -25,10 +25,11 @@ class LocalTerm:
     """A Hermitian operator on at most 6 qubits.
 
     ``support[0]`` is the least significant bit of the term matrix's index,
-    consistent with gate application.
+    consistent with gate application.  ``spectrum``, its read-only
+    ``SpectralDecomposition``, is solved here once, and a non-finite one refused.
     """
 
-    __slots__ = ("support", "matrix")
+    __slots__ = ("support", "matrix", "spectrum")
 
     def __init__(self, support, matrix) -> None:
         support = tuple(support)
@@ -46,6 +47,11 @@ class LocalTerm:
             )
         oracle.check_hermitian(mat, "term", "H")
         mat.setflags(write=False)
+        self.spectrum = oracle.SpectralDecomposition(*np.linalg.eigh(mat))
+        for array in self.spectrum._values():
+            array.setflags(write=False)
+        if not np.isfinite(self.spectrum.norm_bound()):
+            raise ValueError("term spectrum is not finite: an eigenvalue overflows")
         self.support = support
         self.matrix = mat
 
@@ -88,6 +94,8 @@ class HamiltonianSum:
         self.terms = terms
         self.num_qubits = num_qubits
         self._gate_cache: tuple[float | None, list] = (None, [])  # (dt, its slice gates)
+        if not np.isfinite(self.norm_bound()):
+            raise ValueError("norm bound is not finite: the terms' eigenvalues overflow")
 
     def __repr__(self) -> str:
         return f"HamiltonianSum(num_qubits={self.num_qubits}, terms={len(self.terms)})"
@@ -98,17 +106,8 @@ class HamiltonianSum:
         return self._gate_cache[1]
 
     def norm_bound(self) -> float:
-        """Cheap upper bound on ||H||: the sum of the terms' spectral norms.
-
-        A Hermitian term's spectral norm is its largest |eigenvalue|, taken
-        from ``eigvalsh`` (on the real part when the term is real), not from
-        an SVD.
-        """
-        total = 0.0
-        for term in self.terms:
-            matrix = term.matrix if term.matrix.imag.any() else term.matrix.real
-            total += float(np.abs(np.linalg.eigvalsh(matrix)).max())
-        return total
+        """Cheap upper bound on ||H||: the sum of the terms' spectral norms."""
+        return sum(term.spectrum.norm_bound() for term in self.terms)
 
     def dense_hamiltonian(self) -> np.ndarray:
         """H over the full 2^l system space (the oracle's dense assembly)."""
@@ -157,9 +156,8 @@ class HamiltonianSum:
 
 
 def term_exponential(term: LocalTerm, dt: float) -> sv.GateMatrix:
-    """e^{-i * H_term * dt} via Hermitian eigendecomposition of the term."""
-    decomposition = oracle.SpectralDecomposition(*np.linalg.eigh(term.matrix))
-    return unitary_from_decomposition(decomposition, dt)
+    """e^{-i * H_term * dt} from the term's eigendecomposition."""
+    return unitary_from_decomposition(term.spectrum, dt)
 
 
 def slice_gates(h: HamiltonianSum, dt: float) -> list[tuple[list[int], sv.GateMatrix]]:

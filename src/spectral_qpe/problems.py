@@ -37,14 +37,16 @@ def build_transverse_ising(sites: int, coupling: float, field: float) -> ham.Ham
     ferromagnets.  Term order (fixed, hence the Trotter order) is all bond
     terms left to right, then all field terms left to right.  Each value is
     typed as the config key of its name (``sites`` in [2, 12]), a refusal a
-    ``ConfigFieldError`` naming that key.
+    ``ConfigFieldError`` naming that key; a non-finite norm bound names
+    ``coupling`` if the bond terms' bound is not finite, else ``field``.
     """
     sites = as_int(sites, "sites", *_TFIM_SITES)
     coupling, field = as_real(coupling, "coupling"), as_real(field, "field")
     zz = np.kron(_PAULI_Z, _PAULI_Z)
     terms = [ham.LocalTerm([i, i + 1], -coupling * zz) for i in range(sites - 1)]
+    _named("coupling", ham.HamiltonianSum, terms, sites)  # the bonds' bound alone
     terms += [ham.LocalTerm([i], -field * _PAULI_X) for i in range(sites)]
-    return ham.HamiltonianSum(terms, sites)
+    return _named("field", ham.HamiltonianSum, terms, sites)
 
 
 def sample_potential(spec, num_qubits: int) -> np.ndarray:
@@ -100,35 +102,37 @@ class GridRecipe:
     units, so the ground state sits at zero frequency rather than at a
     spurious high-frequency corner.  It is an evolution source with the
     same interface as :class:`~spectral_qpe.hamiltonian.HamiltonianSum`.
+    ``potential`` (V by position) and ``kinetic`` (T by index p) are read-only.
     The qubit count (in [2, 10]) is refused under the config key
-    "system_qubits", then a ``mass`` that is not a positive real, then the
-    potential (see :func:`sample_potential`), each as a ``ConfigFieldError``.
+    "system_qubits", then a ``mass`` that is not a positive real or gives a
+    non-finite T, then the potential (see :func:`sample_potential`) or a
+    non-finite max|V| + max T, each as a ``ConfigFieldError``.
     """
 
-    __slots__ = ("num_qubits", "potential", "mass")
+    __slots__ = ("num_qubits", "potential", "kinetic", "mass")
 
     def __init__(self, num_qubits: int, potential, mass: float) -> None:
         num_qubits = as_int(num_qubits, "system_qubits", *_GRID_QUBITS)
         mass = as_real(mass, "mass")
         if not mass > 0:
             raise ConfigFieldError("mass", f"must be positive, got {mass}")
-        values = sample_potential(potential, num_qubits)
-        values.setflags(write=False)
+        p = np.arange(2**num_qubits)
+        wavenumber = 2.0 * np.pi * np.where(p < p.size // 2, p, p - p.size) / p.size
+        with np.errstate(over="ignore"):
+            self.kinetic = wavenumber**2 / (2.0 * mass)
+        if not np.isfinite(self.kinetic).all():
+            raise ConfigFieldError("mass", f"kinetic energies are not finite at mass {mass!r}")
+        self.potential = sample_potential(potential, num_qubits)
+        self.potential.setflags(write=False)
+        self.kinetic.setflags(write=False)
         self.num_qubits = num_qubits
-        self.potential = values
         self.mass = mass
-
-    def kinetic_energies(self) -> np.ndarray:
-        """T(p~) on the centered discrete momentum grid, in index order p."""
-        points = 2**self.num_qubits
-        p = np.arange(points)
-        centered = np.where(p < points // 2, p, p - points)
-        wavenumber = 2.0 * np.pi * centered / points
-        return wavenumber**2 / (2.0 * self.mass)
+        if not math.isfinite(self.norm_bound()):
+            raise ConfigFieldError("potential", "max|V| + max T is not finite")
 
     def _phases(self, dt: float) -> tuple[np.ndarray, np.ndarray]:
         """e^{-iV dt} in the position basis and e^{-iT dt} in the momentum basis."""
-        return np.exp(-1j * self.potential * dt), np.exp(-1j * self.kinetic_energies() * dt)
+        return np.exp(-1j * self.potential * dt), np.exp(-1j * self.kinetic * dt)
 
     def apply_step(self, state: sv.StateVector, dt: float, system_qubits=None, controls=()) -> sv.StateVector:
         """Apply one slice to the given register (optionally controlled)."""
@@ -140,8 +144,9 @@ class GridRecipe:
         return qft.qft_inverse(state, qubits, controls)
 
     def norm_bound(self) -> float:
-        """Cheap upper bound on ||H||: max|V| + max T."""
-        return float(np.abs(self.potential).max() + self.kinetic_energies().max())
+        """Cheap upper bound on ||H||: max|V| + max T, summed as Python floats
+        so that an overflow gives inf with no numpy warning."""
+        return float(np.abs(self.potential).max()) + float(self.kinetic.max())
 
     def _dft_matrix(self) -> np.ndarray:
         points = 2**self.num_qubits
@@ -172,7 +177,7 @@ class GridRecipe:
         most three full matrices alive: F (conjugated in place), diag(T) F
         and H, then H and H^dag while H is symmetrized in place."""
         f = self._dft_matrix()
-        scaled = self.kinetic_energies()[:, None] * f
+        scaled = self.kinetic[:, None] * f
         h = np.conjugate(f, out=f).T @ scaled
         del f, scaled
         h[np.diag_indices_from(h)] += self.potential
@@ -352,7 +357,7 @@ def build_problem(cfg: dict) -> Problem:
         if not isinstance(raw_terms, list) or not raw_terms:
             raise ConfigFieldError("terms", "expected a non-empty list")
         terms = [_build_term(spec, f"terms[{i}]", l_system) for i, spec in enumerate(raw_terms)]
-        return Problem(kind, source=ham.HamiltonianSum(terms, l_system))
+        return Problem(kind, source=_named("terms", ham.HamiltonianSum, terms, l_system))
     matrix = _as_complex_matrix(require(cfg, "unitary"), "unitary")
     return Problem(kind, unitary=_named("unitary", sv.GateMatrix, matrix))
 

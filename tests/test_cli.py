@@ -9,6 +9,7 @@ import os
 import pathlib
 import tempfile
 import types
+import warnings
 
 import numpy as np
 import pytest
@@ -359,10 +360,17 @@ class TestConfigRejections:
         ({"problem": "grid", "system_qubits": 3, "potential": "bogus"}, "potential"),
         ({"problem": "grid", "system_qubits": 3, "potential": [0, 1, 2]}, "potential"),
         ({"problem": "grid", "system_qubits": 3, "mass": 0}, "mass"),
+        ({"problem": "explicit_unitary", "unitary": [[1, 0], []]}, "unitary"),
+        ({"problem": "explicit_unitary", "unitary": [[1, 0], [0]]}, "unitary"),
+        ({"problem": "explicit_terms", "system_qubits": 2, "terms": {"support": [0]}}, "terms"),
+        ({"problem": "explicit_terms", "system_qubits": 2,
+          "terms": [{"support": [0], "matrix": _Z, "name": "z"}]}, "terms[0]"),
+        (_terms(2, [], _Z), "terms[0].support"),
     ], ids=["tfim-13-sites", "grid-11-qubits", "grid-1-qubit", "support-out-of-range",
             "support-repeated", "matrix-shape", "matrix-not-hermitian", "terms-30-qubits",
             "unitary-not-unitary", "unitary-3x3", "potential-unknown", "potential-length",
-            "mass-zero"])
+            "mass-zero", "unitary-empty-row", "unitary-ragged-rows", "terms-not-a-list",
+            "term-extra-key", "support-empty"])
     def test_out_of_range_size_is_named(self, tmp_path, monkeypatch, capsys, cfg, key):
         monkeypatch.chdir(tmp_path)
 
@@ -372,6 +380,32 @@ class TestConfigRejections:
         monkeypatch.setattr(oracle, "eigendecompose", forbidden)
         err = self.check(tmp_path, capsys, dict(cfg, m_index=3, time=0.5), f'key "{key}"')
         assert 'key "problem"' not in err
+
+    @pytest.mark.parametrize("cfg, key", [
+        ({"problem": "grid", "system_qubits": 3, "mass": 1e-320}, "mass"),
+        ({"problem": "grid", "system_qubits": 3, "mass": 3e-308,
+          "potential": "constant:1e308"}, "potential"),
+        ({"problem": "tfim", "sites": 3, "coupling": 1e308, "field": 1e308}, "coupling"),
+        ({"problem": "tfim", "sites": 2, "coupling": 1e308, "field": 1e308}, "field"),
+        (_terms(1, [0], [[1e308, 1e308], [1e308, 1e308]]), "terms[0].matrix"),
+        ({"problem": "explicit_terms", "system_qubits": 2,
+          "terms": [{"support": [q], "matrix": [[1e308, 0], [0, -1e308]]} for q in (0, 1)]},
+         "terms"),
+    ], ids=["grid-kinetic", "grid-potential", "tfim-bonds", "tfim-fields", "term-spectrum",
+            "terms-sum"])
+    def test_overflowing_norm_bound_is_refused_by_the_problem(self, tmp_path, monkeypatch,
+                                                              capsys, cfg, key):
+        """A norm bound that overflows is refused naming the problem key at
+        fault, not "time", which no time could satisfy; no numpy warning is
+        raised on the way."""
+        monkeypatch.chdir(tmp_path)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            err = self.check(tmp_path, capsys, dict(cfg, m_index=3, time=0.5, out="big"),
+                             f'key "{key}"', command="spectrum")
+        assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+        assert "RuntimeWarning" not in err and 'key "time"' not in err
+        assert list(tmp_path.glob("big*")) == []
 
     def test_register_cap_is_cited(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
@@ -635,13 +669,14 @@ class TestConfigRejections:
 
 NAN, INF = float("nan"), float("inf")
 #: Refused values of each problem key: out of range, a float or a bool for an
-#: integer, null, a string, a wrong length, non-finite, an unknown builtin.
+#: integer, null, a string, a wrong length, non-finite, an unknown builtin, a
+#: finite value whose norm bound overflows.
 PROBLEM_REFUSALS = [
     *[("sites", v) for v in (1, 13, 2.5, 3.0, True, None, "3", NAN)],
-    *[("coupling", v) for v in (True, None, "1", [1], NAN, INF, 10**400)],
-    *[("field", v) for v in (False, None, "x", -INF, -10**400)],
+    *[("coupling", v) for v in (True, None, "1", [1], NAN, INF, 10**400, 1e308)],
+    *[("field", v) for v in (False, None, "x", -INF, -10**400, -1e308)],
     *[("system_qubits", v) for v in (1, 11, 2.5, True, None, "3", INF)],
-    *[("mass", v) for v in (0, -2, True, None, "1", NAN, INF, 10**400)],
+    *[("mass", v) for v in (0, -2, True, None, "1", NAN, INF, 10**400, 1e-320)],
     *[("potential", v) for v in (
         "bogus", "constant", "zero:1", "constant:abc", "constant:inf", "harmonic:1e200,0",
         [0, 1, 2], [0, 1, 2, 3, 4], [], [0, NAN, 0, 0], [0, True, 0, 0], [0, "x", 0, 0],
@@ -1033,6 +1068,27 @@ def test_one_eigendecomposition_per_run(tmp_path, monkeypatch, command):
         record = json.loads((tmp_path / "once.result.json").read_text())
         assert len(record["peaks"]) >= 2  # one fidelity per peak, same spectrum
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("command, extra, solves", [
+    ("spectrum", {"sites": 8, "m_index": 4, "slices": 2, "trials": 100}, 16),
+    ("spectrum", {"sites": 8, "m_index": 4, "trials": 100}, 16),
+    ("trotter-bench", {"sites": 10, "slice_sweep": [1, 2, 3, 4, 5, 6]}, 20),
+], ids=["sliced-tfim8", "exact-tfim8", "sweep-tfim10"])
+def test_each_term_is_solved_once(tmp_path, monkeypatch, command, extra, solves):
+    """Each Trotter term is diagonalized once, when it is built, and the
+    dense H once: 15 + 1 solves on TFIM-8 and 19 + 1 on TFIM-10, however
+    many slice widths the run steps at."""
+    calls = []
+    for name in ("eigh", "eigvalsh"):
+        solve = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name,
+                            lambda *a, solve=solve, **k: calls.append(1) or solve(*a, **k))
+    monkeypatch.chdir(tmp_path)
+    cfg = {"problem": "tfim", "coupling": 1.0, "field": 0.7, "time": 0.2, "out": "solves",
+           **extra}
+    assert cli.main([command, "--config", write_config(tmp_path, cfg)]) == 0
+    assert len(calls) == solves
 
 
 _TFIM4 = {"problem": "tfim", "sites": 4, "coupling": 1.0, "field": 0.7, "time": 0.5}

@@ -115,6 +115,26 @@ def test_term_exponential_matches_scipy():
     np.testing.assert_allclose(gate.matrix, ref.exact_evolution(mat, 0.83), atol=1e-11)
 
 
+@pytest.mark.parametrize("support, matrix", [
+    ([0], ref.X), ([0, 1, 2], ref.random_hermitian(8, np.random.default_rng(21)))],
+    ids=["real", "complex"])
+def test_term_exponential_reads_the_terms_one_spectrum(support, matrix):
+    """The gate is built from the spectrum solved at construction, bit for bit
+    the gate of a fresh ``eigh`` of the term matrix."""
+    term = LocalTerm(support, matrix)
+    fresh = ham.unitary_from_decomposition(
+        ham.oracle.SpectralDecomposition(*np.linalg.eigh(term.matrix)), 0.83)
+    assert term_exponential(term, 0.83).matrix.tobytes() == fresh.matrix.tobytes()
+
+
+def test_term_spectrum_is_read_only():
+    term = LocalTerm([0], ref.X)
+    for array in (term.spectrum.eigenvalues, term.spectrum.eigenvectors):
+        assert not array.flags.writeable
+    with pytest.raises(AttributeError, match="read-only"):
+        term.spectrum.eigenvalues = np.zeros(2)
+
+
 def test_exact_unitary_diagonal_case():
     h = HamiltonianSum([LocalTerm([0], ref.Z)], 1)
     gate = exact_unitary(h, np.pi / 2)
@@ -295,6 +315,17 @@ def test_norm_bound_sums_term_norms_and_bounds_the_spectrum():
         3,
     )
     assert h.norm_bound() >= np.linalg.norm(assemble_dense(h), 2) - 1e-12
+
+
+def test_norm_bound_makes_no_solve(monkeypatch):
+    h = build_transverse_ising(4, 1.0, 0.7)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("norm_bound solved an eigenproblem")
+
+    monkeypatch.setattr(np.linalg, "eigh", forbidden)
+    monkeypatch.setattr(np.linalg, "eigvalsh", forbidden)
+    assert h.norm_bound() == pytest.approx(3 * 1.0 + 4 * 0.7)
 
 
 def test_layout_mismatch_rejected():

@@ -10,16 +10,23 @@ from hypothesis import strategies as st
 import reference as ref
 from spectral_qpe import (
     ContractViolation,
+    GateMatrix,
     HamiltonianSum,
     GridRecipe,
     LocalTerm,
+    RegisterLayout,
     SpectralDecomposition,
     analytic_bin_distribution,
+    apply_controlled_gate,
+    apply_diagonal_phase,
     assemble_dense,
     build_transverse_ising,
     eigendecompose,
     load_amplitudes,
+    new_basis_state,
+    register_distribution,
     spectral_amplitudes,
+    trial_stream,
 )
 from spectral_qpe.oracle import MAX_DENSE_QUBITS, embed_operator
 
@@ -444,19 +451,51 @@ def test_max_dense_qubits_constant():
     assert MAX_DENSE_QUBITS == 12
 
 
-@pytest.mark.parametrize("call, message", [
-    (lambda: HamiltonianSum([LocalTerm([0], ref.X)], 0), "at least 1 qubit, got 0"),
-    (lambda: analytic_bin_distribution([1.0], [0.0], 0), "m_index must be >= 1, got 0"),
-    (lambda: embed_operator(np.eye(2), [0, 1], 2),
+def _delete_a_record_field():
+    del SpectralDecomposition(np.zeros(2), np.eye(2)).eigenvalues
+
+
+_BASIS = new_basis_state(2, 0)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: HamiltonianSum([LocalTerm([0], ref.X)], 0), ValueError, "at least 1 qubit, got 0"),
+    (lambda: analytic_bin_distribution([1.0], [0.0], 0), ValueError,
+     "m_index must be >= 1, got 0"),
+    (lambda: embed_operator(np.eye(2), [0, 1], 2), ValueError,
      r"operator shape \(2, 2\) does not match 2 target qubits"),
-    (lambda: embed_operator(np.eye(4), [1, 1], 2), r"duplicate target qubits: \[1, 1\]"),
-    (lambda: embed_operator(ref.X, [2], 2), "target qubit 2 out of range for 2 qubits"),
-    (lambda: SpectralDecomposition(np.zeros(3), np.eye(3)).num_qubits,
+    (lambda: embed_operator(np.eye(4), [1, 1], 2), ValueError,
+     r"duplicate target qubits: \[1, 1\]"),
+    (lambda: embed_operator(ref.X, [2], 2), ValueError,
+     "target qubit 2 out of range for 2 qubits"),
+    (lambda: SpectralDecomposition(np.zeros(3), np.eye(3)).num_qubits, ValueError,
      "dimension 3 is not a power of two >= 2"),
+    (lambda: apply_controlled_gate(_BASIS, GateMatrix(np.eye(4)), [], [0]), ValueError,
+     "gate arity 2 != 1 targets"),
+    (lambda: apply_diagonal_phase(_BASIS, [0, 1], np.ones(3)), ValueError,
+     "need 4 phase factors for a 2-qubit register"),
+    (lambda: register_distribution(_BASIS, []), ValueError,
+     "cannot take the distribution of an empty register"),
+    (lambda: GateMatrix(np.ones((2, 4))), ValueError,
+     r"gate must be a square matrix, got shape \(2, 4\)"),
+    (lambda: RegisterLayout(1, 0), ValueError, "system register needs at least 1 qubit, got 0"),
+    (lambda: trial_stream(0, -1), ValueError, "trial index must be >= 0, got -1"),
+    (lambda: SpectralDecomposition(np.zeros(2)), TypeError, "SpectralDecomposition takes 2 fields"),
+    (_delete_a_record_field, AttributeError, "read-only: cannot delete 'eigenvalues'"),
+    (lambda: assemble_dense(HamiltonianSum([LocalTerm([q], ref.Z) for q in range(13)], 13)),
+     ValueError, "dense assembly is capped at 12 qubits, got 13"),
+    (lambda: LocalTerm([0], [[1e308, 1e308], [1e308, 1e308]]), ValueError,
+     "term spectrum is not finite"),
+    (lambda: HamiltonianSum([LocalTerm([q], np.diag([1e308, -1e308])) for q in (0, 1)], 2),
+     ValueError, "norm bound is not finite"),
 ], ids=["hamiltonian-no-qubits", "readout-no-index-qubits", "embed-shape",
-        "embed-duplicate-target", "embed-target-out-of-range", "decomposition-dim-3"])
-def test_library_refusals(call, message):
-    """The library's size and target checks refuse with a ValueError that
-    says what is wrong."""
-    with pytest.raises(ValueError, match=message):
+        "embed-duplicate-target", "embed-target-out-of-range", "decomposition-dim-3",
+        "gate-target-count", "phase-count", "distribution-empty-register", "gate-not-square",
+        "layout-no-system-qubits", "trial-index-negative", "record-field-count",
+        "record-field-delete", "dense-above-cap", "term-spectrum-overflows",
+        "norm-bound-overflows"])
+def test_library_refusals(call, error, message):
+    """The library's size, target and record checks refuse with an error
+    that says what is wrong."""
+    with pytest.raises(error, match=message):
         call()

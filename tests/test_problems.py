@@ -106,7 +106,7 @@ def recipe_dense(recipe, dt, num_qubits, system=None, controls=()):
 class TestGridRecipe:
     def test_kinetic_grid_is_centered(self):
         recipe = GridRecipe(3, "zero", 2.0)
-        t = recipe.kinetic_energies()
+        t = recipe.kinetic
         assert t[0] == 0.0
         for p in range(1, 4):
             assert t[p] == pytest.approx(t[8 - p], abs=1e-15)
@@ -138,7 +138,7 @@ class TestGridRecipe:
         recipe = GridRecipe(3, "zero", 1.7)
         d = eigendecompose(recipe.dense_hamiltonian())
         np.testing.assert_allclose(
-            d.eigenvalues, np.sort(recipe.kinetic_energies()), atol=1e-12
+            d.eigenvalues, np.sort(recipe.kinetic), atol=1e-12
         )
 
     def test_dense_hamiltonian_hermitian_and_consistent(self):
@@ -147,7 +147,7 @@ class TestGridRecipe:
         np.testing.assert_allclose(h, h.conj().T, atol=1e-14)
         # diagonal part in position space is the sampled potential plus the
         # (constant) diagonal of the kinetic operator
-        kinetic_diag = np.mean(recipe.kinetic_energies())
+        kinetic_diag = np.mean(recipe.kinetic)
         np.testing.assert_allclose(np.diag(h).real,
                                    recipe.potential + kinetic_diag, atol=1e-12)
 
@@ -165,7 +165,7 @@ class TestGridRecipe:
         # the step, F^dag and the scaled F at the product, plus the phase vectors
         assert peak <= 3.05 * step.nbytes
         f = ref.dft_matrix(2**qubits)
-        kinetic = np.diag(np.exp(-1j * recipe.kinetic_energies() * dt))
+        kinetic = np.diag(np.exp(-1j * recipe.kinetic * dt))
         want = f.conj().T @ kinetic @ f @ np.diag(np.exp(-1j * recipe.potential * dt))
         np.testing.assert_allclose(step, want, rtol=0, atol=1e-14)
 
@@ -201,6 +201,17 @@ class TestGridRecipe:
         # first-order splitting: halving dt cuts the defect ~4x
         assert err(0.02) / err(0.01) == pytest.approx(4.0, rel=0.25)
         assert err(0.01) < 0.01
+
+    @pytest.mark.parametrize("num_qubits, mass", [(2, 1.0), (3, 0.8), (6, 1e-3), (10, 7.5)])
+    def test_kinetic_array_is_the_formula_and_read_only(self, num_qubits, mass):
+        recipe = GridRecipe(num_qubits, "zero", mass)
+        points = 2**num_qubits
+        p = np.arange(points)
+        centered = np.where(p < points // 2, p, p - points)
+        wavenumber = 2.0 * np.pi * centered / points
+        assert recipe.kinetic.tobytes() == (wavenumber**2 / (2.0 * mass)).tobytes()
+        for array in (recipe.kinetic, recipe.potential):
+            assert not array.flags.writeable
 
     def test_norm_bound_bounds_the_spectrum(self):
         recipe = GridRecipe(3, "harmonic:1.2,3.5", 0.8)
