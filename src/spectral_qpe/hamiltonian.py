@@ -1,8 +1,9 @@
-"""Local Hamiltonians and their time evolution.
+"""Hamiltonians and their time evolution.
 
-A Hamiltonian is an ordered sum of few-qubit Hermitian terms.  Evolution
-under ``e^{-iHt}`` is realized two ways: exactly (dense eigendecomposition,
-for verification at small sizes) and by the first-order product formula
+A Hamiltonian is an ordered sum of Hermitian terms: few-qubit operators and
+diagonals over the whole register.  Evolution under ``e^{-iHt}`` is realized
+two ways: exactly (dense eigendecomposition, for verification at small
+sizes) and by the first-order product formula
 
     U(t) ~ (prod_i e^{-i H_i t/r})^r,
 
@@ -15,6 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import oracle
+from . import qft
 from . import statevector as sv
 
 #: Largest support a single term may have (dense term exponentials stay 64x64).
@@ -59,21 +61,36 @@ class LocalTerm:
         return f"LocalTerm(support={list(self.support)})"
 
 
-class HamiltonianSum:
-    """Ordered sum of local terms over ``num_qubits`` qubits.
+class DiagonalTerm(sv._Record):
+    """A term on the whole register, diag(E) for real ``energies`` (a read-only
+    copy, one per basis state) or, with ``momentum``, F^dag diag(E) F for the
+    forward QFT's matrix F.  Its ``support`` is empty."""
 
-    Besides its terms it is an evolution source, with the interface that
-    :class:`~spectral_qpe.problems.GridRecipe` shares: ``num_qubits``,
-    ``norm_bound()``, ``dense_hamiltonian()``, ``step_matrix(dt)``,
-    ``apply_step(state, dt, system_qubits, controls)`` (one step, optionally
-    controlled) and ``system_step(dt, slices)`` (``slices`` steps as a map on
-    2^l system vectors and on (2^l, K) blocks of system columns).  Its map is
-    the one slice loop; called with no block, a form of its own that
-    ``GridRecipe``'s map lacks, it runs on the identity and returns the dense
-    matrix, which is how ``step_matrix`` builds one slice.  One step is the
-    Trotter slice prod_i e^{-i H_i dt} in term order; its gates are built
-    once per ``dt`` and kept for the latest ``dt`` alone: a run steps at one
-    ``dt``, and a slice sweep takes each of its ``dt`` once.
+    __slots__ = ("energies", "momentum")
+    support = ()
+
+    def __init__(self, energies, momentum: bool = False) -> None:
+        super().__init__(np.array(energies, dtype=np.float64), momentum)
+        self.energies.setflags(write=False)
+
+
+class HamiltonianSum:
+    """Ordered sum of ``LocalTerm`` and ``DiagonalTerm`` terms over
+    ``num_qubits`` qubits: the one evolution source type.
+
+    Its interface: ``num_qubits``; ``norm_bound()``; ``dense_hamiltonian()``;
+    ``step_matrix(dt)``, one step as a dense matrix; ``apply_step(state, dt,
+    system_qubits, controls)``, one step at gate level, optionally
+    controlled; and ``system_step(dt, slices)``, ``slices`` steps as a map
+    on 2^l system vectors and on (2^l, K) blocks of system columns.  One
+    step is the Trotter slice prod_i e^{-i H_i dt} in term order.  Its
+    factors, a gate per local term and the phases e^{-iE dt} per diagonal
+    term, are built once per ``dt`` and kept for the latest ``dt`` alone: a
+    run steps at one ``dt``, a slice sweep at each of its ``dt`` once.
+    ``system_step`` is the one slice loop, over local terms only; called
+    with no block it returns the dense matrix, which is how ``step_matrix``
+    builds one slice.  :class:`~spectral_qpe.problems.GridRecipe`, one
+    diagonal term of each kind, overrides both with its dense split step.
     """
 
     __slots__ = ("terms", "num_qubits", "_gate_cache")
@@ -93,49 +110,56 @@ class HamiltonianSum:
                 )
         self.terms = terms
         self.num_qubits = num_qubits
-        self._gate_cache: tuple[float | None, list] = (None, [])  # (dt, its slice gates)
+        self._gate_cache: tuple[float | None, list] = (None, [])  # (dt, its slice factors)
         if not np.isfinite(self.norm_bound()):
             raise ValueError("norm bound is not finite: the terms' eigenvalues overflow")
 
     def __repr__(self) -> str:
-        return f"HamiltonianSum(num_qubits={self.num_qubits}, terms={len(self.terms)})"
+        return f"{type(self).__name__}(num_qubits={self.num_qubits}, terms={len(self.terms)})"
 
-    def _gates(self, dt: float) -> list[tuple[list[int], sv.GateMatrix]]:
+    def _gates(self, dt: float) -> list[tuple[list[int], sv.GateMatrix | np.ndarray]]:
         if self._gate_cache[0] != dt:
             self._gate_cache = (dt, slice_gates(self, dt))
         return self._gate_cache[1]
 
     def norm_bound(self) -> float:
-        """Cheap upper bound on ||H||: the sum of the terms' spectral norms."""
-        return sum(term.spectrum.norm_bound() for term in self.terms)
+        """Cheap upper bound on ||H||: each term's largest |eigenvalue|, or
+        max|E| for a diagonal term, summed as Python floats."""
+        return sum(term.spectrum.norm_bound() if term.support
+                   else float(np.abs(term.energies).max()) for term in self.terms)
 
     def dense_hamiltonian(self) -> np.ndarray:
         """H over the full 2^l system space (the oracle's dense assembly)."""
         return oracle.assemble_dense(self)
 
     def step_matrix(self, dt: float) -> np.ndarray:
-        """One Trotter slice as a dense matrix: the slice on the columns of
-        the identity (2^k 4^l a term, not 8^l)."""
+        """The slice loop on the columns of the identity (2^k 4^l a term, not 8^l)."""
         return self.system_step(dt, 1)()
 
     def apply_step(
         self, state: sv.StateVector, dt: float, system_qubits=None, controls=()
     ) -> sv.StateVector:
-        """Apply one slice to the given register (optionally controlled)."""
-        qubits = sv._system_register(system_qubits, self.num_qubits, "Hamiltonian")
-        for targets, gate in self._gates(dt):
-            state = sv.apply_controlled_gate(
-                state, gate, controls, [qubits[q] for q in targets]
-            )
+        """Each factor in term order: a gate on its support, a diagonal
+        phase on the register, or a momentum phase between QFTs."""
+        qubits = list(range(self.num_qubits)) if system_qubits is None else list(system_qubits)
+        if len(qubits) != self.num_qubits:
+            raise ValueError(f"Hamiltonian spans {self.num_qubits} qubits, got register of {len(qubits)}")
+        for term, (targets, factor) in zip(self.terms, self._gates(dt)):
+            if targets:
+                state = sv.apply_controlled_gate(state, factor, controls, [qubits[q] for q in targets])
+            elif term.momentum:
+                state = qft.qft_forward(state, qubits, controls)
+                state = sv.apply_diagonal_phase(state, qubits, factor, controls)
+                state = qft.qft_inverse(state, qubits, controls)
+            else:
+                state = sv.apply_diagonal_phase(state, qubits, factor, controls)
         return state
 
     def system_step(self, dt: float, slices: int):
-        """``slices`` slices as a map on 2^l system vectors or (2^l, K)
-        blocks of system columns, one gate at a time (no dense product);
-        called with no block it returns the slices' dense matrix.
-        Gates are permuted onto ascending targets once per call: each entry
-        then adds its terms in ascending basis order, as a dense embedded
-        product does."""
+        """One gate at a time (no dense product), over local terms.  Gates
+        are permuted onto ascending targets once per call: each entry then
+        adds its terms in ascending basis order, as a dense embedded product
+        does."""
         gates = []
         for targets, gate in self._gates(dt):
             ordered = sorted(targets)
@@ -155,13 +179,15 @@ class HamiltonianSum:
         return apply
 
 
-def term_exponential(term: LocalTerm, dt: float) -> sv.GateMatrix:
-    """e^{-i * H_term * dt} from the term's eigendecomposition."""
-    return unitary_from_decomposition(term.spectrum, dt)
+def term_exponential(term: LocalTerm | DiagonalTerm, dt: float) -> sv.GateMatrix | np.ndarray:
+    """e^{-i * H_term * dt}: a gate from a local term's eigendecomposition,
+    the phase vector e^{-iE dt} of a diagonal term."""
+    return (unitary_from_decomposition(term.spectrum, dt) if term.support
+            else np.exp(-1j * term.energies * dt))
 
 
-def slice_gates(h: HamiltonianSum, dt: float) -> list[tuple[list[int], sv.GateMatrix]]:
-    """One Trotter slice as (term support, gate) pairs, in term order."""
+def slice_gates(h: HamiltonianSum, dt: float) -> list[tuple[list[int], sv.GateMatrix | np.ndarray]]:
+    """One Trotter slice as (term support, factor) pairs, in term order."""
     return [(list(term.support), term_exponential(term, dt)) for term in h.terms]
 
 

@@ -76,14 +76,22 @@ def embed_operator(matrix, targets, num_qubits: int) -> np.ndarray:
     return full
 
 
-def assemble_dense(h: HamiltonianSum) -> np.ndarray:
-    """Sum of all term embeddings over the full 2^l system space.
+def dft_matrix(num_qubits: int) -> np.ndarray:
+    """The forward QFT's matrix F, e^{+2 pi i jk / 2^l} / sqrt(2^l)."""
+    grid = np.arange(2**num_qubits)
+    return np.exp(2j * np.pi * np.outer(grid, grid) / grid.size) / np.sqrt(grid.size)
 
-    Each term's entries are added straight into one accumulator, in term
-    order, with no full-size matrix per term.  The accumulator is float64
-    when every term's imaginary part is exactly zero (every TFIM), else
-    complex128; either way its entries are the bits that summing the complex
-    embeddings gives.
+
+def assemble_dense(h: HamiltonianSum) -> np.ndarray:
+    """Sum of all terms over the full 2^l system space.
+
+    Each local term's entries are added straight into one accumulator, in
+    term order, with no full-size matrix per term, and each diagonal term's
+    energies onto its diagonal.  The accumulator is float64 when every term
+    is real (every TFIM), else complex128; either way its entries are the
+    bits that summing the complex embeddings gives.  With momentum terms it
+    starts as F^dag diag(E) F, E their summed energies, and the sum is
+    symmetrized once, so at most three full matrices are alive.
     """
     started = time.perf_counter()
     l = h.num_qubits
@@ -91,12 +99,25 @@ def assemble_dense(h: HamiltonianSum) -> np.ndarray:
         raise ValueError(
             f"dense assembly is capped at {MAX_DENSE_QUBITS} qubits, got {l}"
         )
-    real = not any(term.matrix.imag.any() for term in h.terms)
-    full = np.zeros((2**l, 2**l), dtype=np.float64 if real else np.complex128)
+    momentum = [term.energies for term in h.terms if not term.support and term.momentum]
+    real = not momentum and not any(term.matrix.imag.any() for term in h.terms if term.support)
+    if momentum:
+        f = dft_matrix(l)
+        scaled = sum(momentum)[:, None] * f
+        full = np.conjugate(f, out=f).T @ scaled
+        del f, scaled
+    else:
+        full = np.zeros((2**l, 2**l), dtype=np.float64 if real else np.complex128)
     for term in h.terms:
-        values = term.matrix.real if real else term.matrix
-        index = _embedding_index(term.support, l)
-        full[index[:, None, :], index[None, :, :]] += values[:, :, None]
+        if term.support:
+            values = term.matrix.real if real else term.matrix
+            index = _embedding_index(term.support, l)
+            full[index[:, None, :], index[None, :, :]] += values[:, :, None]
+        elif not term.momentum:
+            full[np.diag_indices_from(full)] += term.energies
+    if momentum:
+        full += full.conj().T
+        full /= 2.0
     log.debug("assembled dense H: dimension %d, %s, %.3fs", 2**l,
               "real" if real else "complex", time.perf_counter() - started)
     return full
@@ -181,7 +202,8 @@ def check_hermitian(mat: np.ndarray, name: str, symbol: str) -> None:
     for start in range(0, len(mat), CHECK_ROWS):
         rows = slice(start, start + CHECK_ROWS)
         scale = np.maximum(scale, np.abs(mat[rows]).max())
-        defect = np.maximum(defect, np.abs(mat[rows] - mat[:, rows].conj().T).max())
+        with np.errstate(over="ignore", invalid="ignore"):  # an inf or NaN difference fails
+            defect = np.maximum(defect, np.abs(mat[rows] - mat[:, rows].conj().T).max())
     if not (defect <= HERMITICITY_TOL * scale):  # NaN fails closed
         raise ValueError(f"{name} is not Hermitian: max|{symbol} - {symbol}^dag| = {defect:.3e}")
 

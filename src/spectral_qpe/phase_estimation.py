@@ -80,11 +80,8 @@ class PhaseEstimationConfig(sv._Record):
       flag loop work in its eigenbasis and never form U; the binary route
       builds the dense U from it once, with
       :func:`~spectral_qpe.hamiltonian.unitary_from_decomposition`; or
-    * ``source`` -- an evolution source, run as ``slices`` steps of
-      ``dt = time / slices``: a :class:`~spectral_qpe.hamiltonian.HamiltonianSum`
-      (one step is a Trotter slice; its docstring lists the interface) or a
-      :class:`~spectral_qpe.problems.GridRecipe` (a position/momentum split
-      step).
+    * ``source`` -- a :class:`~spectral_qpe.hamiltonian.HamiltonianSum`, run
+      as ``slices`` steps of ``dt = time / slices``.
 
     ``power_method`` selects the route: ``"block"`` (the engine, default),
     or one of the whole-register references ``"binary_power"`` and
@@ -109,7 +106,7 @@ class PhaseEstimationConfig(sv._Record):
         self,
         m_index: int,
         unitary: sv.GateMatrix | None = None,
-        source: object | None = None,
+        source: ham.HamiltonianSum | None = None,
         decomposition: oracle.SpectralDecomposition | None = None,
         time: float | None = None,
         slices: int = 1,

@@ -19,7 +19,6 @@ import numpy as np
 
 from . import hamiltonian as ham
 from . import oracle
-from . import qft
 from . import statevector as sv
 from .errors import ConfigFieldError
 
@@ -92,24 +91,20 @@ def sample_potential(spec, num_qubits: int) -> np.ndarray:
     return values
 
 
-class GridRecipe:
-    """One evolution slice for a particle on a 2^l-point periodic grid.
-
-    A slice applies e^{-iV(x)dt} in the position basis, hops to momentum
-    space with the forward QFT, applies e^{-iT(p)dt}, and hops back with the
-    inverse QFT.  Momentum indices are centered (p~ = p below 2^(l-1), else
-    p - 2^l) with kinetic energy T = (2*pi*p~ / 2^l)^2 / (2*mass) in grid
-    units, so the ground state sits at zero frequency rather than at a
-    spurious high-frequency corner.  It is an evolution source with the
-    same interface as :class:`~spectral_qpe.hamiltonian.HamiltonianSum`.
-    ``potential`` (V by position) and ``kinetic`` (T by index p) are read-only.
-    The qubit count (in [2, 10]) is refused under the config key
-    "system_qubits", then a ``mass`` that is not a positive real or gives a
-    non-finite T, then the potential (see :func:`sample_potential`) or a
-    non-finite max|V| + max T, each as a ``ConfigFieldError``.
+class GridRecipe(ham.HamiltonianSum):
+    """A particle on a 2^l-point periodic grid: the sum of ``DiagonalTerm(V)``
+    by position and ``DiagonalTerm(T, momentum=True)``, whose read-only
+    energies are ``potential`` and ``kinetic``.  Momentum indices are
+    centered (p~ = p below 2^(l-1), else p - 2^l) with T = (2*pi*p~ / 2^l)^2
+    / (2*mass) in grid units, so the ground state sits at zero frequency
+    rather than at a spurious high-frequency corner.  The qubit count (in
+    [2, 10]) is refused under the config key "system_qubits", then a
+    ``mass`` that is not a positive real or gives a non-finite T, then the
+    potential (see :func:`sample_potential`) or a non-finite norm bound,
+    each as a ``ConfigFieldError``.  Only its dense slice is its own.
     """
 
-    __slots__ = ("num_qubits", "potential", "kinetic", "mass")
+    __slots__ = ("potential", "kinetic")
 
     def __init__(self, num_qubits: int, potential, mass: float) -> None:
         num_qubits = as_int(num_qubits, "system_qubits", *_GRID_QUBITS)
@@ -119,71 +114,35 @@ class GridRecipe:
         p = np.arange(2**num_qubits)
         wavenumber = 2.0 * np.pi * np.where(p < p.size // 2, p, p - p.size) / p.size
         with np.errstate(over="ignore"):
-            self.kinetic = wavenumber**2 / (2.0 * mass)
-        if not np.isfinite(self.kinetic).all():
+            kinetic = wavenumber**2 / (2.0 * mass)
+        if not np.isfinite(kinetic).all():
             raise ConfigFieldError("mass", f"kinetic energies are not finite at mass {mass!r}")
-        self.potential = sample_potential(potential, num_qubits)
-        self.potential.setflags(write=False)
-        self.kinetic.setflags(write=False)
-        self.num_qubits = num_qubits
-        self.mass = mass
-        if not math.isfinite(self.norm_bound()):
-            raise ConfigFieldError("potential", "max|V| + max T is not finite")
-
-    def _phases(self, dt: float) -> tuple[np.ndarray, np.ndarray]:
-        """e^{-iV dt} in the position basis and e^{-iT dt} in the momentum basis."""
-        return np.exp(-1j * self.potential * dt), np.exp(-1j * self.kinetic * dt)
+        terms = (ham.DiagonalTerm(sample_potential(potential, num_qubits)),
+                 ham.DiagonalTerm(kinetic, momentum=True))
+        _named("potential", super().__init__, terms, num_qubits)
+        self.potential, self.kinetic = (term.energies for term in terms)
 
     def apply_step(self, state: sv.StateVector, dt: float, system_qubits=None, controls=()) -> sv.StateVector:
-        """Apply one slice to the given register (optionally controlled)."""
-        qubits = sv._system_register(system_qubits, self.num_qubits, "recipe")
-        position_phases, momentum_phases = self._phases(dt)
-        state = sv.apply_diagonal_phase(state, qubits, position_phases, controls)
-        state = qft.qft_forward(state, qubits, controls)
-        state = sv.apply_diagonal_phase(state, qubits, momentum_phases, controls)
-        return qft.qft_inverse(state, qubits, controls)
-
-    def norm_bound(self) -> float:
-        """Cheap upper bound on ||H||: max|V| + max T, summed as Python floats
-        so that an overflow gives inf with no numpy warning."""
-        return float(np.abs(self.potential).max()) + float(self.kinetic.max())
-
-    def _dft_matrix(self) -> np.ndarray:
-        points = 2**self.num_qubits
-        grid = np.arange(points)
-        return np.exp(2j * np.pi * np.outer(grid, grid) / points) / np.sqrt(points)
+        """The sum's gate-level step, under the name the benchmark traces."""
+        return super().apply_step(state, dt, system_qubits, controls)
 
     def step_matrix(self, dt: float) -> np.ndarray:
         """Dense matrix of one slice: F^dag e^{-iT dt} F e^{-iV dt}, as one
         product of F^dag with a copy of F scaled by the position phases along
         its columns and the momentum phases along its rows, so at most three
         full matrices are alive."""
-        f = self._dft_matrix()
-        position_phases, momentum_phases = self._phases(dt)
+        f = oracle.dft_matrix(self.num_qubits)
+        (_, position_phases), (_, momentum_phases) = self._gates(dt)
         scaled = f * position_phases
         scaled *= momentum_phases[:, None]
         return np.conjugate(f, out=f).T @ scaled
 
     def system_step(self, dt: float, slices: int):
-        """``slices`` slices as a map on 2^l system vectors and (2^l, K)
-        blocks of them: the dense slice, checked once as a gate, raised to
-        the slice count by drift-controlled binary powering (which checks
-        each square and product it builds)."""
+        """The dense slice, checked once as a gate, raised to the slice count
+        by drift-controlled binary powering (which checks each square and
+        product it builds)."""
         matrix = sv._unitary_power(sv.GateMatrix(self.step_matrix(dt)).matrix, slices)
         return lambda block: matrix @ block
-
-    def dense_hamiltonian(self) -> np.ndarray:
-        """The discretized Hermitian H = diag(V) + F^dag diag(T) F, with at
-        most three full matrices alive: F (conjugated in place), diag(T) F
-        and H, then H and H^dag while H is symmetrized in place."""
-        f = self._dft_matrix()
-        scaled = self.kinetic[:, None] * f
-        h = np.conjugate(f, out=f).T @ scaled
-        del f, scaled
-        h[np.diag_indices_from(h)] += self.potential
-        h += h.conj().T
-        h /= 2.0
-        return h
 
 
 def product_state_guess(num_qubits: int, single_qubit_amplitudes) -> sv.StateVector:

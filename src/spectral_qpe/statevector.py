@@ -88,7 +88,8 @@ class _ValueRecord(_Record):
 
 class GateMatrix:
     """A unitary acting on ``arity`` qubits: a read-only copy, validated by
-    :func:`unitarity_defect` (the copy plus one slab at peak)."""
+    its entries' moduli, then by :func:`unitarity_defect` (the copy plus
+    one slab at peak)."""
 
     __slots__ = ("arity", "matrix")
 
@@ -104,6 +105,10 @@ class GateMatrix:
             raise ValueError(
                 f"gate acts on {arity} qubits; dense application is capped at {MAX_GATE_ARITY}"
             )
+        # no entry of a unitary exceeds 1 in modulus; a larger one could overflow below
+        if not all(np.abs(mat[i : i + CHECK_ROWS]).max() <= 1 + UNITARY_TOL  # NaN fails closed
+                   for i in range(0, dim, CHECK_ROWS)):
+            raise ValueError("gate is not unitary: an entry's modulus exceeds 1")
         defect = unitarity_defect(mat)
         if not (defect <= UNITARY_TOL):  # NaN fails closed
             raise ValueError(f"gate is not unitary: max|G^dag G - I| = {defect:.3e}")
@@ -290,15 +295,6 @@ def _check_qubits(qubits, q: int, what: str) -> None:
     for qu in qubits:
         if not 0 <= qu < q:
             raise ValueError(f"{what} qubit {qu} out of range for {q}-qubit state")
-
-
-def _system_register(qubits, size: int, what: str) -> list[int]:
-    """An evolution source's register: ``qubits`` (default [0, size)), which
-    must hold exactly ``size`` qubits."""
-    qubits = list(range(size)) if qubits is None else list(qubits)
-    if len(qubits) != size:
-        raise ValueError(f"{what} spans {size} qubits, got register of {len(qubits)}")
-    return qubits
 
 
 def _grouped_axes(q: int, qubits, controls=()):

@@ -157,6 +157,16 @@ def dft_matrix(points):
     return np.exp(2j * np.pi * np.outer(grid, grid) / points) / np.sqrt(points)
 
 
+def grid_hamiltonian(potential, kinetic):
+    """diag(V) + F^dag diag(T) F for a grid particle, symmetrized, written
+    out in the order of operations whose bits the package keeps: F^dag times
+    diag(T) F, then V added on the diagonal, then (H + H^dag) / 2."""
+    f = dft_matrix(len(potential))
+    h = f.conj().T @ (kinetic[:, None] * f)
+    h[np.diag_indices_from(h)] += potential
+    return (h + h.conj().T) / 2.0
+
+
 def dirichlet_distribution(weights, omegas, m_index):
     """Readout distribution by direct double sum over bins and time steps."""
     bins = 2**m_index

@@ -391,13 +391,19 @@ class TestConfigRejections:
         ({"problem": "explicit_terms", "system_qubits": 2,
           "terms": [{"support": [q], "matrix": [[1e308, 0], [0, -1e308]]} for q in (0, 1)]},
          "terms"),
+        ({"problem": "grid", "system_qubits": 2, "mass": 1e-305,
+          "potential": [1.7976e308, 0, 0, 0]}, "potential"),
+        ({"problem": "explicit_unitary", "unitary": [[1e308, 1e308], [1e308, 1e308]]},
+         "unitary"),
+        (_terms(1, [0], [[0, 1e308], [-1e308, 0]]), "terms[0].matrix"),
     ], ids=["grid-kinetic", "grid-potential", "tfim-bonds", "tfim-fields", "term-spectrum",
-            "terms-sum"])
+            "terms-sum", "grid-sum", "unitary-entries", "term-antihermitian"])
     def test_overflowing_norm_bound_is_refused_by_the_problem(self, tmp_path, monkeypatch,
                                                               capsys, cfg, key):
         """A norm bound that overflows is refused naming the problem key at
         fault, not "time", which no time could satisfy; no numpy warning is
-        raised on the way."""
+        raised on the way.  So are a unitary and a term whose entries would
+        overflow the unitarity and Hermiticity checks."""
         monkeypatch.chdir(tmp_path)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")

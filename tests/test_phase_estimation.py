@@ -396,13 +396,17 @@ def test_dense_binary_route_holds_no_copy_of_a_square(traced_peak):
     assert peak <= 3.25 * config.unitary.matrix.nbytes
 
 
-def test_sliced_binary_route_builds_its_slice_gates_once(monkeypatch):
+@pytest.mark.parametrize("source", [
+    pytest.param(lambda: build_transverse_ising(3, 1.0, 0.7), id="tfim3"),
+    pytest.param(lambda: GridRecipe(3, "harmonic:0.8,3.5", 1.0), id="grid3"),
+])
+def test_sliced_binary_route_builds_its_slice_gates_once(monkeypatch, source):
     """A sliced source's (M - 1) * slices gate-level steps all run at one
     dt, so a run builds the slice gates once."""
     built = []
     monkeypatch.setattr(ham, "slice_gates",
                         lambda h, dt, build=ham.slice_gates: built.append(dt) or build(h, dt))
-    config = PhaseEstimationConfig(m_index=4, source=build_transverse_ising(3, 1.0, 0.7),
+    config = PhaseEstimationConfig(m_index=4, source=source(),
                                    time=0.5, slices=3, power_method="binary_power")
     va = load_amplitudes(3, ref.random_state(3, np.random.default_rng(96)))
     pre_measurement_state(va, config)

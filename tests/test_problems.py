@@ -151,6 +151,12 @@ class TestGridRecipe:
         np.testing.assert_allclose(np.diag(h).real,
                                    recipe.potential + kinetic_diag, atol=1e-12)
 
+    @pytest.mark.parametrize("qubits", range(3, 11))
+    def test_dense_hamiltonian_is_the_reference_formula_bit_for_bit(self, qubits):
+        recipe = GridRecipe(qubits, "harmonic:0.3,3.5", 0.7)
+        want = ref.grid_hamiltonian(recipe.potential, recipe.kinetic)
+        assert recipe.dense_hamiltonian().tobytes() == want.tobytes()
+
     def test_dense_hamiltonian_holds_three_matrices(self, traced_peak):
         recipe = GridRecipe(8, "harmonic:0.3,100.0", 1.0)
         h, peak = traced_peak(recipe.dense_hamiltonian)
