@@ -108,6 +108,11 @@ class HamiltonianSum:
                     f"term support qubit {bad[0]} out of range for a "
                     f"{num_qubits}-qubit system"
                 )
+            if not term.support and term.energies.shape != (2**num_qubits,):
+                raise ValueError(
+                    f"diagonal term needs {2**num_qubits} energies for a "
+                    f"{num_qubits}-qubit system, got shape {term.energies.shape}"
+                )
         self.terms = terms
         self.num_qubits = num_qubits
         self._gate_cache: tuple[float | None, list] = (None, [])  # (dt, its slice factors)
@@ -156,15 +161,23 @@ class HamiltonianSum:
         return state
 
     def system_step(self, dt: float, slices: int):
-        """One gate at a time (no dense product), over local terms.  Gates
-        are permuted onto ascending targets once per call: each entry then
-        adds its terms in ascending basis order, as a dense embedded product
-        does."""
+        """One gate at a time (no dense product), over local terms; a
+        diagonal term is refused.  Gates are permuted onto ascending targets
+        once per call, by a transpose of their (2,)*2k tensor view: each
+        entry then adds its terms in ascending basis order, as a dense
+        embedded product does."""
         gates = []
-        for targets, gate in self._gates(dt):
+        for i, (targets, gate) in enumerate(self._gates(dt)):
+            if not targets:
+                raise ValueError(f"system_step takes local terms only; term {i} is diagonal")
+            k = len(targets)
             ordered = sorted(targets)
-            positions = [ordered.index(t) for t in targets]
-            gates.append((ordered, oracle.embed_operator(gate.matrix, positions, len(targets))))
+            # tensor axis j is bit k-1-j of the row index (k + j: of the column)
+            source = [k - 1 - s for s in range(k)]
+            dest = [k - 1 - ordered.index(t) for t in targets]
+            tensor = np.moveaxis(gate.matrix.reshape((2,) * 2 * k),
+                                 source + [k + a for a in source], dest + [k + a for a in dest])
+            gates.append((ordered, tensor.reshape(2**k, 2**k)))
 
         def apply(block=None):
             # no block: the identity, built here so that no caller's frame

@@ -16,8 +16,10 @@ BLAS is pinned to one thread before numpy loads, since a threaded BLAS may
 round differently.  The record also holds the build it was made on (Python
 and numpy versions, BLAS and its thread count and core): digests made on
 another build do not apply, and ``tests/test_golden.py`` then compares only
-exit codes and artifact names.  A change that moves bits on purpose rewrites
-``digests.json`` in the same diff and says which runs moved and why.
+exit codes and artifact names.  On every build it also requires the three
+routes of each ``routes/<name>/`` group to leave one histogram and one
+stdout.  A change that moves bits on purpose rewrites ``digests.json`` in the
+same diff and says which runs moved and why.
 """
 
 from __future__ import annotations
@@ -56,6 +58,7 @@ _TFIM3 = {"problem": "tfim", "sites": 3, "m_index": 4, "time": 0.5}
 _GRID3_PROBLEM = {"problem": "grid", "system_qubits": 3, "potential": "harmonic:0.8,3.5",
                   "time": 0.4}
 _GRID3 = {**_GRID3_PROBLEM, "m_index": 4}
+_TFIM8_M10 = {"problem": "tfim", "sites": 8, "m_index": 10, "time": 0.25}
 _UNITARY2 = {"problem": "explicit_unitary", "m_index": 5, "time": 1,
              "unitary": [[0.6, -0.8, 0, 0], [0.8, 0.6, 0, 0], [0, 0, 0, [0, 1]], [0, 0, 1, 0]]}
 _PAIR = [[1, 0, 0, 0.5], [0, -1, 0.3, 0], [0, 0.3, 0.2, 0], [0.5, 0, 0, 0.7]]
@@ -122,6 +125,10 @@ def _runs() -> dict[str, tuple[str, dict, list[str]]]:
         "grid6": {**_GRID6, "m_index": 8, "slices": 2},
         "unitary2": _UNITARY2,
         "terms3": _TERMS3,
+        "tfim4-m9": {"problem": "tfim", "sites": 4, "m_index": 9, "time": 0.5},
+        "unitary2-m12": {**_UNITARY2, "m_index": 12},
+        "tfim8-m10": _TFIM8_M10,
+        "tfim3-m10": {**_TFIM3, "m_index": 10, "slices": 1},
     }
     for name, cfg in routed.items():
         for route in ROUTES:
@@ -134,6 +141,13 @@ def _runs() -> dict[str, tuple[str, dict, list[str]]]:
                 label = "/corrupt-qft-sign" if flags else ""
                 runs[f"oracle-check/{name}/{route}{label}"] = (
                     "oracle-check", {**cfg, "power_method": route}, flags)
+    runs["oracle-check/tfim5-m3/flag_loop"] = (
+        "oracle-check", {**_TFIM3, "sites": 5, "m_index": 3, "power_method": "flag_loop"}, [])
+    for name, cfg in {"tfim9": {"problem": "tfim", "sites": 9, "m_index": 4, "time": 0.25},
+                      "tfim8-m10": {**_TFIM8_M10, "trials": 2000}}.items():
+        for route in ("block", "flag_loop"):
+            runs[f"oracle-check/{name}/{route}"] = (
+                "oracle-check", {**cfg, "power_method": route}, [])
     runs["solve/tfim3-sliced"] = ("solve", {**_TFIM3, "slices": 3, "trials": 200}, [])
     runs["solve/grid3-sliced"] = ("solve", {**_GRID3, "slices": 4, "trials": 200}, [])
     runs["solve/tfim3-slices-flag"] = ("solve", {**_TFIM3, "trials": 200}, ["--slices", "3"])
@@ -141,10 +155,13 @@ def _runs() -> dict[str, tuple[str, dict, list[str]]]:
     runs["spectrum/tfim4-sliced-m10"] = (
         "spectrum", {"problem": "tfim", "sites": 4, "slices": 2, "m_index": 10, "time": 0.5,
                      "trials": 2000}, [])
-    runs["trotter-bench/tfim3"] = (
-        "trotter-bench", {"problem": "tfim", "sites": 3, "time": 0.5, "slice_sweep": _SWEEP}, [])
-    runs["trotter-bench/grid3"] = (
-        "trotter-bench", {**_GRID3_PROBLEM, "slice_sweep": _SWEEP}, [])
+    swept = {"tfim3": {"problem": "tfim", "sites": 3, "time": 0.5}, "grid3": _GRID3_PROBLEM}
+    for name, cfg in swept.items():
+        for label, sweep in (("", _SWEEP), ("-r4", [1, 2, 4])):
+            runs[f"trotter-bench/{name}{label}"] = (
+                "trotter-bench", {**cfg, "slice_sweep": sweep}, [])
+    runs["trotter-bench/tfim10"] = (
+        "trotter-bench", {"problem": "tfim", "sites": 10, "time": 0.5, "slice_sweep": [1, 2]}, [])
     for name, cfg in _REFUSALS.items():
         runs[f"refusal/{name}"] = ("spectrum", {"m_index": 4, "time": 0.4, **cfg}, [])
     return runs

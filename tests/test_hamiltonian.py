@@ -1,5 +1,7 @@
 """Local-term Hamiltonians, exponentials, and first-order slicing."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -87,6 +89,16 @@ def test_hamiltonian_sum_validation():
     h = HamiltonianSum([term], 4)
     assert h.num_qubits == 4
     assert len(h.terms) == 1
+    # a diagonal term needs one real energy per basis state, as a flat array
+    for energies in ([0.1, 0.2, 0.3], [], [[0.1, 0.2], [0.3, 0.4]]):
+        shape = re.escape(str(np.shape(energies)))
+        with pytest.raises(ValueError, match=rf"^diagonal term needs 4 energies for a "
+                                             rf"2-qubit system, got shape {shape}$"):
+            HamiltonianSum([ham.DiagonalTerm(energies)], 2)
+    # the sum's slice loop steps local terms only; a grid overrides it
+    h = HamiltonianSum([LocalTerm([0], ref.Z), ham.DiagonalTerm([0.1, 0.2, 0.3, 0.4])], 2)
+    with pytest.raises(ValueError, match=r"^system_step takes local terms only; term 1 is diagonal$"):
+        h.step_matrix(0.1)
 
 
 # ---------------------------------------------------------------------------
