@@ -1526,10 +1526,13 @@ def test_sample_spectrum_builds_no_per_trial_streams(monkeypatch):
     assert result.counts.sum() == 500
 
 
-@pytest.mark.parametrize("trials", [19, 20, 21])
-def test_blocked_draws_equal_one_pass(monkeypatch, trials):
-    """Bins and counts drawn in blocks of 5 equal one pass over all trials."""
-    monkeypatch.setattr(sv, "DRAW_CHUNK", 5)
+@pytest.mark.parametrize("trials, chunk", [
+    (19, 5), (20, 5), (21, 5), (20000, sv.DRAW_CHUNK),
+], ids=["19", "20", "21", "20000-in-blocks-of-4096"])
+def test_blocked_draws_equal_one_pass(monkeypatch, trials, chunk):
+    """Bins and counts drawn in blocks of 5, or in the sampler's own blocks
+    (five of them for 20000 trials), equal one pass over all trials."""
+    monkeypatch.setattr(sv, "DRAW_CHUNK", chunk)
     rng = np.random.default_rng(73)
     config = unitary_config(
         ref.random_unitary(4, rng), 3, power_method="block", trials=trials, seed=2**40 + 3
