@@ -87,10 +87,11 @@ class HamiltonianSum:
     factors, a gate per local term and the phases e^{-iE dt} per diagonal
     term, are built once per ``dt`` and kept for the latest ``dt`` alone: a
     run steps at one ``dt``, a slice sweep at each of its ``dt`` once.
-    ``system_step`` is the one slice loop, over local terms only; called
-    with no block it returns the dense matrix, which is how ``step_matrix``
-    builds one slice.  :class:`~spectral_qpe.problems.GridRecipe`, one
-    diagonal term of each kind, overrides both with its dense split step.
+    ``system_step`` is the one slice loop, over every term kind; called with
+    no block it returns the dense matrix, which is how ``step_matrix`` builds
+    one slice for every source.  :class:`~spectral_qpe.problems.GridRecipe`,
+    one diagonal term of each kind, overrides ``system_step`` alone, to power
+    that slice.
     """
 
     __slots__ = ("terms", "num_qubits", "_gate_cache")
@@ -138,8 +139,10 @@ class HamiltonianSum:
         return oracle.assemble_dense(self)
 
     def step_matrix(self, dt: float) -> np.ndarray:
-        """The slice loop on the columns of the identity (2^k 4^l a term, not 8^l)."""
-        return self.system_step(dt, 1)()
+        """The slice loop on the columns of the identity (2^k 4^l a local
+        term, 4^l l a momentum term, not 8^l).  It runs the sum's own loop,
+        not ``self.system_step``: an override (a grid's) calls this slice."""
+        return HamiltonianSum.system_step(self, dt, 1)()
 
     def apply_step(
         self, state: sv.StateVector, dt: float, system_qubits=None, controls=()
@@ -161,33 +164,44 @@ class HamiltonianSum:
         return state
 
     def system_step(self, dt: float, slices: int):
-        """One gate at a time (no dense product), over local terms; a
-        diagonal term is refused.  Gates are permuted onto ascending targets
-        once per call, by a transpose of their (2,)*2k tensor view: each
-        entry then adds its terms in ascending basis order, as a dense
-        embedded product does."""
-        gates = []
-        for i, (targets, gate) in enumerate(self._gates(dt)):
+        """One factor at a time (no dense product), on axis 0 of a system
+        vector or block: a local term's gate, a diagonal term's phases, or a
+        momentum term's phases between F (``ifft``) and F^dag (``fft``), both
+        unitary.  Gates are permuted onto ascending targets once per call, by
+        a transpose of their (2,)*2k tensor view: each entry then adds its
+        terms in ascending basis order, as a dense embedded product does."""
+        factors = []
+        for term, (targets, factor) in zip(self.terms, self._gates(dt)):
             if not targets:
-                raise ValueError(f"system_step takes local terms only; term {i} is diagonal")
+                factors.append(((), factor[:, None], term.momentum))
+                continue
             k = len(targets)
             ordered = sorted(targets)
             # tensor axis j is bit k-1-j of the row index (k + j: of the column)
             source = [k - 1 - s for s in range(k)]
             dest = [k - 1 - ordered.index(t) for t in targets]
-            tensor = np.moveaxis(gate.matrix.reshape((2,) * 2 * k),
+            tensor = np.moveaxis(factor.matrix.reshape((2,) * 2 * k),
                                  source + [k + a for a in source], dest + [k + a for a in dest])
-            gates.append((ordered, tensor.reshape(2**k, 2**k)))
+            factors.append((ordered, tensor.reshape(2**k, 2**k), False))
 
         def apply(block=None):
             # no block: the identity, built here so that no caller's frame
-            # keeps it alive past the first gate (three matrices at peak)
+            # keeps it alive past the first factor (three matrices at peak)
             if block is None:
                 block = np.eye(2**self.num_qubits, dtype=np.complex128)
+            shape = block.shape
+            block = block.reshape(2**self.num_qubits, -1)
             for _ in range(slices):
-                for targets, matrix in gates:
-                    block = sv._apply_matrix(block, self.num_qubits, matrix, targets)
-            return block
+                for targets, factor, momentum in factors:
+                    if targets:
+                        block = sv._apply_matrix(block, self.num_qubits, factor, targets)
+                    elif momentum:
+                        block = np.fft.ifft(block, axis=0, norm="ortho")
+                        block *= factor
+                        block = np.fft.fft(block, axis=0, norm="ortho")
+                    else:
+                        block = block * factor
+            return block.reshape(shape)
 
         return apply
 

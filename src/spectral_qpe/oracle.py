@@ -77,9 +77,12 @@ def embed_operator(matrix, targets, num_qubits: int) -> np.ndarray:
 
 
 def dft_matrix(num_qubits: int) -> np.ndarray:
-    """The forward QFT's matrix F, e^{+2 pi i jk / 2^l} / sqrt(2^l)."""
+    """The forward QFT's matrix F, e^{+2 pi i jk / 2^l} / sqrt(2^l), each
+    angle from jk mod 2^l (an exact integer), so none is rounded above 2 pi."""
     grid = np.arange(2**num_qubits)
-    return np.exp(2j * np.pi * np.outer(grid, grid) / grid.size) / np.sqrt(grid.size)
+    turns = np.outer(grid, grid)
+    turns %= grid.size
+    return np.exp(2j * np.pi * turns / grid.size) / np.sqrt(grid.size)
 
 
 def assemble_dense(h: HamiltonianSum) -> np.ndarray:

@@ -101,7 +101,9 @@ class GridRecipe(ham.HamiltonianSum):
     [2, 10]) is refused under the config key "system_qubits", then a
     ``mass`` that is not a positive real or gives a non-finite T, then the
     potential (see :func:`sample_potential`) or a non-finite norm bound,
-    each as a ``ConfigFieldError``.  Only its dense slice is its own.
+    each as a ``ConfigFieldError``.  The sum builds its slice, the split
+    step F^dag e^{-iT dt} F e^{-iV dt}; only the power of that slice, for a
+    slice count, is its own.
     """
 
     __slots__ = ("potential", "kinetic")
@@ -126,21 +128,10 @@ class GridRecipe(ham.HamiltonianSum):
         """The sum's gate-level step, under the name the benchmark traces."""
         return super().apply_step(state, dt, system_qubits, controls)
 
-    def step_matrix(self, dt: float) -> np.ndarray:
-        """Dense matrix of one slice: F^dag e^{-iT dt} F e^{-iV dt}, as one
-        product of F^dag with a copy of F scaled by the position phases along
-        its columns and the momentum phases along its rows, so at most three
-        full matrices are alive."""
-        f = oracle.dft_matrix(self.num_qubits)
-        (_, position_phases), (_, momentum_phases) = self._gates(dt)
-        scaled = f * position_phases
-        scaled *= momentum_phases[:, None]
-        return np.conjugate(f, out=f).T @ scaled
-
     def system_step(self, dt: float, slices: int):
-        """The dense slice, checked once as a gate, raised to the slice count
-        by drift-controlled binary powering (which checks each square and
-        product it builds)."""
+        """The sum's dense slice, checked once as a gate, raised to the slice
+        count by drift-controlled binary powering (which checks each square
+        and product it builds)."""
         matrix = sv._unitary_power(sv.GateMatrix(self.step_matrix(dt)).matrix, slices)
         return lambda block: matrix @ block
 

@@ -152,9 +152,12 @@ def per_pair_qft(amps, register, controls=(), inverse=False):
 
 
 def dft_matrix(points):
-    """Unitary DFT with the e^{+2*pi*i*j*k/M} kernel."""
+    """Unitary DFT with the e^{+2*pi*i*j*k/M} kernel, each angle from
+    j*k mod M, so it is exact to rounding below 2*pi."""
     grid = np.arange(points)
-    return np.exp(2j * np.pi * np.outer(grid, grid) / points) / np.sqrt(points)
+    turns = np.outer(grid, grid)
+    turns %= points
+    return np.exp(2j * np.pi * turns / points) / np.sqrt(points)
 
 
 def grid_hamiltonian(potential, kinetic):

@@ -825,18 +825,23 @@ class TestTrotterBench:
             lines.append(f"{r},{cli._g(error)},{cli._g(0.25)}")
         assert (tmp_path / "xz.trotter.csv").read_text() == "\n".join(lines) + "\n"
 
-    @pytest.mark.parametrize("problem", [
-        {"problem": "grid", "system_qubits": 3, "potential": "harmonic:0.8,3.5", "time": 0.4},
-        {"problem": "tfim", "sites": 3, "time": 0.5},
+    @pytest.mark.parametrize("problem, bound", [
+        ({"problem": "grid", "system_qubits": 3, "potential": "harmonic:0.8,3.5",
+          "time": 0.4}, 1e-6),
+        ({"problem": "tfim", "sites": 3, "time": 0.5}, 1e-9),
     ], ids=["grid", "tfim3"])
     def test_error_falls_as_one_over_r_at_ten_million_slices(self, tmp_path, monkeypatch,
-                                                             problem):
+                                                             problem, bound):
         """The slice is powered with drift control, so the first-order 1/r
         law holds out to 10^7 slices on the grid particle (plain matrix
         powering printed 1.79e-8 there, 27% above the law) and on TFIM-3.
-        At 2^30 slices only the bound is asserted: the grid reads 5.8e-8
-        there, not the law's 1.3e-10, as the dense slice's rounding raised
-        to the r-th power takes over."""
+        At 2^30 slices a bound per problem is asserted.  TFIM-3 follows the
+        law there (2.8e-10), and its 1e-9 bound catches squares left
+        unsnapped by the drift control (5.3e-7).  The grid reads 6.7e-8
+        there, not the law's 1.3e-10, with its slice built by FFTs; an
+        F-product slice read 5.8e-8 with a rounded-angle F and 6.3e-8 with
+        an exact-angle one, so the DFT's rounding does not explain that
+        row, and the grid keeps the bound 1e-6."""
         monkeypatch.chdir(tmp_path)
         sweep = [1, 3, 17, 10**6, 10**7, 2**30]
         cfg = dict(problem, slice_sweep=sweep, out="sweep")
@@ -846,7 +851,7 @@ class TestTrotterBench:
         assert [int(r[0]) for r in rows] == sweep
         errors = [float(r[1]) for r in rows]
         assert errors[4] == pytest.approx(errors[3] / 10, rel=0.02)
-        assert errors[-1] < 1e-6
+        assert errors[-1] < bound
 
     def test_commuting_terms_are_exact_at_one_slice(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)

@@ -95,10 +95,12 @@ def test_hamiltonian_sum_validation():
         with pytest.raises(ValueError, match=rf"^diagonal term needs 4 energies for a "
                                              rf"2-qubit system, got shape {shape}$"):
             HamiltonianSum([ham.DiagonalTerm(energies)], 2)
-    # the sum's slice loop steps local terms only; a grid overrides it
-    h = HamiltonianSum([LocalTerm([0], ref.Z), ham.DiagonalTerm([0.1, 0.2, 0.3, 0.4])], 2)
-    with pytest.raises(ValueError, match=r"^system_step takes local terms only; term 1 is diagonal$"):
-        h.step_matrix(0.1)
+    # the sum's slice loop steps a diagonal term too: Z on qubit 0 and the
+    # energies commute, so the slice is their summed phases
+    energies = np.array([0.1, 0.2, 0.3, 0.4])
+    h = HamiltonianSum([LocalTerm([0], ref.Z), ham.DiagonalTerm(energies)], 2)
+    want = np.diag(np.exp(-0.1j * (np.array([1, -1, 1, -1]) + energies)))
+    np.testing.assert_allclose(h.step_matrix(0.1), want, rtol=0, atol=1e-15)
 
 
 # ---------------------------------------------------------------------------
@@ -357,10 +359,20 @@ def unsorted_explicit_terms():
     return HamiltonianSum(terms, 3)
 
 
+def mixed_kind_sum():
+    """A plain sum of every term kind on 3 qubits: a local term on an unsorted
+    support, a position term and a momentum term, with random energies."""
+    rng = np.random.default_rng(23)
+    return HamiltonianSum([LocalTerm([2, 0], ref.random_hermitian(4, rng)),
+                           ham.DiagonalTerm(rng.normal(size=8)),
+                           ham.DiagonalTerm(rng.normal(size=8), momentum=True)], 3)
+
+
 SOURCES = {
     "tfim": lambda: build_transverse_ising(3, 1.0, 0.7),
     "grid": lambda: GridRecipe(3, "harmonic:0.8,3.5", 1.0),
     "unsorted_terms": unsorted_explicit_terms,
+    "mixed_kinds": mixed_kind_sum,
 }
 
 

@@ -704,6 +704,11 @@ BLOCK_SOURCES = {
     "grid_recipe": lambda rng: (
         3, dict(source=GridRecipe(3, "harmonic:0.8,3.5", 1.0),
                 time=0.4, slices=4)),
+    "mixed_kinds": lambda rng: (
+        3, dict(source=HamiltonianSum([LocalTerm([2, 0], ref.random_hermitian(4, rng)),
+                                       ham.DiagonalTerm(rng.normal(size=8)),
+                                       ham.DiagonalTerm(rng.normal(size=8), momentum=True)], 3),
+                time=0.4, slices=3)),
 }
 
 

@@ -168,7 +168,8 @@ class TestGridRecipe:
         recipe = GridRecipe(qubits, "harmonic:0.3,100.0", 1.0)
         dt = 0.05
         step, peak = traced_peak(lambda: recipe.step_matrix(dt))
-        # the step, F^dag and the scaled F at the product, plus the phase vectors
+        # the running block and one FFT's output, plus the phase vectors and
+        # what the FFT holds while it runs
         assert peak <= 3.05 * step.nbytes
         f = ref.dft_matrix(2**qubits)
         kinetic = np.diag(np.exp(-1j * recipe.kinetic * dt))
