@@ -89,9 +89,7 @@ class HamiltonianSum:
     run steps at one ``dt``, a slice sweep at each of its ``dt`` once.
     ``system_step`` is the one slice loop, over every term kind; called with
     no block it returns the dense matrix, which is how ``step_matrix`` builds
-    one slice for every source.  :class:`~spectral_qpe.problems.GridRecipe`,
-    one diagonal term of each kind, overrides ``system_step`` alone, to power
-    that slice.
+    one slice for every source.
     """
 
     __slots__ = ("terms", "num_qubits", "_gate_cache")
@@ -140,9 +138,8 @@ class HamiltonianSum:
 
     def step_matrix(self, dt: float) -> np.ndarray:
         """The slice loop on the columns of the identity (2^k 4^l a local
-        term, 4^l l a momentum term, not 8^l).  It runs the sum's own loop,
-        not ``self.system_step``: an override (a grid's) calls this slice."""
-        return HamiltonianSum.system_step(self, dt, 1)()
+        term, 4^l l a momentum term, not 8^l)."""
+        return self.system_step(dt, 1)()
 
     def apply_step(
         self, state: sv.StateVector, dt: float, system_qubits=None, controls=()
@@ -186,9 +183,10 @@ class HamiltonianSum:
 
         def apply(block=None):
             # no block: the identity, built here so that no caller's frame
-            # keeps it alive past the first factor (three matrices at peak)
-            if block is None:
-                block = np.eye(2**self.num_qubits, dtype=np.complex128)
+            # keeps it alive past the first factor (three matrices at peak); a
+            # real block is taken as complex128, or a gate would drop its phases
+            block = (np.eye(2**self.num_qubits, dtype=np.complex128) if block is None
+                     else np.asarray(block, dtype=np.complex128))
             shape = block.shape
             block = block.reshape(2**self.num_qubits, -1)
             for _ in range(slices):

@@ -19,16 +19,12 @@ source it is the repeated step U^j|V_a> = U (U^(j-1)|V_a>).  Two
 constructions over the whole 2^(m+l) register are kept as references, both
 read out by the gate-level inverse QFT: the per-index-bit binary route,
 whose controlled powers run gate by gate, and the comparator loop, whose
-step i applies U to index columns [i, M) in place.  A comparator flag
-would mark those columns and be uncomputed within the step, so the loop
-carries no flag qubit.  In exact evolution V acts on the system register
-alone and commutes with every flag step, so the loop runs in the
-eigenbasis, where step i multiplies the window by e^{-iEt}, and builds no
-dense U; the binary route's dense U and its squares are then the one dense
-witness of e^{-iHt}.  Otherwise the engine and the loop apply U through one
-map on blocks of system columns, :func:`_step_map`, so for a sliced source
-the binary route, which runs the source's gate-level steps, is the only
-independent check of that map.
+step i applies U to index columns [i, M) in place, with no flag qubit.  In
+exact evolution the loop runs in the eigenbasis and builds no dense U; the
+binary route's dense U and its squares are then the one dense witness of
+e^{-iHt}.  Otherwise the engine and the loop share one map,
+:func:`_step_map`: a source's walk or its powered slice, whichever is
+cheaper, checked independently only by the binary route's gate-level steps.
 All three must agree to 1e-10 per amplitude and the tests enforce that.
 The module also carries the closed-form measurement distribution and
 collapsed states, which verify the whole pipeline without sampling;
@@ -63,6 +59,9 @@ DISTRIBUTION_TOL = 1e-10
 ROUTE_TOL = 1e-10
 COLLAPSE_FIDELITY_TOL = 1e-9
 POPULATED_BIN_FLOOR = 1e-9
+#: A walk factor's call overhead in multiply-adds: about 20 us a call over 0.4 ns a
+#: multiply-add of a 256 x 256 matrix-vector product (numpy 2.4.6, 1 OpenBLAS thread).
+_CALL_COST = 50_000
 
 
 class PhaseEstimationConfig(sv._Record):
@@ -133,12 +132,7 @@ class PhaseEstimationConfig(sv._Record):
         if self.source is None and self.slices != 1:
             raise ConfigFieldError("slices", "slices only apply to a source, not to a unitary")
         step_time(self.time, self.slices, "slices")
-        if self.unitary is not None:
-            system = self.unitary.arity
-        elif self.source is not None:
-            system = self.source.num_qubits
-        else:
-            system = self.decomposition.num_qubits
+        system = given[0].arity if self.unitary is not None else given[0].num_qubits
         try:
             layout = sv.RegisterLayout(self.m_index, system)
         except ValueError as exc:
@@ -247,15 +241,32 @@ def prepare_index_superposition(va: sv.StateVector, layout: sv.RegisterLayout) -
     return sv._wrap_state(layout.total_qubits, amps)
 
 
+def _powers_slice(config: PhaseEstimationConfig) -> bool:
+    """Whether a source's dense slice raised to ``slices`` costs less than its
+    walk over the engine's M - 1 columns, in multiply-adds: a walk factor
+    takes ``_CALL_COST`` a call and, per entry, 2^k (a gate on k qubits), 1
+    (phases) or 2l + 1 (phases between FFTs); the power walks 2^l identity
+    columns, checks the slice (8^l / 2), squares and multiplies (8^l and a
+    check each), then takes 4^l a column.  Past ``oracle.MAX_DENSE_QUBITS``, never."""
+    source, slices, columns = config.source, config.slices, config.layout.num_bins - 1
+    l, calls = source.num_qubits, len(source.terms) * _CALL_COST
+    entry = sum(2**len(t.support) if t.support else 1 + 2 * l * t.momentum for t in source.terms)
+    products = slices.bit_length() + slices.bit_count() - 2  # squarings, then products
+    power = calls + 4**l * (entry + columns) + 8**l * (3 * products + 1) // 2
+    return l <= oracle.MAX_DENSE_QUBITS and power < columns * slices * (calls + 2**l * entry)
+
+
 def _step_map(config: PhaseEstimationConfig):
-    """U as a map on (2^l, K) blocks of system columns (and on single
-    vectors), for an explicit unitary or a source: the map the block engine
-    repeats and the flag loop applies to its windows.  It is a source's
-    ``system_step`` over ``slices`` steps, or the dense U times the block.
-    Exact evolution has no step map: both routes work in the eigenbasis."""
-    if config.source is not None:
-        return config.source.system_step(config.time / config.slices, config.slices)
-    matrix = config.unitary.matrix
+    """U as a map on (2^l, K) blocks of system columns (and on vectors), the
+    one map the block engine repeats and the flag loop applies to windows:
+    the dense U times the block, or a source's walk (``system_step``) or,
+    where :func:`_powers_slice` finds it cheaper, its dense slice checked as
+    a gate and raised to ``slices``.  Exact evolution has no step map."""
+    source, dt = config.source, config.time / config.slices
+    if source is not None and not _powers_slice(config):
+        return source.system_step(dt, config.slices)
+    matrix = (config.unitary.matrix if source is None
+              else sv._unitary_power(sv.GateMatrix(source.step_matrix(dt)).matrix, config.slices))
     return lambda block: matrix @ block
 
 

@@ -101,9 +101,8 @@ class GridRecipe(ham.HamiltonianSum):
     [2, 10]) is refused under the config key "system_qubits", then a
     ``mass`` that is not a positive real or gives a non-finite T, then the
     potential (see :func:`sample_potential`) or a non-finite norm bound,
-    each as a ``ConfigFieldError``.  The sum builds its slice, the split
-    step F^dag e^{-iT dt} F e^{-iV dt}; only the power of that slice, for a
-    slice count, is its own.
+    each as a ``ConfigFieldError``.  Its slice is the sum's, the split step
+    F^dag e^{-iT dt} F e^{-iV dt}.
     """
 
     __slots__ = ("potential", "kinetic")
@@ -127,13 +126,6 @@ class GridRecipe(ham.HamiltonianSum):
     def apply_step(self, state: sv.StateVector, dt: float, system_qubits=None, controls=()) -> sv.StateVector:
         """The sum's gate-level step, under the name the benchmark traces."""
         return super().apply_step(state, dt, system_qubits, controls)
-
-    def system_step(self, dt: float, slices: int):
-        """The sum's dense slice, checked once as a gate, raised to the slice
-        count by drift-controlled binary powering (which checks each square
-        and product it builds)."""
-        matrix = sv._unitary_power(sv.GateMatrix(self.step_matrix(dt)).matrix, slices)
-        return lambda block: matrix @ block
 
 
 def product_state_guess(num_qubits: int, single_qubit_amplitudes) -> sv.StateVector:

@@ -129,6 +129,8 @@ def _runs() -> dict[str, tuple[str, dict, list[str]]]:
         "unitary2-m12": {**_UNITARY2, "m_index": 12},
         "tfim8-m10": _TFIM8_M10,
         "tfim3-m10": {**_TFIM3, "m_index": 10, "slices": 1},
+        "grid8": {**_GRID6, "system_qubits": 8, "potential": "harmonic:0.02,127.5",
+                  "m_index": 5, "slices": 2},
     }
     for name, cfg in routed.items():
         for route in ROUTES:

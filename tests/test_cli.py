@@ -7,6 +7,8 @@ import logging
 import math
 import os
 import pathlib
+import subprocess
+import sys
 import tempfile
 import types
 import warnings
@@ -1196,6 +1198,24 @@ def test_grid_runs_at_a_large_slice_count(tmp_path, monkeypatch):
     assert record["dominant"]["eigenvector_fidelity"] > 0.99
 
 
+@pytest.mark.parametrize("route", ["block", "flag_loop"])
+def test_solve_at_two_to_the_forty_slices_ends_within_seconds(tmp_path, route):
+    """At 2^40 slices the step map powers TFIM-3's dense slice (40
+    squarings) where a walk would run 2^40 steps a column, so the run exits
+    0 within a few seconds; it runs in a child, which a walk would keep past
+    the timeout."""
+    cfg = {"problem": "tfim", "sites": 3, "m_index": 2, "time": 0.5, "slices": 2**40,
+           "trials": 50, "power_method": route, "out": "huge"}
+    src = str(pathlib.Path(cli.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+    done = subprocess.run([sys.executable, "-m", "spectral_qpe", "solve", "--config",
+                           write_config(tmp_path, cfg)], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=10)
+    assert done.returncode == 0, done.stderr
+    assert (tmp_path / "huge.result.json").exists()
+
+
 def test_missing_subcommand_is_usage_error():
     with pytest.raises(SystemExit) as excinfo:
         cli.main([])
@@ -1208,8 +1228,9 @@ def test_missing_subcommand_is_usage_error():
 # Odd values for any key: wrong types, nested lists, out-of-range numbers,
 # +-inf and NaN (written as 1e999, -1e999 and NaN) and integers past the
 # float range.  The huge integers inside the float range (_HUGE) are not
-# drawn for "slices": a slice count that large is valid, and a local
-# Hamiltonian runs every slice as gates, so the run would not finish.
+# drawn for "slices": a slice count that large is valid, and the
+# "binary_power" route runs every slice as gates (ROADMAP item 4), so the
+# run would not finish; the other routes power these small problems' slice.
 _ODD = st.sampled_from([
     None, True, "x", "exact", [], [1, [2, [3]]], {"a": [1]}, -1, 0, 1, 2, 0.5, -0.3,
     1e-300, math.inf, -math.inf, math.nan, 10**400, -(10**400),

@@ -1,6 +1,7 @@
 """Local-term Hamiltonians, exponentials, and first-order slicing."""
 
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -393,6 +394,23 @@ def test_source_steps_agree_with_step_matrix(name):
             np.linalg.matrix_power(step, 3) @ operand,
             atol=1e-12,
         )
+
+
+@pytest.mark.parametrize("name", sorted(SOURCES))
+def test_system_step_takes_a_real_operand_as_complex(name):
+    """A real vector or (2^l, K) block is walked as its complex128 cast,
+    bit for bit: no factor drops the imaginary part, none warns, and the
+    operand is left as it was."""
+    source = SOURCES[name]()
+    step = source.system_step(0.1, 2)
+    for operand in (np.ones(8) / np.sqrt(8), np.random.default_rng(24).normal(size=(8, 5))):
+        before = operand.copy()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = step(operand)
+        assert got.dtype == np.complex128 and got.shape == operand.shape
+        assert np.array_equal(got, step(operand.astype(np.complex128)))
+        assert np.array_equal(operand, before)
 
 
 @pytest.mark.parametrize("name", sorted(SOURCES))

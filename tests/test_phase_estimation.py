@@ -501,31 +501,36 @@ def unsorted_terms():
 
 
 def sliced_flag_loop_cases():
-    """(source, m_index, time, slices): TFIM chains, grid particles (diagonal
-    phases and QFTs) and unsorted term supports."""
+    """(source, m_index, time, slices, powered): TFIM chains, grid particles
+    (diagonal phases and QFTs) and unsorted term supports, each with the
+    step map's estimate, a powered slice or a walk."""
     tfim3 = build_transverse_ising(3, 1.0, 0.7)
-    return [pytest.param(tfim3, m, 0.5, 3, id=f"tfim3-m{m}") for m in (2, 3, 4)] + [
-        pytest.param(build_transverse_ising(4, 1.0, 0.7), 8, 0.5, 2, id="tfim4-m8"),
-        pytest.param(GridRecipe(3, "harmonic:0.8,3.5", 1.0), 4, 0.4, 4, id="grid3"),
-        pytest.param(GridRecipe(4, "harmonic:0.8,3.5", 1.0), 5, 0.4, 2, id="grid4"),
-        pytest.param(unsorted_terms(), 4, 0.5, 2, id="terms3-unsorted"),
+    return [pytest.param(tfim3, m, 0.5, 3, True, id=f"tfim3-m{m}") for m in (2, 3, 4)] + [
+        pytest.param(build_transverse_ising(4, 1.0, 0.7), 8, 0.5, 2, True, id="tfim4-m8"),
+        pytest.param(GridRecipe(3, "harmonic:0.8,3.5", 1.0), 4, 0.4, 4, True, id="grid3"),
+        pytest.param(GridRecipe(4, "harmonic:0.8,3.5", 1.0), 5, 0.4, 2, True, id="grid4"),
+        pytest.param(unsorted_terms(), 4, 0.5, 2, True, id="terms3-unsorted"),
+        pytest.param(build_transverse_ising(8, 1.0, 0.7), 4, 0.5, 2, False, id="tfim8-m4-walk"),
+        pytest.param(GridRecipe(8, "harmonic:0.05,127.5", 1.0), 2, 0.4, 2, False,
+                     id="grid8-m2-walk"),
     ]
 
 
-@pytest.mark.parametrize("source, m_index, time, slices", sliced_flag_loop_cases())
+@pytest.mark.parametrize("source, m_index, time, slices, powered", sliced_flag_loop_cases())
 def test_sliced_flag_loop_is_bit_identical_to_flipped_steps(monkeypatch, source, m_index,
-                                                           time, slices):
-    """A source's loop writes exactly what flip, the source's
-    ``system_step`` on the raised window and flip write on the flag-clear
-    half of the reference's flag register, and agrees to 1e-12 per amplitude
-    with flip, gate-level steps under the flag over the whole flag register
-    and flip (a grid's ``system_step`` is its dense slice power, and a term
-    source's gates see a column window, not the whole register, so the
-    rounding differs); both references return the flag-set half to zero.
-    The loop applies U only through ``system_step``, never through the
-    gate-level ``apply_step``."""
+                                                           time, slices, powered):
+    """A source's loop writes exactly what flip, the config's step map
+    (``_step_map``: the walk, or the powered slice where the estimate takes
+    it) on the raised window and flip write on the flag-clear half of the
+    reference's flag register, and agrees to 1e-12 per amplitude with flip,
+    gate-level steps under the flag over the whole flag register and flip (a
+    powered slice rounds as one product, and a walk's gates see a column
+    window, not the whole register, so the rounding differs); both
+    references return the flag-set half to zero.  The loop applies U only
+    through the step map, never through the gate-level ``apply_step``."""
     config = PhaseEstimationConfig(m_index=m_index, source=source, time=time, slices=slices,
                                    power_method="flag_loop")
+    assert pe._powers_slice(config) == powered
     layout = config.layout
     rng = np.random.default_rng(89 + m_index)
     prepared = spread(ref.random_state(layout.l_system, rng), layout)
@@ -538,8 +543,8 @@ def test_sliced_flag_loop_is_bit_identical_to_flipped_steps(monkeypatch, source,
         out = apply_conditional_powers_flag_loop(prepared, config).amplitudes
     half = out.size
     flagged = ref.with_flag(prepared.amplitudes)
-    want = ref.flipped_flag_loop(flagged, source.system_step(time / slices, slices),
-                                 layout.l_system, layout.num_bins)
+    want = ref.flipped_flag_loop(flagged, pe._step_map(config), layout.l_system,
+                                 layout.num_bins)
     assert not want[half:].any()
     assert np.array_equal(out, want[:half])
     gate_level = ref.flipped_source_flag_loop(flagged, source, time / slices, slices, layout)
@@ -709,6 +714,9 @@ BLOCK_SOURCES = {
                                        ham.DiagonalTerm(rng.normal(size=8)),
                                        ham.DiagonalTerm(rng.normal(size=8), momentum=True)], 3),
                 time=0.4, slices=3)),
+    # the step map walks here; the small sources above power their slice
+    "walked_grid": lambda rng: (
+        8, dict(source=GridRecipe(8, "harmonic:0.05,127.5", 1.0), time=0.4, slices=2)),
 }
 
 
@@ -901,16 +909,17 @@ def test_exact_flag_loop_holds_two_states(traced_peak, real):
 
 
 def test_sliced_flag_loop_holds_four_states(traced_peak):
-    """Beyond its input the sliced loop holds its one writable copy and,
+    """Beyond its input a walking loop holds its one writable copy and,
     while a gate runs on the first step's window, up to three states: the
-    previous gate's output, the operand copy and the product (M = 1024).
-    A first run fills the slice-gate cache and the interpreter's free lists
-    for the small objects each gate call makes (about 0.9 states on a cold
-    interpreter), so the traced run counts only what the loop holds."""
-    config = PhaseEstimationConfig(m_index=10, source=build_transverse_ising(3, 1.0, 0.7),
+    previous gate's output, the operand copy and the product (TFIM-9, which
+    walks at M = 16).  A first run fills the slice-gate cache and the
+    interpreter's free lists for the small objects each gate call makes, so
+    the traced run counts only what the loop holds."""
+    config = PhaseEstimationConfig(m_index=4, source=build_transverse_ising(9, 1.0, 0.7),
                                    time=0.5, slices=1, power_method="flag_loop")
+    assert not pe._powers_slice(config)
     layout = config.layout
-    va = ref.random_state(3, np.random.default_rng(89))
+    va = ref.random_state(9, np.random.default_rng(89))
     state = spread(va, layout)
     apply_conditional_powers_flag_loop(state, config)
     out, peak = traced_peak(lambda: apply_conditional_powers_flag_loop(state, config))
@@ -919,18 +928,76 @@ def test_sliced_flag_loop_holds_four_states(traced_peak):
 
 
 def test_grid_flag_loop_holds_two_states(traced_peak):
-    """A grid source's step is one dense slice power times the window, so
-    beyond its input the loop holds its one writable copy and the product,
-    at most one state (M = 256, two slices)."""
+    """Where the estimate powers the slice (a grid at M = 256, two slices),
+    a step is one product of the slice power and the window, so beyond its
+    input the loop holds its one writable copy and the product, at most one
+    state."""
     grid = GridRecipe(4, "harmonic:0.8,3.5", 1.0)
     config = PhaseEstimationConfig(m_index=8, source=grid, time=0.4, slices=2,
                                    power_method="flag_loop")
+    assert pe._powers_slice(config)
     layout = config.layout
     va = ref.random_state(4, np.random.default_rng(90))
     state = spread(va, layout)
     out, peak = traced_peak(lambda: apply_conditional_powers_flag_loop(state, config))
     assert out.amplitudes.nbytes == state.amplitudes.nbytes
     assert peak <= 2.15 * state.amplitudes.nbytes
+
+
+@pytest.mark.parametrize("slices", [1, 2, 5])
+def test_powered_step_map_checks_each_matrix_once(monkeypatch, slices):
+    """A powered slice is checked once as a gate, and the powering checks
+    each square and product it builds: the matrices checked are the slice,
+    its squares up to the count's top bit and, for a count that is no power
+    of two, their product, and each of them once."""
+    recipe = GridRecipe(3, "harmonic:0.8,3.5", 1.0)
+    config = PhaseEstimationConfig(m_index=4, source=recipe, time=0.1 * slices, slices=slices)
+    assert pe._powers_slice(config)
+    checked = []
+    defect = sv.unitarity_defect
+    monkeypatch.setattr(sv, "unitarity_defect",
+                        lambda matrix: checked.append(np.array(matrix)) or defect(matrix))
+    step = pe._step_map(config)
+    one = recipe.step_matrix(config.time / slices)
+    powers = [2**k for k in range(slices.bit_length())]
+    powers += [slices] if slices not in powers else []
+    assert len(checked) == len(powers)
+    for matrix, power in zip(checked, powers):
+        np.testing.assert_allclose(matrix, np.linalg.matrix_power(one, power), atol=1e-12)
+    np.testing.assert_allclose(step(np.eye(8)), np.linalg.matrix_power(one, slices), atol=1e-12)
+
+
+#: (problem, qubits, slices) where the block engine's column loop at M = 64
+#: (one BLAS thread, slice build included) measured faster on the powered
+#: slice, then faster on the walk; see CHANGES for the timings.
+_POWERED_ANCHORS = [("grid", 6, 2), ("grid", 6, 16), ("grid", 3, 100000), ("tfim", 3, 2**40)] + [
+    ("tfim", l, s) for l in (4, 6) for s in (1, 2, 16)] + [("tfim", 8, 2), ("tfim", 8, 16)]
+_WALKED_ANCHORS = [("tfim", 10, 1), ("tfim", 10, 2), ("tfim", 10, 16), ("tfim", 12, 1),
+                   ("tfim", 12, 2), ("grid", 10, 2), ("grid", 10, 16), ("grid", 8, 2)]
+
+
+@pytest.mark.parametrize("powered, kind, qubits, slices", [
+    pytest.param(powered, kind, qubits, slices,
+                 id=f"{'power' if powered else 'walk'}-{kind}{qubits}-{slices}")
+    for powered, anchors in ((True, _POWERED_ANCHORS), (False, _WALKED_ANCHORS))
+    for kind, qubits, slices in anchors])
+def test_step_map_estimate_takes_the_measured_faster_map(powered, kind, qubits, slices):
+    """At each measured anchor the estimate picks the map that ran faster;
+    the choice reads only the config, so every route of a run takes it."""
+    source = (build_transverse_ising(qubits, 1.0, 0.7) if kind == "tfim"
+              else GridRecipe(qubits, "harmonic:0.05,31.5", 1.0))
+    for route in pe.POWER_METHODS:
+        config = PhaseEstimationConfig(m_index=6, source=source, time=0.4, slices=slices,
+                                       power_method=route)
+        assert pe._powers_slice(config) == powered
+
+
+def test_step_map_walks_above_the_dense_cap():
+    """Above ``oracle.MAX_DENSE_QUBITS`` there is no dense slice to power,
+    however many slices the walk would take."""
+    source = HamiltonianSum([LocalTerm([q], ref.Z) for q in range(13)], 13)
+    config = PhaseEstimationConfig(m_index=1, source=source, time=0.5, slices=2**40)
+    assert not pe._powers_slice(config)
 
 
 def spectral_case(name):
