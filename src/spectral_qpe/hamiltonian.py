@@ -18,6 +18,7 @@ import numpy as np
 from . import oracle
 from . import qft
 from . import statevector as sv
+from .errors import ContractViolation
 
 #: Largest support a single term may have (dense term exponentials stay 64x64).
 MAX_TERM_QUBITS = 6
@@ -79,17 +80,16 @@ class HamiltonianSum:
     ``num_qubits`` qubits: the one evolution source type.
 
     Its interface: ``num_qubits``; ``norm_bound()``; ``dense_hamiltonian()``;
-    ``step_matrix(dt)``, one step as a dense matrix; ``apply_step(state, dt,
-    system_qubits, controls)``, one step at gate level, optionally
-    controlled; and ``system_step(dt, slices)``, ``slices`` steps as a map
-    on 2^l system vectors and on (2^l, K) blocks of system columns.  One
-    step is the Trotter slice prod_i e^{-i H_i dt} in term order.  Its
-    factors, a gate per local term and the phases e^{-iE dt} per diagonal
-    term, are built once per ``dt`` and kept for the latest ``dt`` alone: a
-    run steps at one ``dt``, a slice sweep at each of its ``dt`` once.
-    ``system_step`` is the one slice loop, over every term kind; called with
-    no block it returns the dense matrix, which is how ``step_matrix`` builds
-    one slice for every source.
+    ``step_matrix(dt, slices)``, ``slices`` steps as one dense matrix;
+    ``apply_step(state, dt, system_qubits, controls)``, one step at gate
+    level, optionally controlled; and ``system_step(dt, slices)``,
+    ``slices`` steps as a map on 2^l system vectors and on (2^l, K) blocks
+    of system columns.  One step is the Trotter slice prod_i e^{-i H_i dt}
+    in term order.  Its factors, a gate per local term and the phases
+    e^{-iE dt} per diagonal term, are built once per ``dt`` and kept for the
+    latest ``dt`` alone: a run steps at one ``dt``.  ``system_step`` walks
+    those factors; ``step_matrix`` walks their deviations from I instead,
+    and is the one place a slice is raised to a power.
     """
 
     __slots__ = ("terms", "num_qubits", "_gate_cache")
@@ -136,10 +136,38 @@ class HamiltonianSum:
         """H over the full 2^l system space (the oracle's dense assembly)."""
         return oracle.assemble_dense(self)
 
-    def step_matrix(self, dt: float) -> np.ndarray:
-        """The slice loop on the columns of the identity (2^k 4^l a local
-        term, 4^l l a momentum term, not 8^l)."""
-        return self.system_step(dt, 1)()
+    def step_matrix(self, dt: float, slices: int = 1) -> np.ndarray:
+        """The slice raised to ``slices`` (>= 1) as a dense matrix, carried
+        as its deviation D from I, since float64 holds D's entries to about
+        1e-16 absolute while the slice's lie within about ||H|| dt of I.
+        Each factor's deviation E comes from ``expm1`` (:func:`term_deviation`)
+        and composes in term order as D <- D + E(I + D); squares are
+        2D + D^2, products D1 + D2 + D1 D2, and I is added once, at the end.
+        The result must pass :func:`~spectral_qpe.statevector.unitarity_defect`
+        within ``UNITARY_TOL``, or ``ContractViolation`` is raised; nothing
+        snaps it.  At peak it holds four matrices: D, I + D and two
+        intermediates of a factor (a gate's operand copy and product, or the
+        two FFTs' outputs)."""
+        dim = 2**self.num_qubits
+        deviation = np.zeros((dim, dim), dtype=np.complex128)
+        for factor in self._walk_factors([term_deviation(term, dt) for term in self.terms]):
+            shifted = deviation.copy()
+            shifted.flat[:: dim + 1] += 1.0
+            deviation += self._apply_factor(shifted, *factor)
+            del shifted
+        power = None
+        for bit in range(slices.bit_length()):
+            if bit:  # the next square, 2D + D^2
+                square = deviation @ deviation
+                square += 2.0 * deviation
+                deviation = square
+            if slices >> bit & 1:  # times the product so far, D1 + D2 + D1 D2
+                power = deviation if power is None else deviation @ power + deviation + power
+        power.flat[:: dim + 1] += 1.0
+        defect = sv.unitarity_defect(power)
+        if not (defect <= sv.UNITARY_TOL):  # NaN fails closed
+            raise ContractViolation(f"slice power is not unitary: max|G^dag G - I| = {defect:.3e}")
+        return power
 
     def apply_step(
         self, state: sv.StateVector, dt: float, system_qubits=None, controls=()
@@ -160,45 +188,57 @@ class HamiltonianSum:
                 state = sv.apply_diagonal_phase(state, qubits, factor, controls)
         return state
 
-    def system_step(self, dt: float, slices: int):
-        """One factor at a time (no dense product), on axis 0 of a system
-        vector or block: a local term's gate, a diagonal term's phases, or a
-        momentum term's phases between F (``ifft``) and F^dag (``fft``), both
-        unitary.  Gates are permuted onto ascending targets once per call, by
-        a transpose of their (2,)*2k tensor view: each entry then adds its
-        terms in ascending basis order, as a dense embedded product does."""
-        factors = []
-        for term, (targets, factor) in zip(self.terms, self._gates(dt)):
-            if not targets:
-                factors.append(((), factor[:, None], term.momentum))
+    def _walk_factors(self, factors) -> list:
+        """Each term's factor (a matrix for a local term, a vector for a
+        diagonal one) as the walk applies it on axis 0: a local term's matrix
+        permuted onto ascending targets, by a transpose of its (2,)*2k
+        tensor view, so that each entry adds its terms in ascending basis
+        order, as a dense embedded product does; a diagonal term's vector as
+        a column.  Returns (targets, factor, momentum) triples."""
+        out = []
+        for term, factor in zip(self.terms, factors):
+            if not term.support:
+                out.append(((), factor[:, None], term.momentum))
                 continue
+            targets = term.support
             k = len(targets)
             ordered = sorted(targets)
             # tensor axis j is bit k-1-j of the row index (k + j: of the column)
             source = [k - 1 - s for s in range(k)]
             dest = [k - 1 - ordered.index(t) for t in targets]
-            tensor = np.moveaxis(factor.matrix.reshape((2,) * 2 * k),
+            tensor = np.moveaxis(factor.reshape((2,) * 2 * k),
                                  source + [k + a for a in source], dest + [k + a for a in dest])
-            factors.append((ordered, tensor.reshape(2**k, 2**k), False))
+            out.append((ordered, tensor.reshape(2**k, 2**k), False))
+        return out
 
-        def apply(block=None):
-            # no block: the identity, built here so that no caller's frame
-            # keeps it alive past the first factor (three matrices at peak); a
-            # real block is taken as complex128, or a gate would drop its phases
-            block = (np.eye(2**self.num_qubits, dtype=np.complex128) if block is None
-                     else np.asarray(block, dtype=np.complex128))
+    def _apply_factor(self, block: np.ndarray, targets, factor, momentum: bool) -> np.ndarray:
+        """One walk factor on axis 0 of ``block``, as a new array: a matrix on
+        its targets, or phases, between F (``ifft``) and F^dag (``fft``),
+        both unitary, for a momentum term."""
+        if targets:
+            return sv._apply_matrix(block, self.num_qubits, factor, targets)
+        if momentum:
+            block = np.fft.ifft(block, axis=0, norm="ortho")
+            block *= factor
+            return np.fft.fft(block, axis=0, norm="ortho")
+        return block * factor
+
+    def system_step(self, dt: float, slices: int):
+        """``slices`` steps, one factor at a time (no dense product), on
+        axis 0 of a system vector or (2^l, K) block: a local term's gate, a
+        diagonal term's phases, or a momentum term's phases between FFTs.
+        A real operand is taken as complex128, or a gate would drop its
+        phases."""
+        factors = self._walk_factors(
+            [factor.matrix if targets else factor for targets, factor in self._gates(dt)])
+
+        def apply(block):
+            block = np.asarray(block, dtype=np.complex128)
             shape = block.shape
             block = block.reshape(2**self.num_qubits, -1)
             for _ in range(slices):
-                for targets, factor, momentum in factors:
-                    if targets:
-                        block = sv._apply_matrix(block, self.num_qubits, factor, targets)
-                    elif momentum:
-                        block = np.fft.ifft(block, axis=0, norm="ortho")
-                        block *= factor
-                        block = np.fft.fft(block, axis=0, norm="ortho")
-                    else:
-                        block = block * factor
+                for factor in factors:
+                    block = self._apply_factor(block, *factor)
             return block.reshape(shape)
 
         return apply
@@ -209,6 +249,17 @@ def term_exponential(term: LocalTerm | DiagonalTerm, dt: float) -> sv.GateMatrix
     the phase vector e^{-iE dt} of a diagonal term."""
     return (unitary_from_decomposition(term.spectrum, dt) if term.support
             else np.exp(-1j * term.energies * dt))
+
+
+def term_deviation(term: LocalTerm | DiagonalTerm, dt: float) -> np.ndarray:
+    """e^{-i * H_term * dt} - I from ``expm1`` of its eigenphases, with no I
+    formed: V diag(expm1(-i lambda dt)) V^dag on a local term's support, the
+    vector expm1(-iE dt) for a diagonal term."""
+    if not term.support:
+        return np.expm1(-1j * term.energies * dt)
+    spectrum = term.spectrum
+    weights = np.expm1(1j * spectrum._eigenphases(dt))[:, None]
+    return spectrum.from_eigenbasis(np.multiply(spectrum.eigenvectors.conj().T, weights))
 
 
 def slice_gates(h: HamiltonianSum, dt: float) -> list[tuple[list[int], sv.GateMatrix | np.ndarray]]:

@@ -245,14 +245,16 @@ def _powers_slice(config: PhaseEstimationConfig) -> bool:
     """Whether a source's dense slice raised to ``slices`` costs less than its
     walk over the engine's M - 1 columns, in multiply-adds: a walk factor
     takes ``_CALL_COST`` a call and, per entry, 2^k (a gate on k qubits), 1
-    (phases) or 2l + 1 (phases between FFTs); the power walks 2^l identity
-    columns, checks the slice (8^l / 2), squares and multiplies (8^l and a
-    check each), then takes 4^l a column.  Past ``oracle.MAX_DENSE_QUBITS``, never."""
+    (phases) or 2l + 1 (phases between FFTs); the power walks the 2^l
+    columns of I + D, with D copied and added back for each term (2 4^l),
+    squares and multiplies (8^l each), checks the power once (8^l / 2), then
+    takes 4^l a column.  Past ``oracle.MAX_DENSE_QUBITS``, never."""
     source, slices, columns = config.source, config.slices, config.layout.num_bins - 1
     l, calls = source.num_qubits, len(source.terms) * _CALL_COST
     entry = sum(2**len(t.support) if t.support else 1 + 2 * l * t.momentum for t in source.terms)
     products = slices.bit_length() + slices.bit_count() - 2  # squarings, then products
-    power = calls + 4**l * (entry + columns) + 8**l * (3 * products + 1) // 2
+    walk = entry + 2 * len(source.terms)  # the walk over I + D, and D's copy and sum
+    power = calls + 4**l * (walk + columns) + 8**l * (2 * products + 1) // 2
     return l <= oracle.MAX_DENSE_QUBITS and power < columns * slices * (calls + 2**l * entry)
 
 
@@ -260,13 +262,13 @@ def _step_map(config: PhaseEstimationConfig):
     """U as a map on (2^l, K) blocks of system columns (and on vectors), the
     one map the block engine repeats and the flag loop applies to windows:
     the dense U times the block, or a source's walk (``system_step``) or,
-    where :func:`_powers_slice` finds it cheaper, its dense slice checked as
-    a gate and raised to ``slices``.  Exact evolution has no step map."""
+    where :func:`_powers_slice` finds it cheaper, its slice raised to
+    ``slices`` by ``step_matrix``, which carries it as its deviation from I
+    and checks it once.  Exact evolution has no step map."""
     source, dt = config.source, config.time / config.slices
     if source is not None and not _powers_slice(config):
         return source.system_step(dt, config.slices)
-    matrix = (config.unitary.matrix if source is None
-              else sv._unitary_power(sv.GateMatrix(source.step_matrix(dt)).matrix, config.slices))
+    matrix = config.unitary.matrix if source is None else source.step_matrix(dt, config.slices)
     return lambda block: matrix @ block
 
 
@@ -694,8 +696,11 @@ class Run:
 
 class AuditReport(sv._ValueRecord):
     """``AuditReport(distribution_deviation, other_route, route_deviation,
-    worst_fidelity, worst_bin)``, the deviations :func:`audit` found;
-    ``worst_bin`` is -1 when no bin is populated."""
+    worst_fidelity, worst_bin)``, the deviations :func:`audit` found.
+    ``worst_fidelity`` is the least collapse fidelity over the populated
+    bins, and ``worst_bin`` the lowest populated bin whose fidelity lies
+    within 1e-12 of it, so fidelities tied but for rounding name the same
+    bin on every BLAS kernel; ``worst_bin`` is -1 when no bin is populated."""
 
     __slots__ = ("distribution_deviation", "other_route", "route_deviation", "worst_fidelity",
                  "worst_bin")
@@ -749,14 +754,14 @@ def audit(run: Run, *, _corrupt_qft_sign: bool = False) -> AuditReport:
     populated = [int(j) for j in np.nonzero(analytic > POPULATED_BIN_FLOOR)[0]]
     collapsed = _collapse_bins(read, config.layout, populated)
     predicted = analytic_collapsed_states(overlaps, phases, decomposition, config.m_index, populated)
-    worst_bin, worst = -1, 1.0
+    fidelities = {}
     for j in populated:
-        fidelity = float(abs(np.vdot(predicted[j], collapsed[j].amplitudes)) ** 2)
-        if fidelity < worst:
-            worst_bin, worst = j, fidelity
+        fidelity = fidelities[j] = float(abs(np.vdot(predicted[j], collapsed[j].amplitudes)) ** 2)
         if not (fidelity >= 1.0 - COLLAPSE_FIDELITY_TOL):
             raise AuditFailure(
                 f"eigenvector-fidelity audit: bin {j} fidelity {fidelity:.12f} "
                 f"below 1 - {COLLAPSE_FIDELITY_TOL:g}"
             )
+    worst = min(fidelities.values(), default=1.0)
+    worst_bin = min((j for j, f in fidelities.items() if f <= worst + 1e-12), default=-1)
     return AuditReport(deviation, other, route_deviation, worst, worst_bin)

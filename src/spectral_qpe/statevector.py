@@ -141,7 +141,9 @@ def unitarity_defect(matrix: np.ndarray) -> float:
 def _near_unitary(matrix: np.ndarray) -> np.ndarray:
     """``matrix``, snapped back onto the unitary manifold (the polar factor
     of its SVD) when float drift approaches the gate tolerance: a unitary
-    within ``UNITARY_TOL``, the one check a dense power gets."""
+    within ``UNITARY_TOL``, the one check a square of the binary route's
+    dense U gets (left unsnapped, the squares of TFIM-8's U at time 0.25
+    reach a defect of 1.2e-9 by U^(2^20))."""
     defect = unitarity_defect(matrix)
     if not np.isfinite(defect):
         raise ContractViolation(f"matrix power is not finite: defect {defect}")
@@ -160,18 +162,6 @@ def _unitary_squares(matrix: np.ndarray):
     while True:
         yield matrix
         matrix = _near_unitary(matrix @ matrix)
-
-
-def _unitary_power(matrix: np.ndarray, power: int) -> np.ndarray:
-    """U^power (power >= 1) for the unitary U = ``matrix``: the product of the
-    squares that power's bits pick, lowest first, snapped like a square if
-    it has several factors; a power of two is its square as is."""
-    product = None
-    for bit, square in enumerate(_unitary_squares(matrix)):
-        if power >> bit & 1:
-            product = square if product is None else square @ product
-        if power >> bit <= 1:  # the top bit: no square past it is built
-            return _near_unitary(product) if power & (power - 1) else product
 
 
 def hadamard() -> GateMatrix:

@@ -1,4 +1,4 @@
-"""Golden outputs: named CLI runs and a sha256 of each artifact they leave.
+"""Golden outputs: named CLI runs and what each artifact they leave holds.
 
 Usage (from the repository root):
 
@@ -6,20 +6,23 @@ Usage (from the repository root):
     python tests/golden/runs.py --write    # rewrite tests/golden/digests.json
 
 Every run goes through ``cli.main`` in this one process, in its own
-temporary directory.  Its record is the exit code and one sha256 for each of
+temporary directory.  Its record is the exit code and a sha256 of each of
 stdout, stderr (with every warning raised during the run appended as
 ``Category: message``) and each file it writes: ``histogram.csv``,
 ``result.json`` and ``trotter.csv``, the last without its ``wall_seconds``
-column.  The temporary directory is masked as ``<tmp>`` before hashing.
+column.  The temporary directory is masked as ``<tmp>`` first.  The floats
+of ``histogram.csv`` are formatted from integer counts, so its whole text is
+hashed.  Any other artifact is hashed with each decimal or exponent number
+replaced by ``#``, and its record lists those numbers in order, under
+``<artifact> numbers``: the digits float rounding can move on another build.
 
-BLAS is pinned to one thread before numpy loads, since a threaded BLAS may
-round differently.  The record also holds the build it was made on (Python
-and numpy versions, BLAS and its thread count and core): digests made on
-another build do not apply, and ``tests/test_golden.py`` then compares only
-exit codes and artifact names.  On every build it also requires the three
-routes of each ``routes/<name>/`` group to leave one histogram and one
-stdout.  A change that moves bits on purpose rewrites ``digests.json`` in the
-same diff and says which runs moved and why.
+BLAS is pinned to one thread before numpy loads.  The record names the
+build it was made on (Python, numpy and BLAS versions) for information;
+``tests/test_golden.py`` compares every build's runs the same way.  To check
+the record under another OpenBLAS kernel of an x86-64 CPU, run
+``OPENBLAS_CORETYPE=Haswell python -m pytest tests/test_golden.py``.  A
+change that moves output on purpose rewrites ``digests.json`` in the same
+diff and says which runs moved and why.
 """
 
 from __future__ import annotations
@@ -30,12 +33,12 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
 import contextlib  # noqa: E402
-import ctypes  # noqa: E402
 import hashlib  # noqa: E402
 import io  # noqa: E402
 import json  # noqa: E402
 import pathlib  # noqa: E402
 import platform  # noqa: E402
+import re  # noqa: E402
 import sys  # noqa: E402
 import tempfile  # noqa: E402
 import warnings  # noqa: E402
@@ -49,6 +52,8 @@ import numpy as np  # noqa: E402
 from spectral_qpe import cli  # noqa: E402
 
 ROUTES = ("block", "binary_power", "flag_loop")
+#: A decimal or exponent number that starts no word: a float as printed.
+NUMBER = re.compile(r"(?<![\w.])[-+]?\d+(?:\.\d+(?:[eE][-+]?\d+)?|[eE][-+]?\d+)")
 SEEDS = range(8)
 
 _TFIM = {"problem": "tfim", "coupling": 1.0, "field": 0.7}
@@ -181,7 +186,7 @@ def _without_wall_seconds(text: str) -> str:
 
 def run(command: str, config: dict, flags: list[str], workdir: pathlib.Path) -> dict:
     """One run in ``workdir`` (the current directory while it runs): its exit
-    code and the digest of each artifact."""
+    code, each artifact's digest and, but for the histogram, its numbers."""
     (workdir / "config.json").write_text(json.dumps({**config, "out": "run"}))
     stdout, stderr = io.StringIO(), io.StringIO()
     previous = os.getcwd()
@@ -206,40 +211,23 @@ def run(command: str, config: dict, flags: list[str], workdir: pathlib.Path) -> 
         text = path.read_text()
         texts[artifact] = _without_wall_seconds(text) if artifact == "trotter.csv" else text
     for name, text in texts.items():
-        record[name] = _digest(text.replace(str(workdir), "<tmp>"))
+        text = text.replace(str(workdir), "<tmp>")
+        if name != "histogram.csv":
+            record[f"{name} numbers"] = [float(number) for number in NUMBER.findall(text)]
+            text = NUMBER.sub("#", text)
+        record[name] = _digest(text)
     return record
 
 
-def _blas() -> dict:
-    """The BLAS numpy was built with, and the core and thread count its
-    OpenBLAS reports at run time (``None`` where it cannot be asked)."""
-    info = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-    blas = {"name": info.get("name"), "version": info.get("version"),
-            "core": None, "threads": None}
-    libs = pathlib.Path(np.__file__).resolve().parent.parent / "numpy.libs"
-    for lib in sorted(libs.glob("*openblas*")):
-        handle = ctypes.CDLL(str(lib))
-        for prefix, suffix in (("scipy_openblas", "64_"), ("openblas", "")):
-            try:
-                corename = getattr(handle, f"{prefix}_get_corename{suffix}")
-                threads = getattr(handle, f"{prefix}_get_num_threads{suffix}")
-            except AttributeError:
-                continue
-            corename.restype = ctypes.c_char_p
-            blas.update(core=corename().decode(), threads=threads())
-            return blas
-    return blas
-
-
 def build() -> dict:
-    """What the digests depend on besides the package: the interpreter,
-    numpy, and its BLAS."""
-    return {"python": platform.python_version().rpartition(".")[0],
-            "numpy": np.__version__, "blas": _blas()}
+    """The interpreter, numpy and its BLAS, for information."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {"python": platform.python_version(), "numpy": np.__version__,
+            "blas": f"{blas.get('name')} {blas.get('version')}"}
 
 
 def record() -> dict:
-    """This build's record: the build and every run's digests."""
+    """This build's record: the build and every run's entries."""
     runs = {}
     with tempfile.TemporaryDirectory(prefix="golden-") as tmp:
         for i, (name, (command, config, flags)) in enumerate(_runs().items()):

@@ -823,27 +823,23 @@ class TestTrotterBench:
         exact = ham.unitary_from_decomposition(problem.require_decomposition(), 1.0).matrix
         lines = ["r,operator_error,wall_seconds"]
         for r in cfg["slice_sweep"]:
-            error = np.abs(sv._unitary_power(problem.source.step_matrix(1.0 / r), r) - exact).max()
+            error = np.abs(problem.source.step_matrix(1.0 / r, r) - exact).max()
             lines.append(f"{r},{cli._g(error)},{cli._g(0.25)}")
         assert (tmp_path / "xz.trotter.csv").read_text() == "\n".join(lines) + "\n"
 
     @pytest.mark.parametrize("problem, bound", [
         ({"problem": "grid", "system_qubits": 3, "potential": "harmonic:0.8,3.5",
-          "time": 0.4}, 1e-6),
+          "time": 0.4}, 1e-9),
         ({"problem": "tfim", "sites": 3, "time": 0.5}, 1e-9),
     ], ids=["grid", "tfim3"])
     def test_error_falls_as_one_over_r_at_ten_million_slices(self, tmp_path, monkeypatch,
                                                              problem, bound):
-        """The slice is powered with drift control, so the first-order 1/r
-        law holds out to 10^7 slices on the grid particle (plain matrix
-        powering printed 1.79e-8 there, 27% above the law) and on TFIM-3.
-        At 2^30 slices a bound per problem is asserted.  TFIM-3 follows the
-        law there (2.8e-10), and its 1e-9 bound catches squares left
-        unsnapped by the drift control (5.3e-7).  The grid reads 6.7e-8
-        there, not the law's 1.3e-10, with its slice built by FFTs; an
-        F-product slice read 5.8e-8 with a rounded-angle F and 6.3e-8 with
-        an exact-angle one, so the DFT's rounding does not explain that
-        row, and the grid keeps the bound 1e-6."""
+        """The slice is powered as its deviation from I, so the first-order
+        1/r law holds out to 10^7 slices on the grid particle and on TFIM-3,
+        and at 2^30 slices both read near the law (1.3e-10 and 2.7e-10)
+        under a 1e-9 bound.  Powering the slice itself, whose entries float64
+        holds only to 1e-16 absolute, read 6.7e-8 on the grid there, and
+        powering it without snapping its squares read 5.3e-7 on TFIM-3."""
         monkeypatch.chdir(tmp_path)
         sweep = [1, 3, 17, 10**6, 10**7, 2**30]
         cfg = dict(problem, slice_sweep=sweep, out="sweep")
@@ -872,15 +868,15 @@ class TestTrotterBench:
 
     @pytest.mark.parametrize("sweep", [[1], [2]], ids=["r=1", "r=2"])
     def test_non_finite_slice_power_exits_3(self, tmp_path, monkeypatch, capsys, sweep):
-        """A slice holding a NaN fails closed, as itself (r = 1, no product
-        checked) or in its powering (r = 2, the snap check), before any file
-        is written."""
+        """A slice factor holding a NaN fails closed at ``step_matrix``'s one
+        check of the power, as the slice itself (r = 1) or powered (r = 2),
+        before any file is written."""
         monkeypatch.chdir(tmp_path)
-        monkeypatch.setattr(ham.HamiltonianSum, "step_matrix",
-                            lambda self, dt: np.full((2, 2), np.nan, dtype=complex))
+        monkeypatch.setattr(ham, "term_deviation",
+                            lambda term, dt: np.full((2, 2), np.nan, dtype=complex))
         cfg = dict(self.X_PLUS_Z, time=1.0, slice_sweep=sweep, out="xz")
         assert cli.main(["trotter-bench", "--config", write_config(tmp_path, cfg)]) == 3
-        assert "not finite" in capsys.readouterr().err
+        assert "slice power is not unitary: max|G^dag G - I| = nan" in capsys.readouterr().err
         assert list(tmp_path.glob("xz*")) == []
 
     def test_rejects_explicit_unitary(self, tmp_path, monkeypatch, capsys):
@@ -1187,9 +1183,10 @@ def test_dense_unitary_is_built_once_where_needed(tmp_path, monkeypatch, command
 
 
 def test_grid_runs_at_a_large_slice_count(tmp_path, monkeypatch):
-    """The dense slice is raised to the slice count with drift control, so a
-    large count stays within the gate tolerance (100000 slices exited 1 with
-    "gate is not unitary" when powered without it)."""
+    """The dense slice is raised to the slice count as its deviation from I,
+    so a large count stays within the gate tolerance (100000 slices exited 1
+    with "gate is not unitary" when the slice itself was powered without
+    snapping)."""
     monkeypatch.chdir(tmp_path)
     cfg = {"problem": "grid", "system_qubits": 3, "potential": "harmonic:0.8,3.5",
            "m_index": 3, "time": 0.4, "slices": 100000, "trials": 200, "out": "grid"}
@@ -1199,11 +1196,12 @@ def test_grid_runs_at_a_large_slice_count(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("route", ["block", "flag_loop"])
-def test_solve_at_two_to_the_forty_slices_ends_within_seconds(tmp_path, route):
+def test_solve_at_two_to_the_forty_slices_ends_within_seconds(tmp_path, monkeypatch, route):
     """At 2^40 slices the step map powers TFIM-3's dense slice (40
     squarings) where a walk would run 2^40 steps a column, so the run exits
     0 within a few seconds; it runs in a child, which a walk would keep past
-    the timeout."""
+    the timeout.  Its Trotter error is below 1e-12, so at the same seed it
+    leaves the histogram of exact evolution."""
     cfg = {"problem": "tfim", "sites": 3, "m_index": 2, "time": 0.5, "slices": 2**40,
            "trials": 50, "power_method": route, "out": "huge"}
     src = str(pathlib.Path(cli.__file__).resolve().parents[1])
@@ -1214,6 +1212,11 @@ def test_solve_at_two_to_the_forty_slices_ends_within_seconds(tmp_path, route):
                           capture_output=True, text=True, timeout=10)
     assert done.returncode == 0, done.stderr
     assert (tmp_path / "huge.result.json").exists()
+    monkeypatch.chdir(tmp_path)
+    exact = {key: value for key, value in cfg.items() if key != "slices"}
+    assert cli.main(["solve", "--config", write_config(tmp_path, dict(exact, out="exact"))]) == 0
+    assert ((tmp_path / "huge.histogram.csv").read_text()
+            == (tmp_path / "exact.histogram.csv").read_text())
 
 
 def test_missing_subcommand_is_usage_error():

@@ -21,6 +21,7 @@ from spectral_qpe import (
     new_basis_state,
     term_exponential,
 )
+from spectral_qpe.errors import ContractViolation
 from spectral_qpe.hamiltonian import MAX_TERM_QUBITS, slice_gates
 
 
@@ -278,11 +279,11 @@ def test_gate_cache_keeps_the_latest_dt_alone(monkeypatch):
                         lambda h, dt, build=ham.slice_gates: built.append(dt) or build(h, dt))
     sweep = [0.5 / r for r in range(1, 51)]
     for dt in sweep:
-        h.step_matrix(dt)
-        h.step_matrix(dt)
+        h.system_step(dt, 1)
+        h.system_step(dt, 1)
     assert built == sweep
     assert h._gate_cache[0] == sweep[-1]
-    h.step_matrix(sweep[0])
+    h.system_step(sweep[0], 1)
     assert built == sweep + sweep[:1]
 
 
@@ -308,17 +309,76 @@ def complex_explicit_terms():
 @pytest.mark.parametrize(
     "h", [build_transverse_ising(5, 1.0, 0.7), complex_explicit_terms()], ids=["tfim5", "complex"]
 )
-def test_step_matrix_equals_embedded_product_bit_for_bit(h):
+def test_system_step_on_the_identity_equals_embedded_product_bit_for_bit(h):
+    """The walk on the identity's columns multiplies each gate's embedding
+    onto the running product, entry sums in ascending basis order; the
+    slice ``step_matrix`` builds from deviations agrees with it to 1e-14."""
     want = ref.embedded_step_product(slice_gates(h, 0.3), h.num_qubits)
-    assert h.step_matrix(0.3).tobytes() == want.tobytes()
+    identity = np.eye(2**h.num_qubits, dtype=np.complex128)
+    assert h.system_step(0.3, 1)(identity).tobytes() == want.tobytes()
+    np.testing.assert_allclose(h.step_matrix(0.3), want, rtol=0, atol=1e-14)
 
 
-def test_step_matrix_holds_three_matrices(traced_peak):
+def test_step_matrix_holds_four_matrices(traced_peak):
     h = build_transverse_ising(8, 1.0, 0.7)
     step, peak = traced_peak(lambda: h.step_matrix(0.3))
-    # the running product, one gate's operand copy and its product; 64 KiB
-    # for the gates and interpreter bookkeeping
-    assert peak <= 3 * step.nbytes + 2**16
+    # the deviation, I plus it, and one gate's operand copy and product;
+    # 64 KiB for the factors and interpreter bookkeeping
+    assert peak <= 4 * step.nbytes + 2**16
+
+
+def test_step_matrix_powers_match_products_and_exact_evolution():
+    """Small powers are the slice's matrix powers.  From 2^50 slices on
+    (2^60 - 1, 2^64, 2^200) the Trotter error is below 1e-14, and the power,
+    carried as its deviation from I, lies within 1e-13 of exact evolution
+    and within the gate tolerance of unitary."""
+    h = complex_explicit_terms()
+    t = 0.5
+    one = h.step_matrix(t / 12)
+    for power in (1, 2, 3, 12):
+        np.testing.assert_allclose(h.step_matrix(t / 12, power),
+                                   np.linalg.matrix_power(one, power), rtol=0, atol=1e-13)
+    exact = exact_unitary(h, t).matrix
+    for power in (2**50 + 1, 2**60 - 1, 2**64, 2**200):
+        got = h.step_matrix(t / power, power)
+        assert np.abs(got - exact).max() <= 1e-13
+        ham.sv.GateMatrix(got)
+
+
+@pytest.mark.parametrize("power", [1, 2, 3, 12, 2**20, 2**20 + 1])
+def test_step_matrix_checks_its_power_once_and_snaps_nothing(monkeypatch, power):
+    """However many squares and products a power takes, the one check is
+    ``unitarity_defect`` on the returned matrix, and nothing is snapped
+    (no SVD, no ``_near_unitary``)."""
+    h = build_transverse_ising(3, 1.0, 0.7)
+    checked = []
+    defect = ham.sv.unitarity_defect
+    monkeypatch.setattr(ham.sv, "unitarity_defect",
+                        lambda matrix: checked.append(matrix) or defect(matrix))
+
+    def forbidden(*args):
+        raise AssertionError("step_matrix snapped a matrix")
+
+    monkeypatch.setattr(np.linalg, "svd", forbidden)
+    monkeypatch.setattr(ham.sv, "_near_unitary", forbidden)
+    got = h.step_matrix(0.5 / power, power)
+    assert len(checked) == 1 and checked[0] is got
+
+
+@pytest.mark.parametrize("power", [2, 3, 2**20 + 1])
+def test_step_matrix_of_a_nan_factor_raises(monkeypatch, power):
+    """A NaN in one factor's deviation reaches the power, whose one check
+    fails closed."""
+    h = build_transverse_ising(2, 1.0, 0.7)
+    deviation = ham.term_deviation
+
+    def poisoned(term, dt):
+        factor = deviation(term, dt)
+        return np.full_like(factor, np.nan) if term is h.terms[-1] else factor
+
+    monkeypatch.setattr(ham, "term_deviation", poisoned)
+    with pytest.raises(ContractViolation, match=r"not unitary: max\|G\^dag G - I\| = nan"):
+        h.step_matrix(0.1, power)
 
 
 def test_norm_bound_sums_term_norms_and_bounds_the_spectrum():

@@ -84,27 +84,6 @@ def test_nan_fails_closed_in_contract_checks():
         _wrap_state(1, np.array([np.nan, 0], dtype=complex))
 
 
-def test_unitary_powers_stay_unitary_at_huge_exponents():
-    """Binary powering with drift control: a square is the plain product,
-    small powers match numpy, and powers past 10^6 (which drift past the
-    gate tolerance without control) still validate as gates and stay on
-    the eigenphase formula.  2^30 is one square 30 times over; 2^60 - 1
-    multiplies 60 squares, each within the snap threshold, whose product
-    alone drifts past the tolerance."""
-    u = ref.random_unitary(8, np.random.default_rng(60))
-    assert np.array_equal(statevector._unitary_power(u, 2), u @ u)
-    for power in (1, 3, 12):
-        np.testing.assert_allclose(statevector._unitary_power(u, power),
-                                   np.linalg.matrix_power(u, power), rtol=0, atol=1e-13)
-    phases, vectors = np.linalg.eig(u)
-    for power in (100000, 1000003, 2**30, 2**60 - 1):
-        got = statevector._unitary_power(u, power)
-        GateMatrix(got)
-        if power < 2**30:
-            want = (vectors * phases**power) @ np.linalg.inv(vectors)
-            assert np.abs(got - want).max() <= 1e-8
-
-
 def defect_case(kind, dim, rng):
     """A square matrix for the unitarity-defect checks; the drifted ones
     put their largest entry of G^dag G - I in the first or the last slab."""
@@ -178,43 +157,6 @@ def test_a_snapped_power_is_checked_again(monkeypatch):
     monkeypatch.setattr(np.linalg, "svd", scaled_svd)
     with pytest.raises(ContractViolation, match="snapped matrix power is not unitary"):
         statevector._near_unitary(drifted)
-
-
-@pytest.mark.parametrize("power", [2, 3, 2**20 + 1])
-def test_unitary_power_of_a_nan_matrix_raises(power):
-    u = ref.random_unitary(4, np.random.default_rng(61))
-    u[3, 3] = np.nan
-    with pytest.raises(ContractViolation, match="not finite"):
-        statevector._unitary_power(u, power)
-
-
-@pytest.mark.parametrize("power", [1, 2, 3, 12, 2**20, 2**20 + 1])
-def test_unitary_power_squares_bit_length_minus_one_times(monkeypatch, power):
-    """U^p draws U and its squares up to p's top bit from
-    ``_unitary_squares``, so it squares ``p.bit_length() - 1`` times, each
-    square snapped once by ``_near_unitary``; a product of several squares
-    is snapped once more, and a power of two is its last square."""
-    u = ref.random_unitary(4, np.random.default_rng(62))
-    squares, snapped = [], []
-    unitary_squares, near_unitary = statevector._unitary_squares, statevector._near_unitary
-
-    def drawn(matrix):
-        for square in unitary_squares(matrix):
-            squares.append(square)
-            yield square
-
-    def snap(matrix):
-        snapped.append(near_unitary(matrix))
-        return snapped[-1]
-
-    monkeypatch.setattr(statevector, "_unitary_squares", drawn)
-    monkeypatch.setattr(statevector, "_near_unitary", snap)
-    got = statevector._unitary_power(u, power)
-    several = bin(power).count("1") > 1
-    assert len(squares) == power.bit_length()
-    assert squares[0] is u
-    assert len(snapped) == power.bit_length() - 1 + several
-    assert got is (snapped[-1] if several else squares[-1])
 
 
 def test_gate_matrix_holds_its_copy_and_one_slab(traced_peak):
